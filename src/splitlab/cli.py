@@ -26,6 +26,7 @@ import argparse          # noqa: E402
 import csv               # noqa: E402
 import hashlib           # noqa: E402
 import json              # noqa: E402
+import math              # noqa: E402
 import sys               # noqa: E402
 import time              # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -90,14 +91,31 @@ def _require_keys(obj: dict, where: str, required, optional=()):
         raise ScenarioError(f"{where} is missing fields {sorted(missing)}")
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    return _is_number(x) and math.isfinite(x)
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+
+
 def _as_float_list(value, where: str):
     if isinstance(value, dict):
         _require_keys(value, where, ("start", "stop", "num"))
-        return [float(t) for t in np.linspace(float(value["start"]),
-                                              float(value["stop"]),
-                                              int(value["num"]))]
+        if not (_is_finite(value["start"]) and _is_finite(value["stop"])):
+            raise ScenarioError(f"{where}.start and {where}.stop must be finite numbers")
+        if not _is_count(value["num"]):
+            raise ScenarioError(f"{where}.num must be an integer >= 1")
+        return [float(t) for t in np.linspace(value["start"], value["stop"],
+                                              value["num"])]
     if not isinstance(value, list) or not value:
         raise ScenarioError(f"{where} must be a non-empty list or a range object")
+    if not all(_is_finite(t) for t in value):
+        raise ScenarioError(f"{where} entries must be finite numbers")
     return [float(t) for t in value]
 
 
@@ -242,6 +260,15 @@ def _validate_decompose_params(params) -> dict:
     return dict(params)
 
 
+_DEPHASE_RANGES = {
+    "gap_factor": (lambda x: _is_finite(x) and x > 0, "a finite number > 0"),
+    "nodes": (_is_count, "an integer >= 1"),
+    "epsilon": (lambda x: _is_number(x) and 0 < x < 1,
+                "a number strictly between 0 and 1"),
+    "sim_tol": (_is_number, "a number"),
+}
+
+
 def _validate_dephase_params(params) -> dict:
     _require_keys(params, "params", ("perturbation", "distribution", "t_grid"),
                   ("gap_factor", "state", "nodes", "epsilon", "sim_tol"))
@@ -251,10 +278,9 @@ def _validate_dephase_params(params) -> dict:
     params["distribution"] = _validate_distribution(params["distribution"],
                                                     "distribution")
     params["t_grid"] = _as_float_list(params["t_grid"], "t_grid")
-    for key, kind in (("gap_factor", (int, float)), ("nodes", int),
-                      ("epsilon", (int, float)), ("sim_tol", (int, float))):
-        if key in params and not isinstance(params[key], kind):
-            raise ScenarioError(f"'{key}' must be a number")
+    for key, (ok, what) in _DEPHASE_RANGES.items():
+        if key in params and not ok(params[key]):
+            raise ScenarioError(f"'{key}' must be {what}")
     state = params.get("state", "worst")
     if state != "worst":
         _require_keys(state, "state", ("amplitudes",))
@@ -281,7 +307,9 @@ _PARAM_VALIDATORS = {
 
 
 def _build_model(src: dict):
-    if "fixture" in src:
+    try:
+        if "fixture" not in src:
+            return model_from_json(src)
         name = src["fixture"]
         if name == "repetition":
             return repetition_model(src["n"])
@@ -295,8 +323,6 @@ def _build_model(src: dict):
             [tuple(p) for p in src["pairs"]],
             seed=src["seed"],
             ensure_ground_degeneracy=src.get("ground_degeneracy", 1))
-    try:
-        return model_from_json(src)
     except ValueError as exc:
         raise UnsupportedInput(str(exc)) from exc
 

@@ -266,15 +266,16 @@ def trace_norm(matrix) -> float:
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, j])))
-        z = out[i, j]
-        a = abs(z)
-        if a > 0:
-            out[:, j] *= z.conjugate() / a
-    return out
+    """Rotate each column so its largest-magnitude entry is real positive.
+
+    Zero columns are left as they are. The first largest entry wins a tie.
+    """
+    if vecs.size == 0:
+        return vecs.copy()
+    z = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    a = np.hypot(z.real, z.imag)  # rounds exactly like abs() of a complex
+    zero = a == 0
+    return vecs * np.where(zero, 1.0, z.conj() / np.where(zero, 1.0, a))
 
 
 def herm_eig(matrix):

@@ -98,6 +98,38 @@ def test_missing_model_rejected(tmp_path):
     assert cli.main(["run", "--scenario", scn, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("override", [
+    {"epsilon": 1.5},
+    {"epsilon": 0.0},
+    {"epsilon": 1},
+    {"gap_factor": 0},
+    {"gap_factor": -1},
+    {"gap_factor": float("inf")},
+    {"nodes": 0},
+    {"nodes": 2.0},
+    {"t_grid": {"start": 0.0, "stop": 1.0, "num": 0}},
+    {"t_grid": {"start": 0.0, "stop": 1.0, "num": "x"}},
+    {"t_grid": {"start": "x", "stop": 1.0, "num": 3}},
+    {"t_grid": [0.0, "x"]},
+])
+def test_bad_dephase_params_exit_2_before_model(tmp_path, monkeypatch, override):
+    def no_build(src):
+        raise AssertionError("model built for a rejected scenario")
+
+    monkeypatch.setattr(cli, "_build_model", no_build)
+    scn = _write(tmp_path, "s.json", _dephase_scenario(**override))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_repetition_over_dimension_cap_unsupported(tmp_path):
+    scn = _write(tmp_path, "s.json", _attack_scenario(n=13))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 4
+    assert not out.exists()
+
+
 def test_dephase_writes_csv_with_fixed_columns(tmp_path):
     scn = _write(tmp_path, "s.json", _dephase_scenario())
     out = tmp_path / "out"

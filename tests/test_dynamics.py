@@ -1,9 +1,13 @@
 """Dephasing prediction, mixture simulation, bounds, coherence time, baths."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import splitlab.operators
+from conftest import random_density
 from splitlab.code_space import ground_subspace
 from splitlab.dynamics import (
     BathModel,
@@ -14,13 +18,22 @@ from splitlab.dynamics import (
     dephasing_profile,
     dephasing_time_series,
     evolve_mixture,
+    evolve_mixture_grid,
     fidelity_bound_check,
     gap_bound_check,
     predict_dephasing,
     worst_code_state,
 )
 from splitlab.models import pauli_string_matrix, repetition_model
-from splitlab.operators import Ket, embed, fidelity, herm_eig, operator_norm
+from splitlab.operators import (
+    Ket,
+    embed,
+    fidelity,
+    herm_eig,
+    herm_propagator,
+    mat_of,
+    operator_norm,
+)
 
 Z1_ON_3 = pauli_string_matrix("ZII")
 X_ALL_3 = pauli_string_matrix("XXX")
@@ -211,11 +224,80 @@ def test_mixture_discrete_matches_exact_sum():
     t, g = 0.8, 50.0
     out = evolve_mixture(h, Z1_ON_3, dist, rho0, t, gap_factor=g).matrix
     acc = np.zeros_like(rho0)
-    from splitlab.operators import herm_propagator
     for lam in (1.0, -1.0):
         u = herm_propagator(g * h.matrix + lam * Z1_ON_3, t)
         acc += 0.5 * (u @ rho0 @ u.conj().T)
     assert np.allclose(out, acc, atol=1e-12)
+
+
+def _mixture_by_propagators(h, v, dist, rho0, t, g, nodes):
+    # per-time reference: one propagator per node, applied as U rho U^dag
+    lam, w = dist.quadrature(nodes)
+    acc = np.zeros_like(rho0)
+    for lk, wk in zip(lam, w):
+        u = herm_propagator(g * h + lk * v, t)
+        acc += wk * (u @ rho0 @ u.conj().T)
+    return acc / np.trace(acc).real
+
+
+def test_mixture_grid_matches_per_time_propagators(rng):
+    model, _ = _rep_code()
+    h = model.hamiltonian().matrix
+    v = pauli_string_matrix("XII") + Z1_ON_3
+    dist = NoiseDistribution.gaussian(0.0, 0.3)
+    t_grid = [0.0, 0.4, 1.1, 2.5]
+    pure = _plus_logical()
+    mixed = random_density(8, rng)
+    assert np.linalg.matrix_rank(mixed) == 8
+    starts = ((pure.amplitudes, pure.density()), (pure.density(), pure.density()),
+              (mixed, mixed))
+    for start, rho0 in starts:
+        grid = evolve_mixture_grid(h, v, dist, start, t_grid, gap_factor=20.0, nodes=12)
+        assert len(grid) == len(t_grid)
+        for t, out in zip(t_grid, grid):
+            ref = _mixture_by_propagators(h, v, dist, rho0, t, 20.0, 12)
+            assert np.max(np.abs(out.matrix - ref)) < 1e-12
+            single = evolve_mixture(h, v, dist, start, t, gap_factor=20.0, nodes=12)
+            assert np.max(np.abs(single.matrix - ref)) < 1e-12
+
+
+def test_mixture_rejects_nonhermitian_start():
+    model, _ = _rep_code()
+    rho0 = _plus_logical().density()
+    rho0[0, 7] += 1e-3
+    with pytest.raises(ValueError, match="hermitian"):
+        evolve_mixture(model.hamiltonian(), Z1_ON_3, NoiseDistribution.delta(0.5),
+                       rho0, 1.0)
+
+
+def test_time_series_diagonalizes_each_node_once(monkeypatch):
+    # full-size herm_eig calls are one per magnitude node plus a constant,
+    # whatever the number of time points
+    model, code = _rep_code()
+    h = model.hamiltonian()
+    full = h.matrix.shape
+    original = splitlab.operators.herm_eig
+    calls = []
+
+    def counting(matrix):
+        if mat_of(matrix).shape == full:
+            calls.append(1)
+        return original(matrix)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("splitlab") and getattr(module, "herm_eig", None) is original:
+            monkeypatch.setattr(module, "herm_eig", counting)
+    v = pauli_string_matrix("XII") + Z1_ON_3
+    dist = NoiseDistribution.gaussian(0.0, 0.1)
+    extra = set()
+    for nodes in (4, 9):
+        for num in (2, 5):
+            calls.clear()
+            dephasing_time_series(h, code, v, dist, _plus_logical(),
+                                  np.linspace(0.0, 2.0, num), gap_factor=100.0,
+                                  nodes=nodes)
+            extra.add(len(calls) - nodes)
+    assert len(extra) == 1 and 0 <= extra.pop() <= 3
 
 
 def test_mixture_exact_when_perturbation_commutes():

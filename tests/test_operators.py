@@ -10,6 +10,7 @@ from splitlab.operators import (
     HermOp,
     Ket,
     Projector,
+    _fix_phases,
     embed,
     fidelity,
     helstrom,
@@ -219,6 +220,30 @@ def test_herm_eig_phase_convention(rng):
         i = int(np.argmax(np.abs(v[:, j])))
         assert v[i, j].imag == pytest.approx(0.0, abs=1e-12)
         assert v[i, j].real > 0
+
+
+def _fix_phases_loop(vecs):
+    # column-by-column reference for the vectorized _fix_phases
+    out = vecs.copy()
+    for j in range(out.shape[1]):
+        i = int(np.argmax(np.abs(out[:, j])))
+        z = out[i, j]
+        a = abs(z)
+        if a > 0:
+            out[:, j] *= z.conjugate() / a
+    return out
+
+
+def test_fix_phases_matches_column_loop(rng):
+    for dim in (1, 5, 64):
+        _, v = np.linalg.eigh(random_herm(dim, rng, norm=None))
+        v[:, 0] = 0.0
+        got = _fix_phases(v)
+        assert_allclose(got, _fix_phases_loop(v), rtol=0, atol=1e-15)
+        assert np.all(got[:, 0] == 0)
+    tie = np.array([[1j, 0.5], [-1.0, 0.5j]]) / np.sqrt(np.array([2.0, 0.5]))
+    assert_allclose(_fix_phases(tie), _fix_phases_loop(tie), rtol=0, atol=1e-15)
+    assert _fix_phases(np.zeros((0, 0), dtype=complex)).shape == (0, 0)
 
 
 def test_herm_eig_rejects_nonhermitian():
