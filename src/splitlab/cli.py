@@ -4,9 +4,9 @@
 analysis task and writes a deterministic JSON report (plus CSV for time
 series). ``splitlab verify --quick|--full`` runs the acceptance battery.
 
-Exit codes: 0 all checks passed; 2 scenario rejected by schema validation
-(nothing is written); 3 a numerical check failed (the report is still
-written); 4 input outside the supported domain (nothing is written).
+Exit codes: 0 all checks passed; 2 malformed scenario (nothing is
+written); 3 a numerical check failed (the report is still written); 4 a
+valid scenario the model cannot take (nothing is written).
 
 Reports are byte-identical across runs of the same scenario and seed,
 except for the wall_clock_seconds field.
@@ -30,6 +30,7 @@ import math              # noqa: E402
 import sys               # noqa: E402
 import time              # noqa: E402
 from pathlib import Path  # noqa: E402
+from typing import Callable, NamedTuple  # noqa: E402
 
 import numpy as np       # noqa: E402
 
@@ -44,20 +45,23 @@ from .models import (                                        # noqa: E402
     QuditSystem,
     block_sites,
     four_two_two_model,
+    is_hermitian,
     matrix_from_json,
+    matrix_to_json,
     model_from_json,
     pauli_string_matrix,
     random_commuting_model,
     repetition_model,
+    single_site_paulis,
 )
-from .operators import Ket, embed, mat_of                    # noqa: E402
+from .operators import Ket, embed                            # noqa: E402
 from .splitting import ids, kl_check, worst_single_site_ascent  # noqa: E402
 from .structure import (                                     # noqa: E402
     StructureError,
     commuting_model_attack,
     factor_ground_projector,
 )
-from .verify import LEVELS, run_battery                      # noqa: E402
+from .verify import LEVELS, run_battery, verdict             # noqa: E402
 
 ARTIFACT_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
@@ -72,343 +76,349 @@ EXIT_UNSUPPORTED = 4
 
 
 class ScenarioError(Exception):
-    """Scenario file rejected before any work starts."""
+    """Scenario file rejected before any work starts.
+
+    A well-formed scenario the model cannot take (a fixture over the cap, a
+    perturbation that does not fit the chain, a multi-sector decompose)
+    raises ValueError instead, from the parse or from the task.
+    """
 
 
-class UnsupportedInput(Exception):
-    """Valid file, but the model or parameters fall outside the task's domain."""
+# --------------------------------------------------------- field tables
+#
+# Each object in a scenario is read through a table of Field(check, what,
+# default). check(value, where) returns the parsed value or raises
+# ValueError/TypeError, read as "<where> must be <what>"; nested checks
+# raise ScenarioError naming the inner field. default is REQUIRED, None
+# (optional, stays None) or the value an absent field takes.
+# docs/scenario_schema.md lists the same tables.
+
+REQUIRED = object()
 
 
-def _require_keys(obj: dict, where: str, required, optional=()):
+class Field(NamedTuple):
+    check: Callable
+    what: str
+    default: object = REQUIRED
+
+
+def _fields(obj, table: dict, where: str) -> dict:
+    """Every field of ``table`` parsed from ``obj``, defaults filled in."""
+    name = where or "scenario"
     if not isinstance(obj, dict):
-        raise ScenarioError(f"{where} must be a JSON object")
-    allowed = set(required) | set(optional)
-    unknown = set(obj) - allowed
+        raise ScenarioError(f"{name} must be a JSON object")
+    unknown = set(obj) - set(table)
     if unknown:
-        raise ScenarioError(f"{where} has unknown fields {sorted(unknown)}")
-    missing = set(required) - set(obj)
+        raise ScenarioError(f"{name} has unknown fields {sorted(unknown)}")
+    missing = [k for k, f in table.items() if f.default is REQUIRED and k not in obj]
     if missing:
-        raise ScenarioError(f"{where} is missing fields {sorted(missing)}")
+        raise ScenarioError(f"{name} is missing fields {missing}")
+    out = {}
+    for key, f in table.items():
+        path = f"{where}.{key}" if where else key
+        try:
+            out[key] = f.check(obj[key], path) if key in obj else f.default
+        except (ValueError, TypeError, ArithmeticError) as exc:
+            raise ScenarioError(f"{path} must be {f.what}") from exc
+    return out
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _check(ok, convert=lambda x: x):
+    """A check that accepts x when ok(x) holds and returns convert(x)."""
+    def check(x, where):
+        if not ok(x):
+            raise ValueError
+        return convert(x)
+    return check
 
 
-def _is_finite(x) -> bool:
-    return _is_number(x) and math.isfinite(x)
+# type(x) is int, not isinstance: a JSON true is no integer here
+def _integer(lo, hi=math.inf):
+    return _check(lambda x: type(x) is int and lo <= x <= hi)
 
 
-def _is_count(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+def _real(ok=lambda x: True):
+    return _check(lambda x: type(x) in (int, float) and math.isfinite(x) and ok(x), float)
 
 
-def _as_float_list(value, where: str):
-    if isinstance(value, dict):
-        _require_keys(value, where, ("start", "stop", "num"))
-        if not (_is_finite(value["start"]) and _is_finite(value["stop"])):
-            raise ScenarioError(f"{where}.start and {where}.stop must be finite numbers")
-        if not _is_count(value["num"]):
-            raise ScenarioError(f"{where}.num must be an integer >= 1")
-        return [float(t) for t in np.linspace(value["start"], value["stop"],
-                                              value["num"])]
-    if not isinstance(value, list) or not value:
-        raise ScenarioError(f"{where} must be a non-empty list or a range object")
-    if not all(_is_finite(t) for t in value):
-        raise ScenarioError(f"{where} entries must be finite numbers")
-    return [float(t) for t in value]
+def _word(*options, letters=""):
+    """A string among ``options``, or a non-empty one spelled in ``letters``."""
+    return _check(lambda x: type(x) is str and (x in options or x and set(x) <= set(letters)))
+
+
+_boolean = _check(lambda x: type(x) is bool)
+_as_is = _check(lambda x: True)
+
+
+def _list_of(item, min_len=1, max_len=math.inf, distinct=False):
+    def check(x, where):
+        if not (isinstance(x, list) and min_len <= len(x) <= max_len):
+            raise ValueError
+        out = [item(v, f"{where}[{i}]") for i, v in enumerate(x)]
+        if distinct and len(set(out)) != len(out):
+            raise ValueError
+        return out
+    return check
+
+
+def _matrix(x, where) -> np.ndarray:
+    m = matrix_from_json(x)
+    if not is_hermitian(m):
+        raise ValueError
+    return m
+
+
+def _variant(x, where: str, tag: str, variants: dict):
+    """(build, fields) of an object whose ``tag`` field names its table."""
+    name = x.get(tag) if isinstance(x, dict) else None
+    if not (isinstance(name, str) and name in variants):
+        raise ScenarioError(f"{where}.{tag} must be one of {sorted(variants)}")
+    table, build = variants[name]
+    return build, _fields({k: v for k, v in x.items() if k != tag}, table, where)
+
+
+_MATRIX = "a square matrix of [re, im] pairs, finite and hermitian"
+_FINITE = Field(_real(), "a finite number")
+_PAIRS = "a non-empty list of [{}, {}] pairs of finite numbers"
+
+_FIXTURES = {
+    "repetition": ({"n": Field(_integer(2), "an integer >= 2")}, repetition_model),
+    "four_two_two": (
+        {"blocked": Field(_boolean, "a boolean", False)},
+        lambda blocked: (block_sites(four_two_two_model(), [[0, 1], [2, 3]])
+                         if blocked else four_two_two_model())),
+    "random_commuting": (
+        {"dims": Field(_list_of(_integer(2)), "a non-empty list of integers >= 2"),
+         "pairs": Field(_list_of(_list_of(_integer(0), 2, 2, distinct=True)),
+                        "a non-empty list of two distinct sites (integers >= 0)"),
+         "seed": Field(_integer(0), "an integer >= 0"),
+         "ground_degeneracy": Field(_integer(1), "an integer >= 1", 1)},
+        lambda dims, pairs, seed, ground_degeneracy: random_commuting_model(
+            QuditSystem(dims), pairs, seed, ground_degeneracy)),
+}
+
+_TERM = {"sites": Field(_list_of(_integer(0), 1, 2, distinct=True),
+                        "one or two distinct integers >= 0"),
+         "matrix": Field(_matrix, _MATRIX)}
+
+_INLINE_MODEL = {
+    "dims": Field(_list_of(_integer(2)), "a non-empty list of integers >= 2"),
+    "terms": Field(
+        _list_of(lambda x, where: _fields(x, _TERM, where), 0),
+        "a list of {sites, matrix} terms", None),
+    "stabilizers": Field(_list_of(_word(letters="IXYZixyz"), 0),
+                         "a list of Pauli strings", None),
+    "seed": Field(_integer(0), "an integer >= 0", None),
+}
+
+_PERTURBATION = {
+    "pauli": Field(_word(letters="IXYZ"), "a non-empty string of I, X, Y, Z", None),
+    "matrix": Field(_matrix, _MATRIX, None),
+    "sites": Field(_list_of(_integer(0), 0, distinct=True),
+                   "a list of distinct integers >= 0", None),
+}
+
+_DISTRIBUTIONS = {
+    "gaussian": ({"mean": _FINITE,
+                  "std": Field(_real(lambda x: x > 0), "a finite number > 0")},
+                 NoiseDistribution.gaussian),
+    "uniform": ({"a": _FINITE, "b": Field(_real(), "a finite number > a")},
+                NoiseDistribution.uniform),
+    "discrete": ({"atoms": Field(_list_of(_list_of(_real(), 2, 2)),
+                                 _PAIRS.format("value", "probability"))},
+                 lambda atoms: NoiseDistribution.discrete(atoms)),
+    "delta": ({"value": _FINITE}, NoiseDistribution.delta),
+}
+
+_T_RANGE = {"start": _FINITE, "stop": _FINITE,
+            "num": Field(_integer(1), "an integer >= 1")}
+
+_AMPLITUDES = {"amplitudes": Field(_list_of(_list_of(_real(), 2, 2)),
+                                   _PAIRS.format("re", "im"))}
+
+
+def _perturbation(x, where):
+    """(label, place): the Pauli string or None, and place(model) -> D x D matrix."""
+    f = _fields(x, _PERTURBATION, where)
+    pauli, m, sites = f["pauli"], f["matrix"], f["sites"]
+    if (pauli is None) == (m is None) or (pauli is not None and sites is not None):
+        raise ScenarioError(
+            f"{where} needs either 'pauli' alone or 'matrix' with optional 'sites'")
+
+    def place(model) -> np.ndarray:
+        dims = model.system.dims
+        if pauli is not None:
+            if any(d != 2 for d in dims) or len(pauli) != len(dims):
+                raise ValueError(f"pauli string {pauli!r} needs {len(pauli)} "
+                                 f"qubit sites, model has dims {dims}")
+            return pauli_string_matrix(pauli)
+        if sites is not None:
+            return embed(m, sites, dims)
+        d = model.system.total_dim
+        if m.shape != (d, d):
+            raise ValueError(
+                f"full matrix shape {m.shape} does not match total dimension {d}")
+        return m
+
+    return pauli, place
+
+
+def _distribution(x, where) -> NoiseDistribution:
+    build, f = _variant(x, where, "kind", _DISTRIBUTIONS)
+    try:
+        return build(**f)
+    except ValueError as exc:
+        raise ScenarioError(f"{where} rejected: {exc}") from exc
+
+
+def _t_grid(x, where) -> list:
+    if isinstance(x, dict):
+        f = _fields(x, _T_RANGE, where)
+        return [float(t) for t in np.linspace(f["start"], f["stop"], f["num"])]
+    return _list_of(_real())(x, where)
+
+
+def _state(x, where):
+    """"worst", or the amplitude vector of an explicit start state."""
+    if x == "worst":
+        return x
+    if not isinstance(x, dict):
+        raise ValueError
+    amp = np.array(_fields(x, _AMPLITUDES, where)["amplitudes"])
+    return amp[:, 0] + 1j * amp[:, 1]
+
+
+_PARAMS = {
+    "ids": {
+        "perturbations": Field(_list_of(_perturbation),
+                               "a non-empty list of perturbation specs", None),
+        "sweep": Field(_word("single_paulis"), '"single_paulis"', None),
+        "require_kl": Field(_boolean, "a boolean", False),
+        "kl_tol": Field(_real(lambda x: x >= 0), "a finite number >= 0", 1e-8),
+    },
+    "attack": {
+        "site": Field(_integer(0), "an integer >= 0", None),
+        "refine_iters": Field(_integer(1), "an integer >= 1", 40),
+    },
+    "decompose": {},
+    "dephase": {
+        "perturbation": Field(_perturbation, "a perturbation spec"),
+        "distribution": Field(_distribution, "a distribution spec"),
+        "t_grid": Field(_t_grid, "a non-empty list of finite numbers "
+                                 "or a {start, stop, num} range"),
+        "gap_factor": Field(_real(lambda x: x > 0), "a finite number > 0", 1000.0),
+        "state": Field(_state, '"worst" or {"amplitudes": [[re, im], ...]}', "worst"),
+        "nodes": Field(_integer(1), "an integer >= 1", 64),
+        "epsilon": Field(_real(lambda x: 0 < x < 1),
+                         "a number strictly between 0 and 1", 0.01),
+        "sim_tol": Field(_real(lambda x: x >= 0), "a finite number >= 0", 5e-2),
+    },
+    "verify": {
+        "level": Field(_word(*LEVELS), f"one of {LEVELS}", "quick"),
+    },
+}
+
+_SCENARIO = {
+    "schema_version": Field(_integer(SCHEMA_VERSION, SCHEMA_VERSION),
+                            str(SCHEMA_VERSION)),
+    "task": Field(_word(*TASKS), f"one of {TASKS}"),
+    "model": Field(_as_is, "a model source", None),    # read by _build_model
+    "params": Field(_as_is, "a JSON object", {}),      # read by _PARAMS[task]
+    "seed": Field(_integer(0), "an integer >= 0", 0),
+}
 
 
 # ------------------------------------------------------------- scenario
 
 
-def validate_scenario(raw: dict) -> dict:
-    """Normalize and fully validate a scenario; raises ScenarioError."""
-    _require_keys(raw, "scenario", ("schema_version", "task"),
-                  ("model", "params", "seed"))
-    if raw["schema_version"] != SCHEMA_VERSION:
-        raise ScenarioError(
-            f"schema_version {raw['schema_version']!r} is not {SCHEMA_VERSION}")
-    task = raw["task"]
-    if task not in TASKS:
-        raise ScenarioError(f"task {task!r} is not one of {TASKS}")
-    if task != "verify" and "model" not in raw:
-        raise ScenarioError(f"task {task!r} needs a model")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ScenarioError("seed must be an integer")
-    params = raw.get("params", {})
-    validator = _PARAM_VALIDATORS[task]
-    params = validator(params)
-    out = {"schema_version": SCHEMA_VERSION, "task": task, "seed": seed,
-           "params": params}
-    if "model" in raw:
-        out["model"] = _validate_model_source(raw["model"])
-    return out
+class Scenario(NamedTuple):
+    """A parsed scenario: its canonical form and the inputs built from it."""
+
+    canonical: dict     # hashed into scenario_digest: t_grid expanded, no defaults
+    model: object       # the built model; None for verify
+    params: dict        # the task's inputs, built, with every default filled in
 
 
-def _validate_model_source(src: dict) -> dict:
-    if not isinstance(src, dict):
-        raise ScenarioError("model must be a JSON object")
-    if "fixture" in src:
-        name = src["fixture"]
-        if name == "repetition":
-            _require_keys(src, "model", ("fixture", "n"))
-            if not isinstance(src["n"], int) or src["n"] < 2:
-                raise ScenarioError("repetition fixture needs integer n >= 2")
-        elif name == "four_two_two":
-            _require_keys(src, "model", ("fixture",), ("blocked",))
-            if not isinstance(src.get("blocked", False), bool):
-                raise ScenarioError("'blocked' must be a boolean")
-        elif name == "random_commuting":
-            _require_keys(src, "model", ("fixture", "dims", "pairs", "seed"),
-                          ("ground_degeneracy",))
-            if not (isinstance(src["dims"], list)
-                    and all(isinstance(d, int) and d >= 2 for d in src["dims"])):
-                raise ScenarioError("dims must be a list of integers >= 2")
-            if not (isinstance(src["pairs"], list)
-                    and all(isinstance(p, list) and len(p) == 2 for p in src["pairs"])):
-                raise ScenarioError("pairs must be a list of two-element lists")
-        else:
-            raise ScenarioError(f"unknown fixture {name!r}")
-        return dict(src)
-    # inline model: delegate shape checks, surface failures as schema errors
-    if "dims" not in src:
-        raise ScenarioError("inline model needs a 'dims' field")
-    try:
-        model_from_json(src)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ScenarioError(f"inline model rejected: {exc}") from exc
-    return dict(src)
+def parse_scenario(raw) -> Scenario:
+    """The one pass over a scenario; raises ScenarioError or ValueError.
 
-
-def _validate_perturbation(spec, where: str) -> dict:
-    if not isinstance(spec, dict):
-        raise ScenarioError(f"{where} must be a JSON object")
-    forms = [k for k in ("pauli", "matrix") if k in spec]
-    if "pauli" in spec:
-        _require_keys(spec, where, ("pauli",))
-        if not isinstance(spec["pauli"], str):
-            raise ScenarioError(f"{where}.pauli must be a string")
-    elif "matrix" in spec:
-        _require_keys(spec, where, ("matrix",), ("sites",))
-        try:
-            matrix_from_json(spec["matrix"])
-        except ValueError as exc:
-            raise ScenarioError(f"{where}.matrix rejected: {exc}") from exc
-        if "sites" in spec and not (isinstance(spec["sites"], list)
-                                    and all(isinstance(s, int) for s in spec["sites"])):
-            raise ScenarioError(f"{where}.sites must be a list of integers")
-    if len(forms) != 1:
-        raise ScenarioError(f"{where} needs exactly one of 'pauli' or 'matrix'")
-    return dict(spec)
-
-
-def _validate_distribution(spec, where: str) -> dict:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ScenarioError(f"{where} must be an object with a 'kind'")
-    kind = spec["kind"]
-    fields = {"gaussian": ("kind", "mean", "std"),
-              "uniform": ("kind", "a", "b"),
-              "discrete": ("kind", "atoms"),
-              "delta": ("kind", "value")}
-    if kind not in fields:
-        raise ScenarioError(f"{where}.kind {kind!r} is not one of {sorted(fields)}")
-    _require_keys(spec, where, fields[kind])
-    try:
-        _build_distribution(spec)
-    except ValueError as exc:
-        raise ScenarioError(f"{where} rejected: {exc}") from exc
-    return dict(spec)
-
-
-def _validate_ids_params(params) -> dict:
-    _require_keys(params, "params", (),
-                  ("perturbations", "sweep", "require_kl", "kl_tol"))
-    has_list = "perturbations" in params
-    has_sweep = "sweep" in params
-    if has_list == has_sweep:
+    Checks and builds every part that needs no model (the distribution and
+    the time grid among them), then the model (_build_model checks its
+    source as it builds it), then places the perturbations and the start
+    state on the model.
+    """
+    top = _fields(raw, _SCENARIO, "")
+    task = top["task"]
+    params = _fields(top["params"], _PARAMS[task], "params")
+    if task == "ids" and (params["perturbations"] is None) == (params["sweep"] is None):
         raise ScenarioError("ids needs exactly one of 'perturbations' or 'sweep'")
-    if has_sweep and params["sweep"] != "single_paulis":
-        raise ScenarioError("the only sweep is 'single_paulis'")
-    if has_list:
-        if not isinstance(params["perturbations"], list) or not params["perturbations"]:
-            raise ScenarioError("'perturbations' must be a non-empty list")
-        params = dict(params)
-        params["perturbations"] = [
-            _validate_perturbation(p, f"perturbations[{i}]")
-            for i, p in enumerate(params["perturbations"])]
-    if not isinstance(params.get("require_kl", False), bool):
-        raise ScenarioError("'require_kl' must be a boolean")
-    if "kl_tol" in params and not isinstance(params["kl_tol"], (int, float)):
-        raise ScenarioError("'kl_tol' must be a number")
-    return dict(params)
-
-
-def _validate_attack_params(params) -> dict:
-    _require_keys(params, "params", (), ("site", "refine_iters"))
-    if "site" in params and not isinstance(params["site"], int):
-        raise ScenarioError("'site' must be an integer")
-    if "refine_iters" in params and not (
-            isinstance(params["refine_iters"], int) and params["refine_iters"] >= 0):
-        raise ScenarioError("'refine_iters' must be a non-negative integer")
-    return dict(params)
-
-
-def _validate_decompose_params(params) -> dict:
-    _require_keys(params, "params", (), ())
-    return dict(params)
-
-
-_DEPHASE_RANGES = {
-    "gap_factor": (lambda x: _is_finite(x) and x > 0, "a finite number > 0"),
-    "nodes": (_is_count, "an integer >= 1"),
-    "epsilon": (lambda x: _is_number(x) and 0 < x < 1,
-                "a number strictly between 0 and 1"),
-    "sim_tol": (_is_number, "a number"),
-}
-
-
-def _validate_dephase_params(params) -> dict:
-    _require_keys(params, "params", ("perturbation", "distribution", "t_grid"),
-                  ("gap_factor", "state", "nodes", "epsilon", "sim_tol"))
-    params = dict(params)
-    params["perturbation"] = _validate_perturbation(params["perturbation"],
-                                                    "perturbation")
-    params["distribution"] = _validate_distribution(params["distribution"],
-                                                    "distribution")
-    params["t_grid"] = _as_float_list(params["t_grid"], "t_grid")
-    for key, (ok, what) in _DEPHASE_RANGES.items():
-        if key in params and not ok(params[key]):
-            raise ScenarioError(f"'{key}' must be {what}")
-    state = params.get("state", "worst")
-    if state != "worst":
-        _require_keys(state, "state", ("amplitudes",))
-    return params
-
-
-def _validate_verify_params(params) -> dict:
-    _require_keys(params, "params", (), ("level",))
-    if params.get("level", "quick") not in LEVELS:
-        raise ScenarioError(f"'level' must be one of {LEVELS}")
-    return dict(params)
-
-
-_PARAM_VALIDATORS = {
-    "ids": _validate_ids_params,
-    "attack": _validate_attack_params,
-    "decompose": _validate_decompose_params,
-    "dephase": _validate_dephase_params,
-    "verify": _validate_verify_params,
-}
-
-
-# ------------------------------------------------------------ building
-
-
-def _build_model(src: dict):
-    try:
-        if "fixture" not in src:
-            return model_from_json(src)
-        name = src["fixture"]
-        if name == "repetition":
-            return repetition_model(src["n"])
-        if name == "four_two_two":
-            model = four_two_two_model()
-            if src.get("blocked", False):
-                model = block_sites(model, [[0, 1], [2, 3]])
-            return model
-        return random_commuting_model(
-            QuditSystem(tuple(src["dims"])),
-            [tuple(p) for p in src["pairs"]],
-            seed=src["seed"],
-            ensure_ground_degeneracy=src.get("ground_degeneracy", 1))
-    except ValueError as exc:
-        raise UnsupportedInput(str(exc)) from exc
-
-
-def _build_perturbation(spec: dict, model) -> np.ndarray:
+    if (top["model"] is None) != (task == "verify"):
+        raise ScenarioError("verify takes no model" if task == "verify"
+                            else f"task {task!r} needs a model")
+    canonical = {"schema_version": SCHEMA_VERSION, "task": task, "seed": top["seed"],
+                 "params": dict(top["params"])}
+    if task == "verify":
+        return Scenario(canonical, None, params)
+    canonical["model"] = top["model"]
+    if task == "dephase":
+        canonical["params"]["t_grid"] = params["t_grid"]
+    model = _build_model(top["model"])
     dims = model.system.dims
-    if "pauli" in spec:
-        s = spec["pauli"]
-        if any(d != 2 for d in dims) or len(s) != len(dims):
-            raise UnsupportedInput(
-                f"pauli string {s!r} needs {len(s)} qubit sites, model has dims {dims}")
-        return pauli_string_matrix(s)
-    m = matrix_from_json(spec["matrix"])
-    if "sites" in spec:
+    if task == "ids" and params["sweep"]:
+        if any(d != 2 for d in dims):
+            raise ValueError("the single-Pauli sweep needs qubit sites")
+        params["perturbations"] = list(single_site_paulis(len(dims)))
+    elif task == "ids":
+        params["perturbations"] = [(label or f"perturbation_{i}", place(model))
+                                   for i, (label, place)
+                                   in enumerate(params["perturbations"])]
+    elif task == "dephase":
+        _, place = params["perturbation"]
+        params["perturbation"] = place(model)
+        if isinstance(params["state"], np.ndarray):
+            params["state"] = Ket(params["state"], dims)
+    return Scenario(canonical, model, params)
+
+
+def validate_scenario(raw) -> dict:
+    """Canonical form of a scenario, after the whole parse."""
+    return parse_scenario(raw).canonical
+
+
+def _build_model(src):
+    """Check a model source and build the run's one model.
+
+    An inline model that model_from_json rejects is malformed (exit 2); the
+    ValueError of a fixture builder means unsupported (exit 4).
+    """
+    if isinstance(src, dict) and "fixture" not in src:
+        _fields(src, _INLINE_MODEL, "model")    # checks; model_from_json reads src
         try:
-            return embed(m, spec["sites"], dims)
+            return model_from_json(src)
         except ValueError as exc:
-            raise UnsupportedInput(str(exc)) from exc
-    d = int(np.prod(dims))
-    if m.shape != (d, d):
-        raise UnsupportedInput(
-            f"full matrix shape {m.shape} does not match total dimension {d}")
-    return m
-
-
-def _build_distribution(spec: dict) -> NoiseDistribution:
-    kind = spec["kind"]
-    if kind == "gaussian":
-        return NoiseDistribution.gaussian(spec["mean"], spec["std"])
-    if kind == "uniform":
-        return NoiseDistribution.uniform(spec["a"], spec["b"])
-    if kind == "discrete":
-        atoms = spec["atoms"]
-        if not (isinstance(atoms, list)
-                and all(isinstance(a, list) and len(a) == 2 for a in atoms)):
-            raise ValueError("'atoms' must be a list of [value, probability] pairs")
-        return NoiseDistribution.discrete([(a[0], a[1]) for a in atoms])
-    return NoiseDistribution.delta(spec["value"])
-
-
-def _single_pauli_sweep(model):
-    dims = model.system.dims
-    if any(d != 2 for d in dims):
-        raise UnsupportedInput("the single-Pauli sweep needs qubit sites")
-    n = len(dims)
-    for site in range(n):
-        for p in "XYZ":
-            s = "".join(p if k == site else "I" for k in range(n))
-            yield s, pauli_string_matrix(s)
-
-
-def _check(name, measured, bound, direction, reference, detail=""):
-    measured = float(measured)
-    bound = float(bound)
-    ok = measured <= bound if direction == "<=" else measured >= bound
-    return {"name": name, "passed": bool(ok), "measured": measured,
-            "bound": bound, "direction": direction, "reference": reference,
-            "detail": detail}
+            raise ScenarioError(f"inline model rejected: {exc}") from exc
+    build, f = _variant(src, "model", "fixture", _FIXTURES)
+    return build(**f)
 
 
 # ---------------------------------------------------------------- tasks
 
 
-def _run_ids(scenario: dict):
-    model = _build_model(scenario["model"])
-    code = ground_subspace(model)
-    params = scenario["params"]
-    if "sweep" in params:
-        perts = list(_single_pauli_sweep(model))
-    else:
-        perts = [(spec.get("pauli", f"perturbation_{i}"),
-                  _build_perturbation(spec, model))
-                 for i, spec in enumerate(params["perturbations"])]
-    kl_tol = float(params.get("kl_tol", 1e-8))
-    require_kl = params.get("require_kl", False)
+def _run_ids(scenario: Scenario):
+    params = scenario.params
+    code = ground_subspace(scenario.model)
+    kl_tol = params["kl_tol"]
     entries = []
     checks = []
-    for label, v in perts:
+    for label, v in params["perturbations"]:
         r = ids(code, v)
         detected, alpha = kl_check(code, v, tol=kl_tol)
         entries.append({"label": label, "delta_e": r.delta_e,
                         "lambda_min": r.lambda_min, "lambda_max": r.lambda_max,
                         "alpha_opt": r.alpha_opt, "kl_deviation": r.kl_deviation,
                         "kl_detected": bool(detected)})
-        if require_kl:
-            checks.append(_check(
+        if params["require_kl"]:
+            checks.append(verdict(
                 f"kl_detected:{label}", r.kl_deviation, kl_tol, "<=",
                 "splitting.kl_check: perturbation leaves no trace on the code",
                 f"relative deviation of the compressed operator from alpha={alpha:.6g}"))
@@ -417,36 +427,32 @@ def _run_ids(scenario: dict):
     return checks, results, None
 
 
-def _run_attack(scenario: dict):
-    model = _build_model(scenario["model"])
-    params = scenario["params"]
-    iters = params.get("refine_iters", 40)
-    try:
-        if "site" in params:
-            code = ground_subspace(model)
-            report = worst_single_site_ascent(code, params["site"], iters=iters,
-                                              seed=scenario["seed"])
-            floor = 0.0
-        else:
-            report = commuting_model_attack(model, refine_iters=iters,
-                                            seed=scenario["seed"])
-            floor = float(report.details.get("analytic_delta_e", 0.0))
-            code = ground_subspace(model)
-    except ValueError as exc:
-        raise UnsupportedInput(str(exc)) from exc
+def _run_attack(scenario: Scenario):
+    model = scenario.model
+    site = scenario.params["site"]
+    iters = scenario.params["refine_iters"]
+    seed = scenario.canonical["seed"]
+    if site is not None:
+        code = ground_subspace(model)
+        report = worst_single_site_ascent(code, site, iters=iters, seed=seed)
+        floor = 0.0
+    else:
+        report = commuting_model_attack(model, refine_iters=iters, seed=seed)
+        floor = float(report.details.get("analytic_delta_e", 0.0))
+        code = ground_subspace(model)
     v_full = embed(report.x.matrix, [report.site], model.system.dims)
     remeasured = ids(code, v_full).delta_e
     checks = [
-        _check("attack_certified_floor", report.certified_delta_e,
-               floor - 1e-9, ">=",
-               "structure.commuting_model_attack: branch-specific analytic floor"
-               if "site" not in params else
-               "splitting.worst_single_site_ascent: numeric search result",
-               f"branch {report.branch or 'ascent'}, site {report.site}"),
-        _check("attack_remeasured", remeasured - report.certified_delta_e,
-               -1e-9, ">=",
-               "splitting.ids: independent re-measurement of the certificate",
-               f"splitting {remeasured:.6g} vs certified {report.certified_delta_e:.6g}"),
+        verdict("attack_certified_floor", report.certified_delta_e,
+                floor - 1e-9, ">=",
+                "structure.commuting_model_attack: branch-specific analytic floor"
+                if site is None else
+                "splitting.worst_single_site_ascent: numeric search result",
+                f"branch {report.branch or 'ascent'}, site {report.site}"),
+        verdict("attack_remeasured", remeasured - report.certified_delta_e,
+                -1e-9, ">=",
+                "splitting.ids: independent re-measurement of the certificate",
+                f"splitting {remeasured:.6g} vs certified {report.certified_delta_e:.6g}"),
     ]
     results = {
         "site": report.site,
@@ -454,73 +460,60 @@ def _run_attack(scenario: dict):
         "guarantee": report.guarantee,
         "delta_e": report.certified_delta_e,
         "remeasured_delta_e": remeasured,
-        "operator": _matrix_json(report.x.matrix),
+        "operator": matrix_to_json(report.x.matrix),
         "details": {k: v for k, v in report.details.items()
                     if isinstance(v, (int, float, str, bool))},
     }
     return checks, results, None
 
 
-def _run_decompose(scenario: dict):
-    model = _build_model(scenario["model"])
+def _run_decompose(scenario: Scenario):
+    model = scenario.model
     code = ground_subspace(model)
     try:
         fz = factor_ground_projector(model, code)
-    except ValueError as exc:
-        raise UnsupportedInput(str(exc)) from exc
+        residual, detail = fz.reconstruction_error, "code projector rebuilt from pair factors"
+        results = {"factorization": fz.to_json(), "degeneracy": code.degeneracy}
     except StructureError as exc:
-        checks = [_check("factorization_residual", np.inf, 1e-6, "<=",
-                         "structure.factor_ground_projector: reconstruction residual",
-                         str(exc))]
-        return checks, {"error": str(exc)}, None
-    checks = [_check("factorization_residual", fz.reconstruction_error, 1e-6, "<=",
-                     "structure.factor_ground_projector: reconstruction residual",
-                     "code projector rebuilt from pair factors")]
-    return checks, {"factorization": fz.to_json(), "degeneracy": code.degeneracy}, None
+        residual, detail, results = np.inf, str(exc), {"error": str(exc)}
+    checks = [verdict("factorization_residual", residual, 1e-6, "<=",
+                      "structure.factor_ground_projector: reconstruction residual", detail)]
+    return checks, results, None
 
 
-def _run_dephase(scenario: dict):
-    model = _build_model(scenario["model"])
-    params = scenario["params"]
+def _run_dephase(scenario: Scenario):
+    model = scenario.model
+    params = scenario.params
     code = ground_subspace(model)
-    v = _build_perturbation(params["perturbation"], model)
-    dist = _build_distribution(params["distribution"])
+    v = params["perturbation"]
+    dist = params["distribution"]
     t_grid = params["t_grid"]
-    gap_factor = float(params.get("gap_factor", 1000.0))
-    nodes = int(params.get("nodes", 64))
-    state_spec = params.get("state", "worst")
-    try:
-        if state_spec == "worst":
-            state = worst_code_state(code, v)
-        else:
-            amp = np.asarray(state_spec["amplitudes"], dtype=float)
-            state = Ket(amp[:, 0] + 1j * amp[:, 1], code.dims)
-        rows = dephasing_time_series(model.hamiltonian(), code, v, dist, state,
-                                     t_grid, gap_factor, nodes=nodes)
-    except ValueError as exc:
-        raise UnsupportedInput(str(exc)) from exc
-    sim_tol = float(params.get("sim_tol", 5e-2))
+    gap_factor = params["gap_factor"]
+    state = params["state"]
+    if state == "worst":
+        state = worst_code_state(code, v)
+    rows = dephasing_time_series(model.hamiltonian(), code, v, dist, state,
+                                 t_grid, gap_factor, nodes=params["nodes"])
     gap_margin = min(r["gap_bound_rhs"] - r["gap_bound_lhs"] for r in rows)
     fid_margin = min(r["fidelity"] - r["fidelity_bound"] for r in rows)
     sim_dev = max(abs(r["predicted_coherence"] - r["simulated_coherence"])
                   for r in rows)
     checks = [
-        _check("gap_bound_holds", gap_margin, 0.0, ">=",
-               "dynamics.gap_bound_check: projected-evolution distance bound",
-               f"{len(t_grid)} times, gap factor {gap_factor:g}"),
-        _check("fidelity_bound_holds", fid_margin, -1e-12, ">=",
-               "dynamics.fidelity_bound_check: quadratic fidelity floor",
-               "surrogate evolution of the requested state"),
-        _check("prediction_tracks_simulation", sim_dev, sim_tol, "<=",
-               "dynamics.predict_dephasing: characteristic-function prediction",
-               "per-pair coherence magnitudes"),
+        verdict("gap_bound_holds", gap_margin, 0.0, ">=",
+                "dynamics.gap_bound_check: projected-evolution distance bound",
+                f"{len(t_grid)} times, gap factor {gap_factor:g}"),
+        verdict("fidelity_bound_holds", fid_margin, -1e-12, ">=",
+                "dynamics.fidelity_bound_check: quadratic fidelity floor",
+                "surrogate evolution of the requested state"),
+        verdict("prediction_tracks_simulation", sim_dev, params["sim_tol"], "<=",
+                "dynamics.predict_dephasing: characteristic-function prediction",
+                "per-pair coherence magnitudes"),
     ]
     spread = ids(code, v).delta_e
     results = {"delta_e": spread, "gap_factor": gap_factor,
                "rows": len(rows)}
     if spread > 0:
-        eps = float(params.get("epsilon", 0.01))
-        rep = coherence_time(dist, spread, eps)
+        rep = coherence_time(dist, spread, params["epsilon"])
         results["coherence_time"] = {
             "epsilon": rep.epsilon,
             "tau": rep.tau_eps if np.isfinite(rep.tau_eps) else "inf",
@@ -531,14 +524,9 @@ def _run_dephase(scenario: dict):
     return checks, results, ("dephasing.csv", rows)
 
 
-def _run_verify(scenario: dict):
-    level = scenario["params"].get("level", "quick")
-    battery = run_battery(level)
-    checks = [{"name": r.name, "passed": r.passed, "measured": r.measured,
-               "bound": r.bound, "direction": r.direction,
-               "reference": r.reference, "detail": r.detail,
-               "seconds": r.seconds} for r in battery]
-    return checks, {"level": level}, None
+def _run_verify(scenario: Scenario):
+    level = scenario.params["level"]
+    return run_battery(level), {"level": level}, None
 
 
 _TASK_RUNNERS = {
@@ -548,10 +536,6 @@ _TASK_RUNNERS = {
     "dephase": _run_dephase,
     "verify": _run_verify,
 }
-
-
-def _matrix_json(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
 
 
 # -------------------------------------------------------------- report
@@ -580,19 +564,20 @@ def _write_csv(out_dir: Path, name: str, rows: list) -> Path:
     return path
 
 
-def execute(scenario: dict, out_dir: Path) -> int:
-    """Run a validated scenario and write its artifacts. Returns exit code."""
+def execute(scenario: Scenario, out_dir: Path) -> int:
+    """Run a parsed scenario and write its artifacts. Returns exit code."""
     t0 = time.perf_counter()
-    checks, results, series = _TASK_RUNNERS[scenario["task"]](scenario)
+    task = scenario.canonical["task"]
+    checks, results, series = _TASK_RUNNERS[task](scenario)
     report = {
         "artifact_version": ARTIFACT_VERSION,
         "schema_version": SCHEMA_VERSION,
-        "scenario_digest": _digest(scenario),
-        "task": scenario["task"],
-        "seed": scenario["seed"],
-        "checks": checks,
+        "scenario_digest": _digest(scenario.canonical),
+        "task": task,
+        "seed": scenario.canonical["seed"],
+        "checks": [c.to_json() for c in checks],
         "results": results,
-        "all_passed": all(c["passed"] for c in checks),
+        "all_passed": all(c.passed for c in checks),
         "wall_clock_seconds": round(time.perf_counter() - t0, 6),
     }
     if series is not None:
@@ -601,41 +586,42 @@ def execute(scenario: dict, out_dir: Path) -> int:
         report["data_files"] = [name]
     path = _write_report(out_dir, report)
     for c in checks:
-        tag = "PASS" if c["passed"] else "FAIL"
-        print(f"[{tag}] {c['name']}: measured {c['measured']:.6g} "
-              f"{c['direction']} bound {c['bound']:.6g}")
+        tag = "PASS" if c.passed else "FAIL"
+        print(f"[{tag}] {c.name}: measured {c.measured:.6g} "
+              f"{c.direction} bound {c.bound:.6g}")
     print(f"report: {path}")
     return EXIT_OK if report["all_passed"] else EXIT_TOLERANCE
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def run_scenario_file(path: str, out_dir: str, seed_override=None) -> int:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text, parse_constant=_no_constant)
+    except ValueError as exc:
         print(f"scenario is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    if seed_override is not None and isinstance(raw, dict):
+        raw = {**raw, "seed": seed_override}
     try:
-        scenario = validate_scenario(raw)
+        return execute(parse_scenario(raw), Path(out_dir))
     except ScenarioError as exc:
         print(f"scenario rejected: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    if seed_override is not None:
-        scenario["seed"] = int(seed_override)
-    try:
-        return execute(scenario, Path(out_dir))
-    except UnsupportedInput as exc:
-        print(f"unsupported input: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError) as exc:
+        # the model cannot take the input, or its magnitudes leave the float range
+        print(f"unsupported input: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_UNSUPPORTED
 
 
 def run_verify(level: str, out_dir=None) -> int:
-    scenario = {"schema_version": SCHEMA_VERSION, "task": "verify",
-                "seed": 0, "params": {"level": level}}
     if out_dir is None:
         t0 = time.perf_counter()
         battery = run_battery(level)
@@ -643,6 +629,8 @@ def run_verify(level: str, out_dir=None) -> int:
             print(r.line())
         print(f"total {time.perf_counter() - t0:.1f}s at level {level}")
         return EXIT_OK if all(r.passed for r in battery) else EXIT_TOLERANCE
+    scenario = parse_scenario({"schema_version": SCHEMA_VERSION, "task": "verify",
+                               "params": {"level": level}})
     return execute(scenario, Path(out_dir))
 
 

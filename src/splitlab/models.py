@@ -67,7 +67,7 @@ class PerturbationSpec:
         m = np.asarray(self.operator, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("perturbation operator must be a square matrix")
-        if herm_defect(m) > 1e-10 * max(1.0, float(np.max(np.abs(m)))):
+        if not is_hermitian(m):
             raise ValueError("perturbation operator must be hermitian")
         self.operator = 0.5 * (m + m.conj().T)
 
@@ -104,10 +104,6 @@ class LocalModel:
     def is_two_local(self) -> bool:
         return self.max_locality <= 2
 
-    def terms_at(self, site: int) -> list[int]:
-        """Indices into ``terms`` of the terms acting on ``site``."""
-        return [k for k, (sites, _) in enumerate(self.terms) if site in sites]
-
     def hamiltonian(self) -> HermOp:
         """Assembled hamiltonian with the ground energy shifted to 0."""
         if self._ham is None:
@@ -121,6 +117,11 @@ class LocalModel:
         return self._ham
 
 
+def is_hermitian(m: np.ndarray) -> bool:
+    """Hermitian within 1e-10 of the largest entry magnitude (or of 1)."""
+    return herm_defect(m) <= 1e-10 * max(1.0, float(np.max(np.abs(m))))
+
+
 def _check_term(sites, matrix, dims) -> np.ndarray:
     sites = tuple(int(s) for s in sites)
     if len(set(sites)) != len(sites):
@@ -131,7 +132,7 @@ def _check_term(sites, matrix, dims) -> np.ndarray:
     d = total_dim([dims[s] for s in sites])
     if m.shape != (d, d):
         raise ValueError(f"term on {sites} has shape {m.shape}, expected {(d, d)}")
-    if herm_defect(m) > 1e-10 * max(1.0, float(np.max(np.abs(m)))):
+    if not is_hermitian(m):
         raise ValueError(f"term on {sites} is not hermitian")
     return 0.5 * (m + m.conj().T)
 
@@ -212,6 +213,14 @@ def pauli_string_matrix(s: str) -> np.ndarray:
             raise ValueError(f"non-Pauli symbol {c!r}")
         out = np.kron(out, PAULIS[c])
     return out
+
+
+def single_site_paulis(n: int):
+    """(label, matrix) of X, Y and Z on each of n qubits, site by site."""
+    for site in range(n):
+        for p in "XYZ":
+            label = "I" * site + p + "I" * (n - site - 1)
+            yield label, pauli_string_matrix(label)
 
 
 def _pauli_strings_commute(a: str, b: str) -> bool:
@@ -302,6 +311,8 @@ def random_commuting_model(
     if len(set(frozenset(p) for p in pairs)) != len(pairs):
         raise ValueError("duplicate pair")
     target = max(1, int(ensure_ground_degeneracy))
+    if target > system.total_dim:
+        raise ValueError(f"ground degeneracy {target} exceeds the dimension {system.total_dim}")
 
     rotations = [np.eye(d) + 0j for d in dims]
     touched = sorted(set(s for p in pairs for s in p))
@@ -332,9 +343,9 @@ def random_commuting_model(
                 couplings[k][flat] -= delta
                 break
         else:
-            raise RuntimeError("runner-up label differs only on uncoupled sites")
+            raise ValueError("runner-up label differs only on uncoupled sites")
     else:
-        raise RuntimeError(f"could not reach ground degeneracy {target}")
+        raise ValueError(f"could not reach ground degeneracy {target}")
 
     terms = []
     for (i, j), c in zip(pairs, couplings):
@@ -415,6 +426,8 @@ def matrix_from_json(data) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
         raise ValueError("matrix JSON must be a square nested list of [re, im] pairs")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix JSON has non-finite entries")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

@@ -10,6 +10,7 @@ across BLAS builds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,7 @@ def _dims_tuple(dims) -> tuple[int, ...]:
 
 
 def total_dim(dims) -> int:
-    return int(np.prod([int(d) for d in dims], dtype=np.int64))
+    return math.prod(int(d) for d in dims)
 
 
 def mat_of(op) -> np.ndarray:
@@ -178,14 +179,6 @@ def tensor(factors):
         dims = sum((f.dims for f in factors), ())
         return HermOp(m, dims)
     raise TypeError("tensor needs all Ket or all HermOp factors")
-
-
-def kron_all(mats) -> np.ndarray:
-    """Plain kron fold for raw arrays."""
-    out = np.array([[1.0 + 0.0j]])
-    for m in mats:
-        out = np.kron(out, np.asarray(m, dtype=complex))
-    return out
 
 
 def partial_trace(matrix, dims, keep) -> np.ndarray:

@@ -14,7 +14,7 @@ shadowed by an import-time binding.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .models import (
     pauli_string_matrix,
     random_commuting_model,
     repetition_model,
+    single_site_paulis,
     two_local_model,
 )
 from .no_hiding import no_hiding_witness, subspace_pair_score_scan, two_site_attack
@@ -69,7 +70,11 @@ class CheckResult:
     direction: str          # how measured relates to bound when passing
     reference: str          # which library quantity the check certifies
     detail: str = ""
-    seconds: float = 0.0
+    seconds: float = 0.0    # wall time of the check's whole group, not of this check
+
+    def to_json(self) -> dict:
+        """Report entry: every field but ``seconds``, so reports stay reproducible."""
+        return {k: v for k, v in asdict(self).items() if k != "seconds"}
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -77,7 +82,8 @@ class CheckResult:
                 f"{self.direction} bound {self.bound:.6g} ({self.detail})")
 
 
-def _result(name, measured, bound, direction, reference, detail=""):
+def verdict(name, measured, bound, direction, reference, detail=""):
+    """Judge ``measured`` against ``bound``; ``direction`` is "<=" or ">="."""
     measured = float(measured)
     bound = float(bound)
     ok = measured <= bound if direction == "<=" else measured >= bound
@@ -145,7 +151,7 @@ def check_ids_duality(n_instances: int, seed: int = 401) -> list:
         r = ids(code, v)
         twice_min = 2.0 * _scalar_distance_min(code.projector.matrix, v)
         worst = max(worst, abs(twice_min - r.delta_e))
-    return [_result(
+    return [verdict(
         "ids_duality_grid_oracle", worst, 1e-6, "<=",
         "splitting.ids: spread equals twice the best scalar approximation",
         f"{n_instances} random (projector, perturbation) instances, dim <= 64")]
@@ -157,18 +163,15 @@ def check_stabilizer_examples(max_n: int) -> list:
         code = ground_subspace(repetition_model(n))
         v = embed(np.diag([1.0 + 0j, -1.0]), [0], (2,) * n)
         worst_split = max(worst_split, abs(ids(code, v).delta_e - 2.0))
-    out = [_result(
+    out = [verdict(
         "stabilizer_repetition_z_split", worst_split, 1e-12, "<=",
         "splitting.ids: single-site Z splits every repetition code by 2",
         f"repetition codes n = 3..{max_n}")]
     code = ground_subspace(four_two_two_model())
     worst_kl = 0.0
-    for site in range(4):
-        for pauli in "XYZ":
-            s = "".join(pauli if k == site else "I" for k in range(4))
-            r = ids(code, pauli_string_matrix(s))
-            worst_kl = max(worst_kl, r.kl_deviation)
-    out.append(_result(
+    for _, v in single_site_paulis(4):
+        worst_kl = max(worst_kl, ids(code, v).kl_deviation)
+    out.append(verdict(
         "stabilizer_four_two_two_detection", worst_kl, 1e-10, "<=",
         "splitting.ids: distance-2 code detects all single-site errors",
         "12 single-site Paulis on the 4-qubit fixture"))
@@ -195,10 +198,10 @@ def check_no_hiding(per_shape: int, scan_per_shape: int, seed: int = 402) -> lis
             if k < scan_per_shape:
                 ceiling = max(ceiling, subspace_pair_score_scan(b0, b1, a_sites=(0,)))
     out = [
-        _result("no_hiding_witness_floor", floor, 2.0 / 3.0 - 1e-9, ">=",
+        verdict("no_hiding_witness_floor", floor, 2.0 / 3.0 - 1e-9, ">=",
                 "no_hiding.no_hiding_witness: constructive distinguishability floor",
                 f"{per_shape} random 2-dim subspaces per shape, sides 2..5 x 2..5"),
-        _result("no_hiding_scan_ceiling", ceiling, 4.0 + 1e-9, "<=",
+        verdict("no_hiding_scan_ceiling", ceiling, 4.0 + 1e-9, "<=",
                 "no_hiding.subspace_pair_score_scan: score never exceeds both-sides total",
                 f"{scan_per_shape} grid scans per shape"),
     ]
@@ -213,7 +216,7 @@ def check_no_hiding(per_shape: int, scan_per_shape: int, seed: int = 402) -> lis
         f_a = ops.fidelity(rho0a, rho1a)
         coh_b = partial_trace(np.outer(v0, v1.conj()), (2, 3), keep=[1])
         worst = max(worst, abs(f_a - ops.trace_norm(coh_b)))
-    out.append(_result(
+    out.append(verdict(
         "no_hiding_marginal_identity", worst, 1e-9, "<=",
         "operators.trace_norm: marginal fidelity equals cross-block trace norm",
         "25 random orthonormal pairs on a 2x3 split"))
@@ -238,10 +241,10 @@ def check_two_site_attack(n_instances: int, seed: int = 403) -> list:
         worst_gap = min(worst_gap, ids(code, v).delta_e - report.certified_delta_e)
         done += 1
     return [
-        _result("two_site_attack_floor", worst_cert, 1.0 / 3.0 - 1e-9, ">=",
+        verdict("two_site_attack_floor", worst_cert, 1.0 / 3.0 - 1e-9, ">=",
                 "no_hiding.two_site_attack: certified one-side splitting floor",
                 f"{n_instances} random rank 2..4 projectors, sides up to 4x4"),
-        _result("two_site_attack_remeasure", worst_gap, -1e-9, ">=",
+        verdict("two_site_attack_remeasure", worst_gap, -1e-9, ">=",
                 "splitting.ids: independent re-measurement of each certificate",
                 "splitting never lands below the certified value"),
     ]
@@ -312,10 +315,10 @@ def check_commuting_attack(level: str) -> list:
     if not np.isfinite(worst_sector):
         worst_sector = 1.0
     return [
-        _result("commuting_attack_floor", worst, 1.0 / 3.0 - 1e-9, ">=",
+        verdict("commuting_attack_floor", worst, 1.0 / 3.0 - 1e-9, ">=",
                 "structure.commuting_model_attack: single-site splitting floor",
                 "; ".join(names)),
-        _result("commuting_attack_sector_floor", worst_sector, 1.0 - 1e-9, ">=",
+        verdict("commuting_attack_sector_floor", worst_sector, 1.0 - 1e-9, ">=",
                 "structure.multi_sector_attack: straddled sector splits by 1",
                 "sector-branch members of the corpus"),
     ]
@@ -340,15 +343,15 @@ def check_gap_bound(t_points: int, decades, seed: int = 404) -> list:
             max_lhs[g] = max(r.lhs for r in rows)
         for g, g_next in zip(decades[:-1], decades[1:]):
             ratios.append(max_lhs[g] / max_lhs[g_next])
-    out = [_result(
+    out = [verdict(
         "projected_evolution_bound", worst_margin, 0.0, ">=",
         "dynamics.gap_bound_check: distance to projected evolution stays bounded",
         f"3 random two-site models, g in {tuple(decades)}, {t_points} times")]
-    out.append(_result(
+    out.append(verdict(
         "projected_evolution_rate", min(ratios), 5.0, ">=",
         "dynamics.gap_bound_check: distance shrinks with the gap at the 1/g rate",
         f"max ratio {max(ratios):.3g}, all must sit in [5, 20]"))
-    out.append(_result(
+    out.append(verdict(
         "projected_evolution_rate_ceiling", max(ratios), 20.0, "<=",
         "dynamics.gap_bound_check: shrink rate does not beat 1/g by a decade",
         f"min ratio {min(ratios):.3g}"))
@@ -378,10 +381,10 @@ def check_dephasing_scaling(t_points: int) -> list:
             worst_surrogate = max(worst_surrogate,
                                   float(np.max(np.abs(surro - predicted))))
     return [
-        _result("dephasing_prediction_finite_gap", worst_finite, 5e-2, "<=",
+        verdict("dephasing_prediction_finite_gap", worst_finite, 5e-2, "<=",
                 "dynamics.predict_dephasing: matches the mixture at gap factor 1e3",
                 f"repetition code, gaussian magnitude, {t_points} times on [0, 5]"),
-        _result("dephasing_prediction_surrogate", worst_surrogate, 1e-9, "<=",
+        verdict("dephasing_prediction_surrogate", worst_surrogate, 1e-9, "<=",
                 "dynamics.predict_dephasing: exact for the compressed generator",
                 "same grid, evolution generated inside the code space"),
     ]
@@ -391,18 +394,18 @@ def check_coherence_time() -> list:
     dist = NoiseDistribution.gaussian(0.0, 0.1)
     rep = coherence_time(dist, 2.0, 0.01)
     oracle = np.sqrt(2.0 * abs(np.log(0.99))) / 0.1 / 2.0
-    out = [_result(
+    out = [verdict(
         "coherence_time_pinned", abs(rep.tau_eps - oracle), 1e-3, "<=",
         "dynamics.coherence_time: bisection agrees with closed-form inversion",
         f"tau {rep.tau_eps:.7f} vs inversion {oracle:.7f}")]
     doubled = coherence_time(dist, 4.0, 0.01)
-    out.append(_result(
+    out.append(verdict(
         "coherence_time_scaling", abs(doubled.tau_eps - rep.tau_eps / 2.0), 1e-9, "<=",
         "dynamics.coherence_time: time is inverse in the splitting",
         "doubling the splitting halves the time"))
     small = coherence_time(dist, 1.0, 1e-4)
     rel = abs(small.c_eps - small.small_eps_c) / small.small_eps_c
-    out.append(_result(
+    out.append(verdict(
         "coherence_time_small_epsilon", rel, 1e-2, "<=",
         "dynamics.coherence_time: sqrt(2 eps / var) limit at small eps",
         f"relative gap {rel:.3g} at eps = 1e-4"))
@@ -424,7 +427,7 @@ def check_fidelity_bound(t_points: int) -> list:
         code = ground_subspace(model)
         rows = fidelity_bound_check(code, v, dist, t_grid)
         worst = min(worst, min(r.lhs - r.rhs for r in rows))
-    return [_result(
+    return [verdict(
         "fidelity_lower_bound", worst, -1e-12, ">=",
         "dynamics.fidelity_bound_check: quadratic fidelity floor holds",
         f"3 fixtures, {t_points} times on [0, 2], worst state each")]
@@ -447,7 +450,7 @@ def check_bath_embedding(t_points: int) -> list:
         for t in np.linspace(0.0, 3.0, t_points):
             worst = max(worst, bath_embedding_check(h, bath, rho0, float(t),
                                                     rho_bath=rho_bath))
-    return [_result(
+    return [verdict(
         "bath_embedding_deviation", worst, 1e-10, "<=",
         "dynamics.bath_embedding_check: pointer bath reproduces the mixture",
         f"2- and 3-level thermal baths, {t_points} times each")]
@@ -478,7 +481,7 @@ def check_factorization(level: str) -> list:
         fz = factor_ground_projector(model, code)
         worst = max(worst, fz.reconstruction_error)
         names.append(name)
-    return [_result(
+    return [verdict(
         "factorization_residual", worst, 1e-6, "<=",
         "structure.factor_ground_projector: code projector factors over pairs",
         "; ".join(names))]
@@ -508,9 +511,5 @@ def run_battery(level: str = "quick") -> list:
         t0 = time.perf_counter()
         out = step()
         dt = time.perf_counter() - t0
-        for r in out:
-            results.append(CheckResult(
-                name=r.name, passed=r.passed, measured=r.measured,
-                bound=r.bound, direction=r.direction, reference=r.reference,
-                detail=r.detail, seconds=round(dt, 3)))
+        results.extend(replace(r, seconds=round(dt, 3)) for r in out)
     return results

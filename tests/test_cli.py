@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +119,55 @@ def test_bad_dephase_params_exit_2_before_model(tmp_path, monkeypatch, override)
 
     monkeypatch.setattr(cli, "_build_model", no_build)
     scn = _write(tmp_path, "s.json", _dephase_scenario(**override))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def _ids_scenario(perturbation):
+    return {"schema_version": 1, "task": "ids",
+            "model": {"fixture": "repetition", "n": 3},
+            "params": {"perturbations": [perturbation]}}
+
+
+def _random_chain(**fields):
+    return {"schema_version": 1, "task": "attack",
+            "model": {"fixture": "random_commuting", "dims": [2, 2],
+                      "pairs": [[0, 1]], "seed": 1, **fields}}
+
+
+# |000><111| on three qubits: square and finite, but not hermitian
+_NOT_HERMITIAN = [[[1.0 if (i, j) == (0, 7) else 0.0, 0.0] for j in range(8)]
+                  for i in range(8)]
+# Z on site 0 with its first entry left open for a raw JSON literal
+_Z_AT_0 = {"sites": [0], "matrix": [[["@", 0], [0, 0]], [[0, 0], [-1, 0]]]}
+
+
+def _literal(payload, text):
+    """Scenario JSON with the "@" placeholder replaced by raw JSON text."""
+    return json.dumps(payload).replace('"@"', text)
+
+
+@pytest.mark.parametrize("payload", [
+    pytest.param(_literal(_ids_scenario(_Z_AT_0), "NaN"), id="nan-entry"),
+    pytest.param(_literal(_ids_scenario(_Z_AT_0), "1e999"), id="overflowing-entry"),
+    pytest.param(_literal(_dephase_scenario(
+        distribution={"kind": "gaussian", "mean": 0.0, "std": "@"}), "Infinity"),
+        id="infinity-literal"),
+    pytest.param(_ids_scenario({"pauli": "ZQI"}), id="non-pauli-symbol"),
+    pytest.param(_ids_scenario({"matrix": _NOT_HERMITIAN}), id="non-hermitian-ids"),
+    pytest.param(_dephase_scenario(perturbation={"matrix": _NOT_HERMITIAN}),
+                 id="non-hermitian-dephase"),
+    pytest.param(_random_chain(seed="x"), id="model-seed-text"),
+    pytest.param(_dephase_scenario(
+        distribution={"kind": "gaussian", "mean": 0.0, "std": "x"}), id="std-text"),
+    pytest.param(_dephase_scenario(state={"amplitudes": [1, 0]}), id="flat-amplitudes"),
+    pytest.param(_random_chain(ground_degeneracy="x"), id="degeneracy-text"),
+    pytest.param({**_attack_scenario(), "seed": True}, id="seed-bool"),
+    pytest.param({**_attack_scenario(), "params": {"site": True}}, id="site-bool"),
+])
+def test_malformed_input_exits_2_without_files(tmp_path, payload):
+    scn = _write(tmp_path, "s.json", payload)
     out = tmp_path / "out"
     assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 2
     assert not out.exists()
@@ -249,6 +299,9 @@ def test_verify_quick_passes(tmp_path):
     assert "ids_duality_grid_oracle" in names
     assert "no_hiding_marginal_identity" in names
     assert "factorization_residual" in names
+    for c in rep["checks"]:
+        assert set(c) == {"name", "passed", "measured", "bound", "direction",
+                          "reference", "detail"}
 
 
 def test_injected_norm_fault_is_caught(tmp_path, monkeypatch):
@@ -276,3 +329,21 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert "cannot read scenario" in proc.stderr
+
+
+# sha256 of each demo's canonical scenario; a canonical form that filled in
+# defaults, or stopped expanding t_grid, would change every report's digest
+@pytest.mark.parametrize("name, digest", [
+    ("four_two_two_detection",
+     "8b0610706fb1f1350d7d72cb3ea79d4b356f741ffea43f38d55011e373ebb59b"),
+    ("random_chain_decompose",
+     "e3018a0029b51e2e44db50c312107cf1115e63c2ad6f6397b77c910382a432bd"),
+    ("repetition_attack",
+     "6acfe522114a8475bca1db00281ff4f3ae6fd3f3ab4e2bf9dcbdb1cfbd49eff6"),
+    ("repetition_dephasing",
+     "6931bfdb886b658d5118a3e83f077c94384f8bb298a6b456d6ed0855c4477f64"),
+])
+def test_demo_scenario_digest_pinned(name, digest):
+    path = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / f"{name}.json"
+    raw = json.loads(path.read_text())
+    assert cli._digest(cli.validate_scenario(raw)) == digest

@@ -20,6 +20,7 @@ from splitlab.operators import (
     partial_trace,
     random_herm,
     tensor,
+    total_dim,
     trace_norm,
 )
 
@@ -344,3 +345,9 @@ def test_fidelity_distance_tradeoff(rng):
         r1 = random_density(n, rng, rank=int(rng.integers(1, n + 1)))
         d, _ = helstrom(r0, r1)
         assert 1 - d <= fidelity(r0, r1) + 1e-9
+
+
+def test_total_dim_is_exact_past_int64():
+    # a 64-bit product would wrap 2**64 to 0 and slip under the dimension cap
+    assert total_dim((2,) * 64) == 2 ** 64
+    assert total_dim((2,) * 66) == 2 ** 66
