@@ -95,6 +95,11 @@ class ScenarioError(Exception):
 
 REQUIRED = object()
 
+# Fixed ceilings on the dephase sizes: a simulation holds one D x D state
+# per time point and runs one full-size eigh per quadrature node.
+MAX_TIMES = 10_000
+MAX_NODES = 1_024
+
 
 class Field(NamedTuple):
     check: Callable
@@ -231,7 +236,7 @@ _DISTRIBUTIONS = {
 }
 
 _T_RANGE = {"start": _FINITE, "stop": _FINITE,
-            "num": Field(_integer(1), "an integer >= 1")}
+            "num": Field(_integer(1, MAX_TIMES), f"an integer from 1 to {MAX_TIMES}")}
 
 _AMPLITUDES = {"amplitudes": Field(_list_of(_list_of(_real(), 2, 2)),
                                    _PAIRS.format("re", "im"))}
@@ -275,7 +280,7 @@ def _t_grid(x, where) -> list:
     if isinstance(x, dict):
         f = _fields(x, _T_RANGE, where)
         return [float(t) for t in np.linspace(f["start"], f["stop"], f["num"])]
-    return _list_of(_real())(x, where)
+    return _list_of(_real(), max_len=MAX_TIMES)(x, where)
 
 
 def _state(x, where):
@@ -304,11 +309,11 @@ _PARAMS = {
     "dephase": {
         "perturbation": Field(_perturbation, "a perturbation spec"),
         "distribution": Field(_distribution, "a distribution spec"),
-        "t_grid": Field(_t_grid, "a non-empty list of finite numbers "
+        "t_grid": Field(_t_grid, f"a list of 1 to {MAX_TIMES} finite numbers "
                                  "or a {start, stop, num} range"),
         "gap_factor": Field(_real(lambda x: x > 0), "a finite number > 0", 1000.0),
         "state": Field(_state, '"worst" or {"amplitudes": [[re, im], ...]}', "worst"),
-        "nodes": Field(_integer(1), "an integer >= 1", 64),
+        "nodes": Field(_integer(1, MAX_NODES), f"an integer from 1 to {MAX_NODES}", 64),
         "epsilon": Field(_real(lambda x: 0 < x < 1),
                          "a number strictly between 0 and 1", 0.01),
         "sim_tol": Field(_real(lambda x: x >= 0), "a finite number >= 0", 5e-2),

@@ -21,7 +21,7 @@ from .operators import (
     helstrom,
     fidelity,
     partial_trace,
-    trace_norm,
+    total_dim,
 )
 
 # The worst-case guarantee for the best candidate pair, and the slack the
@@ -72,20 +72,59 @@ def _complement(dims, a_sites) -> tuple[int, ...]:
     return b
 
 
-def pair_side_norms(psi: np.ndarray, phi: np.ndarray, dims, a_sites) -> tuple[float, float]:
-    """Trace norms of the reduced difference on side A and side B."""
-    b_sites = _complement(dims, a_sites)
-    delta = np.outer(psi, psi.conj()) - np.outer(phi, phi.conj())
-    on_a = partial_trace(delta, dims, sorted(int(s) for s in a_sites))
-    on_b = partial_trace(delta, dims, b_sites)
-    return trace_norm(on_a), trace_norm(on_b)
+def _reduced_states(vecs: np.ndarray, dims, a_sites):
+    """Reduced states on sides A and B of each vector along the last axis.
+
+    Each vector is read as a d_A x d_B matrix M with the A sites first, so
+    the reduced states are M M^dagger on A and M^T conj(M) on B; no D x D
+    matrix is formed. Leading axes are batch axes.
+    """
+    batch = vecs.shape[:-1]
+    nb = len(batch)
+    t = vecs.reshape(batch + tuple(dims))
+    t = np.moveaxis(t, [nb + i for i in a_sites], range(nb, nb + len(a_sites)))
+    m = t.reshape(batch + (total_dim([dims[i] for i in a_sites]), -1))
+    on_a = np.einsum("...ab,...cb->...ac", m, m.conj())
+    on_b = np.einsum("...ab,...ac->...bc", m, m.conj())
+    return on_a, on_b
+
+
+def pair_side_norms(psi: np.ndarray, phi: np.ndarray, dims, a_sites):
+    """Trace norms of the reduced difference on side A and side B.
+
+    ``psi`` and ``phi`` may carry the same leading batch axes. A single pair
+    gives two floats; a batch gives two arrays of the batch shape. Both
+    sides of every pair go through one batched SVD, each side zero-padded
+    to the larger of the two sizes (padding adds only zero singular values).
+    """
+    dims = tuple(int(d) for d in dims)
+    a_sites = sorted(int(s) for s in a_sites)
+    _complement(dims, a_sites)
+    psi, phi = np.asarray(psi), np.asarray(phi)
+    if psi.shape != phi.shape:
+        raise ValueError(f"pair shapes differ: {psi.shape} and {phi.shape}")
+    psi_a, psi_b = _reduced_states(psi, dims, a_sites)
+    phi_a, phi_b = _reduced_states(phi, dims, a_sites)
+    da, db = psi_a.shape[-1], psi_b.shape[-1]
+    size = max(da, db)
+    delta = np.zeros(psi.shape[:-1] + (2, size, size), dtype=complex)
+    delta[..., 0, :da, :da] = psi_a - phi_a
+    delta[..., 1, :db, :db] = psi_b - phi_b
+    if not np.all(np.isfinite(delta)):
+        raise ValueError("non-finite entries")
+    norms = np.linalg.svd(delta, compute_uv=False).sum(axis=-1)
+    if norms.ndim == 1:
+        return float(norms[0]), float(norms[1])
+    return norms[..., 0], norms[..., 1]
 
 
 def _candidates(b0: np.ndarray, b1: np.ndarray):
+    """The three candidate pairs, stacked: the input basis, then the
+    balanced superpositions with real and with imaginary relative phase."""
     s2 = np.sqrt(0.5)
-    yield 0, b0, b1
-    yield 1, s2 * (b0 + b1), s2 * (b0 - b1)
-    yield 2, s2 * (b0 + 1j * b1), s2 * (b0 - 1j * b1)
+    v0 = np.stack([b0, s2 * (b0 + b1), s2 * (b0 + 1j * b1)])
+    v1 = np.stack([b1, s2 * (b0 - b1), s2 * (b0 - 1j * b1)])
+    return v0, v1
 
 
 def _check_pair(b0: Ket, b1: Ket):
@@ -105,17 +144,18 @@ def no_hiding_witness(b0: Ket, b1: Ket, a_sites=(0,)) -> NoHidingWitness:
     _check_pair(b0, b1)
     dims = b0.dims
     a_sites = tuple(sorted(int(s) for s in a_sites))
-    _complement(dims, a_sites)
 
-    best = None
-    for cid, v0, v1 in _candidates(b0.amplitudes, b1.amplitudes):
-        na, nb = pair_side_norms(v0, v1, dims, a_sites)
-        if best is None or na + nb > best[0] + 1e-15:
-            best = (na + nb, cid, v0, v1, na, nb)
-    score, cid, v0, v1, na, nb = best
+    v0s, v1s = _candidates(b0.amplitudes, b1.amplitudes)
+    nas, nbs = pair_side_norms(v0s, v1s, dims, a_sites)
+    cid = 0
+    for k in (1, 2):
+        if nas[k] + nbs[k] > nas[cid] + nbs[cid] + 1e-15:
+            cid = k
+    v0, v1, na, nb = v0s[cid], v1s[cid], nas[cid], nbs[cid]
+    score = na + nb
 
-    rho0 = partial_trace(np.outer(b0.amplitudes, b0.amplitudes.conj()), dims, a_sites)
-    rho1 = partial_trace(np.outer(b1.amplitudes, b1.amplitudes.conj()), dims, a_sites)
+    (rho0, rho1), _ = _reduced_states(np.stack([b0.amplitudes, b1.amplitudes]),
+                                      dims, a_sites)
     dist, _ = helstrom(rho0, rho1)
     fid = fidelity(rho0, rho1)
 
@@ -164,13 +204,15 @@ def two_site_attack(p: Projector, redraw_seed: int | None = None) -> AttackRepor
         picked = cols @ q
         b0, b1 = picked[:, 0], picked[:, 1]
 
+    v0s, v1s = _candidates(b0, b1)
+    nas, nbs = pair_side_norms(v0s, v1s, dims, (0,))
     best = None
-    for cid, v0, v1 in _candidates(b0, b1):
-        na, nb = pair_side_norms(v0, v1, dims, (0,))
-        for side, norm in (("A", na), ("B", nb)):
+    for cid in range(3):
+        for side, norm in (("A", nas[cid]), ("B", nbs[cid])):
             if best is None or norm > best[0] + 1e-15:
-                best = (norm, cid, side, v0, v1)
-    norm, cid, side, v0, v1 = best
+                best = (norm, cid, side)
+    norm, cid, side = best
+    v0, v1 = v0s[cid], v1s[cid]
 
     site = 0 if side == "A" else 1
     rho_psi = partial_trace(np.outer(v0, v0.conj()), dims, [site])
@@ -214,13 +256,10 @@ def subspace_pair_score_scan(b0: Ket, b1: Ket, a_sites=(0,), grid_n: int = 24) -
         )
     )
     u0, u1 = b0.amplitudes, b1.amplitudes
-    best = 0.0
-    for th in thetas:
-        c, s = np.cos(th / 2.0), np.sin(th / 2.0)
-        for ph in phis:
-            z = np.exp(1j * ph)
-            v0 = c * u0 + z * s * u1
-            v1 = s * u0 - z * c * u1
-            na, nb = pair_side_norms(v0, v1, dims, a_sites)
-            best = max(best, na + nb)
-    return float(best)
+    c, s = np.cos(thetas / 2.0)[:, None], np.sin(thetas / 2.0)[:, None]
+    z = np.exp(1j * phis)[None, :]
+    # every (theta, phi) pair of the grid, scored in one call
+    v0 = c[..., None] * u0 + (z * s)[..., None] * u1
+    v1 = s[..., None] * u0 - (z * c)[..., None] * u1
+    na, nb = pair_side_norms(v0, v1, dims, a_sites)
+    return float(np.max(na + nb))

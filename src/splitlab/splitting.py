@@ -101,6 +101,8 @@ def worst_single_site_ascent(
     pipeline passes its constructive attack here); ``restarts`` seeded
     Gaussian starts are appended.
     """
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
     site = int(site)
     dims = code.dims
     if not 0 <= site < len(dims):

@@ -651,6 +651,8 @@ def commuting_model_attack(model: LocalModel, refine_iters: int = 40, seed: int 
     reported splitting never falls below the analytic floor; both values
     are kept in the details.
     """
+    if refine_iters < 1:
+        raise ValueError("refine_iters must be >= 1")
     _require_commuting(model)
     _require_two_local(model)
     code = ground_subspace(model)

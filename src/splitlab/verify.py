@@ -100,16 +100,21 @@ def _code_from_projector(p: np.ndarray, dims) -> CodeSubspace:
                         dims=tuple(dims))
 
 
+def _herm_norm(m: np.ndarray) -> float:
+    """Operator norm of a hermitian matrix: its largest |eigenvalue|."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(m))))
+
+
 def _scalar_distance_min(p: np.ndarray, v: np.ndarray, grid_n: int = 61) -> float:
     """Grid plus golden-section minimum of ||PvP - a P|| over real a.
 
-    Independent of the eigenvalue route: only norm evaluations, no use of
-    the compressed spectrum.
+    Independent of the eigenvalue route: only norm evaluations of the full
+    D x D matrix, one at a time, no use of the compressed spectrum.
     """
     pvp = p @ v @ p
 
     def f(a):
-        return operator_norm(pvp - a * p)
+        return _herm_norm(pvp - a * p)
 
     r = operator_norm(v) + 1.0
     grid = np.linspace(-r, r, grid_n)

@@ -2,10 +2,14 @@
 
 These deliberately avoid the code paths they certify: the scalar-distance
 oracle minimizes the full-space operator norm over a dense grid with
-golden-section refinement instead of using the eigenvalue-spread identity.
+golden-section refinement instead of using the eigenvalue-spread identity,
+and the pair-norm oracles take one pair at a time through D x D matrices
+instead of the batched reshape kernel of ``no_hiding``.
 """
 
 import numpy as np
+
+from splitlab.operators import partial_trace, trace_norm
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -51,3 +55,38 @@ def min_scalar_distance(p, v, grid_n=101):
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, grid_n - 1)]
     return _golden_min(f, lo, hi)
+
+
+def pair_side_norms_one(psi, phi, dims, a_sites):
+    """Side-A and side-B trace norms of one pair's reduced difference.
+
+    Forms |psi><psi| - |phi><phi| in full and traces it down per side.
+    """
+    a = sorted(int(s) for s in a_sites)
+    b = [i for i in range(len(dims)) if i not in a]
+    delta = np.outer(psi, psi.conj()) - np.outer(phi, phi.conj())
+    return (trace_norm(partial_trace(delta, dims, a)),
+            trace_norm(partial_trace(delta, dims, b)))
+
+
+def pair_score_scan_loop(u0, u1, dims, a_sites, grid_n):
+    """Best summed side score over the (theta, phi) grid, pair by pair.
+
+    The same grid as ``no_hiding.subspace_pair_score_scan``, walked by a
+    double loop with one ``pair_side_norms_one`` call per grid point.
+    """
+    thetas = np.unique(np.concatenate([np.linspace(0.0, np.pi, grid_n), [np.pi / 2]]))
+    phis = np.unique(
+        np.concatenate(
+            [np.linspace(0.0, 2 * np.pi, grid_n, endpoint=False), [0.0, np.pi / 2, np.pi, 1.5 * np.pi]]
+        )
+    )
+    best = 0.0
+    for th in thetas:
+        c, s = np.cos(th / 2.0), np.sin(th / 2.0)
+        for ph in phis:
+            z = np.exp(1j * ph)
+            na, nb = pair_side_norms_one(c * u0 + z * s * u1, s * u0 - z * c * u1,
+                                         dims, a_sites)
+            best = max(best, na + nb)
+    return best

@@ -165,6 +165,13 @@ def _literal(payload, text):
     pytest.param(_random_chain(ground_degeneracy="x"), id="degeneracy-text"),
     pytest.param({**_attack_scenario(), "seed": True}, id="seed-bool"),
     pytest.param({**_attack_scenario(), "params": {"site": True}}, id="site-bool"),
+    pytest.param(_dephase_scenario(t_grid={"start": 0.0, "stop": 1.0, "num": 10**12}),
+                 id="huge-num"),
+    pytest.param(_dephase_scenario(t_grid={"start": 0.0, "stop": 1.0, "num": 10_001}),
+                 id="num-over-ceiling"),
+    pytest.param(_dephase_scenario(t_grid=[0.0] * 10_001), id="times-over-ceiling"),
+    pytest.param(_dephase_scenario(nodes=10**12), id="huge-nodes"),
+    pytest.param(_dephase_scenario(nodes=1025), id="nodes-over-ceiling"),
 ])
 def test_malformed_input_exits_2_without_files(tmp_path, payload):
     scn = _write(tmp_path, "s.json", payload)

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_ket, random_unitary
+from oracles import pair_score_scan_loop, pair_side_norms_one
 from splitlab.code_space import CodeSubspace, ground_subspace
 from splitlab.models import four_two_two_model
 from splitlab.no_hiding import (
@@ -110,6 +111,73 @@ def test_pair_side_norms_values():
     assert nb == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("dims, a_sites", [((2, 3), (0,)), ((5, 4), (0,)),
+                                            ((2, 3, 2), (0, 2))])
+@pytest.mark.parametrize("batch", [(), (3,), (4, 5)])
+def test_pair_side_norms_batched_matches_per_pair(rng, dims, a_sites, batch):
+    d = int(np.prod(dims))
+    psi = rng.standard_normal(batch + (d,)) + 1j * rng.standard_normal(batch + (d,))
+    phi = rng.standard_normal(batch + (d,)) + 1j * rng.standard_normal(batch + (d,))
+    na, nb = pair_side_norms(psi, phi, dims, a_sites)
+    if batch == ():
+        assert isinstance(na, float) and isinstance(nb, float)
+    assert np.shape(na) == batch and np.shape(nb) == batch
+    for idx in np.ndindex(*batch):
+        ref_a, ref_b = pair_side_norms_one(psi[idx], phi[idx], dims, a_sites)
+        assert abs(np.asarray(na)[idx] - ref_a) <= 1e-12
+        assert abs(np.asarray(nb)[idx] - ref_b) <= 1e-12
+
+
+def test_pair_side_norms_rejects_nan():
+    psi = _ket([1, 0, 0, 0], (2, 2)).amplitudes.copy()
+    phi = _ket([0, 1, 0, 0], (2, 2)).amplitudes
+    psi[2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        pair_side_norms(psi, phi, (2, 2), a_sites=(0,))
+    with pytest.raises(ValueError, match="non-finite"):
+        pair_side_norms(np.stack([phi, psi]), np.stack([psi, phi]), (2, 2), a_sites=(0,))
+
+
+def _count_svd(monkeypatch):
+    # np.linalg.norm reaches the SVD through the private module's global,
+    # so both bindings are replaced
+    original = np.linalg.svd
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg._linalg, "svd", counting)
+    return calls
+
+
+def _random_pairs(rng):
+    for dims in ((2, 2), (3, 5)):
+        d = int(np.prod(dims))
+        b0 = Ket(random_ket(d, rng), dims)
+        raw = random_ket(d, rng)
+        yield b0, _ket(raw - np.vdot(b0.amplitudes, raw) * b0.amplitudes, dims)
+
+
+def test_scan_scores_its_grid_in_one_batch(rng, monkeypatch):
+    calls = _count_svd(monkeypatch)
+    for b0, b1 in _random_pairs(rng):
+        calls.clear()
+        subspace_pair_score_scan(b0, b1, grid_n=24)
+        assert len(calls) <= 2
+
+
+def test_witness_scores_its_candidates_in_one_batch(rng, monkeypatch):
+    # one batched call for the three candidates, one inside the fidelity
+    calls = _count_svd(monkeypatch)
+    for b0, b1 in _random_pairs(rng):
+        calls.clear()
+        no_hiding_witness(b0, b1)
+        assert len(calls) <= 2
+
+
 # -------------------------------------------------------------- attacks
 
 
@@ -211,6 +279,18 @@ def test_scan_dominates_witness(rng):
         best = subspace_pair_score_scan(b0, b1, grid_n=16)
         assert best >= w.score - 1e-9
         assert best <= 4.0 + 1e-9
+
+
+@pytest.mark.parametrize("grid_n", [16, 24])
+def test_scan_matches_double_loop(rng, grid_n):
+    for dims, a_sites in (((2, 2), (0,)), ((3, 4), (0,)), ((2, 3, 2), (0, 2))):
+        d = int(np.prod(dims))
+        g = rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
+        q, _ = np.linalg.qr(g)
+        b0, b1 = Ket(q[:, 0], dims), Ket(q[:, 1], dims)
+        best = subspace_pair_score_scan(b0, b1, a_sites=a_sites, grid_n=grid_n)
+        ref = pair_score_scan_loop(q[:, 0], q[:, 1], dims, a_sites, grid_n)
+        assert abs(best - ref) <= 1e-12
 
 
 def test_scan_grid_validation():

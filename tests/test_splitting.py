@@ -159,3 +159,12 @@ def test_ascent_site_out_of_range():
     code = _repetition_code(3)
     with pytest.raises(ValueError, match="site"):
         worst_single_site_ascent(code, site=3)
+
+
+def test_ascent_rejects_zero_iters_before_any_work(monkeypatch):
+    def no_ids(*args, **kwargs):
+        raise AssertionError("ids ran for a rejected call")
+
+    monkeypatch.setattr("splitlab.splitting.ids", no_ids)
+    with pytest.raises(ValueError, match="iters must be >= 1"):
+        worst_single_site_ascent(_repetition_code(), 0, iters=0)

@@ -399,3 +399,12 @@ def test_attack_deterministic():
     b = commuting_model_attack(model)
     assert a.branch == b.branch and a.site == b.site
     assert a.x.matrix.tobytes() == b.x.matrix.tobytes()
+
+
+def test_commuting_attack_rejects_zero_refine_iters_before_any_work(monkeypatch):
+    def no_ground(*args, **kwargs):
+        raise AssertionError("ground space extracted for a rejected call")
+
+    monkeypatch.setattr("splitlab.structure.ground_subspace", no_ground)
+    with pytest.raises(ValueError, match="refine_iters must be >= 1"):
+        commuting_model_attack(repetition_model(3), refine_iters=0)
