@@ -40,8 +40,8 @@ print(f"\nrandom rank-3 projector on 3x3: certified {rep2.certified_delta_e:.4f}
 vals, vecs = np.linalg.eigh(p.matrix)
 from splitlab.code_space import CodeSubspace  # noqa: E402
 
-code2 = CodeSubspace(projector=p, basis=vecs[:, vals > 0.5], degeneracy=3,
-                     gap=1.0, ground_energy=0.0, dims=(3, 3))
+code2 = CodeSubspace(basis=vecs[:, vals > 0.5], gap=1.0, ground_energy=0.0,
+                     dims=(3, 3))
 v = embed(rep2.x.matrix, [rep2.site], (3, 3))
 print(f"  splitting re-measured: {ids(code2, v).delta_e:.4f}")
 
@@ -54,7 +54,7 @@ for name, m in [
      random_commuting_model(QuditSystem((3, 3, 2)), [(0, 1), (1, 2)],
                             seed=21, ensure_ground_degeneracy=2)),
 ]:
-    rep3 = commuting_model_attack(m)
+    rep3 = commuting_model_attack(m, ground_subspace(m))
     print(f"\n{name}: branch {rep3.branch!r}, site {rep3.site}, "
           f"certified {rep3.certified_delta_e:.4f} "
           f"(analytic floor {rep3.details['analytic_delta_e']:.4f})")

@@ -59,7 +59,7 @@ print(f"doubling the splitting halves it: {rep2.tau_eps:.4f}")
 # 4. the two closed-form bounds: distance to the projected evolution, and
 #    the quadratic fidelity floor
 
-rows = gap_bound_check(h, z1 + pauli_string_matrix("XII"), 100.0,
+rows = gap_bound_check(h, code, z1 + pauli_string_matrix("XII"), 100.0,
                        np.linspace(0.0, 2.0, 5))
 print("\nprojected-evolution bound at gap factor 100:")
 for r in rows:

@@ -44,11 +44,11 @@ from .dynamics import (                                      # noqa: E402
 from .models import (                                        # noqa: E402
     QuditSystem,
     block_sites,
+    build_model,
     four_two_two_model,
     is_hermitian,
     matrix_from_json,
     matrix_to_json,
-    model_from_json,
     pauli_string_matrix,
     random_commuting_model,
     repetition_model,
@@ -60,6 +60,7 @@ from .structure import (                                     # noqa: E402
     StructureError,
     commuting_model_attack,
     factor_ground_projector,
+    require_commuting_pairs,
 )
 from .verify import LEVELS, run_battery, verdict             # noqa: E402
 
@@ -393,13 +394,13 @@ def validate_scenario(raw) -> dict:
 def _build_model(src):
     """Check a model source and build the run's one model.
 
-    An inline model that model_from_json rejects is malformed (exit 2); the
+    An inline model that build_model rejects is malformed (exit 2); the
     ValueError of a fixture builder means unsupported (exit 4).
     """
     if isinstance(src, dict) and "fixture" not in src:
-        _fields(src, _INLINE_MODEL, "model")    # checks; model_from_json reads src
+        f = _fields(src, _INLINE_MODEL, "model")
         try:
-            return model_from_json(src)
+            return build_model(**f)
         except ValueError as exc:
             raise ScenarioError(f"inline model rejected: {exc}") from exc
     build, f = _variant(src, "model", "fixture", _FIXTURES)
@@ -437,14 +438,15 @@ def _run_attack(scenario: Scenario):
     site = scenario.params["site"]
     iters = scenario.params["refine_iters"]
     seed = scenario.canonical["seed"]
+    if site is None:
+        require_commuting_pairs(model)      # before the D^3 ground extraction
+    code = ground_subspace(model)
     if site is not None:
-        code = ground_subspace(model)
         report = worst_single_site_ascent(code, site, iters=iters, seed=seed)
         floor = 0.0
     else:
-        report = commuting_model_attack(model, refine_iters=iters, seed=seed)
+        report = commuting_model_attack(model, code, refine_iters=iters, seed=seed)
         floor = float(report.details.get("analytic_delta_e", 0.0))
-        code = ground_subspace(model)
     v_full = embed(report.x.matrix, [report.site], model.system.dims)
     remeasured = ids(code, v_full).delta_e
     checks = [

@@ -1,9 +1,10 @@
 """Ground subspaces of gapped hamiltonians, treated as codes.
 
-A CodeSubspace packages an orthonormal ground basis, the projector onto it,
-the spectral gap above it, and the ground energy. Extraction refuses to
-guess when the low end of the spectrum has no clean degenerate-plus-gap
-structure.
+A CodeSubspace is an orthonormal D x k ground basis B with the spectral gap
+above it and the ground energy; everything else about the code (its
+degeneracy k, its projector B B^dag) is derived from B on demand.
+Extraction refuses to guess when the low end of the spectrum has no clean
+degenerate-plus-gap structure.
 """
 
 from __future__ import annotations
@@ -29,11 +30,9 @@ SEPARATION_FACTOR = 10.0
 
 @dataclass(eq=False)
 class CodeSubspace:
-    """Orthonormal basis of a ground (or declared) subspace with its gap."""
+    """Orthonormal D x k basis of a ground (or declared) subspace with its gap."""
 
-    projector: Projector
     basis: np.ndarray
-    degeneracy: int
     gap: float
     ground_energy: float
     dims: tuple[int, ...]
@@ -41,13 +40,11 @@ class CodeSubspace:
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=complex)
         d = total_dim(self.dims)
-        if b.shape != (d, self.degeneracy):
-            raise ValueError(f"basis shape {b.shape} does not match ({d}, {self.degeneracy})")
+        if b.ndim != 2 or b.shape[0] != d or b.shape[1] == 0:
+            raise ValueError(f"basis shape {b.shape} is not ({d}, k) with k >= 1")
         gram = b.conj().T @ b
-        if np.max(np.abs(gram - np.eye(self.degeneracy))) > 1e-10:
+        if np.max(np.abs(gram - np.eye(b.shape[1]))) > 1e-10:
             raise ValueError("basis columns are not orthonormal")
-        if np.max(np.abs(self.projector.matrix - b @ b.conj().T)) > 1e-10:
-            raise ValueError("projector does not match the basis span")
         if not self.gap > 0:
             raise ValueError(f"gap must be positive, got {self.gap}")
         self.basis = b
@@ -56,13 +53,22 @@ class CodeSubspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
+    @property
+    def degeneracy(self) -> int:
+        return self.basis.shape[1]
 
-def ground_subspace(h, degeneracy_tol: float = DEGENERACY_TOL) -> CodeSubspace:
+    @property
+    def projector(self) -> Projector:
+        """B B^dag as a Projector, built (a D^3 check included) on each access."""
+        return Projector(self.basis @ self.basis.conj().T, self.dims, self.degeneracy)
+
+
+def ground_subspace(h) -> CodeSubspace:
     """Extract the degenerate ground subspace of a gapped hamiltonian.
 
     ``h`` is a HermOp, a model with a ``hamiltonian()`` method, or a plain
     matrix (single-site dims assumed). Eigenvalues within
-    ``degeneracy_tol * spread`` of the minimum form the ground cluster; the
+    ``DEGENERACY_TOL * spread`` of the minimum form the ground cluster; the
     next eigenvalue must clear the minimum by SEPARATION_FACTOR times that
     resolution, otherwise the spectrum is flagged as ill-separated instead
     of silently picking a cutoff.
@@ -80,7 +86,7 @@ def ground_subspace(h, degeneracy_tol: float = DEGENERACY_TOL) -> CodeSubspace:
             "hamiltonian is proportional to the identity, so it has no gap; "
             "use full_space_code for the unprotected case"
         )
-    resolution = degeneracy_tol * spread
+    resolution = DEGENERACY_TOL * spread
     d = int(np.sum(w - w[0] <= resolution))
     if d == len(w):
         raise ValueError("no gap above the ground cluster")
@@ -90,16 +96,8 @@ def ground_subspace(h, degeneracy_tol: float = DEGENERACY_TOL) -> CodeSubspace:
             f"ill-separated spectrum: next level at {gap:.3e} above the ground "
             f"cluster, resolution {resolution:.3e}"
         )
-    basis = v[:, :d]
-    proj = Projector(basis @ basis.conj().T, dims, d)
-    return CodeSubspace(
-        projector=proj,
-        basis=basis,
-        degeneracy=d,
-        gap=gap,
-        ground_energy=float(w[0]),
-        dims=tuple(dims),
-    )
+    return CodeSubspace(basis=v[:, :d], gap=gap, ground_energy=float(w[0]),
+                        dims=tuple(dims))
 
 
 def full_space_code(dims) -> CodeSubspace:
@@ -108,16 +106,8 @@ def full_space_code(dims) -> CodeSubspace:
     ground_subspace refuses H = 0; this constructor is the explicit opt-in.
     """
     dims = tuple(int(d) for d in getattr(dims, "dims", dims))
-    d = total_dim(dims)
-    eye = np.eye(d, dtype=complex)
-    return CodeSubspace(
-        projector=Projector(eye, dims, d),
-        basis=eye,
-        degeneracy=d,
-        gap=np.inf,
-        ground_energy=0.0,
-        dims=dims,
-    )
+    return CodeSubspace(basis=np.eye(total_dim(dims), dtype=complex), gap=np.inf,
+                        ground_energy=0.0, dims=dims)
 
 
 def project_onto_code(code: CodeSubspace, v) -> HermOp:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code_space import CodeSubspace, ground_subspace, project_onto_code
+from .code_space import CodeSubspace, project_onto_code
 from .operators import (
     DensityOp,
     Ket,
@@ -140,11 +140,6 @@ class NoiseDistribution:
         raise ValueError(f"no quadrature rule for distribution kind {self.kind!r}")
 
 
-def characteristic_function(dist: NoiseDistribution, alpha):
-    """Characteristic function of the magnitude, |value| <= 1 always."""
-    return dist.characteristic(alpha)
-
-
 @dataclass(eq=False)
 class DephasingProfile:
     """Large-gap prediction data for one code and one perturbation.
@@ -185,18 +180,23 @@ def _code_frame_state(code: CodeSubspace, rho0) -> np.ndarray:
     return comp
 
 
+def _eigenframe_state(profile: DephasingProfile, rho0) -> np.ndarray:
+    """U^dag rho0 U (k x k), U the eigenbasis; times factors(t) it is the prediction."""
+    comp = _code_frame_state(profile.code, rho0)
+    u = profile.code.basis.conj().T @ profile.eigenbasis
+    return u.conj().T @ comp @ u
+
+
 def predict_dephasing(code: CodeSubspace, v, dist: NoiseDistribution, rho0, t: float) -> DensityOp:
     """Large-gap channel output at time t for a code-supported state.
 
     Pure dephasing in the compressed perturbation's eigenbasis: the diagonal
     is time invariant and each off-diagonal element picks up the
-    characteristic function at t times its eigenvalue gap.
+    characteristic function at t times its eigenvalue gap. The D x D output
+    is the lift of the k x k eigenframe prediction.
     """
     profile = dephasing_profile(code, v, dist)
-    comp = _code_frame_state(code, rho0)
-    u = code.basis.conj().T @ profile.eigenbasis
-    r = u.conj().T @ comp @ u
-    r = r * profile.factors(t)
+    r = _eigenframe_state(profile, rho0) * profile.factors(t)
     out = profile.eigenbasis @ r @ profile.eigenbasis.conj().T
     return DensityOp(out, code.dims)
 
@@ -301,19 +301,21 @@ class BoundRow:
     passed: bool
 
 
-def gap_bound_check(h0, v, gap_factor: float, t_grid) -> list:
+def gap_bound_check(h0, code: CodeSubspace, v, gap_factor: float, t_grid) -> list:
     """Distance between true and code-projected evolution against its bound.
 
     lhs is the operator norm of exp(-i t (g h0 + v)) P minus
-    exp(-i t P v P) P with P the ground projector of h0; rhs is
-    (4 |v| / (g gap)) (|v| |t| + 1). The ground energy of h0 must already
-    sit at 0, otherwise the comparison is phase-skewed and refused.
-    Both generators are diagonalized once for the whole grid. With P = B B^dag
-    for the orthonormal code basis B, the norm is taken of the D x k
-    difference applied to B, which has the same singular values.
+    exp(-i t P v P) P with P the projector of ``code``, the ground code of h0
+    that the caller extracted; rhs is (4 |v| / (g gap)) (|v| |t| + 1). The
+    ground energy of h0 must already sit at 0, otherwise the comparison is
+    phase-skewed and refused. Both generators are diagonalized once for the
+    whole grid. With P = B B^dag for the orthonormal code basis B, the norm
+    is taken of the D x k difference applied to B, which has the same
+    singular values.
     """
     h = mat_of(h0)
-    code = ground_subspace(h)
+    if code.dim != h.shape[0] or tuple(code.dims) != tuple(getattr(h0, "dims", code.dims)):
+        raise ValueError(f"code dims {code.dims} do not fit the hamiltonian")
     if abs(code.ground_energy) > 1e-10 * max(1.0, operator_norm(h)):
         raise ValueError("shift the ground energy to 0 before checking the bound")
     p = code.projector.matrix
@@ -555,18 +557,17 @@ def dephasing_time_series(h0, code: CodeSubspace, v, dist: NoiseDistribution,
     profile = dephasing_profile(code, v, dist)
     psi = _pure_code_vector(code, state)
     full_psi = code.basis @ psi
-    rho0 = np.outer(full_psi, full_psi.conj())
+    frame0 = _eigenframe_state(profile, np.outer(full_psi, full_psi.conj()))
     d = code.degeneracy
     u_frame = profile.eigenbasis
-    gap_rows = gap_bound_check(h0, v, gap_factor, t_grid)
+    gap_rows = gap_bound_check(h0, code, v, gap_factor, t_grid)
     fid_rows = fidelity_bound_check(code, v, dist, t_grid, state=state, nodes=nodes)
     simulated = evolve_mixture_grid(h0, v, dist, full_psi, t_grid,
                                     gap_factor=gap_factor, nodes=nodes)
     rows = []
     for idx, t in enumerate(t_grid):
         t = float(t)
-        predicted = predict_dephasing(code, v, dist, rho0, t).matrix
-        pred_f = u_frame.conj().T @ predicted @ u_frame
+        pred_f = DensityOp(frame0 * profile.factors(t), (d,)).matrix
         sim_f = u_frame.conj().T @ simulated[idx].matrix @ u_frame
         for m in range(d):
             for n in range(m + 1, d):

@@ -177,6 +177,8 @@ def _finish_model(system, terms, meta=None, integer_spectrum=False) -> LocalMode
             raise ValueError(f"expected an integer ground energy, got {e0}")
         e0 = float(snapped)
     model.energy_offset = e0
+    raw -= e0 * np.eye(system.total_dim)
+    model._ham = HermOp(raw, system.dims)     # what hamiltonian() would assemble
     return model
 
 
@@ -407,12 +409,6 @@ def block_sites(model: LocalModel, groups) -> LocalModel:
     return blocked
 
 
-def embed_operator(op, support, system: QuditSystem) -> HermOp:
-    """Site-local operator extended by identity to the full chain."""
-    m = _check_term(tuple(support), getattr(op, "matrix", op), system.dims)
-    return HermOp(embed(m, support, system.dims), system.dims)
-
-
 # ------------------------------------------------------------------ JSON I/O
 
 
@@ -447,26 +443,27 @@ def model_to_json(model: LocalModel) -> dict:
 def model_from_json(data: dict) -> LocalModel:
     if "dims" not in data:
         raise ValueError("model JSON needs a 'dims' field")
-    dims = tuple(int(d) for d in data["dims"])
-    has_terms = bool(data.get("terms"))
-    has_stab = bool(data.get("stabilizers"))
-    if has_terms == has_stab:
+    terms = [dict(t, matrix=matrix_from_json(t["matrix"])) for t in data.get("terms") or []]
+    return build_model(data["dims"], terms, data.get("stabilizers"), data.get("seed"))
+
+
+def build_model(dims, terms=None, stabilizers=None, seed=None) -> LocalModel:
+    """model_from_json's build step: {sites, matrix} terms hold parsed matrices."""
+    dims = tuple(int(d) for d in dims)
+    if bool(terms) == bool(stabilizers):
         raise ValueError("model JSON needs exactly one of 'terms' or 'stabilizers'")
-    if has_stab:
+    if stabilizers:
         if any(d != 2 for d in dims):
             raise ValueError("stabilizer models need qubit sites")
-        model = stabilizer_hamiltonian(len(dims), list(data["stabilizers"]))
+        model = stabilizer_hamiltonian(len(dims), list(stabilizers))
     else:
-        system = QuditSystem(dims)
-        terms = []
-        for entry in data["terms"]:
-            sites = tuple(int(s) for s in entry["sites"])
+        terms = [(tuple(int(s) for s in t["sites"]), t["matrix"]) for t in terms]
+        for sites, _ in terms:
             if not 1 <= len(sites) <= 2:
                 raise ValueError(f"term sites {sites} must list one or two sites")
-            terms.append((sites, matrix_from_json(entry["matrix"])))
         pair = [(s, m) for s, m in terms if len(s) == 2]
         single = [(s[0], m) for s, m in terms if len(s) == 1]
-        model = two_local_model(system, pair, single)
-    if "seed" in data:
-        model.meta["seed"] = int(data["seed"])
+        model = two_local_model(QuditSystem(dims), pair, single)
+    if seed is not None:
+        model.meta["seed"] = int(seed)
     return model

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code_space import CodeSubspace, ground_subspace
+from .code_space import CodeSubspace
 from .models import LocalModel
 from .no_hiding import AttackReport, two_site_attack
 from .operators import HermOp, Projector, embed, operator_norm, partial_trace
@@ -127,12 +127,10 @@ class GroundFactorization:
         }
 
 
-def _require_commuting(model: LocalModel):
+def require_commuting_pairs(model: LocalModel):
+    """Refuse a model the structure analysis cannot take, before any work on it."""
     if not model.commuting:
         raise ValueError("structure analysis needs a certified commuting model")
-
-
-def _require_two_local(model: LocalModel):
     if model.max_locality > 2:
         raise ValueError(
             "pair terms only: block wider terms into composite sites first")
@@ -250,8 +248,7 @@ def site_algebra(model: LocalModel, site: int) -> np.ndarray:
     matrix, and the identity is always included. Returned as an array of
     shape (algebra dimension, site dim, site dim).
     """
-    _require_commuting(model)
-    _require_two_local(model)
+    require_commuting_pairs(model)
     if not 0 <= site < model.n_sites:
         raise ValueError(f"site {site} out of range for {model.n_sites} sites")
     groups, singles = _site_generators(model)
@@ -503,8 +500,7 @@ def factor_ground_projector(model: LocalModel, code: CodeSubspace) -> GroundFact
     measuring the operator-norm residual, which is stored on the result and
     must stay below FACTOR_RESIDUAL_TOL.
     """
-    _require_commuting(model)
-    _require_two_local(model)
+    require_commuting_pairs(model)
     decomps = [sector_projectors(model, i) for i in range(model.n_sites)]
     assignment = []
     for i, dec in enumerate(decomps):
@@ -536,7 +532,8 @@ def factor_ground_projector(model: LocalModel, code: CodeSubspace) -> GroundFact
     u_global = maps[0].isometry
     for i in range(1, model.n_sites):
         u_global = np.kron(u_global, maps[i].isometry)
-    t = u_global.conj().T @ code.projector.matrix @ u_global
+    p_code = code.projector.matrix
+    t = u_global.conj().T @ p_code @ u_global
 
     pair_keys = sorted({key for i in maps for key in maps[i].slot_pairs})
     factors = []
@@ -558,7 +555,7 @@ def factor_ground_projector(model: LocalModel, code: CodeSubspace) -> GroundFact
         i, j = key
         rec_virtual = rec_virtual @ embed(pf.matrix, [pos[(i, key)], pos[(j, key)]], vdims)
     rec = u_global @ rec_virtual @ u_global.conj().T
-    err = float(operator_norm(rec - code.projector.matrix))
+    err = float(operator_norm(rec - p_code))
     if err > FACTOR_RESIDUAL_TOL:
         raise StructureError(
             f"factorization failed: reconstruction residual {err:.3e} "
@@ -641,8 +638,9 @@ def _pair_or_multiplicity_attack(model, code, fz: GroundFactorization) -> Attack
         "the factorization contradicts the degeneracy")
 
 
-def commuting_model_attack(model: LocalModel, refine_iters: int = 40, seed: int = 0) -> AttackReport:
-    """Worst-case single-site perturbation for a commuting pair model.
+def commuting_model_attack(model: LocalModel, code: CodeSubspace, refine_iters: int = 40,
+                           seed: int = 0) -> AttackReport:
+    """Worst-case single-site perturbation for a commuting pair model and its ground code.
 
     Branches, tried in order: a sector the code straddles (splitting exactly
     1), a virtual pair factor of rank two or more (at least 1/3 through the
@@ -653,9 +651,9 @@ def commuting_model_attack(model: LocalModel, refine_iters: int = 40, seed: int 
     """
     if refine_iters < 1:
         raise ValueError("refine_iters must be >= 1")
-    _require_commuting(model)
-    _require_two_local(model)
-    code = ground_subspace(model)
+    require_commuting_pairs(model)
+    if tuple(code.dims) != model.system.dims:
+        raise ValueError(f"code dims {code.dims} do not match the model")
     if code.degeneracy < 2:
         raise ValueError("nothing to split: the ground space is not degenerate")
 

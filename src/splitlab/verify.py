@@ -47,7 +47,6 @@ from .operators import (
     Projector,
     embed,
     haar_unitary,
-    herm_propagator,
     operator_norm,
     partial_trace,
     random_herm,
@@ -94,9 +93,7 @@ def verdict(name, measured, bound, direction, reference, detail=""):
 
 def _code_from_projector(p: np.ndarray, dims) -> CodeSubspace:
     vals, vecs = np.linalg.eigh(p)
-    basis = vecs[:, vals > 0.5]
-    return CodeSubspace(projector=Projector(p, tuple(dims)), basis=basis,
-                        degeneracy=basis.shape[1], gap=1.0, ground_energy=0.0,
+    return CodeSubspace(basis=vecs[:, vals > 0.5], gap=1.0, ground_energy=0.0,
                         dims=tuple(dims))
 
 
@@ -145,16 +142,16 @@ def _random_code_and_perturbation(rng):
     rank = int(rng.integers(1, dim))
     p = random_projector(dim, rank, rng).matrix
     v = random_herm(dim, rng, norm=float(rng.uniform(0.5, 2.0)))
-    return _code_from_projector(p, (dim,)), v
+    return p, _code_from_projector(p, (dim,)), v
 
 
 def check_ids_duality(n_instances: int, seed: int = 401) -> list:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_instances):
-        code, v = _random_code_and_perturbation(rng)
+        p, code, v = _random_code_and_perturbation(rng)
         r = ids(code, v)
-        twice_min = 2.0 * _scalar_distance_min(code.projector.matrix, v)
+        twice_min = 2.0 * _scalar_distance_min(p, v)
         worst = max(worst, abs(twice_min - r.delta_e))
     return [verdict(
         "ids_duality_grid_oracle", worst, 1e-6, "<=",
@@ -311,7 +308,7 @@ def check_commuting_attack(level: str) -> list:
     worst_sector = np.inf
     names = []
     for name, model, _ in _attack_corpus(level):
-        report = commuting_model_attack(model)
+        report = commuting_model_attack(model, ground_subspace(model))
         worst = min(worst, report.certified_delta_e)
         if report.branch == "sector":
             floor = report.details.get("analytic_delta_e", 1.0)
@@ -340,9 +337,10 @@ def check_gap_bound(t_points: int, decades, seed: int = 404) -> list:
         w = np.linalg.eigvalsh(h)
         h = h - w[0] * np.eye(d)
         v = random_herm(d, rng, norm=1.0)
+        code = ground_subspace(h)
         max_lhs = {}
         for g in decades:
-            rows = gap_bound_check(h, v, g, t_grid)
+            rows = gap_bound_check(h, code, v, g, t_grid)
             worst_margin = min(worst_margin,
                                min(r.rhs - r.lhs for r in rows))
             max_lhs[g] = max(r.lhs for r in rows)

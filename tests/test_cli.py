@@ -354,3 +354,42 @@ def test_demo_scenario_digest_pinned(name, digest):
     path = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / f"{name}.json"
     raw = json.loads(path.read_text())
     assert cli._digest(cli.validate_scenario(raw)) == digest
+
+
+@pytest.mark.parametrize("scenario", [
+    _attack_scenario(n=4),
+    {**_dephase_scenario(perturbation={"pauli": "ZIII"}),
+     "model": {"fixture": "repetition", "n": 4}},
+], ids=["attack", "dephase"])
+def test_run_extracts_the_ground_code_once(tmp_path, monkeypatch, scenario):
+    import splitlab.code_space
+
+    original = splitlab.code_space.ground_subspace
+    calls = []
+
+    def counting(h):
+        calls.append(1)
+        return original(h)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("splitlab") and getattr(module, "ground_subspace", None) is original:
+            monkeypatch.setattr(module, "ground_subspace", counting)
+    scn = _write(tmp_path, "s.json", scenario)
+    assert cli.main(["run", "--scenario", scn, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+def test_attack_rejects_noncommuting_model_before_ground_extraction(tmp_path, monkeypatch):
+    def no_ground(*args, **kwargs):
+        raise AssertionError("ground space extracted for a rejected model")
+
+    monkeypatch.setattr(cli, "ground_subspace", no_ground)
+    xx = np.array([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
+                  dtype=complex)
+    zz = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
+    model = two_local_model(QuditSystem((2, 2, 2)), [((0, 1), xx), ((1, 2), zz)])
+    scn = _write(tmp_path, "s.json", {"schema_version": 1, "task": "attack",
+                                      "model": model_to_json(model)})
+    out = tmp_path / "o"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 4
+    assert not out.exists()

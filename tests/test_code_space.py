@@ -10,11 +10,10 @@ from splitlab.code_space import (
 )
 from splitlab.models import (
     QuditSystem,
-    embed_operator,
     four_two_two_model,
     repetition_model,
 )
-from splitlab.operators import HermOp, Projector
+from splitlab.operators import HermOp, embed
 
 Z = np.diag([1.0 + 0j, -1.0])
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -74,12 +73,12 @@ def test_full_space_code():
 def test_project_onto_code_repetition():
     model = repetition_model(3)
     code = ground_subspace(model)
-    z1 = embed_operator(Z, (0,), model.system)
+    z1 = HermOp(embed(Z, (0,), model.system.dims), model.system.dims)
     comp = project_onto_code(code, z1)
     assert comp.matrix.shape == (2, 2)
     assert_allclose(sorted(np.linalg.eigvalsh(comp.matrix)), [-1.0, 1.0], atol=1e-12)
 
-    x1 = embed_operator(X, (0,), model.system)
+    x1 = HermOp(embed(X, (0,), model.system.dims), model.system.dims)
     compx = project_onto_code(code, x1)
     assert_allclose(compx.matrix, np.zeros((2, 2)), atol=1e-12)
 
@@ -91,14 +90,23 @@ def test_project_rejects_wrong_shape():
 
 
 def test_code_subspace_validates_basis():
-    eye = np.eye(2, dtype=complex)
     bad = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)  # not orthonormal
     with pytest.raises(ValueError, match="orthonormal"):
-        CodeSubspace(
-            projector=Projector(eye, (2,), 2),
-            basis=bad,
-            degeneracy=2,
-            gap=1.0,
-            ground_energy=0.0,
-            dims=(2,),
-        )
+        CodeSubspace(basis=bad, gap=1.0, ground_energy=0.0, dims=(2,))
+
+
+def test_code_subspace_stores_only_its_basis():
+    code = ground_subspace(four_two_two_model())
+    stored = [v for v in vars(code).values() if isinstance(v, np.ndarray)]
+    assert [a.shape for a in stored] == [(16, 4)]
+    assert code.degeneracy == code.basis.shape[1] == 4
+    p = code.projector
+    assert p.rank == 4 and p.dims == code.dims
+    assert_allclose(p.matrix, code.basis @ code.basis.conj().T, atol=0)
+    assert code.projector is not p   # derived on each access, not cached
+    with pytest.raises(ValueError, match="shape"):
+        CodeSubspace(basis=code.basis[:8], gap=1.0, ground_energy=0.0, dims=code.dims)
+    with pytest.raises(ValueError, match="shape"):
+        CodeSubspace(basis=code.basis[:, 0], gap=1.0, ground_energy=0.0, dims=code.dims)
+    with pytest.raises(ValueError, match="orthonormal"):
+        CodeSubspace(basis=2 * code.basis, gap=1.0, ground_energy=0.0, dims=code.dims)

@@ -13,7 +13,6 @@ from splitlab.dynamics import (
     BathModel,
     NoiseDistribution,
     bath_embedding_check,
-    characteristic_function,
     coherence_time,
     dephasing_profile,
     dephasing_time_series,
@@ -57,7 +56,7 @@ def _plus_logical(n=3):
 def test_delta_characteristic_is_pure_phase():
     d = NoiseDistribution.delta(0.8)
     alphas = np.linspace(-4, 4, 41)
-    vals = characteristic_function(d, alphas)
+    vals = d.characteristic(alphas)
     assert np.allclose(np.abs(vals), 1.0, atol=1e-14)
     assert np.allclose(vals, np.exp(-1j * 0.8 * alphas), atol=1e-14)
 
@@ -65,7 +64,7 @@ def test_delta_characteristic_is_pure_phase():
 def test_gaussian_characteristic_closed_form():
     d = NoiseDistribution.gaussian(0.0, 0.3)
     alphas = np.linspace(-5, 5, 11)
-    assert np.allclose(characteristic_function(d, alphas),
+    assert np.allclose(d.characteristic(alphas),
                        np.exp(-0.045 * alphas ** 2), atol=1e-14)
 
 
@@ -91,7 +90,7 @@ def test_uniform_characteristic_vs_quadrature_oracle():
 def test_discrete_characteristic_two_point():
     d = NoiseDistribution.discrete([(1.0, 0.5), (-1.0, 0.5)])
     alphas = np.linspace(0, 6, 13)
-    assert np.allclose(characteristic_function(d, alphas), np.cos(alphas), atol=1e-14)
+    assert np.allclose(d.characteristic(alphas), np.cos(alphas), atol=1e-14)
 
 
 def test_characteristic_small_argument_taylor():
@@ -350,7 +349,7 @@ def test_gap_bound_holds_and_scales():
     t_grid = np.linspace(0.0, 2.0, 9)
     lhs_by_g = {}
     for g in (10.0, 100.0, 1000.0, 10000.0):
-        rows = gap_bound_check(h, v, g, t_grid)
+        rows = gap_bound_check(h, code, v, g, t_grid)
         assert all(r.passed for r in rows)
         assert rows[0].t == 0.0 and rows[0].lhs < 1e-12
         assert abs(rows[0].rhs - 4.0 * vnorm / (g * code.gap)) < 1e-12
@@ -365,7 +364,17 @@ def test_gap_bound_requires_zero_ground_energy():
     model, code = _rep_code()
     shifted = model.hamiltonian().matrix + 0.5 * np.eye(8)
     with pytest.raises(ValueError, match="ground energy"):
-        gap_bound_check(shifted, Z1_ON_3, 100.0, [0.5])
+        gap_bound_check(shifted, ground_subspace(shifted), Z1_ON_3, 100.0, [0.5])
+
+
+def test_gap_bound_rejects_code_of_another_hamiltonian():
+    model, code = _rep_code()
+    h = model.hamiltonian()
+    _, code4 = _rep_code(4)
+    with pytest.raises(ValueError, match="dims"):
+        gap_bound_check(h, code4, Z1_ON_3, 100.0, [0.5])
+    with pytest.raises(ValueError, match="dims"):
+        gap_bound_check(h, ground_subspace(h.matrix), Z1_ON_3, 100.0, [0.5])
 
 
 # fidelity bound

@@ -6,7 +6,6 @@ from splitlab.models import (
     PerturbationSpec,
     QuditSystem,
     block_sites,
-    embed_operator,
     four_two_two_model,
     matrix_from_json,
     matrix_to_json,
@@ -158,15 +157,6 @@ def test_random_commuting_forced_degeneracy():
         top = w[w > 1e-8]
         if top.size:
             assert top.min() >= 0.25 - 1e-9  # quarter-integer grid keeps a real gap
-
-
-def test_embed_operator(rng):
-    sys23 = QuditSystem((2, 3))
-    z = np.diag([1.0, -1.0]).astype(complex)
-    full = embed_operator(z, (0,), sys23)
-    assert_allclose(full.matrix, np.kron(z, np.eye(3)), atol=1e-14)
-    with pytest.raises(ValueError):
-        embed_operator(random_herm(2, rng), (0,), QuditSystem((3, 2)))
 
 
 def test_perturbation_spec_validation(rng):

@@ -184,11 +184,7 @@ def test_witness_scores_its_candidates_in_one_batch(rng, monkeypatch):
 def _code_from_projector(p, dims):
     vals, vecs = np.linalg.eigh(p)
     basis = vecs[:, vals > 0.5]
-    return CodeSubspace(
-        projector=Projector(p, tuple(dims)), basis=basis,
-        degeneracy=basis.shape[1], gap=1.0, ground_energy=0.0,
-        dims=tuple(dims),
-    )
+    return CodeSubspace(basis=basis, gap=1.0, ground_energy=0.0, dims=tuple(dims))
 
 
 def test_two_site_attack_bell_projector():

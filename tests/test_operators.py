@@ -109,6 +109,8 @@ def test_embed_rejects_bad_support():
         embed(Z, [0, 0], (2, 2))
     with pytest.raises(ValueError):
         embed(Z, [3], (2, 2))
+    with pytest.raises(ValueError, match="shape"):
+        embed(Z, [0], (3, 2))
 
 
 # ---------------------------------------------------------------- partial trace

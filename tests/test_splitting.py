@@ -5,8 +5,8 @@ from numpy.testing import assert_allclose
 from conftest import random_ket
 from oracles import min_scalar_distance
 from splitlab.code_space import full_space_code, ground_subspace
-from splitlab.models import QuditSystem, embed_operator, four_two_two_model, repetition_model
-from splitlab.operators import Projector, embed, operator_norm, random_herm, random_projector
+from splitlab.models import QuditSystem, four_two_two_model, repetition_model
+from splitlab.operators import HermOp, embed, operator_norm, random_herm, random_projector
 from splitlab.splitting import ids, kl_check, worst_single_site_ascent
 from splitlab.code_space import CodeSubspace
 
@@ -22,7 +22,7 @@ def _repetition_code(n=3):
 def test_repetition_z_splitting():
     model = repetition_model(3)
     code = ground_subspace(model)
-    v = embed_operator(Z, (0,), model.system)
+    v = HermOp(embed(Z, (0,), model.system.dims), model.system.dims)
     r = ids(code, v)
     assert r.delta_e == pytest.approx(2.0, abs=1e-12)
     assert r.lambda_min == pytest.approx(-1.0, abs=1e-12)
@@ -34,7 +34,7 @@ def test_repetition_z_splitting():
 def test_repetition_x_detected():
     model = repetition_model(3)
     code = ground_subspace(model)
-    v = embed_operator(X, (0,), model.system)
+    v = HermOp(embed(X, (0,), model.system.dims), model.system.dims)
     r = ids(code, v)
     assert r.delta_e <= 1e-12
     ok, alpha = kl_check(code, v)
@@ -57,10 +57,7 @@ def test_duality_against_grid_oracle(rng):
         rank = int(rng.integers(1, dim))
         p = random_projector(dim, rank, rng)
         basis = np.linalg.eigh(p.matrix)[1][:, dim - rank:]
-        code = CodeSubspace(
-            projector=p, basis=basis, degeneracy=rank, gap=1.0,
-            ground_energy=0.0, dims=(dim,),
-        )
+        code = CodeSubspace(basis=basis, gap=1.0, ground_energy=0.0, dims=(dim,))
         v = random_herm(dim, rng, norm=None)
         r = ids(code, v)
         oracle = min_scalar_distance(p.matrix, v)
@@ -96,7 +93,7 @@ def test_kl_check_four_two_two_paulis():
     code = ground_subspace(model)
     for site in range(4):
         for pauli in (X, Y, Z):
-            v = embed_operator(pauli, (site,), model.system)
+            v = HermOp(embed(pauli, (site,), model.system.dims), model.system.dims)
             r = ids(code, v)
             assert r.kl_deviation <= 1e-10
             ok, _ = kl_check(code, v)
@@ -124,10 +121,7 @@ def test_ascent_repetition_reaches_two():
 
 def test_ascent_trajectories_monotone(rng):
     code = ground_subspace(np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex))
-    code = CodeSubspace(
-        projector=code.projector, basis=code.basis, degeneracy=code.degeneracy,
-        gap=code.gap, ground_energy=0.0, dims=(2, 2),
-    )
+    code = CodeSubspace(basis=code.basis, gap=code.gap, ground_energy=0.0, dims=(2, 2))
     for seed in range(8):
         report = worst_single_site_ascent(code, site=0, seed=seed, iters=30)
         for traj in report.trajectories:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from splitlab.code_space import ground_subspace
+from splitlab.code_space import full_space_code, ground_subspace
 from splitlab.models import (
     QuditSystem,
     block_sites,
@@ -331,7 +331,8 @@ def test_factor_degeneracy_accounting(rng):
 
 
 def test_attack_repetition_sector_branch():
-    report = commuting_model_attack(repetition_model(3))
+    model = repetition_model(3)
+    report = commuting_model_attack(model, ground_subspace(model))
     assert report.branch == "sector"
     assert report.details["analytic_delta_e"] == pytest.approx(1.0, abs=1e-9)
     # the ascent refinement reaches the best single-qubit splitting
@@ -341,7 +342,7 @@ def test_attack_repetition_sector_branch():
 
 def test_attack_virtual_bell_chain_multiplicity_branch():
     model = _virtual_chain(_bell(), n=3, seed=3)
-    report = commuting_model_attack(model)
+    report = commuting_model_attack(model, ground_subspace(model))
     assert report.branch == "multiplicity"
     assert report.details["analytic_delta_e"] >= 2.0 - 1e-9
     assert report.certified_delta_e >= 2.0 - 1e-9
@@ -349,18 +350,18 @@ def test_attack_virtual_bell_chain_multiplicity_branch():
 
 def test_attack_virtual_rank_two_chain_pair_branch(rng):
     model = _virtual_chain(_rank_projector(4, 2, rng), n=3, seed=4)
-    report = commuting_model_attack(model)
+    code = ground_subspace(model)
+    report = commuting_model_attack(model, code)
     assert report.branch == "pair"
     assert report.details["analytic_delta_e"] >= 1.0 / 3.0 - 1e-9
     assert report.certified_delta_e >= report.details["analytic_delta_e"] - 1e-12
-    code = ground_subspace(model)
     v = embed(report.x.matrix, [report.site], code.dims)
     assert ids(code, v).delta_e >= report.certified_delta_e - 1e-9
 
 
 def test_attack_blocked_four_two_two():
     model = block_sites(four_two_two_model(), [[0, 1], [2, 3]])
-    report = commuting_model_attack(model)
+    report = commuting_model_attack(model, ground_subspace(model))
     assert report.branch == "sector"
     assert report.certified_delta_e >= 1.0 - 1e-9
 
@@ -372,7 +373,7 @@ def test_attack_random_degenerate_models():
             system, [(0, 1), (1, 2)], seed=seed, ensure_ground_degeneracy=2)
         code = ground_subspace(model)
         assert code.degeneracy >= 2
-        report = commuting_model_attack(model)
+        report = commuting_model_attack(model, code)
         assert report.certified_delta_e >= 1.0 / 3.0 - 1e-9
         v = embed(report.x.matrix, [report.site], code.dims)
         assert ids(code, v).delta_e >= report.certified_delta_e - 1e-9
@@ -384,27 +385,36 @@ def test_attack_requires_degeneracy():
         QuditSystem((2, 2)), [((0, 1), (np.eye(4) - ZZ) / 2)],
         single_site_terms=[(0, zloc)])
     with pytest.raises(ValueError, match="nothing to split"):
-        commuting_model_attack(model)
+        commuting_model_attack(model, ground_subspace(model))
 
 
 def test_attack_requires_commuting():
     model = two_local_model(QuditSystem((2, 2, 2)), [((0, 1), ZZ), ((1, 2), XX)])
     with pytest.raises(ValueError, match="commuting"):
-        commuting_model_attack(model)
+        commuting_model_attack(model, full_space_code(model.system))
+
+
+def test_attack_rejects_code_of_another_model():
+    model = repetition_model(3)
+    with pytest.raises(ValueError, match="dims"):
+        commuting_model_attack(model, ground_subspace(repetition_model(4)))
+    with pytest.raises(ValueError, match="dims"):
+        commuting_model_attack(model, ground_subspace(model.hamiltonian().matrix))
 
 
 def test_attack_deterministic():
     model = _virtual_chain(_bell(), n=3, seed=3)
-    a = commuting_model_attack(model)
-    b = commuting_model_attack(model)
+    a = commuting_model_attack(model, ground_subspace(model))
+    b = commuting_model_attack(model, ground_subspace(model))
     assert a.branch == b.branch and a.site == b.site
     assert a.x.matrix.tobytes() == b.x.matrix.tobytes()
 
 
 def test_commuting_attack_rejects_zero_refine_iters_before_any_work(monkeypatch):
-    def no_ground(*args, **kwargs):
-        raise AssertionError("ground space extracted for a rejected call")
+    def no_sectors(*args, **kwargs):
+        raise AssertionError("sector analysis ran for a rejected call")
 
-    monkeypatch.setattr("splitlab.structure.ground_subspace", no_ground)
+    monkeypatch.setattr("splitlab.structure.sector_projectors", no_sectors)
+    model = repetition_model(3)
     with pytest.raises(ValueError, match="refine_iters must be >= 1"):
-        commuting_model_attack(repetition_model(3), refine_iters=0)
+        commuting_model_attack(model, ground_subspace(model), refine_iters=0)
