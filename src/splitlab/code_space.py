@@ -16,6 +16,7 @@ import numpy as np
 from .operators import (
     HermOp,
     Projector,
+    apply_local,
     herm_eig,
     mat_of,
     total_dim,
@@ -110,12 +111,21 @@ def full_space_code(dims) -> CodeSubspace:
                         ground_energy=0.0, dims=dims)
 
 
-def project_onto_code(code: CodeSubspace, v) -> HermOp:
-    """Compress an operator to the code: the matrix <b_m| V |b_n>."""
+def project_onto_code(code: CodeSubspace, v, sites=None) -> HermOp:
+    """Compress an operator to the code: the matrix <b_m| V |b_n>.
+
+    ``v`` is a D x D operator, or with ``sites`` an operator on those sites
+    alone (listed as for embed), which acts on the basis through apply_local
+    so no D x D matrix is formed.
+    """
     m = mat_of(v)
-    if m.shape != (code.dim, code.dim):
+    b = code.basis
+    if sites is not None:
+        comp = b.conj().T @ apply_local(m, sites, code.dims, b)
+    elif m.shape != (code.dim, code.dim):
         raise ValueError(f"operator shape {m.shape} does not match code dimension {code.dim}")
-    comp = code.basis.conj().T @ m @ code.basis
+    else:
+        comp = b.conj().T @ m @ b
     scale = max(1.0, float(np.max(np.abs(m))))
     defect = float(np.max(np.abs(comp - comp.conj().T)))
     if defect > 1e-10 * scale:

@@ -55,24 +55,6 @@ class QuditSystem:
 
 
 @dataclass(eq=False)
-class PerturbationSpec:
-    """A perturbation: where it acts, what it is, how its magnitude is drawn."""
-
-    support: tuple[int, ...]
-    operator: np.ndarray
-    distribution: object | None = None
-
-    def __post_init__(self):
-        self.support = tuple(int(s) for s in self.support)
-        m = np.asarray(self.operator, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("perturbation operator must be a square matrix")
-        if not is_hermitian(m):
-            raise ValueError("perturbation operator must be hermitian")
-        self.operator = 0.5 * (m + m.conj().T)
-
-
-@dataclass(eq=False)
 class LocalModel:
     """Sum of hermitian terms on small site subsets.
 
@@ -278,11 +260,14 @@ def four_two_two_model() -> LocalModel:
 
 def _diag_energy(dims, pairs, couplings) -> np.ndarray:
     """Total diagonal energy per product label, as a flat vector."""
-    d = total_dim(dims)
-    e = np.zeros(d)
+    e = np.zeros(dims)
     for (i, j), c in zip(pairs, couplings):
-        e += embed(np.diag(c), (i, j), dims).diagonal().real
-    return e
+        # c is indexed [label_i, label_j]; broadcast it over axes i and j
+        c = np.reshape(c, (dims[i], dims[j]))
+        shape = [1] * len(dims)
+        shape[i], shape[j] = dims[i], dims[j]
+        e += (c if i < j else c.T).reshape(shape)
+    return e.reshape(-1)
 
 
 def random_commuting_model(

@@ -20,8 +20,7 @@ from .operators import (
     Projector,
     helstrom,
     fidelity,
-    partial_trace,
-    total_dim,
+    reduced_states,
 )
 
 # The worst-case guarantee for the best candidate pair, and the slack the
@@ -72,23 +71,6 @@ def _complement(dims, a_sites) -> tuple[int, ...]:
     return b
 
 
-def _reduced_states(vecs: np.ndarray, dims, a_sites):
-    """Reduced states on sides A and B of each vector along the last axis.
-
-    Each vector is read as a d_A x d_B matrix M with the A sites first, so
-    the reduced states are M M^dagger on A and M^T conj(M) on B; no D x D
-    matrix is formed. Leading axes are batch axes.
-    """
-    batch = vecs.shape[:-1]
-    nb = len(batch)
-    t = vecs.reshape(batch + tuple(dims))
-    t = np.moveaxis(t, [nb + i for i in a_sites], range(nb, nb + len(a_sites)))
-    m = t.reshape(batch + (total_dim([dims[i] for i in a_sites]), -1))
-    on_a = np.einsum("...ab,...cb->...ac", m, m.conj())
-    on_b = np.einsum("...ab,...ac->...bc", m, m.conj())
-    return on_a, on_b
-
-
 def pair_side_norms(psi: np.ndarray, phi: np.ndarray, dims, a_sites):
     """Trace norms of the reduced difference on side A and side B.
 
@@ -99,12 +81,12 @@ def pair_side_norms(psi: np.ndarray, phi: np.ndarray, dims, a_sites):
     """
     dims = tuple(int(d) for d in dims)
     a_sites = sorted(int(s) for s in a_sites)
-    _complement(dims, a_sites)
     psi, phi = np.asarray(psi), np.asarray(phi)
     if psi.shape != phi.shape:
         raise ValueError(f"pair shapes differ: {psi.shape} and {phi.shape}")
-    psi_a, psi_b = _reduced_states(psi, dims, a_sites)
-    phi_a, phi_b = _reduced_states(phi, dims, a_sites)
+    pair = np.stack([psi, phi])
+    psi_a, phi_a = reduced_states(pair, dims, a_sites)
+    psi_b, phi_b = reduced_states(pair, dims, _complement(dims, a_sites))
     da, db = psi_a.shape[-1], psi_b.shape[-1]
     size = max(da, db)
     delta = np.zeros(psi.shape[:-1] + (2, size, size), dtype=complex)
@@ -154,8 +136,7 @@ def no_hiding_witness(b0: Ket, b1: Ket, a_sites=(0,)) -> NoHidingWitness:
     v0, v1, na, nb = v0s[cid], v1s[cid], nas[cid], nbs[cid]
     score = na + nb
 
-    (rho0, rho1), _ = _reduced_states(np.stack([b0.amplitudes, b1.amplitudes]),
-                                      dims, a_sites)
+    rho0, rho1 = reduced_states([b0.amplitudes, b1.amplitudes], dims, a_sites)
     dist, _ = helstrom(rho0, rho1)
     fid = fidelity(rho0, rho1)
 
@@ -215,8 +196,7 @@ def two_site_attack(p: Projector, redraw_seed: int | None = None) -> AttackRepor
     v0, v1 = v0s[cid], v1s[cid]
 
     site = 0 if side == "A" else 1
-    rho_psi = partial_trace(np.outer(v0, v0.conj()), dims, [site])
-    rho_phi = partial_trace(np.outer(v1, v1.conj()), dims, [site])
+    rho_psi, rho_phi = reduced_states([v0, v1], dims, [site])
     _, proj = helstrom(rho_psi, rho_phi, dims=(dims[site],))
     x = proj.matrix
     certified = float(np.trace(x @ (rho_psi - rho_phi)).real)

@@ -205,14 +205,8 @@ def partial_trace(matrix, dims, keep) -> np.ndarray:
     return t.reshape(d_keep, d_keep)
 
 
-def embed(matrix, support, dims) -> np.ndarray:
-    """Extend an operator on the listed ``support`` sites by identity elsewhere.
-
-    ``matrix`` acts on the tensor product of ``dims[s]`` for s in ``support``,
-    in the order listed (which need not be sorted).
-    """
-    m = mat_of(matrix)
-    dims = _dims_tuple(dims)
+def _support(support, dims, m) -> list[int]:
+    """Validated site list of a local operator ``m`` on ``dims``."""
     support = [int(s) for s in support]
     n = len(dims)
     if len(set(support)) != len(support):
@@ -222,6 +216,20 @@ def embed(matrix, support, dims) -> np.ndarray:
     d_sup = total_dim([dims[s] for s in support]) if support else 1
     if m.shape != (d_sup, d_sup):
         raise ValueError(f"matrix shape {m.shape} does not match support dims")
+    return support
+
+
+def embed(matrix, support, dims) -> np.ndarray:
+    """Extend an operator on the listed ``support`` sites by identity elsewhere.
+
+    ``matrix`` acts on the tensor product of ``dims[s]`` for s in ``support``,
+    in the order listed (which need not be sorted). The result is the full
+    D x D matrix; to act on vectors use apply_local, which never forms it.
+    """
+    m = mat_of(matrix)
+    dims = _dims_tuple(dims)
+    support = _support(support, dims, m)
+    n = len(dims)
     rest = [i for i in range(n) if i not in support]
     big = np.kron(m, np.eye(total_dim([dims[i] for i in rest]) if rest else 1))
     order = support + rest
@@ -231,6 +239,49 @@ def embed(matrix, support, dims) -> np.ndarray:
     t = t.transpose(perm + [n + p for p in perm])
     d = total_dim(dims)
     return np.ascontiguousarray(t.reshape(d, d))
+
+
+def apply_local(op, sites, dims, x) -> np.ndarray:
+    """(op on ``sites``, identity elsewhere) applied to x of shape (D,) or (D, m).
+
+    Equals embed(op, sites, dims) @ x without forming the D x D matrix: x is
+    read as a tensor with one axis per site (and one per column), op
+    contracts the support axes in one tensordot, at cost O(D m d_sup).
+    """
+    m = mat_of(op)
+    dims = _dims_tuple(dims)
+    sites = _support(sites, dims, m)
+    x = np.asarray(x)
+    d = total_dim(dims)
+    if x.ndim not in (1, 2) or x.shape[0] != d:
+        raise ValueError(f"shape {x.shape} is not ({d},) or ({d}, m) for dims {dims}")
+    k = len(sites)
+    sup = tuple(dims[s] for s in sites)
+    t = np.tensordot(m.reshape(sup + sup), x.reshape(dims + x.shape[1:]),
+                     axes=(list(range(k, 2 * k)), sites))
+    return np.moveaxis(t, list(range(k)), sites).reshape(x.shape)
+
+
+def reduced_states(vecs, dims, keep) -> np.ndarray:
+    """Reduced state on the ``keep`` sites of each vector along the last axis.
+
+    Each vector is read as a d_keep x d_rest matrix M with the kept sites
+    first (in ascending order), so its reduced state is M M^dagger; no
+    D x D matrix is formed. Leading axes are batch axes. Equals
+    partial_trace(outer(v, conj(v)), dims, keep) for each vector v.
+    """
+    vecs = np.asarray(vecs)
+    dims = _dims_tuple(dims)
+    keep = sorted(int(k) for k in keep)
+    n = len(dims)
+    if len(set(keep)) != len(keep) or (keep and (keep[0] < 0 or keep[-1] >= n)):
+        raise ValueError(f"keep {keep} is not a set of sites out of {n}")
+    batch = vecs.shape[:-1]
+    nb = len(batch)
+    t = vecs.reshape(batch + dims)
+    t = np.moveaxis(t, [nb + i for i in keep], range(nb, nb + len(keep)))
+    m = t.reshape(batch + (total_dim([dims[i] for i in keep]) if keep else 1, -1))
+    return np.einsum("...ab,...cb->...ac", m, m.conj())
 
 
 def operator_norm(matrix) -> float:

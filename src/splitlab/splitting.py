@@ -19,12 +19,11 @@ from .no_hiding import AttackReport
 from .operators import (
     HermOp,
     Ket,
-    embed,
     helstrom,
     herm_eig,
     operator_norm,
-    partial_trace,
     random_herm,
+    reduced_states,
 )
 
 # Default relative tolerance for calling a compression scalar.
@@ -47,14 +46,15 @@ class IdsReport:
     witness_phi: Ket      # code state with the smallest expectation
 
 
-def ids(code: CodeSubspace, v) -> IdsReport:
+def ids(code: CodeSubspace, v, sites=None) -> IdsReport:
     """Splitting of the code degeneracy induced by a hermitian perturbation.
 
     Computed spectrally from the compressed operator, never by searching
     state pairs; the extremal eigenvectors are lifted back to the full
-    space as witnesses.
+    space as witnesses. With ``sites``, ``v`` is an operator on those sites
+    only (see project_onto_code).
     """
-    comp = project_onto_code(code, v)
+    comp = project_onto_code(code, v, sites)
     w, u = herm_eig(comp.matrix)
     lam_min, lam_max = float(w[0]), float(w[-1])
     delta = lam_max - lam_min
@@ -90,10 +90,11 @@ def worst_single_site_ascent(
 ) -> AttackReport:
     """Alternating ascent over unit-norm hermitian operators on one site.
 
-    Each round lifts the current X, takes the extremal witness pair of its
-    splitting, reduces the pair to the site, and replaces X with the sign
-    observable 2 P_+ - I of the reduced difference (the unit-norm operator
-    with the largest expectation gap for that pair). The splitting sequence
+    Each round compresses the current X (acting on the site alone) to the
+    code, takes the extremal witness pair of its splitting, reduces the pair
+    to the site, and replaces X with the sign observable 2 P_+ - I of the
+    reduced difference (the unit-norm operator with the largest expectation
+    gap for that pair). The splitting sequence
     is nondecreasing: the new gap Tr(S delta) = ||delta||_1 dominates
     Tr(X delta), which was the old splitting.
 
@@ -122,15 +123,15 @@ def worst_single_site_ascent(
         prev = -np.inf
         traj = []
         for _ in range(iters):
-            report = ids(code, embed(x, [site], dims))
+            report = ids(code, x, [site])
             traj.append(report.delta_e)
             if best is None or report.delta_e > best[0]:
                 best = (report.delta_e, x, report)
             if report.delta_e <= prev + ASCENT_IMPROVE_TOL:
                 break
             prev = report.delta_e
-            rho_psi = partial_trace(report.witness_psi.density(), dims, [site])
-            rho_phi = partial_trace(report.witness_phi.density(), dims, [site])
+            rho_psi, rho_phi = reduced_states(
+                [report.witness_psi.amplitudes, report.witness_phi.amplitudes], dims, [site])
             _, proj = helstrom(rho_psi, rho_phi, dims=(d_site,))
             x = 2.0 * proj.matrix - eye
         trajectories.append(tuple(traj))

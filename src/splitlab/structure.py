@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code_space import CodeSubspace
+from .code_space import CodeSubspace, project_onto_code
 from .models import LocalModel
 from .no_hiding import AttackReport, two_site_attack
-from .operators import HermOp, Projector, embed, operator_norm, partial_trace
+from .operators import HermOp, Projector, apply_local, operator_norm, partial_trace
 from .splitting import ids, worst_single_site_ascent
 
 SCHMIDT_REL_CUT = 1e-12      # singular values below this (relative) are noise
@@ -323,8 +323,11 @@ def sector_projectors(model: LocalModel, site: int, seed: int = 7) -> SiteSector
         pos = sites.index(site)
         scale = max(scale, operator_norm(term))
         for p in mats:
-            pe = embed(p, [pos], tdims)
-            cert = max(cert, operator_norm(pe @ term - term @ pe))
+            # (p on the site) term - term (p on the site), the second as a
+            # transpose so p acts from the left in both
+            left = apply_local(p, [pos], tdims, term)
+            right = apply_local(p.T, [pos], tdims, term.T).T
+            cert = max(cert, operator_norm(left - right))
     if cert > BLOCK_CERT_TOL * max(scale, 1.0):
         raise StructureError(
             f"sector projectors fail to commute with the terms at site {site}"
@@ -344,9 +347,8 @@ def detect_multi_sector(code: CodeSubspace, decomp: SiteSectorDecomposition) -> 
         raise ValueError("decomposition does not match the code's site structure")
     populated = []
     for mu, p in enumerate(decomp.projectors):
-        emb = embed(p.matrix, [site], code.dims)
-        comp = code.basis.conj().T @ emb @ code.basis
-        top = float(np.linalg.eigvalsh((comp + comp.conj().T) / 2)[-1])
+        comp = project_onto_code(code, p, [site]).matrix
+        top = float(np.linalg.eigvalsh(comp)[-1])
         if top > SECTOR_SUPPORT_TOL:
             populated.append(mu)
     return populated
@@ -363,8 +365,7 @@ def multi_sector_attack(code: CodeSubspace, site: int, sector) -> AttackReport:
     commuting with the hamiltonian.
     """
     p = np.asarray(getattr(sector, "matrix", sector), dtype=complex)
-    v = embed(p, [site], code.dims)
-    r = ids(code, v)
+    r = ids(code, p, [site])
     if r.lambda_max < 0.5 or r.lambda_min > 0.5:
         raise ValueError(f"the code sits in a single sector at site {site}")
     if r.delta_e < SECTOR_GUARANTEE - 1e-9:
@@ -553,7 +554,7 @@ def factor_ground_projector(model: LocalModel, code: CodeSubspace) -> GroundFact
     rec_virtual = np.eye(int(np.prod(vdims)), dtype=complex)
     for key, pf in factors:
         i, j = key
-        rec_virtual = rec_virtual @ embed(pf.matrix, [pos[(i, key)], pos[(j, key)]], vdims)
+        rec_virtual = apply_local(pf, [pos[(i, key)], pos[(j, key)]], vdims, rec_virtual)
     rec = u_global @ rec_virtual @ u_global.conj().T
     err = float(operator_norm(rec - p_code))
     if err > FACTOR_RESIDUAL_TOL:
@@ -576,10 +577,9 @@ def factor_ground_projector(model: LocalModel, code: CodeSubspace) -> GroundFact
 
 
 def _lift_virtual(mp: SiteVirtualMap, slot_index: int, x: np.ndarray) -> np.ndarray:
-    """Embed a virtual-slot operator into the physical site through the map."""
+    """Carry a virtual-slot operator onto the physical site through the map."""
     local_dims = mp.slot_dims + (mp.mult_dim,)
-    xv = embed(x, [slot_index], local_dims)
-    return mp.isometry @ xv @ mp.isometry.conj().T
+    return mp.isometry @ apply_local(x, [slot_index], local_dims, mp.isometry.conj().T)
 
 
 def _pair_or_multiplicity_attack(model, code, fz: GroundFactorization) -> AttackReport:
@@ -590,7 +590,7 @@ def _pair_or_multiplicity_attack(model, code, fz: GroundFactorization) -> Attack
         site = key[inner.site]
         mp = fz.site_maps[site]
         xs = _lift_virtual(mp, mp.slot_pairs.index(key), inner.x.matrix)
-        measured = ids(code, embed(xs, [site], code.dims))
+        measured = ids(code, xs, [site])
         if measured.delta_e < inner.certified_delta_e - 1e-9:
             raise StructureError(
                 f"lifting the pair attack to site {site} lost its certificate")
@@ -616,7 +616,7 @@ def _pair_or_multiplicity_attack(model, code, fz: GroundFactorization) -> Attack
         xm = np.zeros((mp.mult_dim, mp.mult_dim), dtype=complex)
         xm[0, 0], xm[1, 1] = 1.0, -1.0
         xs = _lift_virtual(mp, len(mp.slot_dims), xm)
-        measured = ids(code, embed(xs, [i], code.dims))
+        measured = ids(code, xs, [i])
         if measured.delta_e < MULT_GUARANTEE - 1e-9:
             raise StructureError(
                 f"multiplicity attack at site {i} fell short of 2")

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from splitlab import cli
-from splitlab.models import QuditSystem, model_to_json, two_local_model
+from splitlab.models import (
+    QuditSystem,
+    matrix_to_json,
+    model_to_json,
+    pauli_string_matrix,
+    two_local_model,
+)
 from splitlab.operators import random_projector
 
 
@@ -61,6 +67,26 @@ def test_ids_sweep_all_paulis_detected(tmp_path):
     assert len(rep["checks"]) == 12
     assert all(c["passed"] for c in rep["checks"])
     assert all(e["kl_detected"] for e in rep["results"]["perturbations"])
+
+
+def test_kl_check_and_field_use_one_relative_bound(tmp_path):
+    # a large scalar part makes the deviation tiny relative to ||v||, but not
+    # below kl_tol in absolute terms: both the check and the field must say
+    # "detected", since the criterion is relative
+    v = 1e6 * pauli_string_matrix("ZZI") + 1e-3 * pauli_string_matrix("ZII")
+    scn = _write(tmp_path, "s.json", {
+        "schema_version": 1, "task": "ids",
+        "model": {"fixture": "repetition", "n": 3},
+        "params": {"perturbations": [{"matrix": matrix_to_json(v)}],
+                   "require_kl": True}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 0
+    rep = _report(out)
+    (entry,), (check,) = rep["results"]["perturbations"], rep["checks"]
+    assert entry["kl_deviation"] == pytest.approx(1e-3, rel=1e-6)
+    assert entry["kl_detected"] is True
+    assert check["passed"] is True
+    assert check["bound"] == pytest.approx(1e-8 * (1e6 + 1e-3), rel=1e-12)
 
 
 def test_malformed_json_exits_2_without_files(tmp_path):
@@ -388,8 +414,9 @@ def test_attack_rejects_noncommuting_model_before_ground_extraction(tmp_path, mo
                   dtype=complex)
     zz = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
     model = two_local_model(QuditSystem((2, 2, 2)), [((0, 1), xx), ((1, 2), zz)])
-    scn = _write(tmp_path, "s.json", {"schema_version": 1, "task": "attack",
-                                      "model": model_to_json(model)})
-    out = tmp_path / "o"
-    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 4
-    assert not out.exists()
+    for task in ("attack", "decompose"):
+        scn = _write(tmp_path, f"{task}.json", {"schema_version": 1, "task": task,
+                                                "model": model_to_json(model)})
+        out = tmp_path / f"out_{task}"
+        assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 4
+        assert not out.exists()

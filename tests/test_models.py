@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from splitlab.models import (
-    PerturbationSpec,
     QuditSystem,
+    _diag_energy,
     block_sites,
     four_two_two_model,
     matrix_from_json,
@@ -17,7 +17,7 @@ from splitlab.models import (
     stabilizer_hamiltonian,
     two_local_model,
 )
-from splitlab.operators import operator_norm, random_herm
+from splitlab.operators import embed, operator_norm, random_herm
 
 ZZ = np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0])).astype(complex)
 XX = pauli_string_matrix("XX")
@@ -159,12 +159,19 @@ def test_random_commuting_forced_degeneracy():
             assert top.min() >= 0.25 - 1e-9  # quarter-integer grid keeps a real gap
 
 
-def test_perturbation_spec_validation(rng):
-    PerturbationSpec((0,), np.diag([1.0, -1.0]))
-    with pytest.raises(ValueError, match="hermitian"):
-        PerturbationSpec((0,), np.array([[0, 1], [0, 0]]))
-    with pytest.raises(ValueError, match="square"):
-        PerturbationSpec((0,), np.ones((2, 3)))
+@pytest.mark.parametrize("seed", range(4))
+def test_diag_energy_equals_embedded_diagonals_exactly(seed):
+    rng = np.random.default_rng(seed)
+    dims = (2, 3, 2, 3)
+    pairs = [(0, 1), (3, 2), (2, 0), (1, 3)]
+    couplings = [rng.integers(0, 13, size=dims[i] * dims[j]) / 4.0 - rng.random()
+                 for i, j in pairs]
+    want = np.zeros(int(np.prod(dims)))
+    for (i, j), c in zip(pairs, couplings):
+        want += embed(np.diag(c), (i, j), dims).diagonal().real
+    got = _diag_energy(dims, pairs, couplings)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_matrix_json_roundtrip(rng):

@@ -11,6 +11,7 @@ from splitlab.operators import (
     Ket,
     Projector,
     _fix_phases,
+    apply_local,
     embed,
     fidelity,
     helstrom,
@@ -19,6 +20,7 @@ from splitlab.operators import (
     operator_norm,
     partial_trace,
     random_herm,
+    reduced_states,
     tensor,
     total_dim,
     trace_norm,
@@ -111,6 +113,62 @@ def test_embed_rejects_bad_support():
         embed(Z, [3], (2, 2))
     with pytest.raises(ValueError, match="shape"):
         embed(Z, [0], (3, 2))
+
+
+@pytest.mark.parametrize("dims, sites", [
+    ((2, 3, 2), [1]),
+    ((2, 3, 2), [2, 0]),
+    ((2, 3, 2), [0, 2]),
+    ((3, 2, 2, 2), [3, 1]),
+    ((2, 3, 2), [1, 2, 0]),
+    ((2, 3), []),
+])
+@pytest.mark.parametrize("cols", [None, 1, 5])
+def test_apply_local_matches_embed(rng, dims, sites, cols):
+    d_sup = total_dim([dims[s] for s in sites])
+    op = rng.standard_normal((d_sup, d_sup)) + 1j * rng.standard_normal((d_sup, d_sup))
+    shape = (total_dim(dims),) if cols is None else (total_dim(dims), cols)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = apply_local(op, sites, dims, x)
+    assert got.shape == x.shape
+    assert_allclose(got, embed(op, sites, dims) @ x, rtol=0, atol=1e-14 * d_sup)
+
+
+def test_apply_local_rejects_bad_support_and_shape():
+    x = np.ones(4, dtype=complex)
+    with pytest.raises(ValueError, match="repeated"):
+        apply_local(Z, [0, 0], (2, 2), x)
+    with pytest.raises(ValueError, match="range"):
+        apply_local(Z, [3], (2, 2), x)
+    with pytest.raises(ValueError, match="range"):
+        apply_local(Z, [-1], (2, 2), x)
+    with pytest.raises(ValueError, match="support dims"):
+        apply_local(Z, [0], (3, 2), np.ones(6))
+    with pytest.raises(ValueError, match="shape"):
+        apply_local(Z, [0], (2, 2), np.ones(3))
+    with pytest.raises(ValueError, match="shape"):
+        apply_local(Z, [0], (2, 2), np.ones((4, 2, 2)))
+
+
+@pytest.mark.parametrize("dims, keep", [
+    ((2, 3), [0]), ((2, 3), [1]), ((2, 3, 2), [2, 0]), ((2, 2, 2, 2), [1, 3]),
+    ((3, 2), []), ((2, 3), [0, 1]),
+])
+def test_reduced_states_match_partial_trace(rng, dims, keep):
+    d = total_dim(dims)
+    vecs = np.stack([random_ket(d, rng) for _ in range(3)])
+    got = reduced_states(vecs, dims, keep)
+    for v, r in zip(vecs, got):
+        assert_allclose(r, partial_trace(np.outer(v, v.conj()), dims, keep), atol=1e-14)
+    assert_allclose(reduced_states(vecs[0], dims, keep), got[0], atol=0)
+
+
+def test_reduced_states_rejects_bad_keep():
+    v = np.ones(4) / 2
+    with pytest.raises(ValueError):
+        reduced_states(v, (2, 2), [2])
+    with pytest.raises(ValueError):
+        reduced_states(v, (2, 2), [0, 0])
 
 
 # ---------------------------------------------------------------- partial trace

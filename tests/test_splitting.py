@@ -162,3 +162,28 @@ def test_ascent_rejects_zero_iters_before_any_work(monkeypatch):
     monkeypatch.setattr("splitlab.splitting.ids", no_ids)
     with pytest.raises(ValueError, match="iters must be >= 1"):
         worst_single_site_ascent(_repetition_code(), 0, iters=0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ids_on_sites_matches_embedded_operator(seed):
+    rng = np.random.default_rng(seed)
+    dims = (2, 3, 2)
+    g = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+    basis, _ = np.linalg.qr(g)
+    code = CodeSubspace(basis=basis, gap=1.0, ground_energy=0.0, dims=dims)
+    for sites in ([0], [1], [2], [2, 0]):
+        x = random_herm(int(np.prod([dims[s] for s in sites])), rng)
+        local = ids(code, x, sites)
+        dense = ids(code, embed(x, sites, dims))
+        for f in ("delta_e", "lambda_min", "lambda_max", "alpha_opt", "kl_deviation"):
+            assert getattr(local, f) == pytest.approx(getattr(dense, f), rel=0, abs=1e-14)
+        assert_allclose(local.witness_psi.amplitudes, dense.witness_psi.amplitudes, atol=1e-12)
+        assert_allclose(local.witness_phi.amplitudes, dense.witness_phi.amplitudes, atol=1e-12)
+
+
+def test_ids_on_sites_rejects_mismatched_operator():
+    code = _repetition_code(3)
+    with pytest.raises(ValueError, match="support dims"):
+        ids(code, np.eye(4), [0])
+    with pytest.raises(ValueError, match="range"):
+        ids(code, Z, [3])

@@ -340,6 +340,36 @@ def test_attack_repetition_sector_branch():
     assert report.certified_delta_e == pytest.approx(2.0, abs=1e-9)
 
 
+def _count_calls(monkeypatch, name):
+    """Count calls of operators.<name> through every binding in splitlab."""
+    import sys
+
+    from splitlab import operators
+
+    original = getattr(operators, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "splitlab" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_attack_acts_on_site_factors_only(monkeypatch):
+    model = repetition_model(6)
+    code = ground_subspace(model)
+    embeds = _count_calls(monkeypatch, "embed")
+    traces = _count_calls(monkeypatch, "partial_trace")
+    report = commuting_model_attack(model, code)
+    assert report.branch == "sector"
+    assert report.certified_delta_e == pytest.approx(2.0, abs=1e-9)
+    assert embeds == [] and traces == []
+
+
 def test_attack_virtual_bell_chain_multiplicity_branch():
     model = _virtual_chain(_bell(), n=3, seed=3)
     report = commuting_model_attack(model, ground_subspace(model))
