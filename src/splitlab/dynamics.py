@@ -308,29 +308,28 @@ def gap_bound_check(h0, code: CodeSubspace, v, gap_factor: float, t_grid) -> lis
     exp(-i t P v P) P with P the projector of ``code``, the ground code of h0
     that the caller extracted; rhs is (4 |v| / (g gap)) (|v| |t| + 1). The
     ground energy of h0 must already sit at 0, otherwise the comparison is
-    phase-skewed and refused. Both generators are diagonalized once for the
-    whole grid. With P = B B^dag for the orthonormal code basis B, the norm
-    is taken of the D x k difference applied to B, which has the same
-    singular values.
+    phase-skewed and refused. The norm is taken of the D x k difference
+    applied to the code basis B (P = B B^dag, the same singular values),
+    with exp(-i t P v P) B = B Q exp(-i t e) Q^dag for the k x k compression
+    B^dag v B = Q diag(e) Q^dag, each generator diagonalized once per grid.
     """
     h = mat_of(h0)
     if code.dim != h.shape[0] or tuple(code.dims) != tuple(getattr(h0, "dims", code.dims)):
         raise ValueError(f"code dims {code.dims} do not fit the hamiltonian")
     if abs(code.ground_energy) > 1e-10 * max(1.0, operator_norm(h)):
         raise ValueError("shift the ground energy to 0 before checking the bound")
-    p = code.projector.matrix
     vm = mat_of(v)
     vnorm = operator_norm(vm)
     g = float(gap_factor)
     e_full, q_full = herm_eig(g * h + vm)
-    e_code, q_code = herm_eig(p @ vm @ p)
+    e_code, q_code = herm_eig(project_onto_code(code, vm))
     c_full = q_full.conj().T @ code.basis
-    c_code = q_code.conj().T @ code.basis
+    bq = code.basis @ q_code
     rows = []
     for t in t_grid:
         t = float(t)
         lhs = operator_norm(q_full @ (np.exp(-1j * t * e_full)[:, None] * c_full)
-                            - q_code @ (np.exp(-1j * t * e_code)[:, None] * c_code))
+                            - bq @ (np.exp(-1j * t * e_code)[:, None] * q_code.conj().T))
         rhs = (4.0 * vnorm / (g * code.gap)) * (vnorm * abs(t) + 1.0)
         rows.append(BoundRow(t=t, lhs=float(lhs), rhs=float(rhs), passed=bool(lhs <= rhs)))
     return rows

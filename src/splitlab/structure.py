@@ -21,7 +21,7 @@ import numpy as np
 from .code_space import CodeSubspace, project_onto_code
 from .models import LocalModel
 from .no_hiding import AttackReport, two_site_attack
-from .operators import HermOp, Projector, apply_local, operator_norm, partial_trace
+from .operators import HermOp, Projector, apply_local, operator_norm, reduced_states
 from .splitting import ids, worst_single_site_ascent
 
 SCHMIDT_REL_CUT = 1e-12      # singular values below this (relative) are noise
@@ -93,9 +93,11 @@ class GroundFactorization:
     """Code projector expressed over virtual pair subsystems.
 
     ``pair_factors`` lists (pair, projector on that pair's two virtual
-    slots); the code projector equals the tensor product of these factors
-    and identities on all multiplicity slots, conjugated back through the
-    per-site isometries, up to ``reconstruction_error`` in operator norm.
+    slots). Their tensor product R, with identities on all multiplicity
+    slots and carried back through the product U of the site isometries,
+    rebuilds the code: ``reconstruction_error`` is ||B - U R U^dag B|| for
+    the code basis B, which for matching ranks is the operator-norm
+    distance of the two projectors.
     """
 
     sector_assignment: tuple
@@ -265,7 +267,7 @@ def _center_hermitian_span(basis):
         rows = [(basis[a] @ b - b @ basis[a]).reshape(-1) for b in basis]
         cols.append(np.concatenate(rows))
     kmat = np.stack(cols, axis=1)
-    _, s, vh = np.linalg.svd(kmat)
+    _, s, vh = np.linalg.svd(kmat, full_matrices=False)
     # basis elements carry unit Hilbert-Schmidt norm, so commutators of
     # non-central directions have singular values of order one while central
     # ones sit at closure round-off; the cut must not scale down with s[0]
@@ -492,16 +494,33 @@ def _site_virtual_map(model, site, sector_index, decomp, groups, rng) -> SiteVir
     )
 
 
+def _per_site(mats, x: np.ndarray) -> np.ndarray:
+    """Apply mats[0] (x) mats[1] (x) ... to the k columns of x.
+
+    One tensordot per site; the factors may be rectangular, and their
+    product is never formed.
+    """
+    k = x.shape[1]
+    t = x.reshape(tuple(m.shape[1] for m in mats) + (k,))
+    for i, m in enumerate(mats):
+        t = np.moveaxis(np.tensordot(m, t, axes=(1, i)), 0, i)
+    return t.reshape(-1, k)
+
+
 def factor_ground_projector(model: LocalModel, code: CodeSubspace) -> GroundFactorization:
     """Express the code projector as a tensor product over virtual pairs.
 
     Requires the code to populate exactly one sector per site; a straddled
     sector means the sector attack applies and factorization is refused.
-    The product form is verified by reconstructing the projector and
-    measuring the operator-norm residual, which is stored on the result and
-    must stay below FACTOR_RESIDUAL_TOL.
+    Only the code basis B is read: each pair factor is cut from the reduced
+    state of the virtual basis U^dag B (U the product of the site
+    isometries), and the product form is verified by the residual
+    ||B - U R U^dag B||, 1 when the ranks miss the degeneracy, which is
+    stored on the result and must stay below FACTOR_RESIDUAL_TOL.
     """
     require_commuting_pairs(model)
+    if tuple(code.dims) != model.system.dims:
+        raise ValueError(f"code dims {code.dims} do not match the model")
     decomps = [sector_projectors(model, i) for i in range(model.n_sites)]
     assignment = []
     for i, dec in enumerate(decomps):
@@ -514,60 +533,42 @@ def factor_ground_projector(model: LocalModel, code: CodeSubspace) -> GroundFact
 
     groups, _ = _site_generators(model)
     rng = np.random.default_rng(11)
-    maps = {}
-    for i in range(model.n_sites):
-        maps[i] = _site_virtual_map(model, i, assignment[i], decomps[i], groups, rng)
+    maps = {i: _site_virtual_map(model, i, assignment[i], decomps[i], groups, rng)
+            for i in range(model.n_sites)}
 
     # global virtual layout: per site its pair slots, then its multiplicity
-    vdims = []
-    pos = {}
+    vdims, slots = (), {}
     for i in range(model.n_sites):
-        mp = maps[i]
-        for key, k in zip(mp.slot_pairs, mp.slot_dims):
-            pos[(i, key)] = len(vdims)
-            vdims.append(int(k))
-        pos[(i, None)] = len(vdims)
-        vdims.append(int(mp.mult_dim))
-    vdims = tuple(vdims)
+        for s, key in enumerate(maps[i].slot_pairs):
+            slots.setdefault(key, []).append(len(vdims) + s)
+        vdims += maps[i].slot_dims + (maps[i].mult_dim,)
 
-    u_global = maps[0].isometry
-    for i in range(1, model.n_sites):
-        u_global = np.kron(u_global, maps[i].isometry)
-    p_code = code.projector.matrix
-    t = u_global.conj().T @ p_code @ u_global
-
-    pair_keys = sorted({key for i in maps for key in maps[i].slot_pairs})
+    isos = [maps[i].isometry for i in range(model.n_sites)]
+    virtual = _per_site([u.conj().T for u in isos], code.basis)
     factors = []
-    for key in pair_keys:
-        i, j = key
-        keep = [pos[(i, key)], pos[(j, key)]]
-        red = partial_trace(t, vdims, keep)
-        red = (red + red.conj().T) / 2
+    for key in sorted(slots):
+        # the columns' reduced states summed: the column index read as one more site
+        red = reduced_states(virtual.reshape(-1), vdims + (code.degeneracy,), slots[key])
         w, u = np.linalg.eigh(red)
         top = float(w[-1])
         if top <= 1e-12:
             raise StructureError(f"code projector vanishes on virtual pair {key}")
         cols = u[:, w > 0.5 * top]
         pf = cols @ cols.conj().T
-        factors.append((key, Projector(pf, (vdims[keep[0]], vdims[keep[1]]))))
+        factors.append((key, Projector(pf, tuple(vdims[s] for s in slots[key]))))
 
-    rec_virtual = np.eye(int(np.prod(vdims)), dtype=complex)
-    for key, pf in factors:
-        i, j = key
-        rec_virtual = apply_local(pf, [pos[(i, key)], pos[(j, key)]], vdims, rec_virtual)
-    rec = u_global @ rec_virtual @ u_global.conj().T
-    err = float(operator_norm(rec - p_code))
+    counted = int(round(
+        np.prod([p.rank for _, p in factors]) * np.prod([maps[i].mult_dim for i in maps])))
+    err = 1.0      # spaces of different dimension sit at a right angle
+    if counted == code.degeneracy:
+        rec = virtual
+        for key, pf in factors:
+            rec = apply_local(pf, slots[key], vdims, rec)
+        err = float(operator_norm(code.basis - _per_site(isos, rec)))
     if err > FACTOR_RESIDUAL_TOL:
         raise StructureError(
             f"factorization failed: reconstruction residual {err:.3e} "
             "(sectors may be unresolved or the input barely commutes)")
-
-    counted = int(round(
-        np.prod([p.rank for _, p in factors]) * np.prod([maps[i].mult_dim for i in maps])))
-    if counted != code.degeneracy:
-        raise StructureError(
-            f"factor ranks account for degeneracy {counted}, "
-            f"but the code has {code.degeneracy}")
     return GroundFactorization(
         sector_assignment=tuple(assignment),
         pair_factors=factors,

@@ -3,13 +3,15 @@
 These deliberately avoid the code paths they certify: the scalar-distance
 oracle minimizes the full-space operator norm over a dense grid with
 golden-section refinement instead of using the eigenvalue-spread identity,
-and the pair-norm oracles take one pair at a time through D x D matrices
-instead of the batched reshape kernel of ``no_hiding``.
+the pair-norm oracles take one pair at a time through D x D matrices
+instead of the batched reshape kernel of ``no_hiding``, and the dense ground
+factorization works on the D x D code projector where
+``structure.factor_ground_projector`` reads only the code basis.
 """
 
 import numpy as np
 
-from splitlab.operators import partial_trace, trace_norm
+from splitlab.operators import embed, operator_norm, partial_trace, trace_norm
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -90,3 +92,36 @@ def pair_score_scan_loop(u0, u1, dims, a_sites, grid_n):
                                          dims, a_sites)
             best = max(best, na + nb)
     return best
+
+
+def dense_ground_factors(code, site_maps):
+    """Pair factors and residual of the ground factorization, through D x D.
+
+    Given the per-site virtual maps, conjugates the code projector P = B B^dag
+    by the tensor product U of the site isometries, cuts each pair factor
+    from a partial trace of U^dag P U (eigenvalues above half the top one),
+    and returns ({pair: factor matrix}, ||U R U^dag - P||) with R the product
+    of the embedded pair factors.
+    """
+    sites = sorted(site_maps)
+    vdims, pos = [], {}
+    for i in sites:
+        mp = site_maps[i]
+        for key, k in zip(mp.slot_pairs, mp.slot_dims):
+            pos[(i, key)] = len(vdims)
+            vdims.append(int(k))
+        vdims.append(int(mp.mult_dim))
+    u = site_maps[sites[0]].isometry
+    for i in sites[1:]:
+        u = np.kron(u, site_maps[i].isometry)
+    p = code.basis @ code.basis.conj().T
+    t = u.conj().T @ p @ u
+    factors = {}
+    rec = np.eye(u.shape[1], dtype=complex)
+    for key in sorted({key for i in sites for key in site_maps[i].slot_pairs}):
+        keep = [pos[(key[0], key)], pos[(key[1], key)]]
+        w, vecs = np.linalg.eigh(partial_trace(t, vdims, keep))
+        cols = vecs[:, w > 0.5 * w[-1]]
+        factors[key] = cols @ cols.conj().T
+        rec = embed(factors[key], keep, vdims) @ rec
+    return factors, operator_norm(u @ rec @ u.conj().T - p)

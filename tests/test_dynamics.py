@@ -26,9 +26,7 @@ from splitlab.dynamics import (
 from splitlab.models import pauli_string_matrix, repetition_model
 from splitlab.operators import (
     Ket,
-    embed,
     fidelity,
-    herm_eig,
     herm_propagator,
     mat_of,
     operator_norm,

@@ -1,0 +1,44 @@
+"""Lint step: every imported name in the sources, tests and demos is read.
+
+An AST scan binds each name an import statement introduces (``import a.b``
+binds ``a``) and looks for a load of that name anywhere in the same file.
+Names listed in the file's ``__all__`` count as read (re-exports), and
+``from __future__`` imports are compiler directives, not names.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FILES = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
+
+
+def unread_imports(source: str) -> list:
+    """(line, name) of every imported name the module never reads."""
+    tree = ast.parse(source)
+    bound = []
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names]
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported |= {ast.literal_eval(e) for e in node.value.elts}
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    return [(line, name) for line, name in bound
+            if name not in read and name not in exported]
+
+
+def test_scanner_flags_an_unread_import():
+    src = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+           "from x import a, b\n__all__ = ['b']\nprint(os.sep, a)\n")
+    assert unread_imports(src) == [(3, "np")]
+
+
+def test_no_unread_imports():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in FILES for line, name in unread_imports(path.read_text())]
+    assert found == []

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_ket
 from oracles import min_scalar_distance
 from splitlab.code_space import full_space_code, ground_subspace
-from splitlab.models import QuditSystem, four_two_two_model, repetition_model
+from splitlab.models import four_two_two_model, repetition_model
 from splitlab.operators import HermOp, embed, operator_norm, random_herm, random_projector
 from splitlab.splitting import ids, kl_check, worst_single_site_ascent
 from splitlab.code_space import CodeSubspace

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from splitlab.code_space import full_space_code, ground_subspace
+from oracles import dense_ground_factors
+from splitlab.code_space import CodeSubspace, full_space_code, ground_subspace
+from splitlab.dynamics import gap_bound_check
 from splitlab.models import (
     QuditSystem,
     block_sites,
@@ -11,12 +15,11 @@ from splitlab.models import (
     repetition_model,
     two_local_model,
 )
-from splitlab.operators import embed, haar_unitary, operator_norm
+from splitlab.operators import embed, haar_unitary, operator_norm, random_herm, random_projector
 from splitlab.splitting import ids
 from splitlab.structure import (
     GroundFactorization,
     SiteSectorDecomposition,
-    StructureError,
     commuting_model_attack,
     detect_multi_sector,
     factor_ground_projector,
@@ -325,6 +328,76 @@ def test_factor_degeneracy_accounting(rng):
     ranks = int(np.prod([p.rank for _, p in fz.pair_factors]))
     mults = int(np.prod([fz.site_maps[i].mult_dim for i in fz.site_maps]))
     assert ranks * mults == code.degeneracy
+
+
+def _disconnected_pairs():
+    rng = np.random.default_rng(12)
+    pa = random_projector(4, 2, rng).matrix
+    pb = random_projector(4, 2, rng).matrix
+    return two_local_model(
+        QuditSystem((2, 2, 2, 2)), [((0, 1), np.eye(4) - pa), ((2, 3), np.eye(4) - pb)])
+
+
+FACTORIZATION_FIXTURES = {
+    "disconnected_pairs": _disconnected_pairs,
+    "virtual_bell_chain": lambda: _virtual_chain(_bell(), n=3, seed=3),
+    "virtual_rank2_chain": lambda: _virtual_chain(
+        random_projector(4, 2, np.random.default_rng(9)).matrix, n=3, seed=6),
+    "virtual_pinned_chain": lambda: _virtual_chain(_bell(), n=3, seed=3, pin_first_mult=True),
+    "random_chain_seed31": lambda: random_commuting_model(
+        QuditSystem((3, 3, 2)), [(0, 1), (1, 2)], seed=31),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIZATION_FIXTURES))
+def test_factorization_matches_dense_oracle(name):
+    model = FACTORIZATION_FIXTURES[name]()
+    code = ground_subspace(model)
+    fz = factor_ground_projector(model, code)
+    factors, residual = dense_ground_factors(code, fz.site_maps)
+    assert [key for key, _ in fz.pair_factors] == sorted(factors)
+    for key, pf in fz.pair_factors:
+        assert pf.rank == int(round(np.trace(factors[key]).real))
+        assert np.max(np.abs(pf.matrix - factors[key])) <= 1e-12
+    assert abs(fz.reconstruction_error - residual) <= 1e-12
+
+
+def test_factor_rejects_code_of_another_model_before_any_work(monkeypatch):
+    def no_sectors(*args, **kwargs):
+        raise AssertionError("sector analysis ran for a rejected call")
+
+    monkeypatch.setattr("splitlab.structure.sector_projectors", no_sectors)
+    model = _virtual_chain(_bell(), n=3, seed=3)
+    with pytest.raises(ValueError, match="code dims .* do not match the model"):
+        factor_ground_projector(model, ground_subspace(_virtual_chain(_bell(), n=4, seed=3)))
+
+
+def test_code_is_read_through_its_basis_only(monkeypatch, rng):
+    def no_projector(self):
+        raise AssertionError("the D x D code projector was built")
+
+    monkeypatch.setattr(CodeSubspace, "projector", property(no_projector))
+    traces = _count_calls(monkeypatch, "partial_trace")
+    model = _virtual_chain(_bell(), n=3, seed=3)
+    code = ground_subspace(model)
+    factor_ground_projector(model, code)
+    assert commuting_model_attack(model, code).branch == "multiplicity"
+    v = embed(random_herm(4, rng), [0], code.dims)
+    assert all(r.passed for r in gap_bound_check(model.hamiltonian(), code, v, 100.0, [0.0, 1.0]))
+    assert traces == []
+
+
+def test_factorization_peak_memory_below_one_projector():
+    model = _virtual_chain(_bell(), n=4, seed=3)
+    code = ground_subspace(model)
+    assert code.dim == 256
+    tracemalloc.start()
+    try:
+        factor_ground_projector(model, code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < code.dim ** 2 * np.dtype(complex).itemsize    # 1 MiB
 
 
 # ------------------------------------------------------ attack pipeline

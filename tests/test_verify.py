@@ -1,7 +1,5 @@
 """Pieces of the self-check battery tested on their own."""
 
-import numpy as np
-
 from splitlab.operators import operator_norm, random_herm, random_projector
 from splitlab.verify import _herm_norm
 
