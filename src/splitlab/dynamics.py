@@ -551,7 +551,10 @@ def dephasing_time_series(h0, code: CodeSubspace, v, dist: NoiseDistribution,
     The simulation passes the pure start vector to ``evolve_mixture_grid``
     as a one-column factor, so the whole grid costs one D^3
     eigendecomposition per magnitude node plus O(D^2) per node and time;
-    the bound checks add two more full-size ones, whatever len(t_grid).
+    the bound checks add one more full-size eigendecomposition (g h0 + v)
+    and the two full-size operator_norm SVDs of h0 and v, whatever
+    len(t_grid). On a real model and perturbation every one of these
+    eigendecompositions runs in real arithmetic (see herm_eig).
     """
     profile = dephasing_profile(code, v, dist)
     psi = _pure_code_vector(code, state)

@@ -12,7 +12,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import HermOp, embed, haar_unitary, herm_defect, operator_norm, total_dim
+from .operators import (
+    HermOp,
+    _herm_eigvalsh,
+    embed,
+    haar_unitary,
+    herm_defect,
+    operator_norm,
+    total_dim,
+)
 
 # Two terms count as commuting when ||[A, B]|| stays below this times
 # ||A|| ||B||, measured on the union of their supports.
@@ -152,7 +160,7 @@ def _finish_model(system, terms, meta=None, integer_spectrum=False) -> LocalMode
     raw = np.zeros((system.total_dim,) * 2, dtype=complex)
     for sites, m in terms:
         raw += embed(m, sites, system.dims)
-    e0 = float(np.linalg.eigvalsh(raw)[0])
+    e0 = float(_herm_eigvalsh(raw)[0])
     if integer_spectrum:
         snapped = round(e0)
         if abs(e0 - snapped) > 1e-9:
@@ -387,8 +395,8 @@ def block_sites(model: LocalModel, groups) -> LocalModel:
         new_terms.append((tuple(touched), new_m))
 
     blocked = _finish_model(new_system, new_terms, meta=dict(model.meta))
-    old = np.linalg.eigvalsh(model.hamiltonian().matrix)
-    new = np.linalg.eigvalsh(blocked.hamiltonian().matrix)
+    old = _herm_eigvalsh(model.hamiltonian())
+    new = _herm_eigvalsh(blocked.hamiltonian())
     if float(np.max(np.abs(old - new))) > 1e-10 * max(1.0, float(np.max(np.abs(old)))):
         raise AssertionError("blocking changed the spectrum")
     return blocked

@@ -4,8 +4,8 @@ Everything works on explicit numpy arrays. A multi-site object carries a
 tuple ``dims`` of local dimensions; the total dimension is meant to stay at
 desk scale (a few thousand), so routines are direct dense computations with
 no sparsity tricks. Spectral routines symmetrize their input after a
-hermiticity pre-check and fix eigenvector phases so results are reproducible
-across BLAS builds.
+hermiticity pre-check, factor real-valued input in real arithmetic, and fix
+eigenvector phases so results are reproducible across BLAS builds.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ class DensityOp:
         tr = np.trace(m).real
         if abs(tr - 1.0) > DENSITY_TRACE_ATOL:
             raise ValueError(f"trace {tr} is not 1 within {DENSITY_TRACE_ATOL}")
-        lo = float(np.linalg.eigvalsh(m)[0])
+        lo = float(_herm_eigvalsh(m)[0])
         if lo < DENSITY_EIG_FLOOR:
             raise ValueError(f"negative eigenvalue {lo} below floor {DENSITY_EIG_FLOOR}")
         self.matrix = m
@@ -310,33 +310,64 @@ def trace_norm(matrix) -> float:
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive.
+    """Rotate each column in place so its largest-magnitude entry is real positive.
 
-    Zero columns are left as they are. The first largest entry wins a tie.
+    Works on real or complex columns and returns ``vecs``; on real columns
+    the rotation is a sign flip. Zero columns are left as they are. The
+    first largest entry wins a tie.
     """
     if vecs.size == 0:
-        return vecs.copy()
+        return vecs
     z = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
     a = np.hypot(z.real, z.imag)  # rounds exactly like abs() of a complex
     zero = a == 0
-    return vecs * np.where(zero, 1.0, z.conj() / np.where(zero, 1.0, a))
+    vecs *= np.where(zero, 1.0, z.conj() / np.where(zero, 1.0, a))
+    return vecs
+
+
+def _lapack_operand(m: np.ndarray) -> np.ndarray:
+    """The real part of a complex ``m`` whose imaginary part is exactly zero, else ``m``.
+
+    The one dtype dispatch of the spectral wrappers: a real symmetric matrix
+    goes to LAPACK's real driver, which does real arithmetic in half the
+    memory. It fires only when the imaginary part is exactly zero, so the
+    matrix factored is the input itself.
+    """
+    return m.real if not m.imag.any() else m
 
 
 def herm_eig(matrix):
     """Eigendecomposition of a hermitian matrix.
 
-    Returns (eigenvalues ascending, eigenvectors as columns). The input is
-    symmetrized as (M + M^dag)/2 after checking the defect stays below
-    HERM_CHECK_REL times the Frobenius norm; column phases follow the
-    largest-entry-real-positive convention.
+    Returns (eigenvalues ascending, complex128 eigenvectors as columns).
+    The input is symmetrized as (M + M^dag)/2 after checking the defect
+    stays below HERM_CHECK_REL times the Frobenius norm; column phases
+    follow the largest-entry-real-positive convention. An input whose
+    imaginary part is exactly zero is symmetrized and factored as its real
+    part (real arithmetic, half the memory); that is exact, since it is the
+    same matrix. Any other input is factored as complex.
     """
     m = mat_of(matrix)
     scale = float(np.linalg.norm(m)) or 1.0
-    if herm_defect(m) > HERM_CHECK_REL * scale:
+    a = _lapack_operand(m)
+    if herm_defect(a) > HERM_CHECK_REL * scale:
         raise ValueError("input is too far from hermitian")
-    m = 0.5 * (m + m.conj().T)
-    w, v = np.linalg.eigh(m)
-    return w, _fix_phases(v)
+    a = a + a.conj().T
+    a *= 0.5
+    w, v = np.linalg.eigh(a)
+    return w, _fix_phases(v).astype(complex, copy=False)
+
+
+def _herm_eigvalsh(matrix) -> np.ndarray:
+    """Eigenvalues ascending of a hermitian matrix, with herm_eig's dispatch.
+
+    Like np.linalg.eigvalsh it reads the lower triangle and does not check
+    hermiticity. An input whose imaginary part is exactly zero is factored
+    as its real part; that is exact, since it is the same matrix. Private,
+    so that a traced run counts the factorization on the layer that asks
+    for it.
+    """
+    return np.linalg.eigvalsh(_lapack_operand(mat_of(matrix)))
 
 
 def herm_propagator(matrix, t: float) -> np.ndarray:

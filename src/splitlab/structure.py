@@ -521,10 +521,18 @@ def factor_ground_projector(model: LocalModel, code: CodeSubspace) -> GroundFact
     require_commuting_pairs(model)
     if tuple(code.dims) != model.system.dims:
         raise ValueError(f"code dims {code.dims} do not match the model")
-    decomps = [sector_projectors(model, i) for i in range(model.n_sites)]
+    sectors = []
+    for i in range(model.n_sites):
+        dec = sector_projectors(model, i)
+        sectors.append((dec, detect_multi_sector(code, dec)))
+    return _factor_sectors(model, code, sectors)
+
+
+def _factor_sectors(model: LocalModel, code: CodeSubspace, sectors) -> GroundFactorization:
+    """factor_ground_projector given (decomposition, populated sectors) for every site."""
+    decomps = [dec for dec, _ in sectors]
     assignment = []
-    for i, dec in enumerate(decomps):
-        populated = detect_multi_sector(code, dec)
+    for i, (_, populated) in enumerate(sectors):
         if len(populated) != 1:
             raise ValueError(
                 f"the code populates {len(populated)} sectors at site {i}; "
@@ -658,15 +666,16 @@ def commuting_model_attack(model: LocalModel, code: CodeSubspace, refine_iters: 
     if code.degeneracy < 2:
         raise ValueError("nothing to split: the ground space is not degenerate")
 
-    base = None
+    base, sectors = None, []
     for i in range(model.n_sites):
         dec = sector_projectors(model, i)
         populated = detect_multi_sector(code, dec)
         if len(populated) >= 2:
             base = multi_sector_attack(code, i, dec.projectors[populated[0]])
             break
+        sectors.append((dec, populated))
     if base is None:
-        fz = factor_ground_projector(model, code)
+        fz = _factor_sectors(model, code, sectors)
         base = _pair_or_multiplicity_attack(model, code, fz)
         base.details["factorization"] = fz.to_json()
 

@@ -1,4 +1,5 @@
-"""Lint step: every imported name in the sources, tests and demos is read.
+"""Lint step: every imported name in the sources, tests and demos is read,
+and the models, code_space and dynamics modules call no eigensolver directly.
 
 An AST scan binds each name an import statement introduces (``import a.b``
 binds ``a``) and looks for a load of that name anywhere in the same file.
@@ -41,4 +42,31 @@ def test_scanner_flags_an_unread_import():
 def test_no_unread_imports():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in FILES for line, name in unread_imports(path.read_text())]
+    assert found == []
+
+
+# Modules whose dense factorizations must go through the operators
+# wrappers (herm_eig, _herm_eigvalsh), which pick the real LAPACK driver for
+# real-valued input. verify.py keeps direct calls so its oracles stay
+# independent of that route; structure.py factors only small site blocks.
+WRAPPED_ONLY = ("models.py", "dynamics.py", "code_space.py")
+EIGEN_CALLS = {"eigh", "eigvalsh"}
+
+
+def direct_eigen_calls(source: str) -> list:
+    """(line, name) of every call of an attribute named eigh or eigvalsh."""
+    return [(n.lineno, n.func.attr) for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr in EIGEN_CALLS]
+
+
+def test_scanner_flags_a_direct_eigen_call():
+    src = "import numpy as np\nw = np.linalg.eigvalsh(h)\nv = herm_eig(h)\nla.eigh(h)\n"
+    assert direct_eigen_calls(src) == [(2, "eigvalsh"), (4, "eigh")]
+
+
+def test_full_size_factorizations_go_through_operators():
+    pkg = ROOT / "src" / "splitlab"
+    found = [f"{name}:{line}: {call}" for name in WRAPPED_ONLY
+             for line, call in direct_eigen_calls((pkg / name).read_text())]
     assert found == []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import random_density, random_ket, random_unitary
 from splitlab.operators import (
@@ -11,6 +11,7 @@ from splitlab.operators import (
     Ket,
     Projector,
     _fix_phases,
+    _herm_eigvalsh,
     apply_local,
     embed,
     fidelity,
@@ -299,17 +300,111 @@ def test_fix_phases_matches_column_loop(rng):
     for dim in (1, 5, 64):
         _, v = np.linalg.eigh(random_herm(dim, rng, norm=None))
         v[:, 0] = 0.0
+        want = _fix_phases_loop(v)
         got = _fix_phases(v)
-        assert_allclose(got, _fix_phases_loop(v), rtol=0, atol=1e-15)
+        assert got is v                                   # rotated in place
+        assert_allclose(got, want, rtol=0, atol=1e-15)
         assert np.all(got[:, 0] == 0)
+        # real columns: the rotation is a sign flip and stays real
+        _, r = np.linalg.eigh(random_herm(dim, rng, norm=None).real)
+        want = _fix_phases_loop(r.astype(complex))
+        mags = np.abs(r)
+        got = _fix_phases(r)
+        assert got.dtype == np.float64
+        assert_allclose(got, want, rtol=0, atol=1e-15)
+        assert_array_equal(np.abs(got), mags)
     tie = np.array([[1j, 0.5], [-1.0, 0.5j]]) / np.sqrt(np.array([2.0, 0.5]))
-    assert_allclose(_fix_phases(tie), _fix_phases_loop(tie), rtol=0, atol=1e-15)
+    want = _fix_phases_loop(tie)
+    assert_allclose(_fix_phases(tie), want, rtol=0, atol=1e-15)
     assert _fix_phases(np.zeros((0, 0), dtype=complex)).shape == (0, 0)
 
 
+def _record_eigen_dtypes(monkeypatch):
+    """Dtypes of the matrices reaching np.linalg.eigh/eigvalsh from operators."""
+    from splitlab import operators
+
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(operators.np.linalg, name)
+
+        def recorded(a, *args, _original=original, **kwargs):
+            seen.append(np.asarray(a).dtype)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(operators.np.linalg, name, recorded)
+    return seen
+
+
+def _real_symmetric(dim, rng):
+    g = rng.standard_normal((dim, dim))
+    return (g + g.T).astype(complex)       # complex dtype, imaginary part exactly 0
+
+
+def _degenerate_real(dim, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    levels = np.array([-1.0, 0.0, 2.0])[np.arange(dim) % 3]
+    return ((q * levels) @ q.T).astype(complex)
+
+
+def _clusters(w, tol):
+    """(start, stop) of each run of eigenvalues closer than 1e3 tol."""
+    cuts = [0] + [i + 1 for i in np.nonzero(np.diff(w) > 1e3 * tol)[0]] + [len(w)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def test_real_valued_input_takes_the_real_driver(monkeypatch):
+    seen = _record_eigen_dtypes(monkeypatch)
+    h = np.kron(Z, Z) + 0.3 * np.kron(X, I2)
+    w, v = herm_eig(h)
+    _herm_eigvalsh(h)
+    DensityOp(np.eye(4, dtype=complex) / 4, (4,))
+    assert seen == [np.float64] * 3
+    assert v.dtype == np.complex128 and w.dtype == np.float64
+    assert_allclose((v * w) @ v.conj().T, h, atol=1e-12)
+
+
+def test_complex_input_keeps_the_complex_driver(monkeypatch, rng):
+    seen = _record_eigen_dtypes(monkeypatch)
+    u = random_unitary(4, rng)
+    y_term = np.kron(Z, Z) + 1e-300 * np.kron(Y, I2)   # a tiny imaginary part is enough
+    for h in (y_term, u @ np.kron(Z, Z) @ u.conj().T):
+        herm_eig(h)
+        _herm_eigvalsh(h)
+    assert seen == [np.complex128] * 4
+
+
+def test_real_and_complex_routes_agree(monkeypatch, rng):
+    from splitlab import operators
+
+    def complex_route(m):
+        # the same wrapper with the dispatch switched off
+        with monkeypatch.context() as mp:
+            mp.setattr(operators, "_lapack_operand", lambda a: a)
+            return herm_eig(m), _herm_eigvalsh(m)
+
+    for dim in (1, 2, 7, 32):
+        for m in (_real_symmetric(dim, rng),
+                  # degenerate clusters: eigenvalues -1, 0 and 2 with multiplicities
+                  _degenerate_real(dim, rng)):
+            (w, v), wv = herm_eig(m), _herm_eigvalsh(m)
+            (wc, vc), wvc = complex_route(m)
+            tol = 1e-12 * max(operator_norm(m), 1.0)
+            assert v.dtype == vc.dtype == np.complex128
+            assert_allclose(w, wc, rtol=0, atol=tol)
+            assert_allclose(wv, wvc, rtol=0, atol=tol)
+            for lo, hi in _clusters(wc, tol):
+                p = v[:, lo:hi] @ v[:, lo:hi].conj().T
+                pc = vc[:, lo:hi] @ vc[:, lo:hi].conj().T
+                assert_allclose(p, pc, rtol=0, atol=tol)
+            for vecs in (v, vc):
+                top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(dim)]
+                assert np.all(np.abs(top.imag) <= 1e-15) and np.all(top.real > 0)
+
+
 def test_herm_eig_rejects_nonhermitian():
-    with pytest.raises(ValueError, match="hermitian"):
-        herm_eig(np.array([[0, 1], [0.5, 0]], dtype=complex))
+    for m in ([[0, 1], [0.5, 0]], [[0, 1j], [1j, 0]]):       # real route, complex route
+        with pytest.raises(ValueError, match="hermitian"):
+            herm_eig(np.array(m, dtype=complex))
 
 
 # ---------------------------------------------------------------- propagator

@@ -451,6 +451,26 @@ def test_attack_virtual_bell_chain_multiplicity_branch():
     assert report.certified_delta_e >= 2.0 - 1e-9
 
 
+def test_attack_analyses_each_site_once(monkeypatch):
+    # the factorization reuses the sector analysis the attack made per site
+    from splitlab import structure
+
+    model = _virtual_chain(_bell(), n=3, seed=3)
+    code = ground_subspace(model)
+    original = structure.sector_projectors
+    sites = []
+
+    def counted(model, site, *args, **kwargs):
+        sites.append(site)
+        return original(model, site, *args, **kwargs)
+
+    monkeypatch.setattr(structure, "sector_projectors", counted)
+    report = commuting_model_attack(model, code)
+    assert report.branch == "multiplicity"
+    assert "factorization" in report.details
+    assert sites == list(range(model.n_sites))
+
+
 def test_attack_virtual_rank_two_chain_pair_branch(rng):
     model = _virtual_chain(_rank_projector(4, 2, rng), n=3, seed=4)
     code = ground_subspace(model)
