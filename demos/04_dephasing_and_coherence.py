@@ -30,9 +30,10 @@ dist = NoiseDistribution.gaussian(0.0, 0.1)
 # 1. the state that decoheres fastest: equal superposition of the extremal
 #    eigenvectors of the compressed perturbation
 
-psi = worst_code_state(code, z1)
+split = ids(code, z1)   # the compressed perturbation's eigensystem, computed once
+psi = worst_code_state(split)
 rho0 = psi.density()
-spread = ids(code, z1).delta_e
+spread = split.delta_e
 print(f"splitting {spread}, magnitude std 0.1")
 
 # 2. prediction vs a finite-gap simulation of the mixture
@@ -40,7 +41,7 @@ print(f"splitting {spread}, magnitude std 0.1")
 print("\n   t   predicted |rho_01|   simulated |rho_01| (gap factor 1e3)")
 basis = code.basis
 for t in (0.0, 1.0, 2.0, 4.0):
-    pred = predict_dephasing(code, z1, dist, rho0, t).matrix
+    pred = predict_dephasing(split, dist, rho0, t).matrix
     sim = evolve_mixture(h, z1, dist, rho0, t, gap_factor=1e3).matrix
     pc = abs((basis.conj().T @ pred @ basis)[0, 1])
     sc = abs((basis.conj().T @ sim @ basis)[0, 1])
@@ -59,13 +60,13 @@ print(f"doubling the splitting halves it: {rep2.tau_eps:.4f}")
 # 4. the two closed-form bounds: distance to the projected evolution, and
 #    the quadratic fidelity floor
 
-rows = gap_bound_check(h, code, z1 + pauli_string_matrix("XII"), 100.0,
-                       np.linspace(0.0, 2.0, 5))
+v = z1 + pauli_string_matrix("XII")
+rows = gap_bound_check(h, ids(code, v), v, 100.0, np.linspace(0.0, 2.0, 5))
 print("\nprojected-evolution bound at gap factor 100:")
 for r in rows:
     print(f"  t={r.t:3.1f}  lhs {r.lhs:.5f} <= rhs {r.rhs:.5f}")
 
-frows = fidelity_bound_check(code, z1, dist, [0.5, 1.0, 2.0])
+frows = fidelity_bound_check(split, dist, [0.5, 1.0, 2.0])
 print("fidelity floor:")
 for r in frows:
     print(f"  t={r.t:3.1f}  F {r.lhs:.6f} >= 1 - t^2<l^2>D^2/8 = {r.rhs:.6f}")

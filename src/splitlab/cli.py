@@ -493,15 +493,15 @@ def _run_decompose(scenario: Scenario):
 def _run_dephase(scenario: Scenario):
     model = scenario.model
     params = scenario.params
-    code = ground_subspace(model)
     v = params["perturbation"]
+    split = ids(ground_subspace(model), v)
     dist = params["distribution"]
     t_grid = params["t_grid"]
     gap_factor = params["gap_factor"]
     state = params["state"]
     if state == "worst":
-        state = worst_code_state(code, v)
-    rows = dephasing_time_series(model.hamiltonian(), code, v, dist, state,
+        state = worst_code_state(split)
+    rows = dephasing_time_series(model.hamiltonian(), split, v, dist, state,
                                  t_grid, gap_factor, nodes=params["nodes"])
     gap_margin = min(r["gap_bound_rhs"] - r["gap_bound_lhs"] for r in rows)
     fid_margin = min(r["fidelity"] - r["fidelity_bound"] for r in rows)
@@ -518,7 +518,7 @@ def _run_dephase(scenario: Scenario):
                 "dynamics.predict_dephasing: characteristic-function prediction",
                 "per-pair coherence magnitudes"),
     ]
-    spread = ids(code, v).delta_e
+    spread = split.delta_e
     results = {"delta_e": spread, "gap_factor": gap_factor,
                "rows": len(rows)}
     if spread > 0:

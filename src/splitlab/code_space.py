@@ -97,7 +97,8 @@ def ground_subspace(h) -> CodeSubspace:
             f"ill-separated spectrum: next level at {gap:.3e} above the ground "
             f"cluster, resolution {resolution:.3e}"
         )
-    return CodeSubspace(basis=v[:, :d], gap=gap, ground_energy=float(w[0]),
+    # a copy of the k columns, so the D x D eigenvector array is freed here
+    return CodeSubspace(basis=v[:, :d].copy(), gap=gap, ground_energy=float(w[0]),
                         dims=tuple(dims))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code_space import CodeSubspace, project_onto_code
+from .code_space import CodeSubspace
 from .operators import (
     DensityOp,
     Ket,
@@ -25,7 +25,7 @@ from .operators import (
     operator_norm,
     partial_trace,
 )
-from .splitting import ids
+from .splitting import IdsReport
 
 LEAK_TOL = 1e-10            # initial-state weight allowed outside the code
 PROB_ATOL = 1e-12           # discrete probabilities must sum to 1 this tightly
@@ -140,31 +140,15 @@ class NoiseDistribution:
         raise ValueError(f"no quadrature rule for distribution kind {self.kind!r}")
 
 
-@dataclass(eq=False)
-class DephasingProfile:
-    """Large-gap prediction data for one code and one perturbation.
+def dephasing_factors(r: IdsReport, dist: NoiseDistribution, t: float) -> np.ndarray:
+    """k x k large-gap channel factors in the eigenframe of ``r``.
 
-    ``eigenvalues`` and ``eigenbasis`` diagonalize the compressed
-    perturbation; ``eigenbasis`` columns are full-space vectors. The channel
-    multiplies the (m, n) matrix element in this basis by the characteristic
-    function at t times the eigenvalue difference.
+    The channel multiplies the (m, n) matrix element in the eigenbasis of
+    the compressed perturbation by the characteristic function at t times
+    the eigenvalue difference e_m - e_n.
     """
-
-    code: CodeSubspace
-    eigenvalues: np.ndarray
-    eigenbasis: np.ndarray
-    dist: NoiseDistribution
-
-    def factors(self, t: float) -> np.ndarray:
-        diffs = self.eigenvalues[:, None] - self.eigenvalues[None, :]
-        return self.dist.characteristic(float(t) * diffs)
-
-
-def dephasing_profile(code: CodeSubspace, v, dist: NoiseDistribution) -> DephasingProfile:
-    comp = project_onto_code(code, mat_of(v))
-    w, u = herm_eig(comp.matrix)
-    return DephasingProfile(
-        code=code, eigenvalues=w, eigenbasis=code.basis @ u, dist=dist)
+    diffs = r.eigenvalues[:, None] - r.eigenvalues[None, :]
+    return dist.characteristic(float(t) * diffs)
 
 
 def _code_frame_state(code: CodeSubspace, rho0) -> np.ndarray:
@@ -180,45 +164,19 @@ def _code_frame_state(code: CodeSubspace, rho0) -> np.ndarray:
     return comp
 
 
-def _eigenframe_state(profile: DephasingProfile, rho0) -> np.ndarray:
-    """U^dag rho0 U (k x k), U the eigenbasis; times factors(t) it is the prediction."""
-    comp = _code_frame_state(profile.code, rho0)
-    u = profile.code.basis.conj().T @ profile.eigenbasis
-    return u.conj().T @ comp @ u
-
-
-def predict_dephasing(code: CodeSubspace, v, dist: NoiseDistribution, rho0, t: float) -> DensityOp:
+def predict_dephasing(r: IdsReport, dist: NoiseDistribution, rho0, t: float) -> DensityOp:
     """Large-gap channel output at time t for a code-supported state.
 
-    Pure dephasing in the compressed perturbation's eigenbasis: the diagonal
-    is time invariant and each off-diagonal element picks up the
-    characteristic function at t times its eigenvalue gap. The D x D output
-    is the lift of the k x k eigenframe prediction.
+    Pure dephasing in the compressed perturbation's eigenbasis, read from
+    ``r = ids(code, v)``: the diagonal is time invariant and each
+    off-diagonal element picks up the characteristic function at t times
+    its eigenvalue gap. The D x D output is the lift of the k x k
+    eigenframe prediction Q^dag (B^dag rho0 B) Q times the factors.
     """
-    profile = dephasing_profile(code, v, dist)
-    r = _eigenframe_state(profile, rho0) * profile.factors(t)
-    out = profile.eigenbasis @ r @ profile.eigenbasis.conj().T
-    return DensityOp(out, code.dims)
-
-
-def _magnitude_samples(dist: NoiseDistribution, nodes: int,
-                       mc_samples: int | None, seed: int):
-    """Magnitudes and weights: the quadrature rule, or Monte Carlo draws."""
-    if mc_samples is None:
-        return dist.quadrature(nodes)
-    rng = np.random.default_rng(seed)
-    if dist.kind == "gaussian":
-        mu, sigma = dist.params
-        lam = rng.normal(mu, sigma, int(mc_samples))
-    elif dist.kind == "uniform":
-        a, b = dist.params
-        lam = rng.uniform(a, b, int(mc_samples))
-    elif dist.kind == "discrete":
-        values, probs = dist.params
-        lam = rng.choice(np.asarray(values), size=int(mc_samples), p=np.asarray(probs))
-    else:
-        lam = np.full(int(mc_samples), dist.params[0])
-    return lam, np.full(lam.size, 1.0 / lam.size)
+    q = r.frame
+    pred = (q.conj().T @ _code_frame_state(r.code, rho0) @ q) * dephasing_factors(r, dist, t)
+    bq = r.code.basis @ q
+    return DensityOp(bq @ pred @ bq.conj().T, r.code.dims)
 
 
 def _state_factor(rho0):
@@ -238,8 +196,7 @@ def _state_factor(rho0):
 
 
 def evolve_mixture_grid(h0, v, dist: NoiseDistribution, rho0, t_grid,
-                        gap_factor: float = 1.0, nodes: int = DEFAULT_NODES,
-                        mc_samples: int | None = None, seed: int = 0) -> list:
+                        gap_factor: float = 1.0, nodes: int = DEFAULT_NODES) -> list:
     """``evolve_mixture`` at every time of ``t_grid``, one DensityOp each.
 
     ``rho0`` is a density matrix, or a pure state given as a 1-D amplitude
@@ -257,7 +214,7 @@ def evolve_mixture_grid(h0, v, dist: NoiseDistribution, rho0, t_grid,
     vm = mat_of(v)
     dims = getattr(rho0, "dims", None) or getattr(h0, "dims", None) or (h.shape[0],)
     a, s = _state_factor(rho0)
-    lam, weights = _magnitude_samples(dist, nodes, mc_samples, seed)
+    lam, weights = dist.quadrature(nodes)
     times = [float(t) for t in t_grid]
     outs = [np.zeros(h.shape, dtype=complex) for _ in times]
     base = float(gap_factor) * h
@@ -274,13 +231,11 @@ def evolve_mixture_grid(h0, v, dist: NoiseDistribution, rho0, t_grid,
 
 
 def evolve_mixture(h0, v, dist: NoiseDistribution, rho0, t: float,
-                   gap_factor: float = 1.0, nodes: int = DEFAULT_NODES,
-                   mc_samples: int | None = None, seed: int = 0) -> DensityOp:
+                   gap_factor: float = 1.0, nodes: int = DEFAULT_NODES) -> DensityOp:
     """Average of exp(-i t (g h0 + lambda v)) rho exp(+...) over magnitudes.
 
     Discrete and point distributions are summed exactly; continuous ones use
-    fixed-order quadrature so results are deterministic. A Monte Carlo mode
-    (``mc_samples``) exists for stress tests only. This is
+    fixed-order quadrature so results are deterministic. This is
     ``evolve_mixture_grid`` on the one-point grid [t]: rho0 is factored by
     one herm_eig (a non-hermitian rho0 is refused), eigenvalues with |s| at
     most RHO_FACTOR_CUT times the largest are dropped, and each node costs
@@ -288,7 +243,7 @@ def evolve_mixture(h0, v, dist: NoiseDistribution, rho0, t: float,
     Accumulation runs in ascending node order to keep the output bit-stable.
     """
     return evolve_mixture_grid(h0, v, dist, rho0, [t], gap_factor=gap_factor,
-                               nodes=nodes, mc_samples=mc_samples, seed=seed)[0]
+                               nodes=nodes)[0]
 
 
 @dataclass(frozen=True)
@@ -301,18 +256,22 @@ class BoundRow:
     passed: bool
 
 
-def gap_bound_check(h0, code: CodeSubspace, v, gap_factor: float, t_grid) -> list:
+def gap_bound_check(h0, r: IdsReport, v, gap_factor: float, t_grid) -> list:
     """Distance between true and code-projected evolution against its bound.
 
-    lhs is the operator norm of exp(-i t (g h0 + v)) P minus
-    exp(-i t P v P) P with P the projector of ``code``, the ground code of h0
-    that the caller extracted; rhs is (4 |v| / (g gap)) (|v| |t| + 1). The
+    ``r = ids(code, v)`` with ``code`` the ground code of h0 that the caller
+    extracted; ``v`` itself is still needed for the full generator. lhs is
+    the operator norm of exp(-i t (g h0 + v)) P minus exp(-i t P v P) P with
+    P the projector of the code; rhs is (4 |v| / (g gap)) (|v| |t| + 1). The
     ground energy of h0 must already sit at 0, otherwise the comparison is
     phase-skewed and refused. The norm is taken of the D x k difference
     applied to the code basis B (P = B B^dag, the same singular values),
-    with exp(-i t P v P) B = B Q exp(-i t e) Q^dag for the k x k compression
-    B^dag v B = Q diag(e) Q^dag, each generator diagonalized once per grid.
+    with exp(-i t P v P) B = B Q exp(-i t e) Q^dag read from the report's
+    eigensystem of B^dag v B. The full generator is diagonalized once per
+    grid; with the two operator_norm SVDs of h0 and v that is all the
+    full-size work.
     """
+    code = r.code
     h = mat_of(h0)
     if code.dim != h.shape[0] or tuple(code.dims) != tuple(getattr(h0, "dims", code.dims)):
         raise ValueError(f"code dims {code.dims} do not fit the hamiltonian")
@@ -322,7 +281,7 @@ def gap_bound_check(h0, code: CodeSubspace, v, gap_factor: float, t_grid) -> lis
     vnorm = operator_norm(vm)
     g = float(gap_factor)
     e_full, q_full = herm_eig(g * h + vm)
-    e_code, q_code = herm_eig(project_onto_code(code, vm))
+    e_code, q_code = r.eigenvalues, r.frame
     c_full = q_full.conj().T @ code.basis
     bq = code.basis @ q_code
     rows = []
@@ -335,15 +294,14 @@ def gap_bound_check(h0, code: CodeSubspace, v, gap_factor: float, t_grid) -> lis
     return rows
 
 
-def worst_code_state(code: CodeSubspace, v) -> Ket:
-    """Equal superposition of the extremal compressed eigenvectors.
+def worst_code_state(r: IdsReport) -> Ket:
+    """Equal superposition of the extremal compressed eigenvectors of ``r``.
 
     This state carries the largest-gap coherence, so it decoheres fastest
     and makes the fidelity bound tight to leading order.
     """
-    r = ids(code, v)
     amp = (r.witness_psi.amplitudes + r.witness_phi.amplitudes) / np.sqrt(2.0)
-    return Ket(amp / np.linalg.norm(amp), code.dims)
+    return Ket(amp / np.linalg.norm(amp), r.code.dims)
 
 
 def _pure_code_vector(code: CodeSubspace, state) -> np.ndarray:
@@ -364,34 +322,29 @@ def _pure_code_vector(code: CodeSubspace, state) -> np.ndarray:
     return comp
 
 
-def fidelity_bound_check(code: CodeSubspace, v, dist: NoiseDistribution,
-                         t_grid, state=None, nodes: int = DEFAULT_NODES) -> list:
+def fidelity_bound_check(r: IdsReport, dist: NoiseDistribution, t_grid,
+                         state=None, nodes: int = DEFAULT_NODES) -> list:
     """Mixture fidelity in the large-gap surrogate against its lower bound.
 
     The state evolves under the compressed generator lambda V_code for each
     magnitude node; F(t) is the root fidelity of the mixture with the start,
-    and the bound is 1 - t^2 E[lambda^2] spread(V_code)^2 / 8. Each node's
-    generator is diagonalized once for the whole grid; F(t)^2 is the
-    weighted sum of |<psi| exp(-i t lambda V_code) |psi>|^2.
+    and the bound is 1 - t^2 E[lambda^2] spread(V_code)^2 / 8, spread and
+    generator both read from ``r = ids(code, v)``. With V_code =
+    Q diag(e) Q^dag, exp(-i t lambda V_code) = Q exp(-i t lambda e) Q^dag
+    for every node, so F(t)^2 is the weighted sum over nodes of
+    |sum_m |c_m|^2 exp(-i t lambda e_m)|^2 with c = Q^dag psi; no node is
+    diagonalized. ``state`` defaults to worst_code_state(r).
     """
-    comp_v = project_onto_code(code, mat_of(v)).matrix
-    spread = ids(code, v).delta_e
     if state is None:
-        state = worst_code_state(code, v)
-    psi = _pure_code_vector(code, state)
+        state = worst_code_state(r)
+    p = np.abs(r.frame.conj().T @ _pure_code_vector(r.code, state)) ** 2
     lam, weights = dist.quadrature(nodes)
-    coeff = dist.second_moment * spread ** 2 / 8.0
-    times = [float(t) for t in t_grid]
-    overlap2 = np.zeros(len(times))
-    for lk, wk in zip(lam, weights):
-        e, q = herm_eig(float(lk) * comp_v)
-        c = q.conj().T @ psi
-        for j, t in enumerate(times):
-            evolved = q @ (np.exp(-1j * t * e) * c)
-            overlap2[j] += float(wk) * abs(np.vdot(psi, evolved)) ** 2
+    coeff = dist.second_moment * r.delta_e ** 2 / 8.0
     rows = []
-    for t, f2 in zip(times, overlap2):
-        f = float(np.sqrt(max(f2, 0.0)))
+    for t in t_grid:
+        t = float(t)
+        amp = np.exp(-1j * t * np.outer(lam, r.eigenvalues)) @ p
+        f = float(np.sqrt(max(float(weights @ np.abs(amp) ** 2), 0.0)))
         bound = 1.0 - coeff * t ** 2
         rows.append(BoundRow(t=t, lhs=f, rhs=bound, passed=bool(f >= bound - 1e-12)))
     return rows
@@ -539,37 +492,40 @@ def bath_embedding_check(h0, bath: BathModel, rho0, t: float, rho_bath=None) -> 
     return float(operator_norm(reduced - mixture))
 
 
-def dephasing_time_series(h0, code: CodeSubspace, v, dist: NoiseDistribution,
+def dephasing_time_series(h0, r: IdsReport, v, dist: NoiseDistribution,
                           state, t_grid, gap_factor: float,
                           nodes: int = DEFAULT_NODES) -> list:
     """Row dicts comparing prediction, simulation and both bounds over time.
 
-    One row per time point and eigenvalue pair (m < n) of the compressed
-    perturbation: predicted and simulated coherence magnitudes for that
-    pair, the projected-evolution bound numbers, and the fidelity pair.
-    Column values are plain floats so callers can serialize them directly.
-    The simulation passes the pure start vector to ``evolve_mixture_grid``
-    as a one-column factor, so the whole grid costs one D^3
-    eigendecomposition per magnitude node plus O(D^2) per node and time;
-    the bound checks add one more full-size eigendecomposition (g h0 + v)
-    and the two full-size operator_norm SVDs of h0 and v, whatever
-    len(t_grid). On a real model and perturbation every one of these
-    eigendecompositions runs in real arithmetic (see herm_eig).
+    ``r = ids(code, v)`` is the run's one compression of ``v`` onto the
+    ground code of h0. One row per time point and eigenvalue pair (m < n)
+    of the compressed perturbation: predicted and simulated coherence
+    magnitudes for that pair, the projected-evolution bound numbers, and
+    the fidelity pair. Column values are plain floats so callers can
+    serialize them directly. The start state enters the eigenframe as
+    c c^dag with c = Q^dag psi, psi its code-frame vector. The simulation
+    passes the pure start vector to ``evolve_mixture_grid`` as a one-column
+    factor, so the whole grid costs one D^3 eigendecomposition per
+    magnitude node plus O(D^2) per node and time; the bound checks add one
+    more full-size eigendecomposition (g h0 + v) and the two full-size
+    operator_norm SVDs of h0 and v, whatever len(t_grid): nodes + 1 full
+    eigendecompositions in all. On a real model and perturbation every one
+    of them runs in real arithmetic (see herm_eig).
     """
-    profile = dephasing_profile(code, v, dist)
+    code = r.code
     psi = _pure_code_vector(code, state)
-    full_psi = code.basis @ psi
-    frame0 = _eigenframe_state(profile, np.outer(full_psi, full_psi.conj()))
+    c = r.frame.conj().T @ psi
+    frame0 = np.outer(c, c.conj())
     d = code.degeneracy
-    u_frame = profile.eigenbasis
-    gap_rows = gap_bound_check(h0, code, v, gap_factor, t_grid)
-    fid_rows = fidelity_bound_check(code, v, dist, t_grid, state=state, nodes=nodes)
-    simulated = evolve_mixture_grid(h0, v, dist, full_psi, t_grid,
+    u_frame = code.basis @ r.frame
+    gap_rows = gap_bound_check(h0, r, v, gap_factor, t_grid)
+    fid_rows = fidelity_bound_check(r, dist, t_grid, state=state, nodes=nodes)
+    simulated = evolve_mixture_grid(h0, v, dist, code.basis @ psi, t_grid,
                                     gap_factor=gap_factor, nodes=nodes)
     rows = []
     for idx, t in enumerate(t_grid):
         t = float(t)
-        pred_f = DensityOp(frame0 * profile.factors(t), (d,)).matrix
+        pred_f = DensityOp(frame0 * dephasing_factors(r, dist, t), (d,)).matrix
         sim_f = u_frame.conj().T @ simulated[idx].matrix @ u_frame
         for m in range(d):
             for n in range(m + 1, d):

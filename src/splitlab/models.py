@@ -97,14 +97,24 @@ class LocalModel:
     def hamiltonian(self) -> HermOp:
         """Assembled hamiltonian with the ground energy shifted to 0."""
         if self._ham is None:
-            dims = self.system.dims
-            d = self.system.total_dim
-            h = np.zeros((d, d), dtype=complex)
-            for sites, m in self.terms:
-                h += embed(m, sites, dims)
-            h -= self.energy_offset * np.eye(d)
-            self._ham = HermOp(h, dims)
+            self._ham = _shifted(_sum_terms(self.terms, self.system.dims),
+                                 self.energy_offset, self.system.dims)
         return self._ham
+
+
+def _sum_terms(terms, dims) -> np.ndarray:
+    """Sum of the embedded terms, one D x D complex array."""
+    d = total_dim(dims)
+    h = np.zeros((d, d), dtype=complex)
+    for sites, m in terms:
+        h += embed(m, sites, dims)
+    return h
+
+
+def _shifted(h: np.ndarray, offset: float, dims) -> HermOp:
+    """h - offset * I as a HermOp; the offset comes off the diagonal in place."""
+    np.fill_diagonal(h, h.diagonal() - offset)
+    return HermOp(h, dims)
 
 
 def is_hermitian(m: np.ndarray) -> bool:
@@ -157,9 +167,7 @@ def _finish_model(system, terms, meta=None, integer_spectrum=False) -> LocalMode
         commutation_defect=defect,
         meta=meta or {},
     )
-    raw = np.zeros((system.total_dim,) * 2, dtype=complex)
-    for sites, m in terms:
-        raw += embed(m, sites, system.dims)
+    raw = _sum_terms(terms, system.dims)
     e0 = float(_herm_eigvalsh(raw)[0])
     if integer_spectrum:
         snapped = round(e0)
@@ -167,8 +175,7 @@ def _finish_model(system, terms, meta=None, integer_spectrum=False) -> LocalMode
             raise ValueError(f"expected an integer ground energy, got {e0}")
         e0 = float(snapped)
     model.energy_offset = e0
-    raw -= e0 * np.eye(system.total_dim)
-    model._ham = HermOp(raw, system.dims)     # what hamiltonian() would assemble
+    model._ham = _shifted(raw, e0, system.dims)     # what hamiltonian() would assemble
     return model
 
 

@@ -35,7 +35,14 @@ ASCENT_IMPROVE_TOL = 1e-12
 
 @dataclass(eq=False)
 class IdsReport:
-    """Eigenvalue spread of a compressed perturbation, with witnesses."""
+    """Eigensystem of a perturbation compressed onto a code, with witnesses.
+
+    ``eigenvalues`` (ascending) and ``frame`` (k x k, eigenvectors as
+    columns) diagonalize B^dag V B = Q diag(e) Q^dag for the code basis B,
+    so ``code.basis @ frame`` is the eigenbasis in the full space. Every
+    consumer of that spectrum (the splitting, the worst state, the
+    dephasing prediction and both dynamics bounds) reads it from here.
+    """
 
     delta_e: float
     lambda_min: float
@@ -44,6 +51,9 @@ class IdsReport:
     kl_deviation: float   # distance of P V P from alpha_opt * P, = delta_e / 2
     witness_psi: Ket      # code state with the largest expectation
     witness_phi: Ket      # code state with the smallest expectation
+    code: CodeSubspace
+    eigenvalues: np.ndarray
+    frame: np.ndarray
 
 
 def ids(code: CodeSubspace, v, sites=None) -> IdsReport:
@@ -52,7 +62,9 @@ def ids(code: CodeSubspace, v, sites=None) -> IdsReport:
     Computed spectrally from the compressed operator, never by searching
     state pairs; the extremal eigenvectors are lifted back to the full
     space as witnesses. With ``sites``, ``v`` is an operator on those sites
-    only (see project_onto_code).
+    only (see project_onto_code). This is the one place a perturbation is
+    compressed onto a code and diagonalized; the report carries the whole
+    k x k eigensystem for the dynamics to reuse.
     """
     comp = project_onto_code(code, v, sites)
     w, u = herm_eig(comp.matrix)
@@ -66,6 +78,9 @@ def ids(code: CodeSubspace, v, sites=None) -> IdsReport:
         kl_deviation=0.5 * delta,
         witness_psi=Ket(code.basis @ u[:, -1], code.dims),
         witness_phi=Ket(code.basis @ u[:, 0], code.dims),
+        code=code,
+        eigenvalues=w,
+        frame=u,
     )
 
 

@@ -337,10 +337,10 @@ def check_gap_bound(t_points: int, decades, seed: int = 404) -> list:
         w = np.linalg.eigvalsh(h)
         h = h - w[0] * np.eye(d)
         v = random_herm(d, rng, norm=1.0)
-        code = ground_subspace(h)
+        split = ids(ground_subspace(h), v)
         max_lhs = {}
         for g in decades:
-            rows = gap_bound_check(h, code, v, g, t_grid)
+            rows = gap_bound_check(h, split, v, g, t_grid)
             worst_margin = min(worst_margin,
                                min(r.rhs - r.lhs for r in rows))
             max_lhs[g] = max(r.lhs for r in rows)
@@ -368,14 +368,14 @@ def check_dephasing_scaling(t_points: int) -> list:
     dist = NoiseDistribution.gaussian(0.0, 0.1)
     z1 = pauli_string_matrix("ZII")
     v_leaky = pauli_string_matrix("XII") + z1
-    psi = worst_code_state(code, z1)
-    rho0 = psi.density()
+    cases = [(v, ids(code, v)) for v in (z1, v_leaky)]
+    rho0 = worst_code_state(cases[0][1]).density()
     t_grid = np.linspace(0.0, 5.0, t_points)
     worst_finite = 0.0
     worst_surrogate = 0.0
     for t in t_grid:
-        for v in (z1, v_leaky):
-            predicted = predict_dephasing(code, v, dist, rho0, t).matrix
+        for v, r in cases:
+            predicted = predict_dephasing(r, dist, rho0, t).matrix
             sim = evolve_mixture(h, v, dist, rho0, t, gap_factor=1e3).matrix
             worst_finite = max(worst_finite, float(np.max(np.abs(sim - predicted))))
             compressed = code.basis @ (
@@ -427,8 +427,7 @@ def check_fidelity_bound(t_points: int) -> list:
     worst = np.inf
     t_grid = np.linspace(0.0, 2.0, t_points)
     for model, v, dist in cases:
-        code = ground_subspace(model)
-        rows = fidelity_bound_check(code, v, dist, t_grid)
+        rows = fidelity_bound_check(ids(ground_subspace(model), v), dist, t_grid)
         worst = min(worst, min(r.lhs - r.rhs for r in rows))
     return [verdict(
         "fidelity_lower_bound", worst, -1e-12, ">=",
@@ -439,7 +438,7 @@ def check_fidelity_bound(t_points: int) -> list:
 def check_bath_embedding(t_points: int) -> list:
     model = repetition_model(3)
     h = model.hamiltonian()
-    rho0 = worst_code_state(ground_subspace(model), pauli_string_matrix("ZII")).density()
+    rho0 = worst_code_state(ids(ground_subspace(model), pauli_string_matrix("ZII"))).density()
     v = pauli_string_matrix("XII") + pauli_string_matrix("ZII")
     worst = 0.0
     for energies, beta in (([0.0, 0.7], 1.3), ([0.0, 0.4, 1.1], 0.9)):

@@ -405,6 +405,31 @@ def test_run_extracts_the_ground_code_once(tmp_path, monkeypatch, scenario):
     assert len(calls) == 1
 
 
+def test_dephase_run_compresses_the_perturbation_once(tmp_path, monkeypatch):
+    # one k x k eigendecomposition (ids) for the whole run; full size, one per
+    # magnitude node plus the ground extraction and the gap bound's generator
+    import splitlab.operators
+
+    original = splitlab.operators.herm_eig
+    sizes = []
+
+    def counting(matrix):
+        sizes.append(np.shape(getattr(matrix, "matrix", matrix))[0])
+        return original(matrix)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("splitlab") and getattr(module, "herm_eig", None) is original:
+            monkeypatch.setattr(module, "herm_eig", counting)
+    nodes = 8
+    scn = _write(tmp_path, "s.json", {
+        **_dephase_scenario(perturbation={"pauli": "XIII"}, nodes=nodes),
+        "model": {"fixture": "repetition", "n": 4}})
+    assert cli.main(["run", "--scenario", scn, "--out", str(tmp_path / "out")]) == 0
+    assert sizes.count(2) == 1
+    assert sizes.count(16) == nodes + 2
+    assert len(sizes) == nodes + 3
+
+
 def test_attack_rejects_noncommuting_model_before_ground_extraction(tmp_path, monkeypatch):
     def no_ground(*args, **kwargs):
         raise AssertionError("ground space extracted for a rejected model")

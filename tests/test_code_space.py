@@ -110,3 +110,12 @@ def test_code_subspace_stores_only_its_basis():
         CodeSubspace(basis=code.basis[:, 0], gap=1.0, ground_energy=0.0, dims=code.dims)
     with pytest.raises(ValueError, match="orthonormal"):
         CodeSubspace(basis=2 * code.basis, gap=1.0, ground_energy=0.0, dims=code.dims)
+
+
+def test_ground_basis_owns_only_its_k_columns():
+    # a view into the D x D eigenvector array would keep all of it alive
+    code = ground_subspace(repetition_model(4))
+    owner = code.basis
+    while owner.base is not None:
+        owner = owner.base
+    assert owner.size == code.basis.size == 16 * 2

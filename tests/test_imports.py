@@ -1,5 +1,6 @@
 """Lint step: every imported name in the sources, tests and demos is read,
-and the models, code_space and dynamics modules call no eigensolver directly.
+the models, code_space and dynamics modules call no eigensolver directly,
+and the dynamics module compresses no operator onto a code itself.
 
 An AST scan binds each name an import statement introduces (``import a.b``
 binds ``a``) and looks for a load of that name anywhere in the same file.
@@ -70,3 +71,17 @@ def test_full_size_factorizations_go_through_operators():
     found = [f"{name}:{line}: {call}" for name in WRAPPED_ONLY
              for line, call in direct_eigen_calls((pkg / name).read_text())]
     assert found == []
+
+
+def imported_names(source: str) -> set:
+    """Every name the module imports with a ``from ... import`` statement."""
+    return {a.name for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.ImportFrom) for a in n.names}
+
+
+def test_dynamics_compresses_only_through_ids():
+    # the one compression of a perturbation onto a code is splitting.ids;
+    # the dynamics reads its eigensystem from the report
+    source = (ROOT / "src" / "splitlab" / "dynamics.py").read_text()
+    assert "project_onto_code" not in imported_names(source)
+    assert "project_onto_code" in imported_names("from .code_space import a, project_onto_code\n")

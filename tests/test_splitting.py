@@ -40,6 +40,20 @@ def test_repetition_x_detected():
     assert ok and alpha == pytest.approx(0.0, abs=1e-12)
 
 
+def test_report_carries_the_compressed_eigensystem(rng):
+    code = ground_subspace(np.diag([0.0, 0.0, 0.0, 2.0, 3.0]).astype(complex))
+    v = random_herm(5, rng, norm=None)
+    r = ids(code, v)
+    comp = code.basis.conj().T @ v @ code.basis
+    assert r.code is code
+    assert r.frame.shape == (3, 3)
+    assert np.all(np.diff(r.eigenvalues) >= 0)
+    assert r.eigenvalues[0] == r.lambda_min and r.eigenvalues[-1] == r.lambda_max
+    assert_allclose(r.frame.conj().T @ r.frame, np.eye(3), atol=1e-12)
+    assert_allclose(comp @ r.frame, r.frame * r.eigenvalues, atol=1e-12)
+    assert_allclose(code.basis @ r.frame[:, -1], r.witness_psi.amplitudes, atol=0)
+
+
 def test_witness_expectations_match_spread(rng):
     code = ground_subspace(np.diag([0.0, 0.0, 0.0, 2.0, 3.0]).astype(complex))
     v = random_herm(5, rng, norm=None)

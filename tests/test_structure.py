@@ -383,7 +383,8 @@ def test_code_is_read_through_its_basis_only(monkeypatch, rng):
     factor_ground_projector(model, code)
     assert commuting_model_attack(model, code).branch == "multiplicity"
     v = embed(random_herm(4, rng), [0], code.dims)
-    assert all(r.passed for r in gap_bound_check(model.hamiltonian(), code, v, 100.0, [0.0, 1.0]))
+    assert all(r.passed for r in gap_bound_check(model.hamiltonian(), ids(code, v), v, 100.0,
+                                                   [0.0, 1.0]))
     assert traces == []
 
 
