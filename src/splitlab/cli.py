@@ -386,11 +386,6 @@ def parse_scenario(raw) -> Scenario:
     return Scenario(canonical, model, params)
 
 
-def validate_scenario(raw) -> dict:
-    """Canonical form of a scenario, after the whole parse."""
-    return parse_scenario(raw).canonical
-
-
 def _build_model(src):
     """Check a model source and build the run's one model.
 

@@ -205,10 +205,12 @@ def evolve_mixture_grid(h0, v, dist: NoiseDistribution, rho0, t_grid,
     then costs one herm_eig of g h0 + lambda v, (e, Q), and the start
     factor is rotated once into that eigenbasis, c = Q^dag A. Each time
     adds w X diag(s) X^dag with X = Q (exp(-i t e) * c): O(D^2 r) per node
-    and time for a rank-r start, against one D^3 eigendecomposition per
-    node. Nodes are summed in ascending order into one D x D accumulator
-    per time, so the output is bit-stable; the accumulators, and then the
-    returned states, hold len(t_grid) D^2 complex entries.
+    and time for a rank-r start, against one eigendecomposition per node
+    (D^3 for a dense generator; a generator whose pattern splits into
+    blocks, like a Pauli model's, is factored block by block). Nodes are
+    summed in ascending order into one D x D accumulator per time, so the
+    output is bit-stable; the accumulators, and then the returned states,
+    hold len(t_grid) D^2 complex entries.
     """
     h = mat_of(h0)
     vm = mat_of(v)
@@ -239,7 +241,7 @@ def evolve_mixture(h0, v, dist: NoiseDistribution, rho0, t: float,
     ``evolve_mixture_grid`` on the one-point grid [t]: rho0 is factored by
     one herm_eig (a non-hermitian rho0 is refused), eigenvalues with |s| at
     most RHO_FACTOR_CUT times the largest are dropped, and each node costs
-    one D^3 eigendecomposition plus O(D^2 r) for a rank-r start.
+    one herm_eig of the generator plus O(D^2 r) for a rank-r start.
     Accumulation runs in ascending node order to keep the output bit-stable.
     """
     return evolve_mixture_grid(h0, v, dist, rho0, [t], gap_factor=gap_factor,
@@ -268,8 +270,8 @@ def gap_bound_check(h0, r: IdsReport, v, gap_factor: float, t_grid) -> list:
     applied to the code basis B (P = B B^dag, the same singular values),
     with exp(-i t P v P) B = B Q exp(-i t e) Q^dag read from the report's
     eigensystem of B^dag v B. The full generator is diagonalized once per
-    grid; with the two operator_norm SVDs of h0 and v that is all the
-    full-size work.
+    grid, by one herm_eig (block by block when its pattern splits); with
+    the two operator_norm SVDs of h0 and v that is all the full-size work.
     """
     code = r.code
     h = mat_of(h0)
@@ -505,12 +507,14 @@ def dephasing_time_series(h0, r: IdsReport, v, dist: NoiseDistribution,
     serialize them directly. The start state enters the eigenframe as
     c c^dag with c = Q^dag psi, psi its code-frame vector. The simulation
     passes the pure start vector to ``evolve_mixture_grid`` as a one-column
-    factor, so the whole grid costs one D^3 eigendecomposition per
-    magnitude node plus O(D^2) per node and time; the bound checks add one
-    more full-size eigendecomposition (g h0 + v) and the two full-size
-    operator_norm SVDs of h0 and v, whatever len(t_grid): nodes + 1 full
-    eigendecompositions in all. On a real model and perturbation every one
-    of them runs in real arithmetic (see herm_eig).
+    factor, so the whole grid costs one full-size herm_eig per magnitude
+    node plus O(D^2) per node and time; the bound checks add one more
+    full-size herm_eig (g h0 + v) and the two full-size operator_norm SVDs
+    of h0 and v, whatever len(t_grid): nodes + 1 full-size herm_eig calls
+    in all. On a real model and perturbation every one of them runs in real
+    arithmetic, and on a generator whose pattern splits into blocks (a
+    Pauli model with a single-site perturbation) block by block; see
+    herm_eig.
     """
     code = r.code
     psi = _pure_code_vector(code, state)

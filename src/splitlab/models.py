@@ -90,10 +90,6 @@ class LocalModel:
     def max_locality(self) -> int:
         return max((len(s) for s, _ in self.terms), default=0)
 
-    @property
-    def is_two_local(self) -> bool:
-        return self.max_locality <= 2
-
     def hamiltonian(self) -> HermOp:
         """Assembled hamiltonian with the ground energy shifted to 0."""
         if self._ham is None:

@@ -2,10 +2,11 @@
 
 Everything works on explicit numpy arrays. A multi-site object carries a
 tuple ``dims`` of local dimensions; the total dimension is meant to stay at
-desk scale (a few thousand), so routines are direct dense computations with
-no sparsity tricks. Spectral routines symmetrize their input after a
-hermiticity pre-check, factor real-valued input in real arithmetic, and fix
-eigenvector phases so results are reproducible across BLAS builds.
+desk scale (a few thousand), so routines are direct dense computations.
+Spectral routines symmetrize their input after a hermiticity pre-check,
+factor real-valued input in real arithmetic, factor a matrix whose nonzero
+pattern splits into blocks one block at a time, and fix eigenvector phases
+so results are reproducible across BLAS builds.
 """
 
 from __future__ import annotations
@@ -25,6 +26,15 @@ PROJECTOR_RANK_ATOL = 1e-8
 
 # Relative hermiticity defect allowed before spectral routines refuse input.
 HERM_CHECK_REL = 1e-10
+
+# Smallest dimension whose nonzero pattern the spectral wrappers scan for
+# blocks. The scan and the batched block calls cost 0.2-0.4 ms at any n up
+# to 256. On a pattern of 2x2 blocks with one BLAS thread that loses to a
+# dense eigh at n = 32 (0.09 ms), is about even with eigvalsh at n = 64,
+# and wins from n = 128 on (0.3 ms against 1.05 ms). The verify battery's
+# matrices are all of size 64 or less, most of them one component, so
+# they go straight to LAPACK.
+BLOCK_SCAN_MIN_DIM = 128
 
 # Eigenvalues of rho0 - rho1 above -HELSTROM_ZERO_CUT (times scale) count as
 # nonnegative, so the zero eigenspace lands inside the Helstrom projector.
@@ -336,16 +346,106 @@ def _lapack_operand(m: np.ndarray) -> np.ndarray:
     return m.real if not m.imag.any() else m
 
 
+def _pattern_blocks(a: np.ndarray):
+    """Connected components of the nonzero pattern of ``a``'s lower triangle.
+
+    The one structural dispatch of the spectral wrappers: returns, for each
+    index, the smallest index of its component, or None when the pattern is
+    one component or ``a`` is smaller than BLOCK_SCAN_MIN_DIM. The lower
+    triangle is the part the LAPACK drivers read; for a hermitian matrix its
+    components are those of the full pattern. A matrix with more nonzero
+    entries than any split pattern holds, (n-1)^2 + 1, leaves after that
+    one count. Otherwise the edges are read once, in row chunks of at most
+    n^2/64 + n entries, so that no temporary outgrows the n x n boolean
+    pattern, and merged chunk by chunk into a union-find forest whose roots
+    are the smallest index of their set: the larger root of each edge that
+    joins two sets is hooked to the smaller, and pointers jump until each
+    index points at its root, until no edge of the chunk joins two sets.
+    """
+    n = a.shape[0]
+    if n < BLOCK_SCAN_MIN_DIM:
+        return None
+    nz = a != 0
+    nnz = np.count_nonzero(nz)
+    if nnz > (n - 1) ** 2 + 1:
+        return None
+    bounds = [0, n]
+    if 64 * nnz > n * n:
+        cum = np.cumsum(np.count_nonzero(nz, axis=1))
+        cuts = np.searchsorted(cum, np.arange(1, 64) * (n * n // 64), side="right")
+        bounds = np.unique(np.r_[0, cuts, n])
+    root = np.arange(n)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        r, c = np.divmod(np.flatnonzero(nz[lo:hi]), n)
+        r += lo
+        low = c < r
+        r, c = r[low], c[low]
+        while True:
+            rr, rc = root[r], root[c]
+            apart = rr != rc
+            if not apart.any():
+                break
+            rr, rc = rr[apart], rc[apart]
+            np.minimum.at(root, np.maximum(rr, rc), np.minimum(rr, rc))
+            while not np.array_equal(root[root], root):
+                root = root[root]
+    return root if root.any() else None
+
+
+def _block_eigh(a: np.ndarray, lab: np.ndarray, vectors: bool):
+    """Spectrum of ``a`` from its principal blocks, ``lab`` from _pattern_blocks.
+
+    A permutation to block-diagonal form is a similarity, so this is exact.
+    Blocks of one size are factored in one batched LAPACK call, with indices
+    ascending inside each block. Eigenvalues are sorted stably, blocks in
+    the order of their smallest index, so ties across blocks follow block
+    order. With ``vectors`` the phase-fixed block columns are scattered
+    into one zeroed complex128 D x D array in final column order; rows
+    ascend inside a block, so a block column's first largest entry is also
+    the full column's.
+    """
+    n = a.shape[0]
+    order = np.argsort(lab, kind="stable")
+    starts = np.flatnonzero(np.diff(lab[order], prepend=-1))
+    sizes = np.diff(starts, append=n)
+    w_all = np.empty(n)
+    parts = []
+    for s in np.unique(sizes):
+        pos = starts[sizes == s][:, None] + np.arange(s)    # slots in ``order``
+        idx = order[pos]
+        sub = a[idx[:, :, None], idx[:, None, :]]
+        if vectors:
+            w, v = np.linalg.eigh(sub)
+            # column k of block b is column b s + k of one s x (m s) matrix
+            parts.append((pos, idx, _fix_phases(v.transpose(1, 0, 2).reshape(s, -1))))
+        else:
+            w = np.linalg.eigvalsh(sub)
+        w_all[pos] = w
+    rank = np.argsort(w_all, kind="stable")
+    if not vectors:
+        return w_all[rank]
+    col = np.empty(n, dtype=np.intp)
+    col[rank] = np.arange(n)
+    out = np.zeros((n, n), dtype=complex)
+    for pos, idx, v in parts:
+        out[np.repeat(idx.T, pos.shape[1], axis=1), col[pos].reshape(1, -1)] = v
+    return w_all[rank], out
+
+
 def herm_eig(matrix):
     """Eigendecomposition of a hermitian matrix.
 
     Returns (eigenvalues ascending, complex128 eigenvectors as columns).
     The input is symmetrized as (M + M^dag)/2 after checking the defect
     stays below HERM_CHECK_REL times the Frobenius norm; column phases
-    follow the largest-entry-real-positive convention. An input whose
-    imaginary part is exactly zero is symmetrized and factored as its real
-    part (real arithmetic, half the memory); that is exact, since it is the
-    same matrix. Any other input is factored as complex.
+    follow the largest-entry-real-positive convention. Two exact tests of
+    the input pick the LAPACK work. An input whose imaginary part is
+    exactly zero is factored as its real part (real arithmetic, half the
+    memory). A matrix of at least BLOCK_SCAN_MIN_DIM rows whose nonzero
+    pattern splits into several connected components is factored block by
+    block (see _block_eigh); on the repetition and [[4,2,2]] models that
+    is blocks of size 1 or 2. Both are the same matrix, so only rounding
+    and the basis picked inside a degenerate eigenspace can differ.
     """
     m = mat_of(matrix)
     scale = float(np.linalg.norm(m)) or 1.0
@@ -354,6 +454,9 @@ def herm_eig(matrix):
         raise ValueError("input is too far from hermitian")
     a = a + a.conj().T
     a *= 0.5
+    lab = _pattern_blocks(a)
+    if lab is not None:
+        return _block_eigh(a, lab, vectors=True)
     w, v = np.linalg.eigh(a)
     return w, _fix_phases(v).astype(complex, copy=False)
 
@@ -363,11 +466,16 @@ def _herm_eigvalsh(matrix) -> np.ndarray:
 
     Like np.linalg.eigvalsh it reads the lower triangle and does not check
     hermiticity. An input whose imaginary part is exactly zero is factored
-    as its real part; that is exact, since it is the same matrix. Private,
-    so that a traced run counts the factorization on the layer that asks
-    for it.
+    as its real part, and one whose lower triangle's pattern splits into
+    blocks is factored block by block; both are exact, since the matrix is
+    the same. Private, so that a traced run counts the factorization on the
+    layer that asks for it.
     """
-    return np.linalg.eigvalsh(_lapack_operand(mat_of(matrix)))
+    a = _lapack_operand(mat_of(matrix))
+    lab = _pattern_blocks(a)
+    if lab is not None:
+        return _block_eigh(a, lab, vectors=False)
+    return np.linalg.eigvalsh(a)
 
 
 def herm_propagator(matrix, t: float) -> np.ndarray:

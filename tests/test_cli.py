@@ -379,7 +379,7 @@ def test_module_entry_point_runs():
 def test_demo_scenario_digest_pinned(name, digest):
     path = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / f"{name}.json"
     raw = json.loads(path.read_text())
-    assert cli._digest(cli.validate_scenario(raw)) == digest
+    assert cli._digest(cli.parse_scenario(raw).canonical) == digest
 
 
 @pytest.mark.parametrize("scenario", [

@@ -1,6 +1,7 @@
 """Lint step: every imported name in the sources, tests and demos is read,
 the models, code_space and dynamics modules call no eigensolver directly,
-and the dynamics module compresses no operator onto a code itself.
+the dynamics module compresses no operator onto a code itself, and
+importing the command line loads no scipy.
 
 An AST scan binds each name an import statement introduces (``import a.b``
 binds ``a``) and looks for a load of that name anywhere in the same file.
@@ -9,6 +10,9 @@ Names listed in the file's ``__all__`` count as read (re-exports), and
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,3 +89,14 @@ def test_dynamics_compresses_only_through_ids():
     source = (ROOT / "src" / "splitlab" / "dynamics.py").read_text()
     assert "project_onto_code" not in imported_names(source)
     assert "project_onto_code" in imported_names("from .code_space import a, project_onto_code\n")
+
+
+def test_cli_imports_no_scipy():
+    # importing scipy.sparse.csgraph alone takes about 0.4 s, more than a
+    # whole CLI start-up; the block scan of the eigen wrappers is pure numpy
+    code = ("import sys, splitlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"

@@ -35,7 +35,7 @@ def test_two_local_model_basic():
     sys3 = QuditSystem((2, 2, 2))
     m = two_local_model(sys3, [((0, 1), ZZ), ((1, 2), ZZ)])
     assert m.commuting
-    assert m.is_two_local
+    assert m.max_locality <= 2
     h = m.hamiltonian()
     assert h.dims == (2, 2, 2)
     # ground energy shifted to 0
@@ -105,14 +105,14 @@ def test_four_two_two_degeneracy():
     w = np.linalg.eigvalsh(m.hamiltonian().matrix)
     assert sum(x < 1e-10 for x in w) == 4
     assert m.max_locality == 4
-    assert not m.is_two_local
+    assert m.max_locality > 2
 
 
 def test_block_sites_preserves_matrix():
     m = repetition_model(3)
     blocked = block_sites(m, [[0], [1, 2]])
     assert blocked.system.dims == (2, 4)
-    assert blocked.is_two_local
+    assert blocked.max_locality <= 2
     assert_allclose(blocked.hamiltonian().matrix, m.hamiltonian().matrix, atol=1e-12)
 
 
@@ -121,7 +121,7 @@ def test_block_sites_rejects_three_group_straddle():
     with pytest.raises(ValueError, match="straddles"):
         block_sites(m, [[0], [1], [2]])
     blocked = block_sites(m, [[0], [1, 2]])
-    assert blocked.is_two_local
+    assert blocked.max_locality <= 2
 
 
 def test_block_sites_rejects_bad_partition():

@@ -319,8 +319,9 @@ def test_fix_phases_matches_column_loop(rng):
     assert _fix_phases(np.zeros((0, 0), dtype=complex)).shape == (0, 0)
 
 
-def _record_eigen_dtypes(monkeypatch):
-    """Dtypes of the matrices reaching np.linalg.eigh/eigvalsh from operators."""
+def _record_eigen_inputs(monkeypatch, attr="dtype"):
+    """One attribute (dtype or shape) of each matrix reaching
+    np.linalg.eigh/eigvalsh from operators."""
     from splitlab import operators
 
     seen = []
@@ -328,7 +329,7 @@ def _record_eigen_dtypes(monkeypatch):
         original = getattr(operators.np.linalg, name)
 
         def recorded(a, *args, _original=original, **kwargs):
-            seen.append(np.asarray(a).dtype)
+            seen.append(getattr(np.asarray(a), attr))
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(operators.np.linalg, name, recorded)
@@ -353,7 +354,7 @@ def _clusters(w, tol):
 
 
 def test_real_valued_input_takes_the_real_driver(monkeypatch):
-    seen = _record_eigen_dtypes(monkeypatch)
+    seen = _record_eigen_inputs(monkeypatch)
     h = np.kron(Z, Z) + 0.3 * np.kron(X, I2)
     w, v = herm_eig(h)
     _herm_eigvalsh(h)
@@ -364,7 +365,7 @@ def test_real_valued_input_takes_the_real_driver(monkeypatch):
 
 
 def test_complex_input_keeps_the_complex_driver(monkeypatch, rng):
-    seen = _record_eigen_dtypes(monkeypatch)
+    seen = _record_eigen_inputs(monkeypatch)
     u = random_unitary(4, rng)
     y_term = np.kron(Z, Z) + 1e-300 * np.kron(Y, I2)   # a tiny imaginary part is enough
     for h in (y_term, u @ np.kron(Z, Z) @ u.conj().T):
@@ -399,6 +400,93 @@ def test_real_and_complex_routes_agree(monkeypatch, rng):
             for vecs in (v, vc):
                 top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(dim)]
                 assert np.all(np.abs(top.imag) <= 1e-15) and np.all(top.real > 0)
+
+
+def _permuted_blocks(n, rng, real, sizes=None):
+    """A hermitian matrix whose pattern is blocks of the given sizes (default
+    random sizes 1-5) under a random permutation, with eigenvalues from
+    three levels, so ties cross blocks."""
+    if sizes is None:
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(min(int(rng.integers(1, 6)), n - sum(sizes)))
+    b = np.zeros((n, n), dtype=complex)
+    lo = 0
+    for s in sizes:
+        u = np.linalg.qr(rng.standard_normal((s, s)))[0] if real else random_unitary(s, rng)
+        levels = rng.choice([-1.0, 0.5, 2.0], size=s)
+        b[lo:lo + s, lo:lo + s] = (u * levels) @ u.conj().T
+        lo += s
+    perm = rng.permutation(n)
+    return b[np.ix_(perm, perm)]
+
+
+def test_block_and_dense_routes_agree(monkeypatch, rng):
+    from splitlab import operators
+
+    def dense_route(m):
+        # the same wrappers with the pattern dispatch switched off
+        with monkeypatch.context() as mp:
+            mp.setattr(operators, "_pattern_blocks", lambda a: None)
+            return herm_eig(m), _herm_eigvalsh(m)
+
+    floor = operators.BLOCK_SCAN_MIN_DIM
+    for n in (floor // 2, floor, 2 * floor + 3):
+        diagonal = np.diag(rng.choice([-1.0, 0.0, 3.0], size=n)).astype(complex)
+        for m in (_permuted_blocks(n, rng, real=True), _permuted_blocks(n, rng, real=False),
+                  diagonal,
+                  # two dense halves; one dense block and one index, the
+                  # split pattern with the most nonzero entries, (n-1)^2 + 1
+                  _permuted_blocks(n, rng, real=True, sizes=[n // 2, n - n // 2]),
+                  _permuted_blocks(n, rng, real=False, sizes=[n - 1, 1])):
+            assert (operators._pattern_blocks(m) is None) == (n < floor)
+            (w, v), wv = herm_eig(m), _herm_eigvalsh(m)
+            (wd, vd), wvd = dense_route(m)
+            tol = 1e-12 * max(operator_norm(m), 1.0)
+            assert v.dtype == vd.dtype == np.complex128
+            assert_allclose(w, wd, rtol=0, atol=tol)
+            assert_allclose(wv, wvd, rtol=0, atol=tol)
+            assert_allclose((v * w) @ v.conj().T, m, rtol=0, atol=10 * tol)
+            for lo, hi in _clusters(wd, tol):
+                p = v[:, lo:hi] @ v[:, lo:hi].conj().T
+                pd = vd[:, lo:hi] @ vd[:, lo:hi].conj().T
+                assert_allclose(p, pd, rtol=0, atol=10 * tol)
+            for vecs in (v, vd):
+                top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
+                assert np.all(np.abs(top.imag) <= 1e-15) and np.all(top.real > 0)
+    # a block-diagonal input that is not hermitian is still refused
+    m = _permuted_blocks(2 * floor, rng, real=False)
+    i, j = np.argwhere(np.abs(m - np.diag(np.diag(m))) > 0.1)[0]
+    m[i, j] += 0.5
+    assert operators._pattern_blocks(m) is not None
+    with pytest.raises(ValueError, match="hermitian"):
+        herm_eig(m)
+
+
+def test_block_patterns_reach_lapack_as_small_blocks(monkeypatch, rng):
+    from splitlab import operators
+    from splitlab.code_space import ground_subspace
+    from splitlab.models import QuditSystem, random_commuting_model, repetition_model
+
+    shapes = _record_eigen_inputs(monkeypatch, attr="shape")
+    model = repetition_model(8)                     # D = 256, H diagonal
+    code = ground_subspace(model)
+    v = embed(X + Z, [0], model.system.dims)
+    herm_eig(1000 * model.hamiltonian().matrix + 0.1 * v)   # blocks of size 2
+    assert code.degeneracy == 2 and shapes
+    assert all(s[-1] <= 2 for s in shapes)
+    # the pattern of a random commuting chain is one component: its ground
+    # extraction is one full-size matrix on the dense route
+    n = 7
+    assert 2 ** n >= operators.BLOCK_SCAN_MIN_DIM
+    model = random_commuting_model(QuditSystem((2,) * n),
+                                   [(i, i + 1) for i in range(n - 1)], seed=3)
+    shapes.clear()
+    ground_subspace(model)
+    assert shapes == [(2 ** n, 2 ** n)]
+    # a fully dense matrix leaves after the nonzero count, reading no index
+    monkeypatch.setattr(operators.np, "flatnonzero", None)
+    assert operators._pattern_blocks(random_herm(2 ** n, rng, norm=None)) is None
 
 
 def test_herm_eig_rejects_nonhermitian():
