@@ -46,7 +46,6 @@ from .models import (                                        # noqa: E402
     block_sites,
     build_model,
     four_two_two_model,
-    is_hermitian,
     matrix_from_json,
     matrix_to_json,
     pauli_string_matrix,
@@ -54,7 +53,7 @@ from .models import (                                        # noqa: E402
     repetition_model,
     single_site_paulis,
 )
-from .operators import Ket, embed, operator_norm             # noqa: E402
+from .operators import Ket, _hermitian, embed, operator_norm  # noqa: E402
 from .splitting import ids, worst_single_site_ascent        # noqa: E402
 from .structure import (                                     # noqa: E402
     StructureError,
@@ -168,9 +167,9 @@ def _list_of(item, min_len=1, max_len=math.inf, distinct=False):
 
 
 def _matrix(x, where) -> np.ndarray:
+    """The matrix as given, once it is hermitian within 1e-10 of its largest entry (or 1)."""
     m = matrix_from_json(x)
-    if not is_hermitian(m):
-        raise ValueError
+    _hermitian(m, 1e-10 * max(1.0, float(np.max(np.abs(m)))), f"{where} is not hermitian")
     return m
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from .operators import (
     HermOp,
     Projector,
+    _hermitian,
     apply_local,
     herm_eig,
     mat_of,
@@ -127,8 +128,6 @@ def project_onto_code(code: CodeSubspace, v, sites=None) -> HermOp:
         raise ValueError(f"operator shape {m.shape} does not match code dimension {code.dim}")
     else:
         comp = b.conj().T @ m @ b
-    scale = max(1.0, float(np.max(np.abs(m))))
-    defect = float(np.max(np.abs(comp - comp.conj().T)))
-    if defect > 1e-10 * scale:
-        raise ValueError("compressed operator is not hermitian; input was not")
-    return HermOp(0.5 * (comp + comp.conj().T), (code.degeneracy,))
+    comp = _hermitian(comp, 1e-10 * max(1.0, float(np.max(np.abs(m)))),
+                      "compressed operator is not hermitian; input was not")
+    return HermOp(comp, (code.degeneracy,))

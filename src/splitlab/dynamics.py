@@ -310,7 +310,7 @@ def _pure_code_vector(code: CodeSubspace, state) -> np.ndarray:
     if isinstance(state, Ket):
         vec = state.amplitudes
     else:
-        arr = np.asarray(mat_of(state) if hasattr(state, "matrix") else state, dtype=complex)
+        arr = mat_of(state)
         if arr.ndim == 1:
             vec = arr
         else:

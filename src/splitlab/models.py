@@ -15,9 +15,9 @@ import numpy as np
 from .operators import (
     HermOp,
     _herm_eigvalsh,
+    _hermitian,
     embed,
     haar_unitary,
-    herm_defect,
     operator_norm,
     total_dim,
 )
@@ -113,11 +113,6 @@ def _shifted(h: np.ndarray, offset: float, dims) -> HermOp:
     return HermOp(h, dims)
 
 
-def is_hermitian(m: np.ndarray) -> bool:
-    """Hermitian within 1e-10 of the largest entry magnitude (or of 1)."""
-    return herm_defect(m) <= 1e-10 * max(1.0, float(np.max(np.abs(m))))
-
-
 def _check_term(sites, matrix, dims) -> np.ndarray:
     sites = tuple(int(s) for s in sites)
     if len(set(sites)) != len(sites):
@@ -128,9 +123,8 @@ def _check_term(sites, matrix, dims) -> np.ndarray:
     d = total_dim([dims[s] for s in sites])
     if m.shape != (d, d):
         raise ValueError(f"term on {sites} has shape {m.shape}, expected {(d, d)}")
-    if not is_hermitian(m):
-        raise ValueError(f"term on {sites} is not hermitian")
-    return 0.5 * (m + m.conj().T)
+    return _hermitian(m, 1e-10 * max(1.0, float(np.max(np.abs(m)))),
+                      f"term on {sites} is not hermitian")
 
 
 def _commutation_defect(terms, dims) -> float:

@@ -3,10 +3,12 @@
 Everything works on explicit numpy arrays. A multi-site object carries a
 tuple ``dims`` of local dimensions; the total dimension is meant to stay at
 desk scale (a few thousand), so routines are direct dense computations.
-Spectral routines symmetrize their input after a hermiticity pre-check,
-factor real-valued input in real arithmetic, factor a matrix whose nonzero
-pattern splits into blocks one block at a time, and fix eigenvector phases
-so results are reproducible across BLAS builds.
+Every hermiticity check of the package goes through one gate, _hermitian:
+it refuses past the caller's tolerance, else returns (M + M^dag)/2, and on
+exactly hermitian input it reads the transpose once. Spectral routines pass
+their input through it, factor real-valued input in real arithmetic, factor a
+matrix whose nonzero pattern splits into blocks one block at a time, and
+fix eigenvector phases so results are reproducible across BLAS builds.
 """
 
 from __future__ import annotations
@@ -58,9 +60,24 @@ def mat_of(op) -> np.ndarray:
     return np.asarray(m, dtype=complex)
 
 
-def herm_defect(m: np.ndarray) -> float:
-    m = np.asarray(m)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+def _hermitian(m: np.ndarray, atol: float, message: str) -> np.ndarray:
+    """(M + M^dag)/2 of a square ``m``; ValueError(message) if max|M - M^dag| > atol.
+
+    The defect d is formed once; a NaN defect passes. When d is all zeros,
+    M - d stands in for M^dag, read in memory order: it differs only where
+    +0.0 meets -0.0, which the sum does not see, so the result keeps the
+    formula's bits, signed zeros included. It is built in d, never in ``m``.
+    """
+    d = m - m.conj().T
+    if d.any():
+        if float(np.max(np.abs(d))) > atol:
+            raise ValueError(message)
+        np.add(m, m.conj().T, out=d)
+    else:
+        np.subtract(m, d, out=d)
+        d += m
+    d *= 0.5
+    return d
 
 
 @dataclass(eq=False)
@@ -94,6 +111,13 @@ def _check_square(m: np.ndarray, dims: tuple[int, ...]):
         raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
 
 
+def _typed_matrix(c, message: str) -> np.ndarray:
+    """Container ``c``'s complex matrix through _hermitian, within HERM_ATOL max(1, max|m|)."""
+    m = np.asarray(c.matrix, dtype=complex)
+    _check_square(m, c.dims)
+    return _hermitian(m, HERM_ATOL * max(1.0, float(np.max(np.abs(m)))), message)
+
+
 @dataclass(eq=False)
 class HermOp:
     """Hermitian operator with explicit site structure."""
@@ -103,12 +127,7 @@ class HermOp:
 
     def __post_init__(self):
         self.dims = _dims_tuple(self.dims)
-        m = np.asarray(self.matrix, dtype=complex)
-        _check_square(m, self.dims)
-        scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-        if herm_defect(m) > HERM_ATOL * scale:
-            raise ValueError("matrix is not hermitian within tolerance")
-        self.matrix = 0.5 * (m + m.conj().T)
+        self.matrix = _typed_matrix(self, "matrix is not hermitian within tolerance")
 
     @property
     def dim(self) -> int:
@@ -124,11 +143,7 @@ class DensityOp:
 
     def __post_init__(self):
         self.dims = _dims_tuple(self.dims)
-        m = np.asarray(self.matrix, dtype=complex)
-        _check_square(m, self.dims)
-        if herm_defect(m) > HERM_ATOL * max(1.0, float(np.max(np.abs(m)))):
-            raise ValueError("density matrix is not hermitian within tolerance")
-        m = 0.5 * (m + m.conj().T)
+        m = _typed_matrix(self, "density matrix is not hermitian within tolerance")
         tr = np.trace(m).real
         if abs(tr - 1.0) > DENSITY_TRACE_ATOL:
             raise ValueError(f"trace {tr} is not 1 within {DENSITY_TRACE_ATOL}")
@@ -152,11 +167,7 @@ class Projector:
 
     def __post_init__(self):
         self.dims = _dims_tuple(self.dims)
-        m = np.asarray(self.matrix, dtype=complex)
-        _check_square(m, self.dims)
-        if herm_defect(m) > HERM_ATOL * max(1.0, float(np.max(np.abs(m)))):
-            raise ValueError("projector is not hermitian within tolerance")
-        m = 0.5 * (m + m.conj().T)
+        m = _typed_matrix(self, "projector is not hermitian within tolerance")
         if np.max(np.abs(m @ m - m)) > PROJECTOR_IDEM_ATOL:
             raise ValueError("matrix is not idempotent within tolerance")
         tr = np.trace(m).real
@@ -436,24 +447,21 @@ def herm_eig(matrix):
     """Eigendecomposition of a hermitian matrix.
 
     Returns (eigenvalues ascending, complex128 eigenvectors as columns).
-    The input is symmetrized as (M + M^dag)/2 after checking the defect
-    stays below HERM_CHECK_REL times the Frobenius norm; column phases
-    follow the largest-entry-real-positive convention. Two exact tests of
-    the input pick the LAPACK work. An input whose imaginary part is
-    exactly zero is factored as its real part (real arithmetic, half the
-    memory). A matrix of at least BLOCK_SCAN_MIN_DIM rows whose nonzero
-    pattern splits into several connected components is factored block by
-    block (see _block_eigh); on the repetition and [[4,2,2]] models that
-    is blocks of size 1 or 2. Both are the same matrix, so only rounding
-    and the basis picked inside a degenerate eigenspace can differ.
+    The LAPACK operand goes through _hermitian, with a defect allowed up to
+    HERM_CHECK_REL times the Frobenius norm; on exactly hermitian input
+    that reads the transpose once. Column phases follow the
+    largest-entry-real-positive convention. Two exact tests of the input
+    pick the LAPACK work. An input whose imaginary part is exactly zero is
+    factored as its real part (real arithmetic, half the memory). A matrix
+    of at least BLOCK_SCAN_MIN_DIM rows whose nonzero pattern splits into
+    several connected components is factored block by block (see
+    _block_eigh); on the repetition and [[4,2,2]] models that is blocks of
+    size 1 or 2. Both are the same matrix, so only rounding and the basis
+    picked inside a degenerate eigenspace can differ.
     """
     m = mat_of(matrix)
     scale = float(np.linalg.norm(m)) or 1.0
-    a = _lapack_operand(m)
-    if herm_defect(a) > HERM_CHECK_REL * scale:
-        raise ValueError("input is too far from hermitian")
-    a = a + a.conj().T
-    a *= 0.5
+    a = _hermitian(_lapack_operand(m), HERM_CHECK_REL * scale, "input is too far from hermitian")
     lab = _pattern_blocks(a)
     if lab is not None:
         return _block_eigh(a, lab, vectors=True)

@@ -21,6 +21,7 @@ from .operators import (
     Ket,
     helstrom,
     herm_eig,
+    mat_of,
     operator_norm,
     random_herm,
     reduced_states,
@@ -101,7 +102,6 @@ def worst_single_site_ascent(
     iters: int = 50,
     seed: int = 0,
     initial_ops=(),
-    restarts: int = 1,
 ) -> AttackReport:
     """Alternating ascent over unit-norm hermitian operators on one site.
 
@@ -114,8 +114,8 @@ def worst_single_site_ascent(
     Tr(X delta), which was the old splitting.
 
     ``initial_ops`` adds deterministic starting points (the commuting-model
-    pipeline passes its constructive attack here); ``restarts`` seeded
-    Gaussian starts are appended.
+    pipeline passes its constructive attack here); one Gaussian start drawn
+    from ``seed`` is appended.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
@@ -124,10 +124,7 @@ def worst_single_site_ascent(
     if not 0 <= site < len(dims):
         raise ValueError(f"site {site} out of range")
     d_site = dims[site]
-    rng = np.random.default_rng(seed)
-
-    starts = [np.asarray(getattr(x, "matrix", x), dtype=complex) for x in initial_ops]
-    starts += [random_herm(d_site, rng) for _ in range(max(1, restarts))]
+    starts = [mat_of(x) for x in initial_ops] + [random_herm(d_site, np.random.default_rng(seed))]
 
     best = None
     trajectories = []

@@ -21,7 +21,7 @@ import numpy as np
 from .code_space import CodeSubspace, project_onto_code
 from .models import LocalModel
 from .no_hiding import AttackReport, two_site_attack
-from .operators import HermOp, Projector, apply_local, operator_norm, reduced_states
+from .operators import HermOp, Projector, apply_local, mat_of, operator_norm, reduced_states
 from .splitting import ids, worst_single_site_ascent
 
 SCHMIDT_REL_CUT = 1e-12      # singular values below this (relative) are noise
@@ -151,7 +151,7 @@ def operator_schmidt(op, dims=None):
     if dims is None or len(dims) != 2:
         raise ValueError("need the two factor dimensions of the pair")
     di, dj = (int(d) for d in dims)
-    m = np.asarray(getattr(op, "matrix", op), dtype=complex)
+    m = mat_of(op)
     if m.shape != (di * dj, di * dj):
         raise ValueError(f"operator shape {m.shape} does not match dims {dims}")
     r = m.reshape(di, dj, di, dj).transpose(0, 2, 1, 3).reshape(di * di, dj * dj)
@@ -366,7 +366,7 @@ def multi_sector_attack(code: CodeSubspace, site: int, sector) -> AttackReport:
     projector at angle pi) maps a ground state to an orthogonal one while
     commuting with the hamiltonian.
     """
-    p = np.asarray(getattr(sector, "matrix", sector), dtype=complex)
+    p = mat_of(sector)
     r = ids(code, p, [site])
     if r.lambda_max < 0.5 or r.lambda_min > 0.5:
         raise ValueError(f"the code sits in a single sector at site {site}")

@@ -1,7 +1,8 @@
 """Lint step: every imported name in the sources, tests and demos is read,
 the models, code_space and dynamics modules call no eigensolver directly,
-the dynamics module compresses no operator onto a code itself, and
-importing the command line loads no scipy.
+the dynamics module compresses no operator onto a code itself, only the
+hermiticity gate of the operators module refuses a matrix as not
+hermitian, and importing the command line loads no scipy.
 
 An AST scan binds each name an import statement introduces (``import a.b``
 binds ``a``) and looks for a load of that name anywhere in the same file.
@@ -89,6 +90,47 @@ def test_dynamics_compresses_only_through_ids():
     source = (ROOT / "src" / "splitlab" / "dynamics.py").read_text()
     assert "project_onto_code" not in imported_names(source)
     assert "project_onto_code" in imported_names("from .code_space import a, project_onto_code\n")
+
+
+def hermitian_raises(source: str) -> list:
+    """(line, innermost enclosing function) of every raise whose text mentions hermitian."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and any(
+                    isinstance(c, ast.Constant) and isinstance(c.value, str)
+                    and "hermitian" in c.value.lower() for c in ast.walk(child)):
+                found.append((child.lineno, func))
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_scanner_flags_a_hermitian_raise():
+    src = ("def _hermitian(m, atol, message):\n    raise ValueError(message)\n"
+           "def f(m):\n    if m:\n        raise ValueError('not Hermitian')\n"
+           "def g(s):\n    raise ValueError(f'term on {s} is not hermitian')\n"
+           "def h(m):\n    return _hermitian(m, 0.0, 'not hermitian')\n"
+           "raise TypeError('hermitian')\n")
+    assert hermitian_raises(src) == [(5, "f"), (7, "g"), (10, None)]
+
+
+def test_only_the_gate_refuses_a_matrix_as_not_hermitian():
+    # every check-then-symmetrize goes through operators._hermitian, which
+    # raises the message its caller passes; a hand-written copy would raise
+    # its own
+    pkg = ROOT / "src" / "splitlab"
+    found = [f"{path.name}:{line}: {func}" for path in sorted(pkg.rglob("*.py"))
+             for line, func in hermitian_raises(path.read_text())]
+    assert found == []
+    gate = next(n for n in ast.walk(ast.parse((pkg / "operators.py").read_text()))
+                if isinstance(n, ast.FunctionDef) and n.name == "_hermitian")
+    assert any(isinstance(n, ast.Raise) for n in ast.walk(gate))
 
 
 def test_cli_imports_no_scipy():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +7,19 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import random_density, random_ket, random_unitary
+from splitlab import cli
+from splitlab.code_space import full_space_code, project_onto_code
+from splitlab.models import _check_term, matrix_to_json
 from splitlab.operators import (
+    HERM_ATOL,
+    HERM_CHECK_REL,
     DensityOp,
     HermOp,
     Ket,
     Projector,
     _fix_phases,
     _herm_eigvalsh,
+    _hermitian,
     apply_local,
     embed,
     fidelity,
@@ -70,6 +78,86 @@ def test_projector_rejects_nonidempotent():
 def test_projector_rank_inferred():
     p = Projector(np.diag([1.0, 1.0, 0.0]).astype(complex), (3,))
     assert p.rank == 2
+
+
+# ---------------------------------------------------------------- hermitian gate
+
+
+def _assert_same_bits(a, b):
+    """Same dtype and values, NaN at the same places, the same sign on every zero."""
+    assert a.dtype == b.dtype
+    assert_array_equal(a, b)
+    for part in (np.real, np.imag):
+        assert_array_equal(np.signbit(part(a)), np.signbit(part(b)))
+
+
+def test_hermitian_gate_is_the_formula_bit_for_bit(rng):
+    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    exact = a + a.conj().T
+    # signed-zero pairs that are exactly hermitian: (M + M^dag)/2 turns the
+    # -0.0 of entry (0, 1) into +0.0, and keeps the one at (2, 2)
+    exact[0, 1], exact[1, 0] = complex(-0.0, -0.0), complex(0.0, 0.0)
+    exact[2, 2] = complex(-0.0, -0.0)
+    inexact = exact + 1e-14 * rng.standard_normal((5, 5))
+    real = exact.real.copy()
+    real[3, 4], real[4, 3] = -0.0, 0.0
+    cases = [exact, inexact, real, real + 1e-14 * rng.standard_normal((5, 5)),
+             exact.real]                         # a strided view, as herm_eig passes
+    for m in cases:
+        before = m.copy()
+        out = _hermitian(m, 1e-12, "x")
+        _assert_same_bits(out, 0.5 * (m + m.conj().T))
+        _assert_same_bits(m, before)
+        assert not np.shares_memory(out, m)
+    # returning the exact input itself would keep a sign the formula drops
+    assert np.signbit(exact[0, 1].real) and not np.signbit(_hermitian(exact, 0.0, "x")[0, 1].real)
+
+
+def test_hermitian_gate_passes_a_nan_defect():
+    for m in (np.array([[1.0, np.nan], [2.0, 3.0]], dtype=complex),
+              np.array([[np.nan, 0.0], [0.0, 1.0]])):
+        _assert_same_bits(_hermitian(m, 0.0, "x"), 0.5 * (m + m.conj().T))
+
+
+def _scenario_matrix(m):
+    table = {"matrix": cli.Field(cli._matrix, cli._MATRIX)}
+    return cli._fields({"matrix": matrix_to_json(m)}, table, "p")["matrix"]
+
+
+_SCALED = np.diag([4.0, -2.0]).astype(complex)         # largest entry 4
+_SCALED_REL = 4e-10                                    # 1e-10 * max(1, 4)
+
+
+@pytest.mark.parametrize("call, base, atol, message", [
+    pytest.param(lambda m: HermOp(m, (2,)), _SCALED, 4 * HERM_ATOL,
+                 "matrix is not hermitian within tolerance", id="HermOp"),
+    pytest.param(lambda m: DensityOp(m, (2,)), np.diag([0.5, 0.5]).astype(complex), HERM_ATOL,
+                 "density matrix is not hermitian within tolerance", id="DensityOp"),
+    pytest.param(lambda m: Projector(m, (2,)), np.diag([1.0, 0.0]).astype(complex), HERM_ATOL,
+                 "projector is not hermitian within tolerance", id="Projector"),
+    pytest.param(herm_eig, np.diag([3.0, 4.0]).astype(complex), 5 * HERM_CHECK_REL,
+                 "input is too far from hermitian", id="herm_eig"),   # Frobenius norm 5
+    pytest.param(lambda m: _check_term((0,), m, (2,)), _SCALED, _SCALED_REL,
+                 "term on (0,) is not hermitian", id="model-term"),
+    pytest.param(_scenario_matrix, _SCALED, _SCALED_REL,
+                 "p.matrix must be a square matrix of [re, im] pairs, finite and hermitian",
+                 id="scenario-matrix"),
+    pytest.param(lambda m: project_onto_code(full_space_code((2,)), m), _SCALED, _SCALED_REL,
+                 "compressed operator is not hermitian; input was not", id="code-compression"),
+])
+def test_hermitian_gate_keeps_each_callers_tolerance(call, base, atol, message):
+    below, above = base.copy(), base.copy()
+    below[0, 1] = 0.99 * atol                   # the defect max|M - M^dag| is this entry
+    above[0, 1] = 1.01 * atol
+    call(below)
+    with pytest.raises((ValueError, cli.ScenarioError), match=f"^{re.escape(message)}$"):
+        call(above)
+
+
+def test_scenario_matrix_is_used_as_given():
+    m = _SCALED.copy()
+    m[0, 1] = 1e-10
+    assert_array_equal(_scenario_matrix(m), m)
 
 
 # ---------------------------------------------------------------- tensor / embed
