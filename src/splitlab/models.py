@@ -14,6 +14,7 @@ import numpy as np
 
 from .operators import (
     HermOp,
+    _add_local,
     _herm_eigvalsh,
     _hermitian,
     embed,
@@ -99,11 +100,16 @@ class LocalModel:
 
 
 def _sum_terms(terms, dims) -> np.ndarray:
-    """Sum of the embedded terms, one D x D complex array."""
+    """Sum of the terms, each extended by identity, as one D x D complex array.
+
+    Each term is added in place, in term order, by operators._add_local,
+    which writes only the entries the term reaches; no term is embedded as
+    its own D x D matrix.
+    """
     d = total_dim(dims)
     h = np.zeros((d, d), dtype=complex)
     for sites, m in terms:
-        h += embed(m, sites, dims)
+        _add_local(h, m, sites, dims)
     return h
 
 

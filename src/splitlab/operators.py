@@ -9,6 +9,9 @@ exactly hermitian input it reads the transpose once. Spectral routines pass
 their input through it, factor real-valued input in real arithmetic, factor a
 matrix whose nonzero pattern splits into blocks one block at a time, and
 fix eigenvector phases so results are reproducible across BLAS builds.
+A local operator is placed into a D x D matrix by one routine, _add_local,
+which adds it through a strided view of that matrix and forms no kron
+product.
 """
 
 from __future__ import annotations
@@ -240,26 +243,48 @@ def _support(support, dims, m) -> list[int]:
     return support
 
 
+def _add_local(h: np.ndarray, m: np.ndarray, support, dims) -> None:
+    """h += (m on the ``support`` sites, identity elsewhere), in place.
+
+    ``h`` is a D x D array on the tuple ``dims`` that the caller has just
+    allocated; ``m`` acts on the ``support`` sites in the order listed. ``h``
+    is read as a ``dims + dims`` tensor through one strided view: each
+    support site keeps its row and its column axis, and each other site's
+    row and column axes become one diagonal axis, whose stride is the sum of
+    the two, since the identity there is nonzero only where the row and
+    column labels agree. ``m`` is added into that view, broadcast over the
+    diagonal axes, so only the D d_sup entries the term reaches are
+    written: no kron, no transposed copy, no D x D temporary.
+    """
+    _check_square(h, dims)
+    support = _support(support, dims, m)
+    n = len(dims)
+    inner = [math.prod(dims[i + 1:]) for i in range(n)]
+    row = [h.strides[0] * k for k in inner]
+    col = [h.strides[1] * k for k in inner]
+    rest = [i for i in range(n) if i not in support]
+    sup = tuple(dims[s] for s in support)
+    view = np.lib.stride_tricks.as_strided(
+        h, shape=sup + sup + tuple(dims[i] for i in rest),
+        strides=[row[s] for s in support] + [col[s] for s in support]
+        + [row[i] + col[i] for i in rest])
+    view += m.reshape(sup + sup + (1,) * len(rest))
+
+
 def embed(matrix, support, dims) -> np.ndarray:
     """Extend an operator on the listed ``support`` sites by identity elsewhere.
 
     ``matrix`` acts on the tensor product of ``dims[s]`` for s in ``support``,
     in the order listed (which need not be sorted). The result is the full
-    D x D matrix; to act on vectors use apply_local, which never forms it.
+    D x D matrix, a zeroed array with the operator placed by _add_local;
+    entries the operator does not reach are +0.0. To act on vectors use
+    apply_local, which never forms it.
     """
-    m = mat_of(matrix)
     dims = _dims_tuple(dims)
-    support = _support(support, dims, m)
-    n = len(dims)
-    rest = [i for i in range(n) if i not in support]
-    big = np.kron(m, np.eye(total_dim([dims[i] for i in rest]) if rest else 1))
-    order = support + rest
-    axis_dims = tuple(dims[i] for i in order)
-    t = big.reshape(axis_dims + axis_dims)
-    perm = [order.index(i) for i in range(n)]
-    t = t.transpose(perm + [n + p for p in perm])
     d = total_dim(dims)
-    return np.ascontiguousarray(t.reshape(d, d))
+    out = np.zeros((d, d), dtype=complex)
+    _add_local(out, mat_of(matrix), support, dims)
+    return out
 
 
 def apply_local(op, sites, dims, x) -> np.ndarray:

@@ -6,12 +6,15 @@ golden-section refinement instead of using the eigenvalue-spread identity,
 the pair-norm oracles take one pair at a time through D x D matrices
 instead of the batched reshape kernel of ``no_hiding``, and the dense ground
 factorization works on the D x D code projector where
-``structure.factor_ground_projector`` reads only the code basis.
+``structure.factor_ground_projector`` reads only the code basis, and the
+kron embedding builds each local operator as a Kronecker product with an
+identity and permutes its axes, where ``operators.embed`` and the model
+assembly add the operator into a strided view of the D x D result.
 """
 
 import numpy as np
 
-from splitlab.operators import embed, operator_norm, partial_trace, trace_norm
+from splitlab.operators import embed, operator_norm, partial_trace, total_dim, trace_norm
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -125,3 +128,31 @@ def dense_ground_factors(code, site_maps):
         factors[key] = cols @ cols.conj().T
         rec = embed(factors[key], keep, vdims) @ rec
     return factors, operator_norm(u @ rec @ u.conj().T - p)
+
+
+def kron_embed(m, support, dims):
+    """``m`` on the listed ``support`` sites, identity elsewhere, through np.kron.
+
+    Forms m ⊗ I with the support sites first, then moves every site's row
+    and column axis back to its place with one transposed copy.
+    """
+    support = [int(s) for s in support]
+    n = len(dims)
+    rest = [i for i in range(n) if i not in support]
+    big = np.kron(m, np.eye(total_dim([dims[i] for i in rest]) if rest else 1))
+    order = support + rest
+    axis_dims = tuple(dims[i] for i in order)
+    t = big.reshape(axis_dims + axis_dims)
+    perm = [order.index(i) for i in range(n)]
+    t = t.transpose(perm + [n + p for p in perm])
+    d = total_dim(dims)
+    return np.ascontiguousarray(t.reshape(d, d))
+
+
+def kron_sum_terms(terms, dims):
+    """Sum of the kron-embedded terms, added in term order into zeros."""
+    d = total_dim(dims)
+    h = np.zeros((d, d), dtype=complex)
+    for sites, m in terms:
+        h += kron_embed(m, sites, dims)
+    return h

@@ -2,7 +2,8 @@
 the models, code_space and dynamics modules call no eigensolver directly,
 the dynamics module compresses no operator onto a code itself, only the
 hermiticity gate of the operators module refuses a matrix as not
-hermitian, and importing the command line loads no scipy.
+hermitian, local terms are placed into a D x D matrix by one route, and
+importing the command line loads no scipy.
 
 An AST scan binds each name an import statement introduces (``import a.b``
 binds ``a``) and looks for a load of that name anywhere in the same file.
@@ -131,6 +132,33 @@ def test_only_the_gate_refuses_a_matrix_as_not_hermitian():
     gate = next(n for n in ast.walk(ast.parse((pkg / "operators.py").read_text()))
                 if isinstance(n, ast.FunctionDef) and n.name == "_hermitian")
     assert any(isinstance(n, ast.Raise) for n in ast.walk(gate))
+
+
+def called_names(source: str, func: str) -> set:
+    """Name of every call (a bare name or an attribute) in the top-level function ``func``."""
+    fn = next(n for n in ast.parse(source).body
+              if isinstance(n, ast.FunctionDef) and n.name == func)
+    return {c.func.id if isinstance(c.func, ast.Name) else c.func.attr
+            for c in ast.walk(fn) if isinstance(c, ast.Call)
+            and isinstance(c.func, (ast.Name, ast.Attribute))}
+
+
+def test_scanner_lists_the_calls_of_one_function():
+    src = ("def f(m):\n    return np.kron(m, embed(m))\n"
+           "def g(h):\n    _add_local(h, 1, [], ())\n")
+    assert called_names(src, "f") == {"kron", "embed"}
+    assert called_names(src, "g") == {"_add_local"}
+
+
+def test_one_placement_route_for_local_terms():
+    # embed and the model assembly both place a term with operators._add_local;
+    # a kron product or an embed per term would bring back a D x D temporary
+    pkg = ROOT / "src" / "splitlab"
+    embed_calls = called_names((pkg / "operators.py").read_text(), "embed")
+    sum_calls = called_names((pkg / "models.py").read_text(), "_sum_terms")
+    assert "kron" not in embed_calls | sum_calls
+    assert "embed" not in sum_calls
+    assert "_add_local" in embed_calls & sum_calls
 
 
 def test_cli_imports_no_scipy():

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import kron_sum_terms
 from splitlab.models import (
     QuditSystem,
     _diag_energy,
+    _sum_terms,
     block_sites,
     four_two_two_model,
     matrix_from_json,
@@ -17,7 +21,7 @@ from splitlab.models import (
     stabilizer_hamiltonian,
     two_local_model,
 )
-from splitlab.operators import embed, operator_norm, random_herm
+from splitlab.operators import embed, operator_norm, random_herm, total_dim
 
 ZZ = np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0])).astype(complex)
 XX = pauli_string_matrix("XX")
@@ -172,6 +176,49 @@ def test_diag_energy_equals_embedded_diagonals_exactly(seed):
     got = _diag_energy(dims, pairs, couplings)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+def _mixed_two_local():
+    rng = np.random.default_rng(5)
+    pairs = [((1, 0), random_herm(6, rng)), ((2, 1), random_herm(6, rng)),
+             ((0, 2), random_herm(4, rng))]
+    singles = [(0, random_herm(2, rng)), (2, random_herm(2, rng))]
+    return two_local_model(QuditSystem((2, 3, 2)), pairs, singles)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: repetition_model(8),
+    lambda: repetition_model(10),
+    four_two_two_model,
+    lambda: random_commuting_model(QuditSystem((3, 3, 2, 2)), [(0, 1), (1, 2), (2, 3)], 1),
+    lambda: random_commuting_model(QuditSystem((2, 3, 4, 2, 3)),
+                                   [(0, 1), (2, 1), (3, 4), (0, 4)], 2),
+    lambda: random_commuting_model(QuditSystem((2,) * 9), [(i, i + 1) for i in range(8)], 3),
+    _mixed_two_local,
+])
+def test_sum_terms_matches_kron_oracle_bytes(build):
+    model = build()
+    dims = model.system.dims
+    assert _sum_terms(model.terms, dims).tobytes() == kron_sum_terms(model.terms, dims).tobytes()
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_assembly_and_embed_allocate_one_full_matrix():
+    # the result is one D x D complex array (16 MiB at D = 1024); placing
+    # each term through kron allocated a D x D product and a transposed copy
+    model = repetition_model(10)
+    dims = model.system.dims
+    one = 16 * total_dim(dims) ** 2
+    assert _traced_peak(lambda: _sum_terms(model.terms, dims)) <= 1.1 * one
+    assert _traced_peak(lambda: embed(ZZ, (3, 4), dims)) <= 1.1 * one
 
 
 def test_matrix_json_roundtrip(rng):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import random_density, random_ket, random_unitary
+from oracles import kron_embed
 from splitlab import cli
 from splitlab.code_space import full_space_code, project_onto_code
 from splitlab.models import _check_term, matrix_to_json
@@ -193,6 +194,29 @@ def test_embed_unsorted_support():
     got = embed(m, [2, 0], (2, 3, 2))
     want = np.kron(Z, np.kron(np.eye(3), X))
     assert_allclose(got, want, atol=1e-14)
+
+
+def _has_negative_zero(a):
+    return bool(np.any((a.real == 0) & np.signbit(a.real))
+                or np.any((a.imag == 0) & np.signbit(a.imag)))
+
+
+@pytest.mark.parametrize("dims, sites", [
+    ((2, 3, 4), []),
+    ((2, 3, 4), [1]),
+    ((2, 3, 4), [2, 0]),
+    ((3, 2, 4), [1, 2]),
+    ((2, 3, 4, 2), [3, 1, 0]),
+    ((2, 3, 4, 2), [0, 2, 1, 3]),
+])
+def test_embed_equals_kron_oracle_without_negative_zeros(rng, dims, sites):
+    # kron multiplies negative entries by the identity's zeros and emits
+    # -0.0 there; the strided placement leaves those entries at +0.0
+    d_sup = total_dim([dims[s] for s in sites])
+    m = rng.standard_normal((d_sup, d_sup)) + 1j * rng.standard_normal((d_sup, d_sup))
+    got = embed(m, sites, dims)
+    assert np.array_equal(got, kron_embed(m, sites, dims))
+    assert not _has_negative_zero(got)
 
 
 def test_embed_rejects_bad_support():
