@@ -48,12 +48,12 @@ from .models import (                                        # noqa: E402
     four_two_two_model,
     matrix_from_json,
     matrix_to_json,
-    pauli_string_matrix,
+    pauli_string_local,
     random_commuting_model,
     repetition_model,
     single_site_paulis,
 )
-from .operators import Ket, _hermitian, embed, operator_norm  # noqa: E402
+from .operators import Ket, _hermitian, _support, embed, operator_norm  # noqa: E402
 from .splitting import ids, worst_single_site_ascent        # noqa: E402
 from .structure import (                                     # noqa: E402
     StructureError,
@@ -243,27 +243,24 @@ _AMPLITUDES = {"amplitudes": Field(_list_of(_list_of(_real(), 2, 2)),
 
 
 def _perturbation(x, where):
-    """(label, place): the Pauli string or None, and place(model) -> D x D matrix."""
+    """(label, place): the Pauli string or None, and place(model) -> (sites, matrix on them)."""
     f = _fields(x, _PERTURBATION, where)
     pauli, m, sites = f["pauli"], f["matrix"], f["sites"]
     if (pauli is None) == (m is None) or (pauli is not None and sites is not None):
         raise ScenarioError(
             f"{where} needs either 'pauli' alone or 'matrix' with optional 'sites'")
 
-    def place(model) -> np.ndarray:
+    def place(model) -> tuple[list, np.ndarray]:
         dims = model.system.dims
+        on, local = sites, m
         if pauli is not None:
             if any(d != 2 for d in dims) or len(pauli) != len(dims):
                 raise ValueError(f"pauli string {pauli!r} needs {len(pauli)} "
                                  f"qubit sites, model has dims {dims}")
-            return pauli_string_matrix(pauli)
-        if sites is not None:
-            return embed(m, sites, dims)
-        d = model.system.total_dim
-        if m.shape != (d, d):
-            raise ValueError(
-                f"full matrix shape {m.shape} does not match total dimension {d}")
-        return m
+            on, local = pauli_string_local(pauli)
+        elif sites is None:
+            on = range(len(dims))
+        return _support(on, dims, local), local
 
     return pauli, place
 
@@ -349,8 +346,8 @@ def parse_scenario(raw) -> Scenario:
 
     Checks and builds every part that needs no model (the distribution and
     the time grid among them), then the model (_build_model checks its
-    source as it builds it), then places the perturbations and the start
-    state on the model.
+    source as it builds it), then places the perturbations, the start
+    state and an attack site on the model.
     """
     top = _fields(raw, _SCENARIO, "")
     task = top["task"]
@@ -369,14 +366,14 @@ def parse_scenario(raw) -> Scenario:
         canonical["params"]["t_grid"] = params["t_grid"]
     model = _build_model(top["model"])
     dims = model.system.dims
-    if task == "ids" and params["sweep"]:
-        if any(d != 2 for d in dims):
-            raise ValueError("the single-Pauli sweep needs qubit sites")
-        params["perturbations"] = list(single_site_paulis(len(dims)))
-    elif task == "ids":
+    if task == "ids":
+        # a Pauli string on a qudit model exits 4 at its placement
+        specs = params["perturbations"] or [_perturbation({"pauli": label}, "params.sweep")
+                                            for label in single_site_paulis(len(dims))]
         params["perturbations"] = [(label or f"perturbation_{i}", place(model))
-                                   for i, (label, place)
-                                   in enumerate(params["perturbations"])]
+                                   for i, (label, place) in enumerate(specs)]
+    elif task == "attack" and params["site"] is not None and params["site"] >= len(dims):
+        raise ValueError(f"site {params['site']} out of range")   # before the D^3 extraction
     elif task == "dephase":
         _, place = params["perturbation"]
         params["perturbation"] = place(model)
@@ -410,10 +407,10 @@ def _run_ids(scenario: Scenario):
     kl_tol = params["kl_tol"]
     entries = []
     checks = []
-    for label, v in params["perturbations"]:
-        r = ids(code, v)
-        # the kl_check criterion: deviation within kl_tol times ||v||
-        bound = kl_tol * operator_norm(v)
+    for label, (sites, m) in params["perturbations"]:
+        r = ids(code, m, sites)
+        # the kl_check criterion: deviation within kl_tol times ||m (x) I|| = ||m||
+        bound = kl_tol * operator_norm(m)
         entries.append({"label": label, "delta_e": r.delta_e,
                         "lambda_min": r.lambda_min, "lambda_max": r.lambda_max,
                         "alpha_opt": r.alpha_opt, "kl_deviation": r.kl_deviation,
@@ -487,14 +484,15 @@ def _run_decompose(scenario: Scenario):
 def _run_dephase(scenario: Scenario):
     model = scenario.model
     params = scenario.params
-    v = params["perturbation"]
-    split = ids(ground_subspace(model), v)
+    sites, m = params["perturbation"]
+    split = ids(ground_subspace(model), m, sites)
     dist = params["distribution"]
     t_grid = params["t_grid"]
     gap_factor = params["gap_factor"]
     state = params["state"]
     if state == "worst":
         state = worst_code_state(split)
+    v = embed(m, sites, model.system.dims)     # for the dense generator only
     rows = dephasing_time_series(model.hamiltonian(), split, v, dist, state,
                                  t_grid, gap_factor, nodes=params["nodes"])
     gap_margin = min(r["gap_bound_rhs"] - r["gap_bound_lhs"] for r in rows)

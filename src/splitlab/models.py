@@ -210,12 +210,18 @@ def pauli_string_matrix(s: str) -> np.ndarray:
     return out
 
 
+def pauli_string_local(s: str) -> tuple[tuple[int, ...], np.ndarray]:
+    """(sites, matrix): the non-identity sites of a Pauli string and the kron
+    product of their letters on those sites (1 x 1 when there are none)."""
+    sites = tuple(k for k, c in enumerate(s) if c != "I")
+    return sites, pauli_string_matrix("".join(s[k] for k in sites))
+
+
 def single_site_paulis(n: int):
-    """(label, matrix) of X, Y and Z on each of n qubits, site by site."""
+    """Labels of X, Y and Z on each of n qubits, site by site."""
     for site in range(n):
         for p in "XYZ":
-            label = "I" * site + p + "I" * (n - site - 1)
-            yield label, pauli_string_matrix(label)
+            yield "I" * site + p + "I" * (n - site - 1)
 
 
 def _pauli_strings_commute(a: str, b: str) -> bool:
@@ -247,10 +253,7 @@ def stabilizer_hamiltonian(n_qubits: int, generators: list[str]) -> LocalModel:
                 raise ValueError(f"generators {gens[i]!r} and {gens[j]!r} anticommute")
     terms = []
     for g in gens:
-        support = tuple(k for k, c in enumerate(g) if c != "I")
-        body = np.array([[1.0 + 0j]])
-        for k in support:
-            body = np.kron(body, PAULIS[g[k]])
+        support, body = pauli_string_local(g)
         terms.append((support, 0.5 * (np.eye(body.shape[0]) - body)))
     model = _finish_model(system, terms, meta={"stabilizers": gens}, integer_spectrum=True)
     return model

@@ -289,6 +289,12 @@ def _sector_order_key(p):
     return (idx, -float(dg[idx]), -int(round(float(np.real(np.trace(p))))))
 
 
+def _cluster_bounds(w) -> list[int]:
+    """[0, ..., len(w)]: the bounds of the eigenvalue clusters of the ascending w."""
+    cuts = np.nonzero(np.diff(w) > max(SECTOR_GAP_FACTOR * float(w[-1] - w[0]), 1e-12))[0]
+    return [0] + [int(c) + 1 for c in cuts] + [len(w)]
+
+
 def sector_projectors(model: LocalModel, site: int, seed: int = 7) -> SiteSectorDecomposition:
     """Sector projectors from the center of the site algebra.
 
@@ -305,10 +311,7 @@ def sector_projectors(model: LocalModel, site: int, seed: int = 7) -> SiteSector
     z = sum(g * h for g, h in zip(rng.standard_normal(len(herm)), herm))
     z = np.asarray(z, dtype=complex)
     w, u = np.linalg.eigh(z)
-    spread = float(w[-1] - w[0])
-    gap = max(SECTOR_GAP_FACTOR * spread, 1e-12)
-    cuts = np.nonzero(np.diff(w) > gap)[0]
-    bounds = [0] + [int(c) + 1 for c in cuts] + [d]
+    bounds = _cluster_bounds(w)
     mats = [
         u[:, lo:hi] @ u[:, lo:hi].conj().T
         for lo, hi in zip(bounds[:-1], bounds[1:])
@@ -407,11 +410,7 @@ def _matrix_units(ops, dim, rng):
         b = sum(c * m for c, m in zip(g, basis))
         b = (b + b.conj().T) / 2
         w, u = np.linalg.eigh(b)
-        spread = float(w[-1] - w[0])
-        if spread <= 1e-12:
-            continue
-        cuts = np.nonzero(np.diff(w) > max(SECTOR_GAP_FACTOR * spread, 1e-12))[0]
-        bounds = [0] + [int(c) + 1 for c in cuts] + [dim]
+        bounds = _cluster_bounds(w)
         sizes = [hi - lo for lo, hi in zip(bounds[:-1], bounds[1:])]
         if len(set(sizes)) != 1 or len(sizes) == 1:
             continue

@@ -171,8 +171,8 @@ def check_stabilizer_examples(max_n: int) -> list:
         f"repetition codes n = 3..{max_n}")]
     code = ground_subspace(four_two_two_model())
     worst_kl = 0.0
-    for _, v in single_site_paulis(4):
-        worst_kl = max(worst_kl, ids(code, v).kl_deviation)
+    for label in single_site_paulis(4):
+        worst_kl = max(worst_kl, ids(code, pauli_string_matrix(label)).kl_deviation)
     out.append(verdict(
         "stabilizer_four_two_two_detection", worst_kl, 1e-10, "<=",
         "splitting.ids: distance-2 code detects all single-site errors",

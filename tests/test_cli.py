@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from splitlab import cli
+from splitlab.code_space import ground_subspace
 from splitlab.models import (
     QuditSystem,
     matrix_to_json,
@@ -16,7 +17,8 @@ from splitlab.models import (
     pauli_string_matrix,
     two_local_model,
 )
-from splitlab.operators import random_projector
+from splitlab.operators import embed, operator_norm, random_herm, random_projector
+from splitlab.splitting import ids
 
 
 def _write(tmp_path, name, payload):
@@ -198,6 +200,8 @@ def _literal(payload, text):
     pytest.param(_dephase_scenario(t_grid=[0.0] * 10_001), id="times-over-ceiling"),
     pytest.param(_dephase_scenario(nodes=10**12), id="huge-nodes"),
     pytest.param(_dephase_scenario(nodes=1025), id="nodes-over-ceiling"),
+    pytest.param(_ids_scenario({"sites": [0, 0], "matrix": matrix_to_json(np.eye(4))}),
+                 id="repeated-perturbation-site"),
 ])
 def test_malformed_input_exits_2_without_files(tmp_path, payload):
     scn = _write(tmp_path, "s.json", payload)
@@ -445,3 +449,75 @@ def test_attack_rejects_noncommuting_model_before_ground_extraction(tmp_path, mo
         out = tmp_path / f"out_{task}"
         assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 4
         assert not out.exists()
+
+
+_REPETITION_4 = {"fixture": "repetition", "n": 4}
+_RANDOM_QUBITS = {"fixture": "random_commuting", "dims": [2, 2, 2, 2],
+                  "pairs": [[0, 1], [1, 2], [2, 3]], "seed": 4, "ground_degeneracy": 2}
+
+
+@pytest.mark.parametrize("model", [_REPETITION_4, _RANDOM_QUBITS],
+                         ids=["repetition", "random_commuting"])
+def test_ids_entries_match_the_embedded_perturbation(tmp_path, model):
+    # every spec kind is measured on its sites; the oracle compresses the
+    # full D x D operator
+    rng = np.random.default_rng(8)
+    m2, m16 = random_herm(4, rng), random_herm(16, rng)
+    specs = [({"pauli": "IZXI"}, pauli_string_matrix("IZXI")),
+             ({"pauli": "IIII"}, np.eye(16, dtype=complex)),
+             ({"sites": [2, 0], "matrix": matrix_to_json(m2)}, embed(m2, [2, 0], (2,) * 4)),
+             ({"matrix": matrix_to_json(m16)}, m16)]
+    scn = _write(tmp_path, "s.json", {
+        "schema_version": 1, "task": "ids", "model": model,
+        "params": {"perturbations": [spec for spec, _ in specs]}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 0
+    entries = _report(out)["results"]["perturbations"]
+    code = ground_subspace(cli._build_model(model))
+    assert code.degeneracy == 2
+    for entry, (_, v) in zip(entries, specs, strict=True):
+        r = ids(code, v)
+        for key in ("delta_e", "lambda_min", "lambda_max", "alpha_opt", "kl_deviation"):
+            assert entry[key] == pytest.approx(getattr(r, key), abs=1e-12)
+        assert entry["kl_detected"] == bool(r.kl_deviation <= 1e-8 * operator_norm(v))
+    assert {e["kl_detected"] for e in entries} == {False, True}
+
+
+def test_single_pauli_sweep_is_placed_site_by_site():
+    scenario = cli.parse_scenario({
+        "schema_version": 1, "task": "ids", "model": {"fixture": "repetition", "n": 10},
+        "params": {"sweep": "single_paulis"}})
+    placed = scenario.params["perturbations"]
+    assert len(placed) == 30
+    for label, (sites, m) in placed:
+        (site,) = sites
+        assert label == "I" * site + label[site] + "I" * (9 - site)
+        assert np.array_equal(m, pauli_string_matrix(label[site]))
+
+
+_Z = matrix_to_json(np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("scenario", [
+    _ids_scenario({"sites": [3], "matrix": _Z}),
+    _ids_scenario({"sites": [0, 1], "matrix": _Z}),
+    _ids_scenario({"matrix": matrix_to_json(np.eye(4))}),
+    _ids_scenario({"pauli": "ZI"}),
+    {**_ids_scenario({"pauli": "ZI"}),
+     "model": {"fixture": "random_commuting", "dims": [3, 2], "pairs": [[0, 1]], "seed": 1}},
+    {**_ids_scenario(None), "params": {"sweep": "single_paulis"},
+     "model": {"fixture": "random_commuting", "dims": [3, 2], "pairs": [[0, 1]], "seed": 1}},
+    _dephase_scenario(perturbation={"pauli": "ZIII"}),
+    {**_attack_scenario(), "params": {"site": 99}},
+], ids=["site-out-of-range", "matrix-size-for-sites", "full-matrix-dimension",
+        "pauli-length", "pauli-on-qudits", "sweep-on-qudits", "dephase-pauli-length",
+        "attack-site-out-of-range"])
+def test_misfit_input_exits_4_before_ground_extraction(tmp_path, monkeypatch, scenario):
+    def no_ground(*args, **kwargs):
+        raise AssertionError("ground space extracted for a rejected scenario")
+
+    monkeypatch.setattr(cli, "ground_subspace", no_ground)
+    scn = _write(tmp_path, "s.json", scenario)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 4
+    assert not out.exists()

@@ -2,8 +2,9 @@
 the models, code_space and dynamics modules call no eigensolver directly,
 the dynamics module compresses no operator onto a code itself, only the
 hermiticity gate of the operators module refuses a matrix as not
-hermitian, local terms are placed into a D x D matrix by one route, and
-importing the command line loads no scipy.
+hermitian, local terms are placed into a D x D matrix by one route, the
+command line places and measures an ids perturbation on its sites without
+a D x D matrix, and importing the command line loads no scipy.
 
 An AST scan binds each name an import statement introduces (``import a.b``
 binds ``a``) and looks for a load of that name anywhere in the same file.
@@ -159,6 +160,15 @@ def test_one_placement_route_for_local_terms():
     assert "kron" not in embed_calls | sum_calls
     assert "embed" not in sum_calls
     assert "_add_local" in embed_calls & sum_calls
+
+
+def test_ids_perturbations_stay_on_their_sites():
+    # a perturbation spec is (sites, matrix on those sites) from the parse to
+    # splitting.ids; an embed or a full Pauli string here would bring back a
+    # D x D matrix per perturbation
+    source = (ROOT / "src" / "splitlab" / "cli.py").read_text()
+    for func in ("_perturbation", "_run_ids"):
+        assert not {"embed", "pauli_string_matrix"} & called_names(source, func)
 
 
 def test_cli_imports_no_scipy():

@@ -15,9 +15,11 @@ from splitlab.models import (
     matrix_to_json,
     model_from_json,
     model_to_json,
+    pauli_string_local,
     pauli_string_matrix,
     random_commuting_model,
     repetition_model,
+    single_site_paulis,
     stabilizer_hamiltonian,
     two_local_model,
 )
@@ -252,3 +254,18 @@ def test_model_json_rejects_ambiguous():
         )
     with pytest.raises(ValueError, match="dims"):
         model_from_json({"terms": []})
+
+
+def test_pauli_string_local_keeps_the_non_identity_letters():
+    sites, m = pauli_string_local("IZXI")
+    assert sites == (1, 2)
+    assert np.array_equal(m, pauli_string_matrix("ZX"))
+    assert np.array_equal(embed(m, sites, (2,) * 4), pauli_string_matrix("IZXI"))
+    sites, m = pauli_string_local("III")
+    assert sites == () and np.array_equal(m, np.ones((1, 1)))
+    with pytest.raises(ValueError, match="non-Pauli"):
+        pauli_string_local("IQ")
+
+
+def test_single_site_paulis_are_labels():
+    assert list(single_site_paulis(2)) == ["XI", "YI", "ZI", "IX", "IY", "IZ"]

@@ -20,6 +20,7 @@ from splitlab.splitting import ids
 from splitlab.structure import (
     GroundFactorization,
     SiteSectorDecomposition,
+    _cluster_bounds,
     commuting_model_attack,
     detect_multi_sector,
     factor_ground_projector,
@@ -158,6 +159,14 @@ def test_site_algebra_site_range():
 
 
 # ------------------------------------------------------------- sectors
+
+
+def test_cluster_bounds():
+    # a step must clear 1e-6 times the spread, and 1e-12 when the spread is tiny
+    assert _cluster_bounds(np.array([0.0, 1e-9, 1.0, 1.0, 2.0])) == [0, 2, 4, 5]
+    assert _cluster_bounds(np.array([0.0, 1e-8, 1e-7])) == [0, 1, 2, 3]
+    assert _cluster_bounds(np.array([0.0, 1e-13, 2e-13])) == [0, 3]
+    assert _cluster_bounds(np.zeros(4)) == [0, 4]
 
 
 def test_sectors_repetition_site():
