@@ -485,16 +485,18 @@ def _run_dephase(scenario: Scenario):
     model = scenario.model
     params = scenario.params
     sites, m = params["perturbation"]
-    split = ids(ground_subspace(model), m, sites)
+    code = ground_subspace(model)
+    if code.degeneracy < 2:
+        raise ValueError("nothing to dephase: the ground space is not degenerate")
+    split = ids(code, m, sites)
     dist = params["distribution"]
     t_grid = params["t_grid"]
     gap_factor = params["gap_factor"]
     state = params["state"]
     if state == "worst":
         state = worst_code_state(split)
-    v = embed(m, sites, model.system.dims)     # for the dense generator only
-    rows = dephasing_time_series(model.hamiltonian(), split, v, dist, state,
-                                 t_grid, gap_factor, nodes=params["nodes"])
+    rows = dephasing_time_series(model.hamiltonian(), split, m, dist, state,
+                                 t_grid, gap_factor, nodes=params["nodes"], sites=sites)
     gap_margin = min(r["gap_bound_rhs"] - r["gap_bound_lhs"] for r in rows)
     fid_margin = min(r["fidelity"] - r["fidelity_bound"] for r in rows)
     sim_dev = max(abs(r["predicted_coherence"] - r["simulated_coherence"])

@@ -19,6 +19,8 @@ from .code_space import CodeSubspace
 from .operators import (
     DensityOp,
     Ket,
+    _add_local,
+    _herm_eigvalsh,
     herm_eig,
     herm_propagator,
     mat_of,
@@ -195,22 +197,28 @@ def _state_factor(rho0):
     return a[:, keep], s[keep]
 
 
-def evolve_mixture_grid(h0, v, dist: NoiseDistribution, rho0, t_grid,
-                        gap_factor: float = 1.0, nodes: int = DEFAULT_NODES) -> list:
-    """``evolve_mixture`` at every time of ``t_grid``, one DensityOp each.
+def _add_generator(gen: np.ndarray, base: np.ndarray, lam: float, m: np.ndarray,
+                   sites, dims) -> np.ndarray:
+    """gen = base + lam (m on ``sites``, all sites when None), placed by _add_local."""
+    np.copyto(gen, base)
+    _add_local(gen, lam * m, range(len(dims)) if sites is None else sites, dims)
+    return gen
 
-    ``rho0`` is a density matrix, or a pure state given as a 1-D amplitude
-    vector. It is written once as A diag(s) A^dag (see
-    ``_state_factor``; a pure state gives one column). Each magnitude node
-    then costs one herm_eig of g h0 + lambda v, (e, Q), and the start
-    factor is rotated once into that eigenbasis, c = Q^dag A. Each time
-    adds w X diag(s) X^dag with X = Q (exp(-i t e) * c): O(D^2 r) per node
-    and time for a rank-r start, against one eigendecomposition per node
-    (D^3 for a dense generator; a generator whose pattern splits into
-    blocks, like a Pauli model's, is factored block by block). Nodes are
-    summed in ascending order into one D x D accumulator per time, so the
-    output is bit-stable; the accumulators, and then the returned states,
-    hold len(t_grid) D^2 complex entries.
+
+def evolve_mixture_grid(h0, v, dist: NoiseDistribution, rho0, t_grid,
+                        gap_factor: float = 1.0, nodes: int = DEFAULT_NODES,
+                        sites=None) -> list:
+    """Mixture over magnitudes of exp(-i t (g h0 + lambda v)) rho0 exp(+...), per time.
+
+    ``v`` is D x D, or with ``sites`` an operator on those sites only (as
+    for embed). Magnitudes come from dist.quadrature (exact for discrete
+    and point laws). ``rho0``, a density matrix or a 1-D pure state, is
+    written once as A diag(s) A^dag (``_state_factor``). Each node writes
+    g h0 + lambda v into one reused D x D buffer (``_add_generator``) and
+    costs one herm_eig, (e, Q), block by block when its pattern splits;
+    with c = Q^dag A each time adds w X diag(s) X^dag, X = Q (exp(-i t e) * c),
+    at O(D^2 r) for a rank-r start. Nodes are summed in ascending order into
+    one D x D accumulator per time, so the output is bit-stable.
     """
     h = mat_of(h0)
     vm = mat_of(v)
@@ -220,8 +228,9 @@ def evolve_mixture_grid(h0, v, dist: NoiseDistribution, rho0, t_grid,
     times = [float(t) for t in t_grid]
     outs = [np.zeros(h.shape, dtype=complex) for _ in times]
     base = float(gap_factor) * h
+    gen = np.empty_like(base)
     for lk, wk in zip(lam, weights):
-        e, q = herm_eig(base + float(lk) * vm)
+        e, q = herm_eig(_add_generator(gen, base, float(lk), vm, sites, dims))
         c = q.conj().T @ a
         for out, t in zip(outs, times):
             x = q @ (np.exp(-1j * t * e)[:, None] * c)
@@ -230,22 +239,6 @@ def evolve_mixture_grid(h0, v, dist: NoiseDistribution, rho0, t_grid,
         out = (out + out.conj().T) / 2
         outs[j] = DensityOp(out / np.trace(out).real, tuple(dims))
     return outs
-
-
-def evolve_mixture(h0, v, dist: NoiseDistribution, rho0, t: float,
-                   gap_factor: float = 1.0, nodes: int = DEFAULT_NODES) -> DensityOp:
-    """Average of exp(-i t (g h0 + lambda v)) rho exp(+...) over magnitudes.
-
-    Discrete and point distributions are summed exactly; continuous ones use
-    fixed-order quadrature so results are deterministic. This is
-    ``evolve_mixture_grid`` on the one-point grid [t]: rho0 is factored by
-    one herm_eig (a non-hermitian rho0 is refused), eigenvalues with |s| at
-    most RHO_FACTOR_CUT times the largest are dropped, and each node costs
-    one herm_eig of the generator plus O(D^2 r) for a rank-r start.
-    Accumulation runs in ascending node order to keep the output bit-stable.
-    """
-    return evolve_mixture_grid(h0, v, dist, rho0, [t], gap_factor=gap_factor,
-                               nodes=nodes)[0]
 
 
 @dataclass(frozen=True)
@@ -258,31 +251,33 @@ class BoundRow:
     passed: bool
 
 
-def gap_bound_check(h0, r: IdsReport, v, gap_factor: float, t_grid) -> list:
+def gap_bound_check(h0, r: IdsReport, v, gap_factor: float, t_grid, sites=None) -> list:
     """Distance between true and code-projected evolution against its bound.
 
-    ``r = ids(code, v)`` with ``code`` the ground code of h0 that the caller
-    extracted; ``v`` itself is still needed for the full generator. lhs is
-    the operator norm of exp(-i t (g h0 + v)) P minus exp(-i t P v P) P with
-    P the projector of the code; rhs is (4 |v| / (g gap)) (|v| |t| + 1). The
-    ground energy of h0 must already sit at 0, otherwise the comparison is
-    phase-skewed and refused. The norm is taken of the D x k difference
-    applied to the code basis B (P = B B^dag, the same singular values),
-    with exp(-i t P v P) B = B Q exp(-i t e) Q^dag read from the report's
-    eigensystem of B^dag v B. The full generator is diagonalized once per
-    grid, by one herm_eig (block by block when its pattern splits); with
-    the two operator_norm SVDs of h0 and v that is all the full-size work.
+    ``r = ids(code, v, sites)`` for the ground code of h0; ``v`` (D x D, or
+    with ``sites`` on those sites only) enters the full generator. lhs is
+    the operator norm of exp(-i t (g h0 + v)) P minus exp(-i t P v P) P, P
+    the code projector; rhs is (4 |v| / (g gap)) (|v| |t| + 1), |v| the norm
+    of the operator given (|m (x) I| = |m|). The ground energy of h0 must
+    sit at 0 within 1e-10 max(1, |h0|), |h0| its largest |eigenvalue|, or
+    the phase-skewed comparison is refused. The norm is taken of the D x k
+    difference on the code basis B, with exp(-i t P v P) B = B Q
+    exp(-i t e) Q^dag from the report. Full-size work: one eigvalsh of h0
+    and one herm_eig of the generator, block by block when they split.
     """
     code = r.code
     h = mat_of(h0)
     if code.dim != h.shape[0] or tuple(code.dims) != tuple(getattr(h0, "dims", code.dims)):
         raise ValueError(f"code dims {code.dims} do not fit the hamiltonian")
-    if abs(code.ground_energy) > 1e-10 * max(1.0, operator_norm(h)):
+    w = _herm_eigvalsh(h)
+    if abs(code.ground_energy) > 1e-10 * max(1.0, abs(w[0]), abs(w[-1])):
         raise ValueError("shift the ground energy to 0 before checking the bound")
     vm = mat_of(v)
     vnorm = operator_norm(vm)
     g = float(gap_factor)
-    e_full, q_full = herm_eig(g * h + vm)
+    base = g * h
+    e_full, q_full = herm_eig(_add_generator(np.empty_like(base), base, 1.0, vm, sites,
+                                             code.dims))
     e_code, q_code = r.eigenvalues, r.frame
     c_full = q_full.conj().T @ code.basis
     bq = code.basis @ q_code
@@ -496,25 +491,20 @@ def bath_embedding_check(h0, bath: BathModel, rho0, t: float, rho_bath=None) -> 
 
 def dephasing_time_series(h0, r: IdsReport, v, dist: NoiseDistribution,
                           state, t_grid, gap_factor: float,
-                          nodes: int = DEFAULT_NODES) -> list:
+                          nodes: int = DEFAULT_NODES, sites=None) -> list:
     """Row dicts comparing prediction, simulation and both bounds over time.
 
-    ``r = ids(code, v)`` is the run's one compression of ``v`` onto the
-    ground code of h0. One row per time point and eigenvalue pair (m < n)
-    of the compressed perturbation: predicted and simulated coherence
-    magnitudes for that pair, the projected-evolution bound numbers, and
-    the fidelity pair. Column values are plain floats so callers can
-    serialize them directly. The start state enters the eigenframe as
-    c c^dag with c = Q^dag psi, psi its code-frame vector. The simulation
-    passes the pure start vector to ``evolve_mixture_grid`` as a one-column
-    factor, so the whole grid costs one full-size herm_eig per magnitude
-    node plus O(D^2) per node and time; the bound checks add one more
-    full-size herm_eig (g h0 + v) and the two full-size operator_norm SVDs
-    of h0 and v, whatever len(t_grid): nodes + 1 full-size herm_eig calls
-    in all. On a real model and perturbation every one of them runs in real
-    arithmetic, and on a generator whose pattern splits into blocks (a
-    Pauli model with a single-site perturbation) block by block; see
-    herm_eig.
+    ``r = ids(code, v, sites)`` is the run's one compression of ``v`` (D x D,
+    or with ``sites`` on those sites only) onto the ground code of h0. One
+    row per time point and eigenvalue pair (m < n) of the compressed
+    perturbation: predicted and simulated coherence magnitudes, the
+    projected-evolution bound numbers and the fidelity pair, as plain
+    floats. The start state enters the eigenframe as c c^dag, c = Q^dag psi.
+    The simulation takes the pure start as a one-column factor, so the run
+    costs nodes + 1 full-size herm_eig calls (one per magnitude node, one
+    for g h0 + v) and one eigvalsh of h0, whatever len(t_grid), with no
+    D x D perturbation and no full-size SVD; real input runs in real
+    arithmetic and a split pattern block by block (see herm_eig).
     """
     code = r.code
     psi = _pure_code_vector(code, state)
@@ -522,10 +512,10 @@ def dephasing_time_series(h0, r: IdsReport, v, dist: NoiseDistribution,
     frame0 = np.outer(c, c.conj())
     d = code.degeneracy
     u_frame = code.basis @ r.frame
-    gap_rows = gap_bound_check(h0, r, v, gap_factor, t_grid)
+    gap_rows = gap_bound_check(h0, r, v, gap_factor, t_grid, sites=sites)
     fid_rows = fidelity_bound_check(r, dist, t_grid, state=state, nodes=nodes)
     simulated = evolve_mixture_grid(h0, v, dist, code.basis @ psi, t_grid,
-                                    gap_factor=gap_factor, nodes=nodes)
+                                    gap_factor=gap_factor, nodes=nodes, sites=sites)
     rows = []
     for idx, t in enumerate(t_grid):
         t = float(t)

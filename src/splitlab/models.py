@@ -40,19 +40,24 @@ PAULIS = {
 
 @dataclass(frozen=True)
 class QuditSystem:
-    """A chain of finite-dimensional sites."""
+    """A chain of finite-dimensional sites, MAX_TOTAL_DIM states at most.
+
+    The product of the dims stops once it passes the cap, so a chain of any
+    length is refused without forming its full product.
+    """
 
     dims: tuple[int, ...]
-    max_total: int = MAX_TOTAL_DIM
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if not self.dims or any(d < 2 for d in self.dims):
             raise ValueError(f"site dimensions must all be >= 2, got {self.dims}")
-        if total_dim(self.dims) > self.max_total:
-            raise ValueError(
-                f"total dimension {total_dim(self.dims)} exceeds the cap {self.max_total}"
-            )
+        total = 1
+        for d in self.dims:
+            total *= d
+            if total > MAX_TOTAL_DIM:
+                raise ValueError(f"the total dimension of {len(self.dims)} sites "
+                                 f"exceeds the cap {MAX_TOTAL_DIM}")
 
     @property
     def n_sites(self) -> int:
@@ -263,6 +268,7 @@ def repetition_model(n: int) -> LocalModel:
     """Ferromagnetic chain with ZZ checks; two-fold degenerate ground space."""
     if n < 2:
         raise ValueError("need at least two qubits")
+    QuditSystem((2,) * n)       # the cap, before n - 1 strings of length n
     gens = ["I" * k + "ZZ" + "I" * (n - k - 2) for k in range(n - 1)]
     return stabilizer_hamiltonian(n, gens)
 
@@ -385,7 +391,7 @@ def block_sites(model: LocalModel, groups) -> LocalModel:
         for s in g:
             group_of[s] = gi
     new_dims = tuple(total_dim([dims[s] for s in g]) for g in groups)
-    new_system = QuditSystem(new_dims, max_total=model.system.max_total)
+    new_system = QuditSystem(new_dims)
 
     new_terms = []
     for sites, m in model.terms:

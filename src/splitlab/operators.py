@@ -246,15 +246,15 @@ def _support(support, dims, m) -> list[int]:
 def _add_local(h: np.ndarray, m: np.ndarray, support, dims) -> None:
     """h += (m on the ``support`` sites, identity elsewhere), in place.
 
-    ``h`` is a D x D array on the tuple ``dims`` that the caller has just
-    allocated; ``m`` acts on the ``support`` sites in the order listed. ``h``
-    is read as a ``dims + dims`` tensor through one strided view: each
-    support site keeps its row and its column axis, and each other site's
-    row and column axes become one diagonal axis, whose stride is the sum of
-    the two, since the identity there is nonzero only where the row and
-    column labels agree. ``m`` is added into that view, broadcast over the
-    diagonal axes, so only the D d_sup entries the term reaches are
-    written: no kron, no transposed copy, no D x D temporary.
+    ``h`` is a D x D array on the tuple ``dims`` that the caller owns (a
+    fresh array or a reused buffer); ``m`` acts on the ``support`` sites in
+    the order listed. ``h`` is read as a ``dims + dims`` tensor through one
+    strided view: each support site keeps its row and its column axis, and
+    each other site's row and column axes become one diagonal axis, whose
+    stride is the sum of the two, since the identity there is nonzero only
+    where the row and column labels agree. ``m`` is added into that view,
+    broadcast over the diagonal axes, so only the D d_sup entries the term
+    reaches are written: no kron, no transposed copy, no D x D temporary.
     """
     _check_square(h, dims)
     support = _support(support, dims, m)

@@ -33,6 +33,7 @@ SECTOR_SUPPORT_TOL = 1e-8    # code weight below which a sector is unpopulated
 FACTOR_RESIDUAL_TOL = 1e-6   # reconstruction failure threshold
 UNITS_ATOL = 1e-8            # matrix-units certification tolerance
 UNITS_RETRIES = 8
+SECTOR_SEED = 7              # seeds the generic center element of each site
 
 SECTOR_GUARANTEE = 1.0
 PAIR_GUARANTEE = 1.0 / 3.0
@@ -295,7 +296,7 @@ def _cluster_bounds(w) -> list[int]:
     return [0] + [int(c) + 1 for c in cuts] + [len(w)]
 
 
-def sector_projectors(model: LocalModel, site: int, seed: int = 7) -> SiteSectorDecomposition:
+def sector_projectors(model: LocalModel, site: int) -> SiteSectorDecomposition:
     """Sector projectors from the center of the site algebra.
 
     A generic hermitian element of the center has one eigenvalue cluster per
@@ -307,7 +308,7 @@ def sector_projectors(model: LocalModel, site: int, seed: int = 7) -> SiteSector
     alg = site_algebra(model, site)
     d = model.system.dims[site]
     herm = _center_hermitian_span(list(alg))
-    rng = np.random.default_rng(seed + 1009 * site)
+    rng = np.random.default_rng(SECTOR_SEED + 1009 * site)
     z = sum(g * h for g, h in zip(rng.standard_normal(len(herm)), herm))
     z = np.asarray(z, dtype=complex)
     w, u = np.linalg.eigh(z)

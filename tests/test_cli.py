@@ -217,6 +217,37 @@ def test_repetition_over_dimension_cap_unsupported(tmp_path):
     assert not out.exists()
 
 
+def test_oversized_chains_exit_with_the_cap_in_the_message(tmp_path, capsys):
+    # the message names the cap and the site count; the full product of
+    # 16,000 dims has more digits than Python converts to a string
+    inline = {"dims": [2] * 16_000,
+              "terms": [{"sites": [0, 1], "matrix": matrix_to_json(np.eye(4))}]}
+    for model, code in (({"fixture": "repetition", "n": 16_000}, 4), (inline, 2)):
+        scn = _write(tmp_path, "s.json", {"schema_version": 1, "task": "attack",
+                                          "model": model})
+        out = tmp_path / "out"
+        assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == code
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "16000 sites" in err and "cap 4096" in err
+
+
+def test_dephase_on_nondegenerate_code_exits_4_before_simulating(tmp_path, monkeypatch,
+                                                                 capsys):
+    def no_series(*args, **kwargs):
+        raise AssertionError("dynamics ran for a code with nothing to dephase")
+
+    monkeypatch.setattr(cli, "dephasing_time_series", no_series)
+    scn = _write(tmp_path, "s.json", {
+        **_dephase_scenario(perturbation={"sites": [0], "matrix": _Z}),
+        "model": {"fixture": "random_commuting", "dims": [2, 2, 2],
+                  "pairs": [[0, 1], [1, 2]], "seed": 3}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 4
+    assert not out.exists()
+    assert "nothing to dephase" in capsys.readouterr().err
+
+
 def test_dephase_writes_csv_with_fixed_columns(tmp_path):
     scn = _write(tmp_path, "s.json", _dephase_scenario())
     out = tmp_path / "out"

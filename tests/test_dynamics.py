@@ -9,6 +9,7 @@ from scipy.integrate import quad
 import splitlab.operators
 from conftest import random_density
 from splitlab.code_space import ground_subspace
+from splitlab import dynamics
 from splitlab.dynamics import (
     BathModel,
     NoiseDistribution,
@@ -16,16 +17,21 @@ from splitlab.dynamics import (
     coherence_time,
     dephasing_factors,
     dephasing_time_series,
-    evolve_mixture,
     evolve_mixture_grid,
     fidelity_bound_check,
     gap_bound_check,
     predict_dephasing,
     worst_code_state,
 )
-from splitlab.models import pauli_string_matrix, repetition_model
+from splitlab.models import (
+    QuditSystem,
+    pauli_string_matrix,
+    random_commuting_model,
+    repetition_model,
+)
 from splitlab.operators import (
     Ket,
+    embed,
     fidelity,
     herm_propagator,
     mat_of,
@@ -220,7 +226,7 @@ def test_mixture_discrete_matches_exact_sum():
     dist = NoiseDistribution.discrete([(1.0, 0.5), (-1.0, 0.5)])
     rho0 = _plus_logical().density()
     t, g = 0.8, 50.0
-    out = evolve_mixture(h, Z1_ON_3, dist, rho0, t, gap_factor=g).matrix
+    out = evolve_mixture_grid(h, Z1_ON_3, dist, rho0, [t], gap_factor=g)[0].matrix
     acc = np.zeros_like(rho0)
     for lam in (1.0, -1.0):
         u = herm_propagator(g * h.matrix + lam * Z1_ON_3, t)
@@ -255,8 +261,76 @@ def test_mixture_grid_matches_per_time_propagators(rng):
         for t, out in zip(t_grid, grid):
             ref = _mixture_by_propagators(h, v, dist, rho0, t, 20.0, 12)
             assert np.max(np.abs(out.matrix - ref)) < 1e-12
-            single = evolve_mixture(h, v, dist, start, t, gap_factor=20.0, nodes=12)
-            assert np.max(np.abs(single.matrix - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("model", [
+    repetition_model(6),
+    random_commuting_model(QuditSystem((3, 2, 3)), [(0, 1), (1, 2)], seed=2),
+], ids=["repetition", "random_commuting"])
+def test_generator_placement_matches_the_embedded_sum_bit_for_bit(model, rng):
+    # g h0 + lambda v with v on two sites, given locally or as the full D x D
+    # operator on all sites, equals g h0 + lambda embed(m), signed zeros too
+    h = model.hamiltonian().matrix
+    dims = model.system.dims
+    sites = [2, 0]
+    d_sup = dims[2] * dims[0]
+    m = rng.standard_normal((d_sup, d_sup)) + 1j * rng.standard_normal((d_sup, d_sup))
+    m = m + m.conj().T
+    m[0, 1] = m[1, 0] = 0.0
+    full = embed(m, sites, dims)
+    gen = np.empty_like(h)
+    for g in (1.0, 1000.0):
+        base = g * h
+        for lam in (-1.7, 0.0, 0.3):
+            want = base + lam * full
+            for local, on in ((m, sites), (full, None)):
+                got = dynamics._add_generator(gen, base, lam, local, on, dims)
+                assert got is gen
+                for part in ("real", "imag"):
+                    a, b = getattr(got, part), getattr(want, part)
+                    assert np.array_equal(a, b)
+                    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_dynamics_on_sites_equal_the_full_operator():
+    # the local form moves nothing but |v|, read from the small matrix
+    model, code = _rep_code(4)
+    h = model.hamiltonian()
+    m = pauli_string_matrix("X") + pauli_string_matrix("Z")
+    v = embed(m, [1], code.dims)
+    r = ids(code, m, [1])
+    dist = NoiseDistribution.gaussian(0.0, 0.2)
+    t_grid = [0.0, 0.7, 2.0]
+    start = worst_code_state(r)
+    local = dephasing_time_series(h, r, m, dist, start, t_grid, 50.0, nodes=6, sites=[1])
+    full = dephasing_time_series(h, r, v, dist, start, t_grid, 50.0, nodes=6)
+    for a, b in zip(local, full, strict=True):
+        assert a["gap_bound_lhs"] == b["gap_bound_lhs"]
+        assert a["simulated_coherence"] == b["simulated_coherence"]
+        assert a["gap_bound_rhs"] == pytest.approx(b["gap_bound_rhs"], rel=1e-15, abs=0)
+    amp = start.amplitudes
+    for a, b in zip(evolve_mixture_grid(h, m, dist, amp, t_grid, 50.0, nodes=6, sites=[1]),
+                    evolve_mixture_grid(h, v, dist, amp, t_grid, 50.0, nodes=6)):
+        assert np.array_equal(a.matrix, b.matrix)
+
+
+def test_time_series_on_sites_runs_no_full_size_svd(monkeypatch):
+    # |v| is the norm of the site matrix and the ground-energy guard reads
+    # |h0| from its spectrum, so every operator_norm input is D x k or smaller
+    model, code = _rep_code(4)
+    m = pauli_string_matrix("X") + pauli_string_matrix("Z")
+    shapes = []
+
+    def recording(matrix):
+        shapes.append(np.shape(mat_of(matrix)))
+        return operator_norm(matrix)
+
+    monkeypatch.setattr(dynamics, "operator_norm", recording)
+    r = ids(code, m, [1])
+    dephasing_time_series(model.hamiltonian(), r, m, NoiseDistribution.gaussian(0.0, 0.1),
+                          worst_code_state(r), [0.0, 1.0], 100.0, nodes=4, sites=[1])
+    assert shapes and max(max(s) for s in shapes) == 16
+    assert (16, 16) not in shapes
 
 
 def test_mixture_rejects_nonhermitian_start():
@@ -264,8 +338,8 @@ def test_mixture_rejects_nonhermitian_start():
     rho0 = _plus_logical().density()
     rho0[0, 7] += 1e-3
     with pytest.raises(ValueError, match="hermitian"):
-        evolve_mixture(model.hamiltonian(), Z1_ON_3, NoiseDistribution.delta(0.5),
-                       rho0, 1.0)
+        evolve_mixture_grid(model.hamiltonian(), Z1_ON_3, NoiseDistribution.delta(0.5),
+                            rho0, [1.0])
 
 
 def test_time_series_diagonalizes_each_node_once(monkeypatch):
@@ -307,7 +381,7 @@ def test_mixture_exact_when_perturbation_commutes():
     rho0 = _plus_logical().density()
     t = 1.0
     predicted = predict_dephasing(ids(code, Z1_ON_3), dist, rho0, t).matrix
-    sim = evolve_mixture(h, Z1_ON_3, dist, rho0, t, gap_factor=10.0).matrix
+    sim = evolve_mixture_grid(h, Z1_ON_3, dist, rho0, [t], gap_factor=10.0)[0].matrix
     assert operator_norm(sim - predicted) < 1e-12
 
 
@@ -323,7 +397,7 @@ def test_mixture_converges_to_prediction_as_gap_grows():
     predicted = predict_dephasing(ids(code, v), dist, rho0, t).matrix
     errs = []
     for g in (10.0, 100.0, 1000.0):
-        sim = evolve_mixture(h, v, dist, rho0, t, gap_factor=g).matrix
+        sim = evolve_mixture_grid(h, v, dist, rho0, [t], gap_factor=g)[0].matrix
         errs.append(operator_norm(sim - predicted))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 5e-2
@@ -428,7 +502,7 @@ def test_simulated_fidelity_respects_bound_at_large_gap():
     psi = worst_code_state(ids(code, Z1_ON_3))
     rho0 = psi.density()
     for t in (0.5, 1.0):
-        sim = evolve_mixture(h, Z1_ON_3, dist, rho0, t, gap_factor=1e4)
+        sim = evolve_mixture_grid(h, Z1_ON_3, dist, rho0, [t], gap_factor=1e4)[0]
         f = fidelity(sim.matrix, rho0)
         assert f >= 1.0 - 0.005 * t ** 2 - 1e-3
 

@@ -135,20 +135,24 @@ def test_only_the_gate_refuses_a_matrix_as_not_hermitian():
     assert any(isinstance(n, ast.Raise) for n in ast.walk(gate))
 
 
-def called_names(source: str, func: str) -> set:
-    """Name of every call (a bare name or an attribute) in the top-level function ``func``."""
-    fn = next(n for n in ast.parse(source).body
-              if isinstance(n, ast.FunctionDef) and n.name == func)
+def called_names(source: str, func: str | None = None) -> set:
+    """Name of every call (a bare name or an attribute) in the top-level
+    function ``func``, or anywhere in ``source`` when ``func`` is None."""
+    tree = ast.parse(source)
+    if func is not None:
+        tree = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == func)
     return {c.func.id if isinstance(c.func, ast.Name) else c.func.attr
-            for c in ast.walk(fn) if isinstance(c, ast.Call)
+            for c in ast.walk(tree) if isinstance(c, ast.Call)
             and isinstance(c.func, (ast.Name, ast.Attribute))}
 
 
 def test_scanner_lists_the_calls_of_one_function():
     src = ("def f(m):\n    return np.kron(m, embed(m))\n"
-           "def g(h):\n    _add_local(h, 1, [], ())\n")
+           "def g(h):\n    _add_local(h, 1, [], ())\n"
+           "class C:\n    def h(self):\n        return ops.embed(1, [0], (2,))\n")
     assert called_names(src, "f") == {"kron", "embed"}
     assert called_names(src, "g") == {"_add_local"}
+    assert called_names(src) == {"kron", "embed", "_add_local"}
 
 
 def test_one_placement_route_for_local_terms():
@@ -169,6 +173,16 @@ def test_ids_perturbations_stay_on_their_sites():
     source = (ROOT / "src" / "splitlab" / "cli.py").read_text()
     for func in ("_perturbation", "_run_ids"):
         assert not {"embed", "pauli_string_matrix"} & called_names(source, func)
+
+
+def test_dephase_perturbations_stay_on_their_sites():
+    # the dynamics place (sites, matrix) into each generator with
+    # operators._add_local; an embed or a full Pauli string here would bring
+    # back a D x D perturbation
+    pkg = ROOT / "src" / "splitlab"
+    banned = {"embed", "pauli_string_matrix"}
+    assert not banned & called_names((pkg / "dynamics.py").read_text())
+    assert not banned & called_names((pkg / "cli.py").read_text(), "_run_dephase")
 
 
 def test_cli_imports_no_scipy():

@@ -223,6 +223,21 @@ def test_assembly_and_embed_allocate_one_full_matrix():
     assert _traced_peak(lambda: embed(ZZ, (3, 4), dims)) <= 1.1 * one
 
 
+def test_oversized_chain_is_refused_before_its_strings():
+    # the product stops at the cap, and the repetition builder checks it
+    # before writing n - 1 generator strings of length n (9 MB at n = 3000)
+    with pytest.raises(ValueError, match="16000 sites exceeds the cap 4096"):
+        QuditSystem((2,) * 16_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="3000 sites"):
+            repetition_model(3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def test_matrix_json_roundtrip(rng):
     m = random_herm(3, rng) + 1j * 0  # make sure complex path is exercised
     back = matrix_from_json(matrix_to_json(m))
