@@ -95,8 +95,10 @@ class ScenarioError(Exception):
 
 REQUIRED = object()
 
-# Fixed ceilings on the dephase sizes: a simulation holds one D x D state
-# per time point and runs one full-size eigh per quadrature node.
+# Fixed ceilings on the dephase sizes: a simulation holds the k x k code
+# block of its state per time point (k the degeneracy) and runs one batched
+# block eigh per quadrature node, full size only when the pattern of the
+# hamiltonian and the perturbation does not split.
 MAX_TIMES = 10_000
 MAX_NODES = 1_024
 

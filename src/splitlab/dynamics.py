@@ -17,10 +17,17 @@ import numpy as np
 
 from .code_space import CodeSubspace
 from .operators import (
+    DENSITY_EIG_FLOOR,
+    DENSITY_TRACE_ATOL,
+    HERM_ATOL,
     DensityOp,
     Ket,
     _add_local,
+    _block_index,
     _herm_eigvalsh,
+    _hermitian,
+    _pattern_blocks,
+    _stacked_herm_eig,
     herm_eig,
     herm_propagator,
     mat_of,
@@ -197,12 +204,97 @@ def _state_factor(rho0):
     return a[:, keep], s[keep]
 
 
-def _add_generator(gen: np.ndarray, base: np.ndarray, lam: float, m: np.ndarray,
-                   sites, dims) -> np.ndarray:
-    """gen = base + lam (m on ``sites``, all sites when None), placed by _add_local."""
-    np.copyto(gen, base)
-    _add_local(gen, lam * m, range(len(dims)) if sites is None else sites, dims)
-    return gen
+class _BlockPencil:
+    """The generators g h0 + lam (m on ``sites``) of one run, block by block.
+
+    ``m`` acts on the ``sites`` (all sites when None, as for embed). One
+    partition serves every lam: the connected components of the joint
+    nonzero pattern of h0 and the placed m, read on both triangles so that
+    a non-hermitian entry stays inside a block (one _pattern_blocks scan;
+    one block below BLOCK_SCAN_MIN_DIM). Every generator is zero off those
+    blocks, so factoring the blocks is exact.
+    The blocks of g h0 and of m are gathered once per block size; m's are
+    read from the small matrix through the site digits of each index, so
+    no D x D perturbation is formed, and a generator's block entries are
+    (g h0) + (lam m), the same sums as on the full matrix.
+    """
+
+    def __init__(self, h0, m, sites, dims, gap_factor: float):
+        h = mat_of(h0)
+        m = mat_of(m)
+        dims = tuple(int(d) for d in dims)
+        on = list(range(len(dims)) if sites is None else sites)
+        pattern = h != 0
+        _add_local(pattern, m != 0, on, dims)     # boolean +=: a logical or
+        pattern |= pattern.T
+        lab = _pattern_blocks(pattern)
+        lab = np.zeros(h.shape[0], dtype=np.intp) if lab is None else lab
+        self.dim = h.shape[0]
+        self.m = m
+        self.gap_factor = float(gap_factor)
+        self.blocks = [idx for _, idx in _block_index(lab)]
+        self._h = [self.gap_factor * h[idx[:, :, None], idx[:, None, :]]
+                   for idx in self.blocks]
+        self._m = []
+        rest = [i for i in range(len(dims)) if i not in on]
+        for idx in self.blocks:
+            digits = np.unravel_index(idx, dims)
+            sub = np.zeros_like(idx)
+            for i in on:
+                sub = sub * dims[i] + digits[i]
+            same = np.ones(idx.shape + idx.shape[-1:], dtype=bool)
+            for i in rest:
+                same &= digits[i][:, :, None] == digits[i][:, None, :]
+            self._m.append(np.where(same, m[sub[:, :, None], sub[:, None, :]], 0))
+
+    def generator(self, lam: float) -> list:
+        """Stacked blocks of g h0 + lam m, one array per block size."""
+        return [gh + lam * mb for gh, mb in zip(self._h, self._m)]
+
+    def factor(self, lam: float, a: np.ndarray) -> list:
+        """Per block size, (e, Q, Q^dag a) of the generator at lam; ``a`` is D x r.
+
+        The blocks go through one gate and one batched eigh per size
+        (operators._stacked_herm_eig).
+        """
+        parts = []
+        for idx, (e, q) in zip(self.blocks, _stacked_herm_eig(self.generator(lam))):
+            q = q.astype(complex, copy=False)   # once, not at every time
+            parts.append((e, q, q.conj().mT @ a[idx]))
+        return parts
+
+    def evolve(self, parts: list, t: float) -> np.ndarray:
+        """exp(-i t G) a, D x r, from ``parts = factor(lam, a)``, block by block."""
+        x = np.empty((self.dim, parts[0][2].shape[-1]), dtype=complex)
+        for idx, (e, q, c) in zip(self.blocks, parts):
+            x[idx.reshape(-1)] = (q @ (np.exp(-1j * t * e)[..., None] * c)).reshape(-1, x.shape[1])
+        return x
+
+
+def _mixture(pencil: _BlockPencil, lam, weights, a, s, t_grid, reader=None):
+    """Per time, the mixture read through ``reader`` R, and its full trace.
+
+    The start is a diag(s) a^dag; each node lam_k with weight w_k evolves
+    the columns, x = exp(-i t G_k) a, and each time accumulates
+    w_k Y diag(s) Y^dag with Y = R^dag x (Y = x when R is None, the
+    identity), and the scalar w_k sum_j s_j |x_j|^2, the trace of the full
+    D x D term. Returns (accumulators, traces). Nodes are summed in
+    ascending order, so the output is bit-stable.
+    """
+    times = [float(t) for t in t_grid]
+    rh = None if reader is None else reader.conj().T
+    size = pencil.dim if reader is None else reader.shape[1]
+    accs = [np.zeros((size, size), dtype=complex) for _ in times]
+    traces = np.zeros(len(times))
+    for lk, wk in zip(lam, weights):
+        parts = pencil.factor(float(lk), a)
+        ws = float(wk) * s
+        for j, t in enumerate(times):
+            x = pencil.evolve(parts, t)
+            y = x if rh is None else rh @ x
+            accs[j] += (y * ws) @ y.conj().T
+            traces[j] += ws @ np.sum(x.real ** 2 + x.imag ** 2, axis=0)
+    return accs, traces
 
 
 def evolve_mixture_grid(h0, v, dist: NoiseDistribution, rho0, t_grid,
@@ -213,32 +305,42 @@ def evolve_mixture_grid(h0, v, dist: NoiseDistribution, rho0, t_grid,
     ``v`` is D x D, or with ``sites`` an operator on those sites only (as
     for embed). Magnitudes come from dist.quadrature (exact for discrete
     and point laws). ``rho0``, a density matrix or a 1-D pure state, is
-    written once as A diag(s) A^dag (``_state_factor``). Each node writes
-    g h0 + lambda v into one reused D x D buffer (``_add_generator``) and
-    costs one herm_eig, (e, Q), block by block when its pattern splits;
-    with c = Q^dag A each time adds w X diag(s) X^dag, X = Q (exp(-i t e) * c),
-    at O(D^2 r) for a rank-r start. Nodes are summed in ascending order into
-    one D x D accumulator per time, so the output is bit-stable.
+    written once as A diag(s) A^dag (``_state_factor``). The generators
+    are factored block by block on one partition (``_BlockPencil``): each
+    node costs one gated batched eigh per block size and no D x D
+    generator. Each time adds w X diag(s) X^dag, X = exp(-i t G) A built
+    block by block, into one D x D accumulator, at O(D^2 r) for a rank-r
+    start, and is normalized by the scalar full trace; each output is
+    checked as a DensityOp.
     """
     h = mat_of(h0)
-    vm = mat_of(v)
     dims = getattr(rho0, "dims", None) or getattr(h0, "dims", None) or (h.shape[0],)
     a, s = _state_factor(rho0)
+    if a.shape[0] != h.shape[0]:
+        raise ValueError(f"state dimension {a.shape[0]} does not match {h.shape[0]}")
     lam, weights = dist.quadrature(nodes)
-    times = [float(t) for t in t_grid]
-    outs = [np.zeros(h.shape, dtype=complex) for _ in times]
-    base = float(gap_factor) * h
-    gen = np.empty_like(base)
-    for lk, wk in zip(lam, weights):
-        e, q = herm_eig(_add_generator(gen, base, float(lk), vm, sites, dims))
-        c = q.conj().T @ a
-        for out, t in zip(outs, times):
-            x = q @ (np.exp(-1j * t * e)[:, None] * c)
-            out += float(wk) * ((x * s) @ x.conj().T)
-    for j, out in enumerate(outs):
-        out = (out + out.conj().T) / 2
-        outs[j] = DensityOp(out / np.trace(out).real, tuple(dims))
-    return outs
+    accs, traces = _mixture(_BlockPencil(h, v, sites, dims, gap_factor),
+                            lam, weights, a, s, t_grid)
+    return [DensityOp(acc / tr, tuple(dims)) for acc, tr in zip(accs, traces)]
+
+
+def _simulated_code_block(acc: np.ndarray, trace: float) -> np.ndarray:
+    """acc / trace, a simulated state read in a code frame, checked.
+
+    The k x k block of a density matrix: hermitian and above the PSD floor
+    as for DensityOp, with a trace in [0, 1 + DENSITY_TRACE_ATOL], short
+    of 1 by the weight that left the code.
+    """
+    m = acc / trace
+    m = _hermitian(m, HERM_ATOL * max(1.0, float(np.max(np.abs(m)))),
+                   "density matrix is not hermitian within tolerance")
+    tr = np.trace(m).real
+    if not 0.0 <= tr <= 1.0 + DENSITY_TRACE_ATOL:
+        raise ValueError(f"code-frame trace {tr} is outside [0, 1 + {DENSITY_TRACE_ATOL}]")
+    lo = float(_herm_eigvalsh(m)[0])
+    if lo < DENSITY_EIG_FLOOR:
+        raise ValueError(f"negative eigenvalue {lo} below floor {DENSITY_EIG_FLOOR}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -249,6 +351,36 @@ class BoundRow:
     lhs: float
     rhs: float
     passed: bool
+
+
+def _bound_pencil(h0, r: IdsReport, v, gap_factor: float, sites) -> _BlockPencil:
+    """gap_bound_check's pencil, after its checks of h0 against the code of ``r``."""
+    code = r.code
+    h = mat_of(h0)
+    if code.dim != h.shape[0] or tuple(code.dims) != tuple(getattr(h0, "dims", code.dims)):
+        raise ValueError(f"code dims {code.dims} do not fit the hamiltonian")
+    w = _herm_eigvalsh(h)
+    if abs(code.ground_energy) > 1e-10 * max(1.0, abs(w[0]), abs(w[-1])):
+        raise ValueError("shift the ground energy to 0 before checking the bound")
+    return _BlockPencil(h, v, sites, code.dims, gap_factor)
+
+
+def _bound_rows(pencil: _BlockPencil, r: IdsReport, t_grid) -> list:
+    """gap_bound_check's rows, its generator at lam = 1 factored by ``pencil``."""
+    code = r.code
+    vnorm = operator_norm(pencil.m)
+    g = pencil.gap_factor
+    parts = pencil.factor(1.0, code.basis)
+    e_code, q_code = r.eigenvalues, r.frame
+    bq = code.basis @ q_code
+    rows = []
+    for t in t_grid:
+        t = float(t)
+        lhs = operator_norm(pencil.evolve(parts, t)
+                            - bq @ (np.exp(-1j * t * e_code)[:, None] * q_code.conj().T))
+        rhs = (4.0 * vnorm / (g * code.gap)) * (vnorm * abs(t) + 1.0)
+        rows.append(BoundRow(t=t, lhs=float(lhs), rhs=float(rhs), passed=bool(lhs <= rhs)))
+    return rows
 
 
 def gap_bound_check(h0, r: IdsReport, v, gap_factor: float, t_grid, sites=None) -> list:
@@ -262,33 +394,11 @@ def gap_bound_check(h0, r: IdsReport, v, gap_factor: float, t_grid, sites=None) 
     sit at 0 within 1e-10 max(1, |h0|), |h0| its largest |eigenvalue|, or
     the phase-skewed comparison is refused. The norm is taken of the D x k
     difference on the code basis B, with exp(-i t P v P) B = B Q
-    exp(-i t e) Q^dag from the report. Full-size work: one eigvalsh of h0
-    and one herm_eig of the generator, block by block when they split.
+    exp(-i t e) Q^dag from the report. Full-size work: one eigvalsh of h0;
+    the generator g h0 + v is factored block by block (``_BlockPencil``,
+    one batched eigh per block size), with no D x D generator.
     """
-    code = r.code
-    h = mat_of(h0)
-    if code.dim != h.shape[0] or tuple(code.dims) != tuple(getattr(h0, "dims", code.dims)):
-        raise ValueError(f"code dims {code.dims} do not fit the hamiltonian")
-    w = _herm_eigvalsh(h)
-    if abs(code.ground_energy) > 1e-10 * max(1.0, abs(w[0]), abs(w[-1])):
-        raise ValueError("shift the ground energy to 0 before checking the bound")
-    vm = mat_of(v)
-    vnorm = operator_norm(vm)
-    g = float(gap_factor)
-    base = g * h
-    e_full, q_full = herm_eig(_add_generator(np.empty_like(base), base, 1.0, vm, sites,
-                                             code.dims))
-    e_code, q_code = r.eigenvalues, r.frame
-    c_full = q_full.conj().T @ code.basis
-    bq = code.basis @ q_code
-    rows = []
-    for t in t_grid:
-        t = float(t)
-        lhs = operator_norm(q_full @ (np.exp(-1j * t * e_full)[:, None] * c_full)
-                            - bq @ (np.exp(-1j * t * e_code)[:, None] * q_code.conj().T))
-        rhs = (4.0 * vnorm / (g * code.gap)) * (vnorm * abs(t) + 1.0)
-        rows.append(BoundRow(t=t, lhs=float(lhs), rhs=float(rhs), passed=bool(lhs <= rhs)))
-    return rows
+    return _bound_rows(_bound_pencil(h0, r, v, gap_factor, sites), r, t_grid)
 
 
 def worst_code_state(r: IdsReport) -> Ket:
@@ -500,27 +610,35 @@ def dephasing_time_series(h0, r: IdsReport, v, dist: NoiseDistribution,
     perturbation: predicted and simulated coherence magnitudes, the
     projected-evolution bound numbers and the fidelity pair, as plain
     floats. The start state enters the eigenframe as c c^dag, c = Q^dag psi.
-    The simulation takes the pure start as a one-column factor, so the run
-    costs nodes + 1 full-size herm_eig calls (one per magnitude node, one
-    for g h0 + v) and one eigvalsh of h0, whatever len(t_grid), with no
-    D x D perturbation and no full-size SVD; real input runs in real
-    arithmetic and a split pattern block by block (see herm_eig).
+    The gap bound and the simulation share one block pencil: one pattern
+    scan, then nodes + 1 gated batched eigh calls per block size (one per
+    magnitude node, one for g h0 + v), whatever len(t_grid), plus one
+    eigvalsh of h0. The simulation reads only U^dag rho(t) U, U = B Q: per
+    node and time it accumulates the k x 1 vector U^dag x of the evolved
+    pure start x, normalized by the scalar full trace, so it holds k x k
+    per time and no D x D state, generator or perturbation, and runs no
+    full-size SVD or herm_eig. Quadrature weights must be nonnegative,
+    which makes the mixture PSD; each k x k state is checked
+    (``_simulated_code_block``).
     """
     code = r.code
     psi = _pure_code_vector(code, state)
     c = r.frame.conj().T @ psi
     frame0 = np.outer(c, c.conj())
     d = code.degeneracy
-    u_frame = code.basis @ r.frame
-    gap_rows = gap_bound_check(h0, r, v, gap_factor, t_grid, sites=sites)
+    pencil = _bound_pencil(h0, r, v, gap_factor, sites)
+    gap_rows = _bound_rows(pencil, r, t_grid)
     fid_rows = fidelity_bound_check(r, dist, t_grid, state=state, nodes=nodes)
-    simulated = evolve_mixture_grid(h0, v, dist, code.basis @ psi, t_grid,
-                                    gap_factor=gap_factor, nodes=nodes, sites=sites)
+    a, s = _state_factor(code.basis @ psi)
+    lam, weights = dist.quadrature(nodes)
+    if np.any(weights < 0) or np.any(s < 0):
+        raise ValueError("a mixture needs nonnegative weights and a PSD start")
+    accs, traces = _mixture(pencil, lam, weights, a, s, t_grid, reader=code.basis @ r.frame)
     rows = []
     for idx, t in enumerate(t_grid):
         t = float(t)
         pred_f = DensityOp(frame0 * dephasing_factors(r, dist, t), (d,)).matrix
-        sim_f = u_frame.conj().T @ simulated[idx].matrix @ u_frame
+        sim_f = _simulated_code_block(accs[idx], traces[idx])
         for m in range(d):
             for n in range(m + 1, d):
                 rows.append({

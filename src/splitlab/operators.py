@@ -66,16 +66,18 @@ def mat_of(op) -> np.ndarray:
 def _hermitian(m: np.ndarray, atol: float, message: str) -> np.ndarray:
     """(M + M^dag)/2 of a square ``m``; ValueError(message) if max|M - M^dag| > atol.
 
+    ``m`` may also be a stack of square matrices along its leading axes;
+    then M^dag is taken of each and the defect is the largest over all.
     The defect d is formed once; a NaN defect passes. When d is all zeros,
     M - d stands in for M^dag, read in memory order: it differs only where
     +0.0 meets -0.0, which the sum does not see, so the result keeps the
     formula's bits, signed zeros included. It is built in d, never in ``m``.
     """
-    d = m - m.conj().T
+    d = m - m.conj().mT
     if d.any():
         if float(np.max(np.abs(d))) > atol:
             raise ValueError(message)
-        np.add(m, m.conj().T, out=d)
+        np.add(m, m.conj().mT, out=d)
     else:
         np.subtract(m, d, out=d)
         d += m
@@ -428,6 +430,24 @@ def _pattern_blocks(a: np.ndarray):
     return root if root.any() else None
 
 
+def _block_index(lab: np.ndarray) -> list:
+    """The blocks of a labelling ``lab`` from _pattern_blocks, one entry per block size.
+
+    Sizes ascend. Each entry is (pos, idx), two (blocks, size) integer
+    arrays with one block a row: ``idx`` holds the block's indices,
+    ascending, and ``pos`` their slots in the stable order of ``lab``, so
+    blocks come in the order of their smallest index.
+    """
+    order = np.argsort(lab, kind="stable")
+    starts = np.flatnonzero(np.diff(lab[order], prepend=-1))
+    sizes = np.diff(starts, append=lab.shape[0])
+    out = []
+    for s in np.unique(sizes):
+        pos = starts[sizes == s][:, None] + np.arange(s)
+        out.append((pos, order[pos]))
+    return out
+
+
 def _block_eigh(a: np.ndarray, lab: np.ndarray, vectors: bool):
     """Spectrum of ``a`` from its principal blocks, ``lab`` from _pattern_blocks.
 
@@ -441,14 +461,10 @@ def _block_eigh(a: np.ndarray, lab: np.ndarray, vectors: bool):
     the full column's.
     """
     n = a.shape[0]
-    order = np.argsort(lab, kind="stable")
-    starts = np.flatnonzero(np.diff(lab[order], prepend=-1))
-    sizes = np.diff(starts, append=n)
     w_all = np.empty(n)
     parts = []
-    for s in np.unique(sizes):
-        pos = starts[sizes == s][:, None] + np.arange(s)    # slots in ``order``
-        idx = order[pos]
+    for pos, idx in _block_index(lab):
+        s = idx.shape[1]
         sub = a[idx[:, :, None], idx[:, None, :]]
         if vectors:
             w, v = np.linalg.eigh(sub)
@@ -492,6 +508,25 @@ def herm_eig(matrix):
         return _block_eigh(a, lab, vectors=True)
     w, v = np.linalg.eigh(a)
     return w, _fix_phases(v).astype(complex, copy=False)
+
+
+def _stacked_herm_eig(stacks: list) -> list:
+    """(e, Q) of each stack of hermitian blocks, one batched LAPACK call a stack.
+
+    The stacks are the principal blocks of one matrix that is zero off
+    them, such as a block form from _block_index. Each goes through
+    herm_eig's gate, with its message and one tolerance for all of them:
+    HERM_CHECK_REL times the Frobenius norm of the whole matrix, which
+    is the norm of all the stacks. Since the entries off the blocks are
+    zero, that is the test herm_eig makes of the full matrix. A stack whose
+    imaginary part is exactly zero is factored as its real part. The
+    columns keep LAPACK's phases: a propagator Q exp(-i t e) Q^dag does not
+    see them.
+    """
+    scale = float(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in stacks))) or 1.0
+    return [np.linalg.eigh(_hermitian(_lapack_operand(b), HERM_CHECK_REL * scale,
+                                      "input is too far from hermitian"))
+            for b in stacks]
 
 
 def _herm_eigvalsh(matrix) -> np.ndarray:

@@ -5,10 +5,14 @@ test is reproducible; tests that sweep many instances derive one rng per
 sweep and never reseed inside the loop.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
-from splitlab.operators import haar_unitary
+import splitlab.operators
+from splitlab import dynamics
+from splitlab.operators import haar_unitary, mat_of
 
 
 def random_ket(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -30,3 +34,31 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(2024)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Lists that record, from here on, the shape of every herm_eig input,
+    one entry per pattern scan of the dynamics, and the shape of every
+    batched (3-D) np.linalg.eigh input, whoever makes the call."""
+    full, scans, stacked = [], [], []
+    original = splitlab.operators.herm_eig
+
+    def counting(matrix):
+        full.append(np.shape(mat_of(matrix)))
+        return original(matrix)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("splitlab") and getattr(module, "herm_eig", None) is original:
+            monkeypatch.setattr(module, "herm_eig", counting)
+    scan = dynamics._pattern_blocks
+    monkeypatch.setattr(dynamics, "_pattern_blocks", lambda a: scans.append(1) or scan(a))
+    eigh = np.linalg.eigh
+
+    def batched(a):
+        if np.ndim(a) == 3:
+            stacked.append(np.shape(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", batched)
+    return full, scans, stacked

@@ -440,29 +440,46 @@ def test_run_extracts_the_ground_code_once(tmp_path, monkeypatch, scenario):
     assert len(calls) == 1
 
 
-def test_dephase_run_compresses_the_perturbation_once(tmp_path, monkeypatch):
-    # one k x k eigendecomposition (ids) for the whole run; full size, one per
-    # magnitude node plus the ground extraction and the gap bound's generator
-    import splitlab.operators
-
-    original = splitlab.operators.herm_eig
-    sizes = []
-
-    def counting(matrix):
-        sizes.append(np.shape(getattr(matrix, "matrix", matrix))[0])
-        return original(matrix)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("splitlab") and getattr(module, "herm_eig", None) is original:
-            monkeypatch.setattr(module, "herm_eig", counting)
+def test_dephase_run_compresses_the_perturbation_once(tmp_path, factorizations):
+    # one k x k eigendecomposition (ids) and one full-size one (the ground
+    # extraction) for the whole run; the gap bound and the simulation share
+    # one block pencil: one pattern scan, then one batched block eigh per
+    # magnitude node plus one for the gap bound's generator, whatever the
+    # number of time points
+    full, scans, stacked = factorizations
     nodes = 8
+    for num in (2, 5):
+        full.clear()
+        scans.clear()
+        stacked.clear()
+        scn = _write(tmp_path, "s.json", {
+            **_dephase_scenario(perturbation={"pauli": "XIII"}, nodes=nodes,
+                                t_grid={"start": 0.0, "stop": 2.0, "num": num}),
+            "model": {"fixture": "repetition", "n": 4}})
+        assert cli.main(["run", "--scenario", scn, "--out", str(tmp_path / f"out{num}")]) == 0
+        assert sorted(full) == [(2, 2), (16, 16)]
+        assert len(scans) == 1
+        assert stacked == [(1, 16, 16)] * (nodes + 1)
+
+
+def test_dephase_at_the_time_ceiling_holds_code_size_per_time(tmp_path):
+    # 10000 time points at D = 256: the run holds the k x k code block per
+    # time, where a D x D state per time would need 10.5 GB
+    import tracemalloc
+
     scn = _write(tmp_path, "s.json", {
-        **_dephase_scenario(perturbation={"pauli": "XIII"}, nodes=nodes),
-        "model": {"fixture": "repetition", "n": 4}})
-    assert cli.main(["run", "--scenario", scn, "--out", str(tmp_path / "out")]) == 0
-    assert sizes.count(2) == 1
-    assert sizes.count(16) == nodes + 2
-    assert len(sizes) == nodes + 3
+        **_dephase_scenario(perturbation={"pauli": "XZIIIIII"}, nodes=2,
+                            t_grid={"start": 0.0, "stop": 5.0, "num": cli.MAX_TIMES}),
+        "model": {"fixture": "repetition", "n": 8}})
+    tracemalloc.start()
+    try:
+        code = cli.main(["run", "--scenario", scn, "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 64 * 2 ** 20
+    assert _report(tmp_path / "out")["results"]["rows"] == cli.MAX_TIMES
 
 
 def test_attack_rejects_noncommuting_model_before_ground_extraction(tmp_path, monkeypatch):

@@ -1,7 +1,5 @@
 """Dephasing prediction, mixture simulation, bounds, coherence time, baths."""
 
-import sys
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -268,8 +266,9 @@ def test_mixture_grid_matches_per_time_propagators(rng):
     random_commuting_model(QuditSystem((3, 2, 3)), [(0, 1), (1, 2)], seed=2),
 ], ids=["repetition", "random_commuting"])
 def test_generator_placement_matches_the_embedded_sum_bit_for_bit(model, rng):
-    # g h0 + lambda v with v on two sites, given locally or as the full D x D
-    # operator on all sites, equals g h0 + lambda embed(m), signed zeros too
+    # the pencil's blocks of g h0 + lambda v, with v on two sites given locally
+    # or as the full D x D operator on all sites, equal the blocks of
+    # g h0 + lambda embed(m), signed zeros too, and that sum is zero off them
     h = model.hamiltonian().matrix
     dims = model.system.dims
     sites = [2, 0]
@@ -278,18 +277,23 @@ def test_generator_placement_matches_the_embedded_sum_bit_for_bit(model, rng):
     m = m + m.conj().T
     m[0, 1] = m[1, 0] = 0.0
     full = embed(m, sites, dims)
-    gen = np.empty_like(h)
     for g in (1.0, 1000.0):
         base = g * h
-        for lam in (-1.7, 0.0, 0.3):
-            want = base + lam * full
-            for local, on in ((m, sites), (full, None)):
-                got = dynamics._add_generator(gen, base, lam, local, on, dims)
-                assert got is gen
-                for part in ("real", "imag"):
-                    a, b = getattr(got, part), getattr(want, part)
-                    assert np.array_equal(a, b)
-                    assert np.array_equal(np.signbit(a), np.signbit(b))
+        for local, on in ((m, sites), (full, None)):
+            pencil = dynamics._BlockPencil(h, local, on, dims, g)
+            inside = np.zeros(h.shape, dtype=bool)
+            for idx in pencil.blocks:
+                inside[idx[:, :, None], idx[:, None, :]] = True
+            assert sorted(np.concatenate([i.ravel() for i in pencil.blocks])) == list(range(len(h)))
+            for lam in (-1.7, 0.0, 0.3):
+                want = base + lam * full
+                assert not want[~inside].any()
+                for idx, got in zip(pencil.blocks, pencil.generator(lam), strict=True):
+                    ref = want[idx[:, :, None], idx[:, None, :]]
+                    for part in ("real", "imag"):
+                        a, b = getattr(got, part), getattr(ref, part)
+                        assert np.array_equal(a, b)
+                        assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def test_dynamics_on_sites_equal_the_full_operator():
@@ -342,34 +346,175 @@ def test_mixture_rejects_nonhermitian_start():
                             rho0, [1.0])
 
 
-def test_time_series_diagonalizes_each_node_once(monkeypatch):
-    # full-size herm_eig calls are one per magnitude node plus one,
-    # whatever the number of time points
-    model, code = _rep_code()
+def test_time_series_diagonalizes_each_node_once(factorizations):
+    # no full-size herm_eig: one pattern scan for the run's one pencil, then
+    # one batched block eigh per magnitude node plus one for the gap bound's
+    # g h0 + v, whatever the number of time points; the mixture grid alone
+    # makes one per node
+    model, code = _rep_code(8)
     h = model.hamiltonian()
-    full = h.matrix.shape
-    original = splitlab.operators.herm_eig
-    calls = []
-
-    def counting(matrix):
-        if mat_of(matrix).shape == full:
-            calls.append(1)
-        return original(matrix)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("splitlab") and getattr(module, "herm_eig", None) is original:
-            monkeypatch.setattr(module, "herm_eig", counting)
-    v = pauli_string_matrix("XII") + Z1_ON_3
+    v = embed(pauli_string_matrix("X") + pauli_string_matrix("Z"), [3], code.dims)
     dist = NoiseDistribution.gaussian(0.0, 0.1)
-    extra = set()
+    r = ids(code, v)
+    start = worst_code_state(r)
+    full, scans, stacked = factorizations
     for nodes in (4, 9):
         for num in (2, 5):
-            calls.clear()
-            dephasing_time_series(h, ids(code, v), v, dist, _plus_logical(),
-                                  np.linspace(0.0, 2.0, num), gap_factor=100.0,
-                                  nodes=nodes)
-            extra.add(len(calls) - nodes)
-    assert extra == {1}   # the full generator g h0 + v of the gap bound
+            t_grid = np.linspace(0.0, 2.0, num)
+            for call, want in ((lambda: dephasing_time_series(h, r, v, dist, start, t_grid,
+                                                              gap_factor=100.0, nodes=nodes),
+                                nodes + 1),
+                               (lambda: evolve_mixture_grid(h, v, dist, start.amplitudes, t_grid,
+                                                            gap_factor=100.0, nodes=nodes),
+                                nodes)):
+                full.clear()
+                scans.clear()
+                stacked.clear()
+                call()
+                assert full == []
+                assert len(scans) == 1
+                assert stacked == [(128, 2, 2)] * want
+
+
+def _four_two_two_blocked():
+    from splitlab.models import block_sites, four_two_two_model
+    return block_sites(four_two_two_model(), [[0, 1], [2, 3]])
+
+
+def _oracle_cases():
+    # (name, model, sites, m, scan floor): a split pattern (repetition,
+    # D = 256), one component at D = 128 (random_commuting), and
+    # 4-dimensional sites ([[4,2,2]] blocked, D = 16), whole and, with the
+    # block scan's floor lowered, split into blocks of 4
+    rng = np.random.default_rng(11)
+    rc = random_commuting_model(QuditSystem((2,) * 7), [(i, i + 1) for i in range(6)],
+                                seed=5, ensure_ground_degeneracy=2)
+    m4 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m4 = (m4 + m4.conj().T) / 4
+    floor = splitlab.operators.BLOCK_SCAN_MIN_DIM
+    return [
+        ("repetition", repetition_model(8), [3],
+         pauli_string_matrix("X") + pauli_string_matrix("Z"), floor),
+        ("random_commuting", rc, [2, 5], pauli_string_matrix("XZ"), floor),
+        ("four_two_two", _four_two_two_blocked(), [1], m4, floor),
+        ("four_two_two_split", _four_two_two_blocked(), [1],
+         np.kron(pauli_string_matrix("X"), np.eye(2)), 2),
+    ]
+
+
+@pytest.mark.parametrize("case", _oracle_cases(), ids=lambda c: c[0])
+def test_block_pencil_matches_the_per_time_propagator_oracle(case, rng, monkeypatch):
+    name, model, sites, m, floor = case
+    monkeypatch.setattr(splitlab.operators, "BLOCK_SCAN_MIN_DIM", floor)
+    h = model.hamiltonian()
+    dims = model.system.dims
+    code = ground_subspace(model)
+    v = embed(m, sites, dims)
+    d = len(h.matrix)
+    lab = splitlab.operators._pattern_blocks(
+        (h.matrix != 0) | (v != 0) | (h.matrix != 0).T | (v != 0).T)
+    assert (lab is None) == (name in ("random_commuting", "four_two_two"))
+    r = ids(code, m, sites)
+    dist = NoiseDistribution.gaussian(0.1, 0.3)
+    t_grid = [0.0, 0.7, 2.3]
+    g, nodes = 20.0, 5
+    psi = worst_code_state(r)
+    u_frame = code.basis @ r.frame
+    refs = {}
+    mixed = random_density(d, rng)
+    for label, rho0 in (("pure", psi.density()), ("mixed", mixed)):
+        refs[label] = [_mixture_by_propagators(h.matrix, v, dist, rho0, t, g, nodes)
+                       for t in t_grid]
+    starts = (("pure", psi.amplitudes), ("pure", psi.density()), ("mixed", mixed))
+    for form in ((m, sites), (v, None)):
+        pairs = [(i, j) for i in range(code.degeneracy) for j in range(i + 1, code.degeneracy)]
+        for state in (psi.amplitudes, psi.density()):
+            rows = dephasing_time_series(h, r, form[0], dist, state, t_grid, g, nodes=nodes,
+                                         sites=form[1])
+            assert len(rows) == len(t_grid) * len(pairs)
+            for k, row in enumerate(rows):
+                ref = u_frame.conj().T @ refs["pure"][k // len(pairs)] @ u_frame
+                i, j = pairs[k % len(pairs)]
+                assert abs(row["simulated_coherence"] - abs(ref[i, j])) < 1e-12
+        for label, start in starts:
+            grid = evolve_mixture_grid(h, form[0], dist, start, t_grid, g, nodes=nodes,
+                                       sites=form[1])
+            for out, ref in zip(grid, refs[label], strict=True):
+                assert np.max(np.abs(out.matrix - ref)) < 1e-12
+            # the code-frame reading of the same mixture, any start
+            a, s = dynamics._state_factor(start)
+            lam, w = dist.quadrature(nodes)
+            pencil = dynamics._BlockPencil(h, form[0], form[1], dims, g)
+            accs, traces = dynamics._mixture(pencil, lam, w, a, s, t_grid, reader=u_frame)
+            for acc, tr, ref in zip(accs, traces, refs[label], strict=True):
+                assert np.max(np.abs(acc / tr - u_frame.conj().T @ ref @ u_frame)) < 1e-12
+
+
+@pytest.mark.parametrize("case", _oracle_cases(), ids=lambda c: c[0])
+def test_gap_bound_rows_match_the_dense_formulation(case, monkeypatch):
+    name, model, sites, m, floor = case
+    monkeypatch.setattr(splitlab.operators, "BLOCK_SCAN_MIN_DIM", floor)
+    h = model.hamiltonian().matrix
+    code = ground_subspace(model)
+    v = embed(m, sites, model.system.dims)
+    proj = code.basis @ code.basis.conj().T
+    pvp = proj @ v @ proj
+    vnorm = operator_norm(v)
+    t_grid = [0.0, 0.4, 1.5]
+    for g in (10.0, 300.0):
+        for form in ((m, sites), (v, None)):
+            rows = gap_bound_check(model.hamiltonian(), ids(code, m, sites), form[0], g,
+                                   t_grid, sites=form[1])
+            for row, t in zip(rows, t_grid, strict=True):
+                dense = operator_norm(herm_propagator(g * h + v, t) @ proj
+                                      - herm_propagator(pvp, t) @ proj)
+                assert abs(row.lhs - dense) < 1e-12
+                rhs = 4.0 * vnorm / (g * code.gap) * (vnorm * t + 1.0)
+                assert abs(row.rhs - rhs) < 1e-12
+                assert row.passed == (row.lhs <= row.rhs)
+
+
+def test_pencil_refuses_a_nonhermitian_perturbation_as_herm_eig_does():
+    model, code = _rep_code(8)
+    h = model.hamiltonian()
+    m = pauli_string_matrix("X") + pauli_string_matrix("Z")
+    m[0, 1] += 1e-3
+    v = embed(m, [3], code.dims)
+    with pytest.raises(ValueError) as dense:
+        splitlab.operators.herm_eig(20.0 * h.matrix + 0.3 * v)
+    r = ids(code, pauli_string_matrix("Z"), [3])
+    dist = NoiseDistribution.discrete([(0.3, 1.0)])
+    for form in ((m, [3]), (v, None)):
+        with pytest.raises(ValueError) as got:
+            evolve_mixture_grid(h, form[0], dist, worst_code_state(r).amplitudes, [1.0],
+                                gap_factor=20.0, sites=form[1])
+        assert str(got.value) == str(dense.value) == "input is too far from hermitian"
+        with pytest.raises(ValueError, match="^input is too far from hermitian$"):
+            gap_bound_check(h, r, form[0], 20.0, [1.0], sites=form[1])
+    with pytest.raises(ValueError, match="^input is too far from hermitian$"):
+        dephasing_time_series(h, r, m, dist, worst_code_state(r), [1.0], 20.0, sites=[3])
+
+
+def test_time_series_memory_stays_at_code_size():
+    # D = 1024, 11 times, 8 nodes: the simulation holds k x k per time, no
+    # D x D state, generator or accumulator (one complex D x D is 16 MiB)
+    import tracemalloc
+
+    model, code = _rep_code(10)
+    h = model.hamiltonian()
+    m = pauli_string_matrix("X") + pauli_string_matrix("Z")
+    r = ids(code, m, [0])
+    start = worst_code_state(r)
+    dist = NoiseDistribution.gaussian(0.0, 0.1)
+    tracemalloc.start()
+    try:
+        rows = dephasing_time_series(h, r, m, dist, start, np.linspace(0.0, 5.0, 11), 1000.0,
+                                     nodes=8, sites=[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 11
+    assert peak <= 40 * 2 ** 20
 
 
 def test_mixture_exact_when_perturbation_commutes():

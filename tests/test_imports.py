@@ -54,9 +54,10 @@ def test_no_unread_imports():
 
 
 # Modules whose dense factorizations must go through the operators
-# wrappers (herm_eig, _herm_eigvalsh), which pick the real LAPACK driver for
-# real-valued input. verify.py keeps direct calls so its oracles stay
-# independent of that route; structure.py factors only small site blocks.
+# wrappers (herm_eig, _herm_eigvalsh, _stacked_herm_eig), which pick the real
+# LAPACK driver for real-valued input. verify.py keeps direct calls so its
+# oracles stay independent of that route; structure.py factors only small
+# site blocks.
 WRAPPED_ONLY = ("models.py", "dynamics.py", "code_space.py")
 EIGEN_CALLS = {"eigh", "eigvalsh"}
 
@@ -176,9 +177,9 @@ def test_ids_perturbations_stay_on_their_sites():
 
 
 def test_dephase_perturbations_stay_on_their_sites():
-    # the dynamics place (sites, matrix) into each generator with
-    # operators._add_local; an embed or a full Pauli string here would bring
-    # back a D x D perturbation
+    # the dynamics read (sites, matrix) into the blocks of each generator
+    # through the site digits of each index; an embed or a full Pauli string
+    # here would bring back a D x D perturbation
     pkg = ROOT / "src" / "splitlab"
     banned = {"embed", "pauli_string_matrix"}
     assert not banned & called_names((pkg / "dynamics.py").read_text())
