@@ -6,6 +6,11 @@ norm. Only three candidate pairs ever need checking: the input basis and its
 two balanced superpositions (real and imaginary relative phase). That bound
 is what makes the two-site attack constructive: the more distinguishable
 side yields a projector whose expectation separates the pair by at least 1/3.
+
+The witness is computed for a batch of pairs at once: no_hiding_witness_batch
+takes the pairs' amplitudes with a leading batch axis, scores all three
+candidates of every pair in one batched call and checks every pair's floor
+in a few stacked factorizations; no_hiding_witness is its one-pair call.
 """
 
 from __future__ import annotations
@@ -15,12 +20,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
+    HERM_CHECK_REL,
+    KET_NORM_ATOL,
     HermOp,
     Ket,
     Projector,
+    _dims_tuple,
+    _hermitian,
+    _lapack_operand,
+    _psd_sqrt,
     helstrom,
-    fidelity,
     reduced_states,
+    total_dim,
 )
 
 # The worst-case guarantee for the best candidate pair, and the slack the
@@ -101,19 +112,102 @@ def pair_side_norms(psi: np.ndarray, phi: np.ndarray, dims, a_sites):
 
 
 def _candidates(b0: np.ndarray, b1: np.ndarray):
-    """The three candidate pairs, stacked: the input basis, then the
-    balanced superpositions with real and with imaginary relative phase."""
+    """The three candidate pairs, stacked on the second-to-last axis: the
+    input basis, then the balanced superpositions with real and with
+    imaginary relative phase. Leading axes of ``b0`` and ``b1`` are kept."""
     s2 = np.sqrt(0.5)
-    v0 = np.stack([b0, s2 * (b0 + b1), s2 * (b0 + 1j * b1)])
-    v1 = np.stack([b1, s2 * (b0 - b1), s2 * (b0 - 1j * b1)])
+    v0 = np.stack([b0, s2 * (b0 + b1), s2 * (b0 + 1j * b1)], axis=-2)
+    v1 = np.stack([b1, s2 * (b0 - b1), s2 * (b0 - 1j * b1)], axis=-2)
     return v0, v1
+
+
+def _check_orthogonal(b0s: np.ndarray, b1s: np.ndarray):
+    """Refuse unless each pair of kets, along the last axis, is orthogonal."""
+    if np.any(np.abs(np.einsum("...i,...i->...", b0s.conj(), b1s)) > ORTHO_ATOL):
+        raise ValueError("basis kets are not orthogonal")
 
 
 def _check_pair(b0: Ket, b1: Ket):
     if b0.dims != b1.dims:
         raise ValueError("basis kets live on different site structures")
-    if abs(np.vdot(b0.amplitudes, b1.amplitudes)) > ORTHO_ATOL:
-        raise ValueError("basis kets are not orthogonal")
+    _check_orthogonal(b0.amplitudes, b1.amplitudes)
+
+
+def _distance_and_fidelity(rho0: np.ndarray, rho1: np.ndarray):
+    """Trace distance D and fidelity F of each pair of a stack of states.
+
+    D is helstrom's distance without its projector: half the summed
+    |eigenvalues| of rho0 - rho1, each difference through helstrom's gate
+    (a defect up to HERM_CHECK_REL times its own Frobenius norm). F is
+    fidelity's trace norm of sqrt(rho0) sqrt(rho1).
+    """
+    delta = rho0 - rho1
+    scale = np.linalg.norm(delta, axis=(-2, -1))
+    a = _hermitian(_lapack_operand(delta), HERM_CHECK_REL * np.where(scale > 0, scale, 1.0),
+                   "input is too far from hermitian")
+    dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(a)), axis=-1)
+    roots = _psd_sqrt(np.stack([rho0, rho1]))
+    fid = np.sum(np.linalg.svd(roots[0] @ roots[1], compute_uv=False), axis=-1)
+    return dist, fid
+
+
+def no_hiding_witness_batch(b0s, b1s, dims, a_sites=(0,)) -> list[NoHidingWitness]:
+    """no_hiding_witness of every pair (b0s[i], b1s[i]) of a batch.
+
+    ``b0s`` and ``b1s`` hold the pairs' amplitudes as rows of an (n, D)
+    array on the sites ``dims``. Each row is held to Ket's unit norm and
+    each pair to orthogonality, with their messages. The three candidates
+    of all n pairs are scored in one pair_side_norms call over (n, 3); each
+    pair keeps its first candidate unless a later one beats it by more than
+    1e-15. Every pair's floor max(2D, F, 2/3) comes from stacked
+    factorizations of the A-side reduced states of the n input pairs.
+    """
+    dims = _dims_tuple(dims)
+    a_sites = tuple(sorted(int(s) for s in a_sites))
+    b0s, b1s = np.asarray(b0s, dtype=complex), np.asarray(b1s, dtype=complex)
+    if b0s.shape != b1s.shape:
+        raise ValueError(f"pair shapes differ: {b0s.shape} and {b1s.shape}")
+    if b0s.ndim != 2 or b0s.shape[1] != total_dim(dims):
+        raise ValueError(f"batch shape {b0s.shape} does not match dims {dims}")
+    nrm = np.linalg.norm(np.stack([b0s, b1s]), axis=-1)
+    off = np.abs(nrm - 1.0) > KET_NORM_ATOL
+    if off.any():
+        raise ValueError(f"ket norm {nrm[off][0]} is not 1 within {KET_NORM_ATOL}")
+    _check_orthogonal(b0s, b1s)
+
+    v0s, v1s = _candidates(b0s, b1s)
+    nas, nbs = pair_side_norms(v0s, v1s, dims, a_sites)
+    totals = nas + nbs
+    rows = np.arange(len(b0s))
+    cid = np.zeros(len(b0s), dtype=int)
+    for k in (1, 2):
+        cid[totals[:, k] > totals[rows, cid] + 1e-15] = k
+    scores, na, nb = totals[rows, cid], nas[rows, cid], nbs[rows, cid]
+
+    rho0, rho1 = reduced_states(np.stack([b0s, b1s]), dims, a_sites)
+    dist, fid = _distance_and_fidelity(rho0, rho1)
+    floors = np.maximum(np.maximum(2.0 * dist, fid), SCORE_FLOOR)
+    low = scores < floors - SCORE_ATOL
+    if low.any():
+        i = int(np.argmax(low))
+        raise AssertionError(
+            f"witness score {float(scores[i])} fell below its floor {float(floors[i])}; "
+            "this should be impossible"
+        )
+    return [
+        NoHidingWitness(
+            psi=Ket(v0s[i, c], dims),
+            phi=Ket(v1s[i, c], dims),
+            score=float(scores[i]),
+            side="A" if na[i] >= nb[i] else "B",
+            candidate_id=int(c),
+            fidelity_f=float(fid[i]),
+            distance_d=float(dist[i]),
+            a_sites=a_sites,
+            side_norms=(float(na[i]), float(nb[i])),
+        )
+        for i, c in enumerate(cid)
+    ]
 
 
 def no_hiding_witness(b0: Ket, b1: Ket, a_sites=(0,)) -> NoHidingWitness:
@@ -122,40 +216,10 @@ def no_hiding_witness(b0: Ket, b1: Ket, a_sites=(0,)) -> NoHidingWitness:
     The returned score is guaranteed to be at least max(2D, F) for the
     A-side trace distance D and fidelity F of the input pair, hence at
     least 2/3; the builder checks this and refuses to return otherwise.
+    This is the one-pair call of no_hiding_witness_batch.
     """
     _check_pair(b0, b1)
-    dims = b0.dims
-    a_sites = tuple(sorted(int(s) for s in a_sites))
-
-    v0s, v1s = _candidates(b0.amplitudes, b1.amplitudes)
-    nas, nbs = pair_side_norms(v0s, v1s, dims, a_sites)
-    cid = 0
-    for k in (1, 2):
-        if nas[k] + nbs[k] > nas[cid] + nbs[cid] + 1e-15:
-            cid = k
-    v0, v1, na, nb = v0s[cid], v1s[cid], nas[cid], nbs[cid]
-    score = na + nb
-
-    rho0, rho1 = reduced_states([b0.amplitudes, b1.amplitudes], dims, a_sites)
-    dist, _ = helstrom(rho0, rho1)
-    fid = fidelity(rho0, rho1)
-
-    floor = max(2.0 * dist, fid, SCORE_FLOOR)
-    if score < floor - SCORE_ATOL:
-        raise AssertionError(
-            f"witness score {score} fell below its floor {floor}; this should be impossible"
-        )
-    return NoHidingWitness(
-        psi=Ket(v0, dims),
-        phi=Ket(v1, dims),
-        score=float(score),
-        side="A" if na >= nb else "B",
-        candidate_id=cid,
-        fidelity_f=float(fid),
-        distance_d=float(dist),
-        a_sites=a_sites,
-        side_norms=(float(na), float(nb)),
-    )
+    return no_hiding_witness_batch(b0.amplitudes[None], b1.amplitudes[None], b0.dims, a_sites)[0]
 
 
 def two_site_attack(p: Projector, redraw_seed: int | None = None) -> AttackReport:

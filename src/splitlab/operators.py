@@ -63,19 +63,21 @@ def mat_of(op) -> np.ndarray:
     return np.asarray(m, dtype=complex)
 
 
-def _hermitian(m: np.ndarray, atol: float, message: str) -> np.ndarray:
+def _hermitian(m: np.ndarray, atol, message: str) -> np.ndarray:
     """(M + M^dag)/2 of a square ``m``; ValueError(message) if max|M - M^dag| > atol.
 
     ``m`` may also be a stack of square matrices along its leading axes;
-    then M^dag is taken of each and the defect is the largest over all.
-    The defect d is formed once; a NaN defect passes. When d is all zeros,
-    M - d stands in for M^dag, read in memory order: it differs only where
-    +0.0 meets -0.0, which the sum does not see, so the result keeps the
-    formula's bits, signed zeros included. It is built in d, never in ``m``.
+    then M^dag is taken of each and each defect is held to ``atol``, which
+    is one float for the whole stack or an array of the stack's shape, one
+    tolerance per matrix. The defect d is formed once; a NaN defect passes.
+    When d is all zeros, M - d stands in for M^dag, read in memory order: it
+    differs only where +0.0 meets -0.0, which the sum does not see, so the
+    result keeps the formula's bits, signed zeros included. It is built in
+    d, never in ``m``.
     """
     d = m - m.conj().mT
     if d.any():
-        if float(np.max(np.abs(d))) > atol:
+        if np.any(np.max(np.abs(d), axis=(-2, -1)) > atol):
             raise ValueError(message)
         np.add(m, m.conj().mT, out=d)
     else:
@@ -328,7 +330,8 @@ def reduced_states(vecs, dims, keep) -> np.ndarray:
     nb = len(batch)
     t = vecs.reshape(batch + dims)
     t = np.moveaxis(t, [nb + i for i in keep], range(nb, nb + len(keep)))
-    m = t.reshape(batch + (total_dim([dims[i] for i in keep]) if keep else 1, -1))
+    d_keep = total_dim([dims[i] for i in keep]) if keep else 1
+    m = t.reshape(batch + (d_keep, total_dim(dims) // d_keep))
     return np.einsum("...ab,...cb->...ac", m, m.conj())
 
 
@@ -554,9 +557,10 @@ def herm_propagator(matrix, t: float) -> np.ndarray:
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    """Square root of the PSD part of each hermitian matrix of a stack."""
+    w, v = np.linalg.eigh(0.5 * (m + m.conj().mT))
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)[..., None, :]) @ v.conj().mT
 
 
 def fidelity(rho, sigma) -> float:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they certify: the scalar-distance
 oracle minimizes the full-space operator norm over a dense grid with
-golden-section refinement instead of using the eigenvalue-spread identity,
-the pair-norm oracles take one pair at a time through D x D matrices
+golden-section refinement instead of using the eigenvalue-spread identity
+(and its full-scan form is the reference the battery's bisected grid search
+must match bit for bit), the pair-norm oracles take one pair at a time through D x D matrices
 instead of the batched reshape kernel of ``no_hiding``, and the dense ground
 factorization works on the D x D code projector where
 ``structure.factor_ground_projector`` reads only the code basis, and the
@@ -15,6 +16,7 @@ assembly add the operator into a strided view of the D x D result.
 import numpy as np
 
 from splitlab.operators import embed, operator_norm, partial_trace, total_dim, trace_norm
+from splitlab.verify import _herm_norm
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -60,6 +62,40 @@ def min_scalar_distance(p, v, grid_n=101):
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, grid_n - 1)]
     return _golden_min(f, lo, hi)
+
+
+def scalar_distance_min_full_scan(p, v, grid_n=61):
+    """The battery's duality oracle with every grid point scored.
+
+    Scores all ``grid_n`` points of the grid, takes np.argmin's first index
+    and refines its bracket by the battery's golden-section loop, with the
+    battery's norm evaluation; ``verify._scalar_distance_min`` finds the same
+    grid index by bisection and must return the same float.
+    """
+    pvp = p @ v @ p
+
+    def f(a):
+        return _herm_norm(pvp - a * p)
+
+    r = operator_norm(v) + 1.0
+    grid = np.linspace(-r, r, grid_n)
+    vals = [f(a) for a in grid]
+    i = int(np.argmin(vals))
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, grid_n - 1)]
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(80):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+        if b - a < 1e-12:
+            break
+    return min(fc, fd)
 
 
 def pair_side_norms_one(psi, phi, dims, a_sites):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splitlab import cli
+from splitlab import cli, verify
 from splitlab.code_space import ground_subspace
 from splitlab.models import (
     QuditSystem,
@@ -388,6 +388,25 @@ def test_injected_norm_fault_is_caught(tmp_path, monkeypatch):
     rep = _report(out)
     failed = [c["name"] for c in rep["checks"] if not c["passed"]]
     assert "no_hiding_marginal_identity" in failed
+
+
+def test_injected_splitting_fault_is_caught(tmp_path, monkeypatch):
+    # a splitting off by 1e-3 must fail the duality oracle: the bisected grid
+    # search still measures the spread independently of ids
+    true_ids = verify.ids
+
+    def off(*args, **kwargs):
+        r = true_ids(*args, **kwargs)
+        r.delta_e += 1e-3
+        return r
+
+    monkeypatch.setattr(verify, "ids", off)
+    (check,) = verify.check_ids_duality(5)
+    assert check.name == "ids_duality_grid_oracle" and not check.passed
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--quick", "--out", str(out)]) == 3
+    failed = [c["name"] for c in _report(out)["checks"] if not c["passed"]]
+    assert "ids_duality_grid_oracle" in failed
 
 
 def test_module_entry_point_runs():

@@ -5,9 +5,11 @@ from numpy.testing import assert_allclose
 from conftest import random_ket, random_unitary
 from oracles import pair_score_scan_loop, pair_side_norms_one
 from splitlab.code_space import CodeSubspace, ground_subspace
+from splitlab import no_hiding
 from splitlab.models import four_two_two_model
 from splitlab.no_hiding import (
     no_hiding_witness,
+    no_hiding_witness_batch,
     pair_side_norms,
     subspace_pair_score_scan,
     two_site_attack,
@@ -17,6 +19,7 @@ from splitlab.operators import (
     Projector,
     embed,
     fidelity,
+    helstrom,
     partial_trace,
     trace_norm,
 )
@@ -176,6 +179,67 @@ def test_witness_scores_its_candidates_in_one_batch(rng, monkeypatch):
         calls.clear()
         no_hiding_witness(b0, b1)
         assert len(calls) <= 2
+
+
+def _orthonormal_pairs(dims, n, rng):
+    d = int(np.prod(dims))
+    q, _ = np.linalg.qr(rng.standard_normal((n, d, 2)) + 1j * rng.standard_normal((n, d, 2)))
+    return q[..., 0], q[..., 1]
+
+
+@pytest.mark.parametrize("dims", [(da, db) for da in range(2, 6) for db in range(2, 6)])
+def test_witness_batch_matches_one_pair_calls(rng, dims):
+    b0s, b1s = _orthonormal_pairs(dims, 7, rng)
+    batch = no_hiding_witness_batch(b0s, b1s, dims, a_sites=(0,))
+    assert len(batch) == 7
+    for b0, b1, w in zip(b0s, b1s, batch):
+        one = no_hiding_witness(Ket(b0, dims), Ket(b1, dims), a_sites=(0,))
+        assert (w.score, w.candidate_id, w.side, w.side_norms) == \
+            (one.score, one.candidate_id, one.side, one.side_norms)
+        assert np.array_equal(w.psi.amplitudes, one.psi.amplitudes)
+        assert np.array_equal(w.phi.amplitudes, one.phi.amplitudes)
+        # D and F take stacked factorizations: equal to helstrom and
+        # fidelity of the A-side reduced states up to rounding
+        rho0 = partial_trace(np.outer(b0, b0.conj()), dims, [0])
+        rho1 = partial_trace(np.outer(b1, b1.conj()), dims, [0])
+        for wit in (w, one):
+            assert abs(wit.distance_d - helstrom(rho0, rho1)[0]) <= 1e-12
+            assert abs(wit.fidelity_f - fidelity(rho0, rho1)) <= 1e-12
+
+
+def test_witness_batch_refuses_a_bad_member_anywhere(rng):
+    b0s, b1s = _orthonormal_pairs((2, 3), 5, rng)
+    scaled = b1s.copy()
+    scaled[3] *= 1.001
+    with pytest.raises(ValueError, match="ket norm .* is not 1"):
+        no_hiding_witness_batch(b0s, scaled, (2, 3))
+    with pytest.raises(ValueError, match="ket norm .* is not 1"):
+        Ket(scaled[3], (2, 3))
+    tilted = b1s.copy()
+    tilted[2] = b0s[2]
+    with pytest.raises(ValueError, match="basis kets are not orthogonal"):
+        no_hiding_witness_batch(b0s, tilted, (2, 3))
+    with pytest.raises(ValueError, match="basis kets are not orthogonal"):
+        no_hiding_witness(Ket(b0s[2], (2, 3)), Ket(tilted[2], (2, 3)))
+    with pytest.raises(ValueError, match="does not match dims"):
+        no_hiding_witness_batch(b0s, b1s, (2, 2))
+    assert no_hiding_witness_batch(b0s[:0], b1s[:0], (2, 3)) == []
+
+
+def test_witness_floor_guard_still_fires(rng, monkeypatch):
+    # a scoring fault that drops the score below max(2D, F, 2/3) must raise
+    true_norms = no_hiding.pair_side_norms
+
+    def low(*args):
+        na, nb = true_norms(*args)
+        return 0.1 * na, 0.1 * nb
+
+    monkeypatch.setattr(no_hiding, "pair_side_norms", low)
+    b0s, b1s = _orthonormal_pairs((3, 2), 4, rng)
+    with pytest.raises(AssertionError, match="fell below its floor"):
+        no_hiding_witness_batch(b0s, b1s, (3, 2))
+    with pytest.raises(AssertionError, match="fell below its floor"):
+        no_hiding_witness(Ket(b0s[0], (3, 2)), Ket(b1s[0], (3, 2)))
 
 
 # -------------------------------------------------------------- attacks

@@ -120,6 +120,17 @@ def test_hermitian_gate_passes_a_nan_defect():
         _assert_same_bits(_hermitian(m, 0.0, "x"), 0.5 * (m + m.conj().T))
 
 
+def test_hermitian_gate_holds_each_stacked_matrix_to_its_own_tolerance(rng):
+    a = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    m = a + a.conj().mT
+    m[:, 0, 1] += 1e-9                       # defect 1e-9 in both matrices
+    _hermitian(m, np.array([1e-8, 1e-8]), "x")
+    with pytest.raises(ValueError, match="^x$"):
+        _hermitian(m, np.array([1e-8, 1e-10]), "x")
+    with pytest.raises(ValueError, match="^x$"):
+        _hermitian(m, 1e-10, "x")
+
+
 def _scenario_matrix(m):
     table = {"matrix": cli.Field(cli._matrix, cli._MATRIX)}
     return cli._fields({"matrix": matrix_to_json(m)}, table, "p")["matrix"]
