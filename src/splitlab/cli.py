@@ -53,7 +53,7 @@ from .models import (                                        # noqa: E402
     repetition_model,
     single_site_paulis,
 )
-from .operators import Ket, _hermitian, _support, embed, operator_norm  # noqa: E402
+from .operators import Ket, _hermitian, _max_abs, _support, embed, operator_norm  # noqa: E402
 from .splitting import ids, worst_single_site_ascent        # noqa: E402
 from .structure import (                                     # noqa: E402
     StructureError,
@@ -171,7 +171,7 @@ def _list_of(item, min_len=1, max_len=math.inf, distinct=False):
 def _matrix(x, where) -> np.ndarray:
     """The matrix as given, once it is hermitian within 1e-10 of its largest entry (or 1)."""
     m = matrix_from_json(x)
-    _hermitian(m, 1e-10 * max(1.0, float(np.max(np.abs(m)))), f"{where} is not hermitian")
+    _hermitian(m, 1e-10 * max(1.0, _max_abs(m)), f"{where} is not hermitian")
     return m
 
 

@@ -16,9 +16,10 @@ import numpy as np
 from .operators import (
     HermOp,
     Projector,
+    _eigh_columns,
     _hermitian,
+    _max_abs,
     apply_local,
-    herm_eig,
     mat_of,
     total_dim,
 )
@@ -45,7 +46,7 @@ class CodeSubspace:
         if b.ndim != 2 or b.shape[0] != d or b.shape[1] == 0:
             raise ValueError(f"basis shape {b.shape} is not ({d}, k) with k >= 1")
         gram = b.conj().T @ b
-        if np.max(np.abs(gram - np.eye(b.shape[1]))) > 1e-10:
+        if _max_abs(gram - np.eye(b.shape[1])) > 1e-10:
             raise ValueError("basis columns are not orthonormal")
         if not self.gap > 0:
             raise ValueError(f"gap must be positive, got {self.gap}")
@@ -73,7 +74,9 @@ def ground_subspace(h) -> CodeSubspace:
     ``DEGENERACY_TOL * spread`` of the minimum form the ground cluster; the
     next eigenvalue must clear the minimum by SEPARATION_FACTOR times that
     resolution, otherwise the spectrum is flagged as ill-separated instead
-    of silently picking a cutoff.
+    of silently picking a cutoff. Only the k ground columns of the
+    eigenbasis are formed, each the same as herm_eig's: on a split pattern
+    they are the only ones scattered from the blocks (operators._block_eigh).
     """
     if hasattr(h, "hamiltonian"):
         h = h.hamiltonian()
@@ -81,7 +84,7 @@ def ground_subspace(h) -> CodeSubspace:
     m = mat_of(h)
     if dims is None:
         dims = (m.shape[0],)
-    w, v = herm_eig(m)
+    w, columns = _eigh_columns(m)
     spread = float(w[-1] - w[0])
     if spread <= 0:
         raise ValueError(
@@ -98,8 +101,7 @@ def ground_subspace(h) -> CodeSubspace:
             f"ill-separated spectrum: next level at {gap:.3e} above the ground "
             f"cluster, resolution {resolution:.3e}"
         )
-    # a copy of the k columns, so the D x D eigenvector array is freed here
-    return CodeSubspace(basis=v[:, :d].copy(), gap=gap, ground_energy=float(w[0]),
+    return CodeSubspace(basis=columns(d), gap=gap, ground_energy=float(w[0]),
                         dims=tuple(dims))
 
 
@@ -128,6 +130,6 @@ def project_onto_code(code: CodeSubspace, v, sites=None) -> HermOp:
         raise ValueError(f"operator shape {m.shape} does not match code dimension {code.dim}")
     else:
         comp = b.conj().T @ m @ b
-    comp = _hermitian(comp, 1e-10 * max(1.0, float(np.max(np.abs(m)))),
+    comp = _hermitian(comp, 1e-10 * max(1.0, _max_abs(m)),
                       "compressed operator is not hermitian; input was not")
     return HermOp(comp, (code.degeneracy,))

@@ -26,6 +26,7 @@ from .operators import (
     _block_index,
     _herm_eigvalsh,
     _hermitian,
+    _max_abs,
     _pattern_blocks,
     _stacked_herm_eig,
     herm_eig,
@@ -200,7 +201,7 @@ def _state_factor(rho0):
     if rho.ndim == 1:
         return rho[:, None], np.ones(1)
     s, a = herm_eig(rho)
-    keep = np.abs(s) > RHO_FACTOR_CUT * np.max(np.abs(s), initial=0.0)
+    keep = np.abs(s) > RHO_FACTOR_CUT * (_max_abs(s) if s.size else 0.0)
     return a[:, keep], s[keep]
 
 
@@ -332,7 +333,7 @@ def _simulated_code_block(acc: np.ndarray, trace: float) -> np.ndarray:
     of 1 by the weight that left the code.
     """
     m = acc / trace
-    m = _hermitian(m, HERM_ATOL * max(1.0, float(np.max(np.abs(m)))),
+    m = _hermitian(m, HERM_ATOL * max(1.0, _max_abs(m)),
                    "density matrix is not hermitian within tolerance")
     tr = np.trace(m).real
     if not 0.0 <= tr <= 1.0 + DENSITY_TRACE_ATOL:
@@ -577,7 +578,7 @@ def bath_embedding_check(h0, bath: BathModel, rho0, t: float, rho_bath=None) -> 
         pops = np.asarray(bath.populations, dtype=float)
     else:
         rb = mat_of(rho_bath)
-        if float(np.max(np.abs(rb - np.diag(np.diag(rb))))) > BATH_DIAG_ATOL:
+        if _max_abs(rb - np.diag(np.diag(rb))) > BATH_DIAG_ATOL:
             raise ValueError("bath state must be diagonal in the pointer basis")
         pops = np.real(np.diag(rb))
         if abs(pops.sum() - 1.0) > PROB_ATOL:

@@ -17,6 +17,7 @@ from .operators import (
     _add_local,
     _herm_eigvalsh,
     _hermitian,
+    _max_abs,
     embed,
     haar_unitary,
     operator_norm,
@@ -134,7 +135,7 @@ def _check_term(sites, matrix, dims) -> np.ndarray:
     d = total_dim([dims[s] for s in sites])
     if m.shape != (d, d):
         raise ValueError(f"term on {sites} has shape {m.shape}, expected {(d, d)}")
-    return _hermitian(m, 1e-10 * max(1.0, float(np.max(np.abs(m)))),
+    return _hermitian(m, 1e-10 * max(1.0, _max_abs(m)),
                       f"term on {sites} is not hermitian")
 
 
@@ -409,7 +410,7 @@ def block_sites(model: LocalModel, groups) -> LocalModel:
     blocked = _finish_model(new_system, new_terms, meta=dict(model.meta))
     old = _herm_eigvalsh(model.hamiltonian())
     new = _herm_eigvalsh(blocked.hamiltonian())
-    if float(np.max(np.abs(old - new))) > 1e-10 * max(1.0, float(np.max(np.abs(old)))):
+    if _max_abs(old - new) > 1e-10 * max(1.0, _max_abs(old)):
         raise AssertionError("blocking changed the spectrum")
     return blocked
 

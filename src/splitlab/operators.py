@@ -4,11 +4,13 @@ Everything works on explicit numpy arrays. A multi-site object carries a
 tuple ``dims`` of local dimensions; the total dimension is meant to stay at
 desk scale (a few thousand), so routines are direct dense computations.
 Every hermiticity check of the package goes through one gate, _hermitian:
-it refuses past the caller's tolerance, else returns (M + M^dag)/2, and on
-exactly hermitian input it reads the transpose once. Spectral routines pass
-their input through it, factor real-valued input in real arithmetic, factor a
-matrix whose nonzero pattern splits into blocks one block at a time, and
-fix eigenvector phases so results are reproducible across BLAS builds.
+it refuses past the caller's tolerance, else returns (M + M^dag)/2, and it
+reads a matrix of more than one tile tile by tile, forming no D x D array
+besides its result. Every scale max|M| is read in row chunks by _max_abs.
+Spectral routines pass their input through the gate, factor real-valued
+input in real arithmetic, factor a matrix whose nonzero pattern splits into
+blocks one block at a time, and fix eigenvector phases so results are
+reproducible across BLAS builds.
 A local operator is placed into a D x D matrix by one routine, _add_local,
 which adds it through a strided view of that matrix and forms no kron
 product.
@@ -41,6 +43,15 @@ HERM_CHECK_REL = 1e-10
 # they go straight to LAPACK.
 BLOCK_SCAN_MIN_DIM = 128
 
+# Side of the square tiles in which _hermitian reads a matrix of more rows:
+# each tile's transposed partner is read into one buffer (1 MiB, complex)
+# that stays in cache, and the gate's only D x D array is its result.
+HERM_TILE = 256
+
+# Entries of m that _max_abs reads at once, in whole rows: its |m| temporary
+# stays at 512 KiB where np.abs(m) of a D = 4096 matrix is 128 MiB.
+MAX_ABS_CHUNK = 1 << 16
+
 # Eigenvalues of rho0 - rho1 above -HELSTROM_ZERO_CUT (times scale) count as
 # nonnegative, so the zero eigenspace lands inside the Helstrom projector.
 HELSTROM_ZERO_CUT = 1e-12
@@ -63,18 +74,42 @@ def mat_of(op) -> np.ndarray:
     return np.asarray(m, dtype=complex)
 
 
+def _max_abs(m: np.ndarray) -> float:
+    """float(np.max(np.abs(m))), read in chunks of whole rows.
+
+    Each chunk holds about MAX_ABS_CHUNK entries, so no |m| temporary of
+    the size of ``m`` is formed. The maximum does not depend on the order
+    in which entries are read, and np.max carries a NaN through the chunk
+    maxima, so the float is the same, NaN and inf included; an empty ``m``
+    raises as np.max does.
+    """
+    if m.size <= MAX_ABS_CHUNK:
+        return float(np.max(np.abs(m)))
+    rows = max(1, MAX_ABS_CHUNK // math.prod(m.shape[1:]))
+    return float(np.max([np.max(np.abs(m[i:i + rows]))
+                         for i in range(0, m.shape[0], rows)]))
+
+
 def _hermitian(m: np.ndarray, atol, message: str) -> np.ndarray:
     """(M + M^dag)/2 of a square ``m``; ValueError(message) if max|M - M^dag| > atol.
 
     ``m`` may also be a stack of square matrices along its leading axes;
     then M^dag is taken of each and each defect is held to ``atol``, which
     is one float for the whole stack or an array of the stack's shape, one
-    tolerance per matrix. The defect d is formed once; a NaN defect passes.
-    When d is all zeros, M - d stands in for M^dag, read in memory order: it
-    differs only where +0.0 meets -0.0, which the sum does not see, so the
-    result keeps the formula's bits, signed zeros included. It is built in
-    d, never in ``m``.
+    tolerance per matrix. A NaN anywhere in a matrix's defect passes it,
+    and an all-zero defect passes whatever ``atol`` is. The result is a new
+    C-ordered array of ``m``'s dtype; ``m`` is never written.
+
+    A single matrix of more than HERM_TILE rows goes through
+    _hermitian_tiled, which forms no D x D array besides the result. A
+    stack, or a matrix up to one tile, forms the defect d once. When d is
+    all zeros, M - d stands in for M^dag, read in memory order: it differs
+    only where +0.0 meets -0.0, which the sum does not see, so the result
+    keeps the formula's bits, signed zeros included. It is built in d.
     """
+    n = m.shape[-1]
+    if m.shape == (n, n) and n > HERM_TILE:
+        return _hermitian_tiled(m, atol, message)
     d = m - m.conj().mT
     if d.any():
         if np.any(np.max(np.abs(d), axis=(-2, -1)) > atol):
@@ -85,6 +120,38 @@ def _hermitian(m: np.ndarray, atol, message: str) -> np.ndarray:
         d += m
     d *= 0.5
     return d
+
+
+def _hermitian_tiled(m: np.ndarray, atol, message: str) -> np.ndarray:
+    """_hermitian of one n x n matrix, n > HERM_TILE, read tile by tile.
+
+    For each tile (I, J) the partner conj(m[J, I])^T is read once into one
+    reused tile buffer, where it stays in cache. The result tile is
+    (m[I, J] + partner) * 0.5, and the defect m[I, J] - partner is then
+    formed in the buffer; the maximum |defect| of each tile that is not all
+    zeros is kept. Each entry takes the whole-matrix formula's operations,
+    so the bits are the same. The tile maxima are reduced once at the end
+    by np.max, which carries a NaN, so the accept-or-refuse decision is the
+    whole defect's.
+    """
+    n = m.shape[0]
+    out = np.empty((n, n), dtype=m.dtype)
+    buf = np.empty((HERM_TILE, HERM_TILE), dtype=m.dtype)
+    worst = []
+    for i in range(0, n, HERM_TILE):
+        rows = slice(i, i + HERM_TILE)
+        for j in range(0, n, HERM_TILE):
+            cols = slice(j, j + HERM_TILE)
+            a, o = m[rows, cols], out[rows, cols]
+            t = np.conjugate(m[cols, rows].T, out=buf[:a.shape[0], :a.shape[1]])
+            np.add(a, t, out=o)
+            o *= 0.5
+            np.subtract(a, t, out=t)
+            if t.any():
+                worst.append(_max_abs(t))
+    if worst and np.max(worst) > atol:
+        raise ValueError(message)
+    return out
 
 
 @dataclass(eq=False)
@@ -122,7 +189,7 @@ def _typed_matrix(c, message: str) -> np.ndarray:
     """Container ``c``'s complex matrix through _hermitian, within HERM_ATOL max(1, max|m|)."""
     m = np.asarray(c.matrix, dtype=complex)
     _check_square(m, c.dims)
-    return _hermitian(m, HERM_ATOL * max(1.0, float(np.max(np.abs(m)))), message)
+    return _hermitian(m, HERM_ATOL * max(1.0, _max_abs(m)), message)
 
 
 @dataclass(eq=False)
@@ -175,7 +242,7 @@ class Projector:
     def __post_init__(self):
         self.dims = _dims_tuple(self.dims)
         m = _typed_matrix(self, "projector is not hermitian within tolerance")
-        if np.max(np.abs(m @ m - m)) > PROJECTOR_IDEM_ATOL:
+        if _max_abs(m @ m - m) > PROJECTOR_IDEM_ATOL:
             raise ValueError("matrix is not idempotent within tolerance")
         tr = np.trace(m).real
         r = int(round(tr)) if self.rank < 0 else int(self.rank)
@@ -458,10 +525,11 @@ def _block_eigh(a: np.ndarray, lab: np.ndarray, vectors: bool):
     Blocks of one size are factored in one batched LAPACK call, with indices
     ascending inside each block. Eigenvalues are sorted stably, blocks in
     the order of their smallest index, so ties across blocks follow block
-    order. With ``vectors`` the phase-fixed block columns are scattered
-    into one zeroed complex128 D x D array in final column order; rows
-    ascend inside a block, so a block column's first largest entry is also
-    the full column's.
+    order. With ``vectors`` it returns (w, columns) as _eigh_columns does:
+    columns(k) scatters only the phase-fixed block columns that land among
+    the first k into a zeroed complex128 D x k array. Rows ascend inside a
+    block, so a block column's first largest entry is also the full
+    column's.
     """
     n = a.shape[0]
     w_all = np.empty(n)
@@ -481,27 +549,27 @@ def _block_eigh(a: np.ndarray, lab: np.ndarray, vectors: bool):
         return w_all[rank]
     col = np.empty(n, dtype=np.intp)
     col[rank] = np.arange(n)
-    out = np.zeros((n, n), dtype=complex)
-    for pos, idx, v in parts:
-        out[np.repeat(idx.T, pos.shape[1], axis=1), col[pos].reshape(1, -1)] = v
-    return w_all[rank], out
+
+    def columns(k: int) -> np.ndarray:
+        out = np.zeros((n, k), dtype=complex)
+        for pos, idx, v in parts:
+            c = col[pos].reshape(-1)                # final column of each block column
+            keep = np.flatnonzero(c < k)
+            out[idx[keep // idx.shape[1]].T, c[keep]] = v[:, keep]
+        return out
+
+    return w_all[rank], columns
 
 
-def herm_eig(matrix):
-    """Eigendecomposition of a hermitian matrix.
+def _eigh_columns(matrix):
+    """(eigenvalues ascending, columns) of a hermitian matrix, as herm_eig factors it.
 
-    Returns (eigenvalues ascending, complex128 eigenvectors as columns).
-    The LAPACK operand goes through _hermitian, with a defect allowed up to
-    HERM_CHECK_REL times the Frobenius norm; on exactly hermitian input
-    that reads the transpose once. Column phases follow the
-    largest-entry-real-positive convention. Two exact tests of the input
-    pick the LAPACK work. An input whose imaginary part is exactly zero is
-    factored as its real part (real arithmetic, half the memory). A matrix
-    of at least BLOCK_SCAN_MIN_DIM rows whose nonzero pattern splits into
-    several connected components is factored block by block (see
-    _block_eigh); on the repetition and [[4,2,2]] models that is blocks of
-    size 1 or 2. Both are the same matrix, so only rounding and the basis
-    picked inside a degenerate eigenspace can differ.
+    columns(k) is the complex128 D x k array of the first k eigenvectors,
+    each exactly column j < k of herm_eig's array. On a split pattern only
+    those k columns are scattered from the blocks (see _block_eigh), so a
+    caller that keeps a few columns, as ground_subspace does, forms no
+    D x D eigenvector array. On the dense route fewer than D columns are a
+    copy, which lets the LAPACK array go.
     """
     m = mat_of(matrix)
     scale = float(np.linalg.norm(m)) or 1.0
@@ -510,7 +578,28 @@ def herm_eig(matrix):
     if lab is not None:
         return _block_eigh(a, lab, vectors=True)
     w, v = np.linalg.eigh(a)
-    return w, _fix_phases(v).astype(complex, copy=False)
+    v = _fix_phases(v)
+    return w, lambda k: v[:, :k].astype(complex, copy=k < v.shape[1])
+
+
+def herm_eig(matrix):
+    """Eigendecomposition of a hermitian matrix.
+
+    Returns (eigenvalues ascending, complex128 eigenvectors as columns),
+    all columns of _eigh_columns. The LAPACK operand goes through
+    _hermitian, with a defect allowed up to HERM_CHECK_REL times the
+    Frobenius norm. Column phases follow the largest-entry-real-positive
+    convention. Two exact tests of the input pick the LAPACK work. An input
+    whose imaginary part is exactly zero is factored as its real part (real
+    arithmetic, half the memory). A matrix of at least BLOCK_SCAN_MIN_DIM
+    rows whose nonzero pattern splits into several connected components is
+    factored block by block (see _block_eigh); on the repetition and
+    [[4,2,2]] models that is blocks of size 1 or 2. Both are the same
+    matrix, so only rounding and the basis picked inside a degenerate
+    eigenspace can differ.
+    """
+    w, columns = _eigh_columns(matrix)
+    return w, columns(len(w))
 
 
 def _stacked_herm_eig(stacks: list) -> list:
@@ -589,7 +678,7 @@ def helstrom(rho0, rho1, dims=None):
     delta = m0 - m1
     w, v = herm_eig(delta)
     dist = 0.5 * float(np.sum(np.abs(w)))
-    cut = HELSTROM_ZERO_CUT * max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
+    cut = HELSTROM_ZERO_CUT * max(1.0, _max_abs(w) if w.size else 0.0)
     cols = v[:, w >= -cut]
     x = cols @ cols.conj().T
     return dist, Projector(x, dims)

@@ -45,6 +45,7 @@ from .no_hiding import no_hiding_witness_batch, subspace_pair_score_scan, two_si
 from .operators import (
     Ket,
     Projector,
+    _max_abs,
     embed,
     haar_unitary,
     operator_norm,
@@ -56,6 +57,11 @@ from .splitting import ids
 from .structure import commuting_model_attack, factor_ground_projector
 
 LEVELS = ("quick", "full")
+
+# Pairs of one subspace shape that check_no_hiding scores in one witness
+# batch: a 5 x 5 batch holds about 12 KiB of intermediates a pair, so a
+# chunk stays near 3 MiB however many pairs a shape draws.
+WITNESS_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -99,7 +105,7 @@ def _code_from_projector(p: np.ndarray, dims) -> CodeSubspace:
 
 def _herm_norm(m: np.ndarray) -> float:
     """Operator norm of a hermitian matrix: its largest |eigenvalue|."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(m))))
+    return _max_abs(np.linalg.eigvalsh(m))
 
 
 def _scalar_distance_min(p: np.ndarray, v: np.ndarray, grid_n: int = 61) -> float:
@@ -217,8 +223,10 @@ def check_no_hiding(per_shape: int, scan_per_shape: int, seed: int = 402) -> lis
     shapes = [(da, db) for da in range(2, 6) for db in range(2, 6)]
     for dims in shapes:
         q = _random_subspace_pairs(*dims, per_shape, rng)
-        for w in no_hiding_witness_batch(q[..., 0], q[..., 1], dims, a_sites=(0,)):
-            floor = min(floor, w.score)
+        for lo in range(0, per_shape, WITNESS_CHUNK):
+            part = q[lo:lo + WITNESS_CHUNK]
+            for w in no_hiding_witness_batch(part[..., 0], part[..., 1], dims, a_sites=(0,)):
+                floor = min(floor, w.score)
         for pair in q[:scan_per_shape]:
             b0, b1 = Ket(pair[:, 0], dims), Ket(pair[:, 1], dims)
             ceiling = max(ceiling, subspace_pair_score_scan(b0, b1, a_sites=(0,)))
@@ -402,9 +410,8 @@ def check_dephasing_scaling(t_points: int) -> list:
         surros = evolve_mixture_grid(np.zeros_like(v), compressed, dist, rho0, t_grid)
         for t, sim, surro in zip(t_grid, sims, surros):
             predicted = predict_dephasing(r, dist, rho0, t).matrix
-            worst_finite = max(worst_finite, float(np.max(np.abs(sim.matrix - predicted))))
-            worst_surrogate = max(worst_surrogate,
-                                  float(np.max(np.abs(surro.matrix - predicted))))
+            worst_finite = max(worst_finite, _max_abs(sim.matrix - predicted))
+            worst_surrogate = max(worst_surrogate, _max_abs(surro.matrix - predicted))
     return [
         verdict("dephasing_prediction_finite_gap", worst_finite, 5e-2, "<=",
                 "dynamics.predict_dephasing: matches the mixture at gap factor 1e3",

@@ -38,19 +38,21 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """Lists that record, from here on, the shape of every herm_eig input,
-    one entry per pattern scan of the dynamics, and the shape of every
-    batched (3-D) np.linalg.eigh input, whoever makes the call."""
+    """Lists that record, from here on, the shape of every full
+    eigendecomposition's input (operators._eigh_columns, which herm_eig and
+    the ground extraction call), one entry per pattern scan of the dynamics,
+    and the shape of every batched (3-D) np.linalg.eigh input, whoever
+    makes the call."""
     full, scans, stacked = [], [], []
-    original = splitlab.operators.herm_eig
+    original = splitlab.operators._eigh_columns
 
     def counting(matrix):
         full.append(np.shape(mat_of(matrix)))
         return original(matrix)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("splitlab") and getattr(module, "herm_eig", None) is original:
-            monkeypatch.setattr(module, "herm_eig", counting)
+        if name.startswith("splitlab") and getattr(module, "_eigh_columns", None) is original:
+            monkeypatch.setattr(module, "_eigh_columns", counting)
     scan = dynamics._pattern_blocks
     monkeypatch.setattr(dynamics, "_pattern_blocks", lambda a: scans.append(1) or scan(a))
     eigh = np.linalg.eigh

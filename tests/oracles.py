@@ -10,7 +10,10 @@ factorization works on the D x D code projector where
 ``structure.factor_ground_projector`` reads only the code basis, and the
 kron embedding builds each local operator as a Kronecker product with an
 identity and permutes its axes, where ``operators.embed`` and the model
-assembly add the operator into a strided view of the D x D result.
+assembly add the operator into a strided view of the D x D result. The
+whole-matrix hermiticity gate forms the defect of the whole matrix at once,
+where ``operators._hermitian`` reads a large matrix tile by tile; the two
+must agree bit for bit.
 """
 
 import numpy as np
@@ -192,3 +195,22 @@ def kron_sum_terms(terms, dims):
     for sites, m in terms:
         h += kron_embed(m, sites, dims)
     return h
+
+
+def hermitian_whole_matrix(m, atol, message):
+    """(M + M^dag)/2 with max|M - M^dag| <= atol, formed on the whole matrix.
+
+    The defect d is formed at once; a NaN defect passes and an all-zero one
+    passes whatever atol is. On an all-zero d the sum is built as
+    (M - d) + M in memory order, which keeps the formula's bits.
+    """
+    d = m - m.conj().mT
+    if d.any():
+        if np.any(np.max(np.abs(d), axis=(-2, -1)) > atol):
+            raise ValueError(message)
+        np.add(m, m.conj().mT, out=d)
+    else:
+        np.subtract(m, d, out=d)
+        d += m
+    d *= 0.5
+    return d

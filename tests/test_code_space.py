@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,9 +13,10 @@ from splitlab.code_space import (
 from splitlab.models import (
     QuditSystem,
     four_two_two_model,
+    random_commuting_model,
     repetition_model,
 )
-from splitlab.operators import HermOp, embed
+from splitlab.operators import BLOCK_SCAN_MIN_DIM, HermOp, _pattern_blocks, embed, herm_eig
 
 Z = np.diag([1.0 + 0j, -1.0])
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -119,3 +122,45 @@ def test_ground_basis_owns_only_its_k_columns():
     while owner.base is not None:
         owner = owner.base
     assert owner.size == code.basis.size == 16 * 2
+
+
+def test_ground_extraction_allocates_less_than_one_full_matrix():
+    # on the split pattern of the repetition H only the k ground columns are
+    # scattered from the blocks; the real operand the gate returns (half a
+    # complex D x D) is the largest array the extraction makes
+    model = repetition_model(10)
+    model.hamiltonian()
+    tracemalloc.start()
+    try:
+        code = ground_subspace(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code.degeneracy == 2
+    assert peak < 16 * 1024 ** 2
+
+
+def _split_and_dense_models():
+    chain = QuditSystem((2,) * 7)
+    split = [repetition_model(n) for n in range(7, 11)]
+    # blocks of 16 and of 4 states, with 8 and 32 ground states across them
+    split += [random_commuting_model(chain, [(0, 1), (3, 4)], 5, 2),
+              random_commuting_model(chain, [(0, 1)], 5, 3)]
+    dense = random_commuting_model(chain, [(i, i + 1) for i in range(6)], 5, 2)
+    return split, dense
+
+
+def test_ground_basis_is_herm_eigs_first_columns():
+    # the k columns come from the same factorization and phase rule as
+    # herm_eig's, so they are its first k columns byte for byte
+    split, dense = _split_and_dense_models()
+    for model in split + [dense]:
+        h = model.hamiltonian().matrix
+        assert h.shape[0] >= BLOCK_SCAN_MIN_DIM
+        assert (_pattern_blocks(h) is None) == (model is dense)
+        code = ground_subspace(model)
+        want = herm_eig(h)[1][:, :code.degeneracy]
+        assert code.basis.dtype == want.dtype and code.basis.shape == want.shape
+        assert code.basis.tobytes() == want.tobytes()
+    assert {ground_subspace(m).degeneracy for m in split} >= {2, 8, 32}
+

@@ -2,7 +2,8 @@
 the models, code_space and dynamics modules call no eigensolver directly,
 the dynamics module compresses no operator onto a code itself, only the
 hermiticity gate of the operators module refuses a matrix as not
-hermitian, local terms are placed into a D x D matrix by one route, the
+hermitian, every scale max|m| is read by one chunked helper, local terms
+are placed into a D x D matrix by one route, the
 command line places and measures an ids perturbation on its sites without
 a D x D matrix, and importing the command line loads no scipy.
 
@@ -134,6 +135,50 @@ def test_only_the_gate_refuses_a_matrix_as_not_hermitian():
     gate = next(n for n in ast.walk(ast.parse((pkg / "operators.py").read_text()))
                 if isinstance(n, ast.FunctionDef) and n.name == "_hermitian")
     assert any(isinstance(n, ast.Raise) for n in ast.walk(gate))
+
+
+def whole_max_abs_calls(source: str) -> list:
+    """(line, innermost enclosing function) of every np.max(np.abs(...)) that
+    reduces to one scalar. A reduction along given axes (``axis=``) is one
+    value per matrix of a stack, not a scale, and is not listed."""
+    found = []
+
+    def np_call(node, names):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                and node.func.attr in names)
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (np_call(child, {"max", "amax"}) and child.args
+                    and np_call(child.args[0], {"abs", "absolute"})
+                    and not any(k.arg == "axis" for k in child.keywords)):
+                found.append((child.lineno, func))
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_scanner_flags_a_whole_max_abs():
+    src = ("def _max_abs(m):\n    return float(np.max(np.abs(m)))\n"
+           "def f(m):\n    return 1e-10 * max(1.0, float(np.max(np.abs(m))))\n"
+           "def g(s):\n    return np.max(np.abs(s), initial=0.0) + np.amax(np.absolute(s))\n"
+           "def h(d):\n    return np.max(np.abs(d), axis=(-2, -1))\n"
+           "x = np.max(np.abs(y))\n")
+    assert whole_max_abs_calls(src) == [(2, "_max_abs"), (4, "f"), (6, "g"), (6, "g"), (9, None)]
+
+
+def test_every_scale_goes_through_the_chunked_helper():
+    # operators._max_abs reads max|m| in row chunks; a whole np.abs(m) of a
+    # D x D matrix is a D x D temporary, half a complex matrix
+    pkg = ROOT / "src" / "splitlab"
+    found = {(path.name, func) for path in sorted(pkg.rglob("*.py"))
+             for _, func in whole_max_abs_calls(path.read_text())}
+    assert found == {("operators.py", "_max_abs")}
 
 
 def called_names(source: str, func: str | None = None) -> set:

@@ -223,6 +223,16 @@ def test_assembly_and_embed_allocate_one_full_matrix():
     assert _traced_peak(lambda: embed(ZZ, (3, 4), dims)) <= 1.1 * one
 
 
+def test_model_build_holds_two_full_matrices():
+    # the assembled sum and the hermiticity gate's result; the gate reads the
+    # sum tile by tile and its scale in row chunks, so it forms no conjugate
+    # copy, defect or |H| of their size. A first build at a size the block
+    # scan reads imports about 1 MiB of numpy internals, so one runs first.
+    repetition_model(7)
+    one = 16 * 1024 ** 2
+    assert _traced_peak(lambda: repetition_model(10)) <= 2.1 * one
+
+
 def test_oversized_chain_is_refused_before_its_strings():
     # the product stops at the cap, and the repetition builder checks it
     # before writing n - 1 generator strings of length n (9 MB at n = 3000)

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import random_density, random_ket, random_unitary
-from oracles import kron_embed
+from oracles import hermitian_whole_matrix, kron_embed
 from splitlab import cli
 from splitlab.code_space import full_space_code, project_onto_code
 from splitlab.models import _check_term, matrix_to_json
 from splitlab.operators import (
     HERM_ATOL,
     HERM_CHECK_REL,
+    HERM_TILE,
+    MAX_ABS_CHUNK,
     DensityOp,
     HermOp,
     Ket,
@@ -21,6 +23,7 @@ from splitlab.operators import (
     _fix_phases,
     _herm_eigvalsh,
     _hermitian,
+    _max_abs,
     apply_local,
     embed,
     fidelity,
@@ -129,6 +132,120 @@ def test_hermitian_gate_holds_each_stacked_matrix_to_its_own_tolerance(rng):
         _hermitian(m, np.array([1e-8, 1e-10]), "x")
     with pytest.raises(ValueError, match="^x$"):
         _hermitian(m, 1e-10, "x")
+
+
+def _result_or_message(gate, m):
+    """(result, None) of a gate on ``m`` at atol 1e-12, or (None, its message)."""
+    try:
+        return gate(m, 1e-12, "refused"), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@pytest.mark.parametrize("n", [HERM_TILE - 1, HERM_TILE, HERM_TILE + 1, 1000])
+def test_tiled_gate_is_the_whole_matrix_gate_bit_for_bit(rng, n):
+    # past one tile the gate reads tile by tile; at one tile and below it
+    # keeps the whole-matrix body; either way every bit is the reference's
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    exact = a + a.conj().T
+    # signed-zero pairs in the first and the last tile row, and on the diagonal
+    exact[0, n - 1], exact[n - 1, 0] = complex(-0.0, -0.0), complex(0.0, 0.0)
+    exact[n - 2, 1], exact[1, n - 2] = complex(0.0, -0.0), complex(-0.0, 0.0)
+    exact[2, 2] = complex(-0.0, -0.0)
+    noise = 1e-14 * rng.standard_normal((n, n))
+    real = exact.real.copy()
+    real[3, n - 4], real[n - 4, 3] = -0.0, 0.0
+    within, above = exact.copy(), exact.copy()
+    within[1, n - 3] += 0.99e-12                     # defect within atol = 1e-12
+    above[1, n - 3] += 1.01e-12
+    nan = above.copy()
+    nan[n - 1, 0] += 5.0                             # a large defect in the last tile row
+    nan[0, 1] = complex(np.nan, 0.0)                 # and a NaN defect in the first tile
+    cases = [exact, exact + noise, real, real + noise,
+             exact.real, (exact + noise).real,        # strided views, as herm_eig passes
+             within, above, nan, nan.real]
+    for m in cases:
+        before = m.copy()
+        out, refused = _result_or_message(_hermitian, m)
+        ref, ref_refused = _result_or_message(hermitian_whole_matrix, m)
+        assert refused == ref_refused
+        assert m.tobytes() == before.tobytes()        # the input is never written
+        if ref is None:
+            continue
+        assert out.dtype == ref.dtype and out.flags.c_contiguous
+        assert out.tobytes() == ref.tobytes()
+        _assert_same_bits(out, ref)
+        assert not np.shares_memory(out, m)
+    assert _result_or_message(_hermitian, above)[1] == "refused"
+    assert _result_or_message(_hermitian, within)[1] is None
+    assert _result_or_message(_hermitian, nan)[1] is None     # a NaN anywhere passes
+    before = exact.copy()
+    op = HermOp(exact, (n,))
+    assert exact.tobytes() == before.tobytes() and not np.shares_memory(op.matrix, exact)
+
+
+def test_tiled_gate_decides_once_for_the_whole_matrix():
+    # the whole matrix is held to one tolerance: a defect past it refuses,
+    # in a diagonal tile or off it, in the first tile or the last
+    n = 2 * HERM_TILE + 3
+    for i, j in [(0, 1), (HERM_TILE, 0), (n - 1, n - 2), (1, n - 1)]:
+        m = np.zeros((n, n))
+        m[i, j] = 1e-9
+        with pytest.raises(ValueError, match="^x$"):
+            _hermitian(m, 1e-10, "x")
+        _hermitian(m, 1e-8, "x")
+    # an all-zero defect passes whatever the tolerance is
+    assert _hermitian(np.eye(n), -1.0, "x").tobytes() == np.eye(n).tobytes()
+
+
+def _same_float(a, b) -> bool:
+    return type(a) is type(b) is float and (
+        (np.isnan(a) and np.isnan(b)) or (a == b and np.signbit(a) == np.signbit(b)))
+
+
+def test_max_abs_is_the_whole_reduction(rng):
+    rows = MAX_ABS_CHUNK // 64                       # rows of 64 entries in one chunk
+    cases = []
+    for n in (1, rows - 1, rows, rows + 1, 3 * rows, 3 * rows + 5):
+        m = rng.standard_normal((n, 64)) + 1j * rng.standard_normal((n, 64))
+        cases.append(m)
+        cases.append(m.real)                          # a strided view
+    big = rng.standard_normal((3 * rows + 5, 64))
+    for where in ((0, 0), (rows, 3), (3 * rows + 4, 63)):   # first, a middle, the last chunk
+        for bad in (np.nan, np.inf, -np.inf):
+            m = big.copy()
+            m[where] = bad
+            cases.append(m)
+    nan_and_inf = big.copy()
+    nan_and_inf[5, 5], nan_and_inf[3 * rows, 0] = np.inf, np.nan
+    zeros = np.full((3 * rows, 64), -0.0)
+    cases += [nan_and_inf, zeros, zeros.astype(complex) * -1,
+              rng.standard_normal(5 * MAX_ABS_CHUNK),           # a long vector
+              rng.standard_normal((4, 5, 6)), np.array([-0.0])]
+    for m in cases:
+        assert _same_float(_max_abs(m), float(np.max(np.abs(m))))
+    assert _same_float(_max_abs(zeros), 0.0)
+    # an empty matrix, or one of empty rows, raises as np.max does
+    for m in (np.zeros((0, 4)), np.zeros((3 * rows, 0)), np.zeros(0)):
+        with pytest.raises(ValueError, match="zero-size array"):
+            np.max(np.abs(m))
+        with pytest.raises(ValueError, match="zero-size array"):
+            _max_abs(m)
+
+
+def test_max_abs_reads_in_chunks():
+    # |m| is formed a chunk at a time: a 2048 x 2048 complex matrix (64 MiB)
+    # makes no temporary near its 32 MiB |m|
+    import tracemalloc
+
+    m = np.ones((2048, 2048), dtype=complex)
+    tracemalloc.start()
+    try:
+        assert _max_abs(m) == 1.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * MAX_ABS_CHUNK
 
 
 def _scenario_matrix(m):
