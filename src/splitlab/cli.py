@@ -4,9 +4,10 @@
 analysis task and writes a deterministic JSON report (plus CSV for time
 series). ``splitlab verify --quick|--full`` runs the acceptance battery.
 
-Exit codes: 0 all checks passed; 2 malformed scenario (nothing is
-written); 3 a numerical check failed (the report is still written); 4 a
-valid scenario the model cannot take (nothing is written).
+Exit codes: 0 all checks passed; 2 malformed scenario or an unusable
+--out (nothing is written); 3 a numerical check failed (the report is
+still written); 4 a valid scenario the model cannot take (nothing is
+written).
 
 Reports are byte-identical across runs of the same scenario and seed,
 except for the wall_clock_seconds field.
@@ -569,6 +570,20 @@ def _write_csv(out_dir: Path, name: str, rows: list) -> Path:
     return path
 
 
+def _refuse_out(out_dir: str) -> bool:
+    """True, after one line on stderr, when ``out_dir`` cannot take the
+    artifacts: its nearest existing path (itself, if it exists) is not a
+    directory this process can write into. Creates nothing."""
+    near = os.path.abspath(out_dir)
+    while not os.path.exists(near):   # False also below a file or on any OSError
+        near = os.path.dirname(near)
+    if os.path.isdir(near) and os.access(near, os.W_OK | os.X_OK):
+        return False
+    what = "writable" if os.path.isdir(near) else "a directory"
+    print(f"unusable --out: {near} is not {what}", file=sys.stderr)
+    return True
+
+
 def execute(scenario: Scenario, out_dir: Path) -> int:
     """Run a parsed scenario and write its artifacts. Returns exit code."""
     t0 = time.perf_counter()
@@ -585,11 +600,15 @@ def execute(scenario: Scenario, out_dir: Path) -> int:
         "all_passed": all(c.passed for c in checks),
         "wall_clock_seconds": round(time.perf_counter() - t0, 6),
     }
-    if series is not None:
-        name, rows = series
-        _write_csv(out_dir, name, rows)
-        report["data_files"] = [name]
-    path = _write_report(out_dir, report)
+    try:
+        if series is not None:
+            name, rows = series
+            _write_csv(out_dir, name, rows)
+            report["data_files"] = [name]
+        path = _write_report(out_dir, report)
+    except OSError as exc:
+        print(f"cannot write artifacts: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
     for c in checks:
         tag = "PASS" if c.passed else "FAIL"
         print(f"[{tag}] {c.name}: measured {c.measured:.6g} "
@@ -603,6 +622,8 @@ def _no_constant(name):
 
 
 def run_scenario_file(path: str, out_dir: str, seed_override=None) -> int:
+    if _refuse_out(out_dir):
+        return EXIT_SCHEMA
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -634,6 +655,8 @@ def run_verify(level: str, out_dir=None) -> int:
             print(r.line())
         print(f"total {time.perf_counter() - t0:.1f}s at level {level}")
         return EXIT_OK if all(r.passed for r in battery) else EXIT_TOLERANCE
+    if _refuse_out(out_dir):
+        return EXIT_SCHEMA
     scenario = parse_scenario({"schema_version": SCHEMA_VERSION, "task": "verify",
                                "params": {"level": level}})
     return execute(scenario, Path(out_dir))

@@ -4,8 +4,9 @@ These deliberately avoid the code paths they certify: the scalar-distance
 oracle minimizes the full-space operator norm over a dense grid with
 golden-section refinement instead of using the eigenvalue-spread identity
 (and its full-scan form is the reference the battery's bisected grid search
-must match bit for bit), the pair-norm oracles take one pair at a time through D x D matrices
-instead of the batched reshape kernel of ``no_hiding``, and the dense ground
+and branch crossing must never exceed), the pair-norm oracles take one pair
+at a time through D x D matrices instead of the batched reshape kernel of
+``no_hiding``, and the dense ground
 factorization works on the D x D code projector where
 ``structure.factor_ground_projector`` reads only the code basis, and the
 kron embedding builds each local operator as a Kronecker product with an
@@ -68,12 +69,13 @@ def min_scalar_distance(p, v, grid_n=101):
 
 
 def scalar_distance_min_full_scan(p, v, grid_n=61):
-    """The battery's duality oracle with every grid point scored.
+    """A golden-section duality oracle with every grid point scored.
 
     Scores all ``grid_n`` points of the grid, takes np.argmin's first index
-    and refines its bracket by the battery's golden-section loop, with the
-    battery's norm evaluation; ``verify._scalar_distance_min`` finds the same
-    grid index by bisection and must return the same float.
+    and refines its bracket by golden-section steps to a 1e-12 bracket, with
+    the battery's norm evaluation. ``verify._scalar_distance_min`` finds the
+    same grid index by bisection and then evaluates the crossing of the two
+    linear branches, so it lands on the minimum and may only be lower.
     """
     pvp = p @ v @ p
 

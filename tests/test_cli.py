@@ -409,6 +409,63 @@ def test_injected_splitting_fault_is_caught(tmp_path, monkeypatch):
     assert "ids_duality_grid_oracle" in failed
 
 
+def test_small_splitting_fault_is_caught(monkeypatch):
+    # the oracle lands on the minimum itself, so an ids off by 1e-5, ten
+    # times the check's bound, still fails it
+    true_ids = verify.ids
+
+    def off(*args, **kwargs):
+        r = true_ids(*args, **kwargs)
+        r.delta_e += 1e-5
+        return r
+
+    monkeypatch.setattr(verify, "ids", off)
+    (check,) = verify.check_ids_duality(60)
+    assert not check.passed
+    assert abs(check.measured - 1e-5) <= 1e-12
+
+@pytest.mark.parametrize("where", ["a file", "below a file", "below /dev/null", "read-only"])
+def test_unusable_out_exits_2_before_any_work(tmp_path, monkeypatch, capsys, where):
+    # refused with one line before the scenario is parsed or the battery
+    # runs, and nothing is created
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    out = {"a file": taken, "below a file": taken / "a" / "b",
+           "below /dev/null": Path("/dev/null/x"), "read-only": tmp_path / "new"}[where]
+    if where == "read-only":
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "parse_scenario", no_work)
+    scn = _write(tmp_path, "s.json", _attack_scenario())
+    before = sorted(tmp_path.rglob("*"))
+    for argv in (["run", "--scenario", scn, "--out", str(out)],
+                 ["verify", "--quick", "--out", str(out)]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("unusable --out: ") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+    assert taken.read_text() == "keep"
+
+
+def test_write_failure_is_a_plain_message(tmp_path, monkeypatch, capsys):
+    # --out was usable when checked but is a file by the time of writing
+    out = tmp_path / "out"
+    true_runner = cli._TASK_RUNNERS["attack"]
+
+    def runner(scenario):
+        result = true_runner(scenario)
+        out.write_text("taken meanwhile")
+        return result
+
+    monkeypatch.setitem(cli._TASK_RUNNERS, "attack", runner)
+    scn = _write(tmp_path, "s.json", _attack_scenario())
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("cannot write artifacts: ")
+    assert out.read_text() == "taken meanwhile"
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "splitlab.cli", "run", "--scenario",

@@ -5,7 +5,8 @@ hermiticity gate of the operators module refuses a matrix as not
 hermitian, every scale max|m| is read by one chunked helper, local terms
 are placed into a D x D matrix by one route, the
 command line places and measures an ids perturbation on its sites without
-a D x D matrix, and importing the command line loads no scipy.
+a D x D matrix, the battery's duality oracle never reaches the compressed
+route it certifies, and importing the command line loads no scipy.
 
 An AST scan binds each name an import statement introduces (``import a.b``
 binds ``a``) and looks for a load of that name anywhere in the same file.
@@ -211,6 +212,27 @@ def test_one_placement_route_for_local_terms():
     assert "embed" not in sum_calls
     assert "_add_local" in embed_calls & sum_calls
 
+
+# What the duality oracle certifies: the spread that splitting.ids reads
+# from the compressed spectrum of a code. The oracle works on the full-space
+# projector alone, so it must reach none of that route.
+ORACLE_BANNED = {"ids", "project_onto_code", "ground_subspace"}
+
+
+def test_scanner_finds_the_route_in_a_nested_oracle():
+    src = ("def _scalar_distance_min(p, v):\n"
+           "    def f(a):\n        return _herm_norm(splitting.ids(code, v).delta_e)\n"
+           "    return f(0.0)\n"
+           "def check(p, v):\n    return ids(ground_subspace(h), v)\n")
+    assert called_names(src, "_scalar_distance_min") & ORACLE_BANNED == {"ids"}
+    assert called_names(src, "check") & ORACLE_BANNED == {"ids", "ground_subspace"}
+
+
+def test_duality_oracle_stays_off_the_compressed_route():
+    source = (ROOT / "src" / "splitlab" / "verify.py").read_text()
+    calls = called_names(source, "_scalar_distance_min")
+    assert "_herm_norm" in calls
+    assert not ORACLE_BANNED & calls
 
 def test_ids_perturbations_stay_on_their_sites():
     # a perturbation spec is (sites, matrix on those sites) from the parse to
