@@ -13,36 +13,27 @@ Reports are byte-identical across runs of the same scenario and seed,
 except for the wall_clock_seconds field.
 """
 
+import argparse
+import csv
+import hashlib
+import json
+import math
 import os
+import sys
+import time
+from pathlib import Path
+from typing import Callable, NamedTuple
 
-# honor the thread cap before numpy configures its pools; no effect if
-# numpy is already loaded in this process
-_T = os.environ.get("SPLITLAB_THREADS")
-if _T and _T.isdigit():
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        os.environ.setdefault(_var, _T)
+import numpy as np
 
-import argparse          # noqa: E402
-import csv               # noqa: E402
-import hashlib           # noqa: E402
-import json              # noqa: E402
-import math              # noqa: E402
-import sys               # noqa: E402
-import time              # noqa: E402
-from pathlib import Path  # noqa: E402
-from typing import Callable, NamedTuple  # noqa: E402
-
-import numpy as np       # noqa: E402
-
-from .code_space import ground_subspace                      # noqa: E402
-from .dynamics import (                                      # noqa: E402
+from .code_space import ground_subspace
+from .dynamics import (
     NoiseDistribution,
     coherence_time,
     dephasing_time_series,
     worst_code_state,
 )
-from .models import (                                        # noqa: E402
+from .models import (
     QuditSystem,
     block_sites,
     build_model,
@@ -54,15 +45,15 @@ from .models import (                                        # noqa: E402
     repetition_model,
     single_site_paulis,
 )
-from .operators import Ket, _hermitian, _max_abs, _support, embed, operator_norm  # noqa: E402
-from .splitting import ids, worst_single_site_ascent        # noqa: E402
-from .structure import (                                     # noqa: E402
+from .operators import Ket, _hermitian, _max_abs, _support, embed, operator_norm
+from .splitting import ids, worst_single_site_ascent
+from .structure import (
     StructureError,
     commuting_model_attack,
     factor_ground_projector,
     require_commuting_pairs,
 )
-from .verify import LEVELS, run_battery, verdict             # noqa: E402
+from .verify import LEVELS, run_battery, verdict
 
 ARTIFACT_VERSION = "0.1.0"
 SCHEMA_VERSION = 1

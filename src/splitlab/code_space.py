@@ -77,14 +77,12 @@ def ground_subspace(h) -> CodeSubspace:
     of silently picking a cutoff. Only the k ground columns of the
     eigenbasis are formed, each the same as herm_eig's: on a split pattern
     they are the only ones scattered from the blocks (operators._block_eigh).
+    A HermOp, a model's included, was checked when built and is factored
+    as it is; a plain matrix goes through herm_eig's gate.
     """
     if hasattr(h, "hamiltonian"):
         h = h.hamiltonian()
-    dims = getattr(h, "dims", None)
-    m = mat_of(h)
-    if dims is None:
-        dims = (m.shape[0],)
-    w, columns = _eigh_columns(m)
+    w, columns = _eigh_columns(h)
     spread = float(w[-1] - w[0])
     if spread <= 0:
         raise ValueError(
@@ -102,7 +100,7 @@ def ground_subspace(h) -> CodeSubspace:
             f"cluster, resolution {resolution:.3e}"
         )
     return CodeSubspace(basis=columns(d), gap=gap, ground_energy=float(w[0]),
-                        dims=tuple(dims))
+                        dims=tuple(getattr(h, "dims", (len(w),))))
 
 
 def full_space_code(dims) -> CodeSubspace:

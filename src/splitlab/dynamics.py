@@ -193,14 +193,14 @@ def _state_factor(rho0):
     """(A, s) with rho0 = A diag(s) A^dag and as few columns as possible.
 
     A 1-D array is a pure state and is its own one-column factor. A matrix
-    goes through one herm_eig, which refuses non-hermitian input;
+    goes through one herm_eig, which refuses a non-hermitian raw array;
     eigenvalues with |s| at most RHO_FACTOR_CUT times the largest are
     dropped, so a pure density matrix keeps one column.
     """
     rho = mat_of(rho0)
     if rho.ndim == 1:
         return rho[:, None], np.ones(1)
-    s, a = herm_eig(rho)
+    s, a = herm_eig(rho0)
     keep = np.abs(s) > RHO_FACTOR_CUT * (_max_abs(s) if s.size else 0.0)
     return a[:, keep], s[keep]
 
@@ -446,7 +446,11 @@ def fidelity_bound_check(r: IdsReport, dist: NoiseDistribution, t_grid,
     if state is None:
         state = worst_code_state(r)
     p = np.abs(r.frame.conj().T @ _pure_code_vector(r.code, state)) ** 2
-    lam, weights = dist.quadrature(nodes)
+    return _fidelity_rows(r, dist, p, *dist.quadrature(nodes), t_grid)
+
+
+def _fidelity_rows(r: IdsReport, dist: NoiseDistribution, p, lam, weights, t_grid) -> list:
+    """fidelity_bound_check's rows; ``p`` holds |c_m|^2, c = Q^dag psi."""
     coeff = dist.second_moment * r.delta_e ** 2 / 8.0
     rows = []
     for t in t_grid:
@@ -629,12 +633,12 @@ def dephasing_time_series(h0, r: IdsReport, v, dist: NoiseDistribution,
     d = code.degeneracy
     pencil = _bound_pencil(h0, r, v, gap_factor, sites)
     gap_rows = _bound_rows(pencil, r, t_grid)
-    fid_rows = fidelity_bound_check(r, dist, t_grid, state=state, nodes=nodes)
-    a, s = _state_factor(code.basis @ psi)
     lam, weights = dist.quadrature(nodes)
-    if np.any(weights < 0) or np.any(s < 0):
+    fid_rows = _fidelity_rows(r, dist, np.abs(c) ** 2, lam, weights, t_grid)
+    if np.any(weights < 0):
         raise ValueError("a mixture needs nonnegative weights and a PSD start")
-    accs, traces = _mixture(pencil, lam, weights, a, s, t_grid, reader=code.basis @ r.frame)
+    accs, traces = _mixture(pencil, lam, weights, (code.basis @ psi)[:, None], np.ones(1),
+                            t_grid, reader=code.basis @ r.frame)
     rows = []
     for idx, t in enumerate(t_grid):
         t = float(t)

@@ -7,10 +7,12 @@ Every hermiticity check of the package goes through one gate, _hermitian:
 it refuses past the caller's tolerance, else returns (M + M^dag)/2, and it
 reads a matrix of more than one tile tile by tile, forming no D x D array
 besides its result. Every scale max|M| is read in row chunks by _max_abs.
-Spectral routines pass their input through the gate, factor real-valued
-input in real arithmetic, factor a matrix whose nonzero pattern splits into
-blocks one block at a time, and fix eigenvector phases so results are
-reproducible across BLAS builds.
+HermOp, DensityOp and Projector are checked once, when they are built,
+and are frozen after. Spectral routines factor such a container as it is
+and gate a raw array at each call; they factor real-valued input in real
+arithmetic, factor a matrix whose nonzero pattern splits into blocks one
+block at a time, and fix eigenvector phases so results are reproducible
+across BLAS builds.
 A local operator is placed into a D x D matrix by one routine, _add_local,
 which adds it through a strided view of that matrix and forms no kron
 product.
@@ -19,7 +21,7 @@ product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -185,75 +187,73 @@ def _check_square(m: np.ndarray, dims: tuple[int, ...]):
         raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
 
 
-def _typed_matrix(c, message: str) -> np.ndarray:
-    """Container ``c``'s complex matrix through _hermitian, within HERM_ATOL max(1, max|m|)."""
-    m = np.asarray(c.matrix, dtype=complex)
-    _check_square(m, c.dims)
-    return _hermitian(m, HERM_ATOL * max(1.0, _max_abs(m)), message)
+@dataclass(frozen=True, eq=False)
+class _Checked:
+    """A square matrix on the sites ``dims``, checked once, when it is built.
 
-
-@dataclass(eq=False)
-class HermOp:
-    """Hermitian operator with explicit site structure."""
+    The matrix passes _hermitian within HERM_ATOL max(1, max|m|), then the
+    subclass's _check; the gate's new array is stored read-only, and the
+    caller's array is neither kept nor written.
+    """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
 
+    _message = "matrix is not hermitian within tolerance"
+
     def __post_init__(self):
-        self.dims = _dims_tuple(self.dims)
-        self.matrix = _typed_matrix(self, "matrix is not hermitian within tolerance")
+        dims = _dims_tuple(self.dims)
+        m = np.asarray(self.matrix, dtype=complex)
+        _check_square(m, dims)
+        m = _hermitian(m, HERM_ATOL * max(1.0, _max_abs(m)), self._message)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "matrix", m)
+        self._check(m)
+        m.flags.writeable = False
+
+    def _check(self, m: np.ndarray):
+        """The subclass's own checks of the gated array ``m``."""
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
 
-@dataclass(eq=False)
-class DensityOp:
+@dataclass(frozen=True, eq=False)
+class HermOp(_Checked):
+    """Hermitian operator with explicit site structure."""
+
+
+@dataclass(frozen=True, eq=False)
+class DensityOp(_Checked):
     """Hermitian, unit-trace, positive-semidefinite (within tolerance) state."""
 
-    matrix: np.ndarray
-    dims: tuple[int, ...]
+    _message = "density matrix is not hermitian within tolerance"
 
-    def __post_init__(self):
-        self.dims = _dims_tuple(self.dims)
-        m = _typed_matrix(self, "density matrix is not hermitian within tolerance")
+    def _check(self, m):
         tr = np.trace(m).real
         if abs(tr - 1.0) > DENSITY_TRACE_ATOL:
             raise ValueError(f"trace {tr} is not 1 within {DENSITY_TRACE_ATOL}")
         lo = float(_herm_eigvalsh(m)[0])
         if lo < DENSITY_EIG_FLOOR:
             raise ValueError(f"negative eigenvalue {lo} below floor {DENSITY_EIG_FLOOR}")
-        self.matrix = m
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
-@dataclass(eq=False)
-class Projector:
+@dataclass(frozen=True, eq=False)
+class Projector(_Checked):
     """Orthogonal projector; rank is inferred from the trace when omitted."""
 
-    matrix: np.ndarray
-    dims: tuple[int, ...]
-    rank: int = field(default=-1)
+    rank: int = -1
+    _message = "projector is not hermitian within tolerance"
 
-    def __post_init__(self):
-        self.dims = _dims_tuple(self.dims)
-        m = _typed_matrix(self, "projector is not hermitian within tolerance")
+    def _check(self, m):
         if _max_abs(m @ m - m) > PROJECTOR_IDEM_ATOL:
             raise ValueError("matrix is not idempotent within tolerance")
         tr = np.trace(m).real
         r = int(round(tr)) if self.rank < 0 else int(self.rank)
         if abs(tr - r) > PROJECTOR_RANK_ATOL:
             raise ValueError(f"trace {tr} is not the integer rank {r}")
-        self.matrix = m
-        self.rank = r
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+        object.__setattr__(self, "rank", r)
 
 
 def tensor(factors):
@@ -569,11 +569,16 @@ def _eigh_columns(matrix):
     those k columns are scattered from the blocks (see _block_eigh), so a
     caller that keeps a few columns, as ground_subspace does, forms no
     D x D eigenvector array. On the dense route fewer than D columns are a
-    copy, which lets the LAPACK array go.
+    copy, which lets the LAPACK array go. A container's array, checked when
+    it was built, is factored as it is; a raw array goes through _hermitian
+    within HERM_CHECK_REL times its Frobenius norm.
     """
-    m = mat_of(matrix)
-    scale = float(np.linalg.norm(m)) or 1.0
-    a = _hermitian(_lapack_operand(m), HERM_CHECK_REL * scale, "input is too far from hermitian")
+    if isinstance(matrix, _Checked):
+        a = _lapack_operand(matrix.matrix)
+    else:
+        m = mat_of(matrix)
+        a = _hermitian(_lapack_operand(m), HERM_CHECK_REL * (float(np.linalg.norm(m)) or 1.0),
+                       "input is too far from hermitian")
     lab = _pattern_blocks(a)
     if lab is not None:
         return _block_eigh(a, lab, vectors=True)
@@ -586,9 +591,10 @@ def herm_eig(matrix):
     """Eigendecomposition of a hermitian matrix.
 
     Returns (eigenvalues ascending, complex128 eigenvectors as columns),
-    all columns of _eigh_columns. The LAPACK operand goes through
-    _hermitian, with a defect allowed up to HERM_CHECK_REL times the
-    Frobenius norm. Column phases follow the largest-entry-real-positive
+    all columns of _eigh_columns. A HermOp, DensityOp or Projector is
+    factored with no further check; a raw array goes through _hermitian,
+    with a defect allowed up to HERM_CHECK_REL times the Frobenius norm.
+    Column phases follow the largest-entry-real-positive
     convention. Two exact tests of the input pick the LAPACK work. An input
     whose imaginary part is exactly zero is factored as its real part (real
     arithmetic, half the memory). A matrix of at least BLOCK_SCAN_MIN_DIM

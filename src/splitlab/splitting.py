@@ -68,7 +68,7 @@ def ids(code: CodeSubspace, v, sites=None) -> IdsReport:
     k x k eigensystem for the dynamics to reuse.
     """
     comp = project_onto_code(code, v, sites)
-    w, u = herm_eig(comp.matrix)
+    w, u = herm_eig(comp)
     lam_min, lam_max = float(w[0]), float(w[-1])
     delta = lam_max - lam_min
     return IdsReport(

@@ -36,7 +36,6 @@ UNITS_RETRIES = 8
 SECTOR_SEED = 7              # seeds the generic center element of each site
 
 SECTOR_GUARANTEE = 1.0
-PAIR_GUARANTEE = 1.0 / 3.0
 MULT_GUARANTEE = 2.0
 
 

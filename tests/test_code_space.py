@@ -1,9 +1,11 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import splitlab.operators
 from splitlab.code_space import (
     CodeSubspace,
     full_space_code,
@@ -16,7 +18,15 @@ from splitlab.models import (
     random_commuting_model,
     repetition_model,
 )
-from splitlab.operators import BLOCK_SCAN_MIN_DIM, HermOp, _pattern_blocks, embed, herm_eig
+from splitlab.operators import (
+    BLOCK_SCAN_MIN_DIM,
+    HERM_TILE,
+    HermOp,
+    _pattern_blocks,
+    embed,
+    herm_eig,
+)
+from splitlab.splitting import ids
 
 Z = np.diag([1.0 + 0j, -1.0])
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -164,3 +174,40 @@ def test_ground_basis_is_herm_eigs_first_columns():
         assert code.basis.tobytes() == want.tobytes()
     assert {ground_subspace(m).degeneracy for m in split} >= {2, 8, 32}
 
+
+
+def _gate_shapes(monkeypatch) -> list:
+    """The shape of every matrix through operators._hermitian from here on,
+    by whichever module's binding of it the call is made."""
+    shapes = []
+    original = splitlab.operators._hermitian
+
+    def spy(m, atol, message):
+        shapes.append(m.shape)
+        return original(m, atol, message)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("splitlab") and getattr(module, "_hermitian", None) is original:
+            monkeypatch.setattr(module, "_hermitian", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_a_built_hamiltonian_is_not_gated_again(monkeypatch, n):
+    # the model's HermOp was checked when it was built; the ground
+    # extraction factors it with no second D x D gate, neither the
+    # whole-matrix gate (D = 256) nor the tiled one (D = 512)
+    model = repetition_model(n)
+    assert (model.hamiltonian().dim > HERM_TILE) == (n == 9)
+    shapes = _gate_shapes(monkeypatch)
+    ground_subspace(model)
+    assert shapes == []
+
+
+def test_ids_gates_its_compression_twice(monkeypatch):
+    # once as a compression, once as the HermOp it is kept in; herm_eig
+    # factors that HermOp as it is
+    code = ground_subspace(repetition_model(3))
+    shapes = _gate_shapes(monkeypatch)
+    ids(code, Z, [0])
+    assert shapes == [(2, 2), (2, 2)]

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -10,7 +11,7 @@ from conftest import random_density, random_ket, random_unitary
 from oracles import hermitian_whole_matrix, kron_embed
 from splitlab import cli
 from splitlab.code_space import full_space_code, project_onto_code
-from splitlab.models import _check_term, matrix_to_json
+from splitlab.models import _check_term, matrix_to_json, repetition_model
 from splitlab.operators import (
     HERM_ATOL,
     HERM_CHECK_REL,
@@ -22,6 +23,7 @@ from splitlab.operators import (
     Projector,
     _fix_phases,
     _herm_eigvalsh,
+    _pattern_blocks,
     _hermitian,
     _max_abs,
     apply_local,
@@ -82,6 +84,26 @@ def test_projector_rejects_nonidempotent():
 def test_projector_rank_inferred():
     p = Projector(np.diag([1.0, 1.0, 0.0]).astype(complex), (3,))
     assert p.rank == 2
+
+
+@pytest.mark.parametrize("make, base", [
+    (lambda m: HermOp(m, (2,)), Z),
+    (lambda m: DensityOp(m, (2,)), 0.5 * I2),
+    (lambda m: Projector(m, (2,)), np.diag([1.0, 0.0]).astype(complex)),
+], ids=["HermOp", "DensityOp", "Projector"])
+def test_containers_are_frozen_after_their_check(make, base):
+    # nothing can change a container after its one check, which is what
+    # lets the spectral wrappers factor it without a second one
+    m = base.copy()
+    c = make(m)
+    for name in ("matrix", "dims", "rank"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, name, getattr(c, name, 2))
+    with pytest.raises(ValueError, match="read-only"):
+        c.matrix[0, 0] = 7.0
+    assert m.flags.writeable and not np.shares_memory(c.matrix, m)
+    m[0, 0] = 7.0
+    assert_array_equal(c.matrix, base)
 
 
 # ---------------------------------------------------------------- hermitian gate
@@ -727,6 +749,20 @@ def test_block_patterns_reach_lapack_as_small_blocks(monkeypatch, rng):
     # a fully dense matrix leaves after the nonzero count, reading no index
     monkeypatch.setattr(operators.np, "flatnonzero", None)
     assert operators._pattern_blocks(random_herm(2 ** n, rng, norm=None)) is None
+
+
+def test_herm_eig_of_a_container_is_herm_eig_of_its_array(rng):
+    # a HermOp's array is factored as it is and the raw array through the
+    # gate, which returns that same array: the two agree bit for bit
+    z = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    dense = z + z.conj().T
+    dense[0, 1] += 1e-15                      # a defect inside both tolerances
+    rep = repetition_model(8).hamiltonian()   # real, and its pattern splits
+    assert not rep.matrix.imag.any() and _pattern_blocks(rep.matrix.real) is not None
+    for m, dims in [(dense, (16,)), (np.array(rep.matrix), rep.dims)]:
+        (w_op, v_op), (w_raw, v_raw) = herm_eig(HermOp(m, dims)), herm_eig(m)
+        for a, b in [(w_op, w_raw), (v_op, v_raw)]:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_herm_eig_rejects_nonhermitian():
