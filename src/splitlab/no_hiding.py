@@ -9,8 +9,9 @@ side yields a projector whose expectation separates the pair by at least 1/3.
 
 The witness is computed for a batch of pairs at once: no_hiding_witness_batch
 takes the pairs' amplitudes with a leading batch axis, scores all three
-candidates of every pair in one batched call and checks every pair's floor
-in a few stacked factorizations; no_hiding_witness is its one-pair call.
+candidates of every pair in one pair_side_norms call (one eigvalsh per side,
+each at that side's own size) and checks every pair's floor in a few stacked
+factorizations; no_hiding_witness is its one-pair call.
 """
 
 from __future__ import annotations
@@ -86,9 +87,11 @@ def pair_side_norms(psi: np.ndarray, phi: np.ndarray, dims, a_sites):
     """Trace norms of the reduced difference on side A and side B.
 
     ``psi`` and ``phi`` may carry the same leading batch axes. A single pair
-    gives two floats; a batch gives two arrays of the batch shape. Both
-    sides of every pair go through one batched SVD, each side zero-padded
-    to the larger of the two sizes (padding adds only zero singular values).
+    gives two floats; a batch gives two arrays of the batch shape. Each
+    side's differences come out of reduced_states exactly hermitian (entry
+    (c, a) is the bitwise conjugate of entry (a, c)), so their trace norms
+    are the summed |eigenvalues| of one batched eigvalsh at that side's own
+    size.
     """
     dims = tuple(int(d) for d in dims)
     a_sites = sorted(int(s) for s in a_sites)
@@ -96,19 +99,16 @@ def pair_side_norms(psi: np.ndarray, phi: np.ndarray, dims, a_sites):
     if psi.shape != phi.shape:
         raise ValueError(f"pair shapes differ: {psi.shape} and {phi.shape}")
     pair = np.stack([psi, phi])
-    psi_a, phi_a = reduced_states(pair, dims, a_sites)
-    psi_b, phi_b = reduced_states(pair, dims, _complement(dims, a_sites))
-    da, db = psi_a.shape[-1], psi_b.shape[-1]
-    size = max(da, db)
-    delta = np.zeros(psi.shape[:-1] + (2, size, size), dtype=complex)
-    delta[..., 0, :da, :da] = psi_a - phi_a
-    delta[..., 1, :db, :db] = psi_b - phi_b
-    if not np.all(np.isfinite(delta)):
-        raise ValueError("non-finite entries")
-    norms = np.linalg.svd(delta, compute_uv=False).sum(axis=-1)
-    if norms.ndim == 1:
-        return float(norms[0]), float(norms[1])
-    return norms[..., 0], norms[..., 1]
+    norms = []
+    for keep in (a_sites, _complement(dims, a_sites)):
+        delta = np.subtract(*reduced_states(pair, dims, keep))
+        if not np.all(np.isfinite(delta)):
+            raise ValueError("non-finite entries")
+        norms.append(np.sum(np.abs(np.linalg.eigvalsh(delta)), axis=-1))
+    na, nb = norms
+    if na.ndim == 0:
+        return float(na), float(nb)
+    return na, nb
 
 
 def _candidates(b0: np.ndarray, b1: np.ndarray):

@@ -108,27 +108,18 @@ def _herm_norm(m: np.ndarray) -> float:
     return _max_abs(np.linalg.eigvalsh(m))
 
 
-def _scalar_distance_min(p: np.ndarray, v: np.ndarray, grid_n: int = 61) -> float:
-    """Bisected grid, then the kink of its two branches: min of ||PvP - a P||.
+def _scalar_distance_min(p: np.ndarray, v: np.ndarray) -> float:
+    """min over real a of ||PvP - a P||, from three full-space norms.
 
     Independent of the eigenvalue route: only norm evaluations of the full
-    D x D matrix, one at a time, no use of the compressed spectrum.
+    D x D matrix, no use of the compressed spectrum.
 
-    a -> ||PvP - a P|| is the norm of an affine family, hence convex, so its
-    samples f_j on the uniform grid descend strictly and then never descend
-    again: the first j with f_j <= f_{j+1} (the last point if there is none)
-    is the first index i of the grid minimum, the one np.argmin of all grid
-    values would return. Bisection on that test finds it with about
-    2 log2(grid_n) evaluations, each memoized, where scoring the whole grid
-    takes grid_n.
-
-    P is an orthogonal projector, so f(a) = max(mu_max - a, a - mu_min)
-    exactly: two branches of slope -1 and +1. grid[i - 1] lies on the
-    falling one (f still descends there; grid[0] = -r lies below every mu)
-    and grid[i + 1] on the rising one, so mu_max = f(lo) + lo and
-    mu_min = hi - f(hi), and the branches cross at a* = (mu_max + mu_min)/2.
-    The result is the least norm evaluated, f(a*) among them: about 10
-    evaluations in all, and still an upper bound on the minimum.
+    P is an orthogonal projector, so f(a) = ||PvP - a P|| equals
+    max(mu_max - a, a - mu_min) over the compressed eigenvalues mu: two
+    branches of slope -1 and +1 that cross at the minimum
+    a* = (mu_max + mu_min)/2. r = ||v|| + 1 lies beyond every mu, so the
+    far ends read the branches exactly: f(-r) = mu_max + r and
+    f(r) = r - mu_min. The result is f(a*), an evaluated norm.
     """
     pvp = p @ v @ p
 
@@ -136,25 +127,9 @@ def _scalar_distance_min(p: np.ndarray, v: np.ndarray, grid_n: int = 61) -> floa
         return _herm_norm(pvp - a * p)
 
     r = operator_norm(v) + 1.0
-    grid = np.linspace(-r, r, grid_n)
-    vals = {}
-
-    def at(j):
-        if j not in vals:
-            vals[j] = f(grid[j])
-        return vals[j]
-
-    i, last = 0, grid_n - 1
-    while i < last:
-        mid = (i + last) // 2
-        if at(mid) <= at(mid + 1):
-            last = mid
-        else:
-            i = mid + 1
-    lo, hi = max(i - 1, 0), min(i + 1, grid_n - 1)
-    mu_max = at(lo) + grid[lo]
-    mu_min = grid[hi] - at(hi)
-    return min(min(vals.values()), f(0.5 * (mu_max + mu_min)))
+    mu_max = f(-r) - r
+    mu_min = r - f(r)
+    return f(0.5 * (mu_max + mu_min))
 
 
 def _random_code_and_perturbation(rng):

@@ -3,8 +3,8 @@
 These deliberately avoid the code paths they certify: the scalar-distance
 oracle minimizes the full-space operator norm over a dense grid with
 golden-section refinement instead of using the eigenvalue-spread identity
-(and its full-scan form is the reference the battery's bisected grid search
-and branch crossing must never exceed), the pair-norm oracles take one pair
+(and its full-scan form is the reference the battery's three-norm branch
+crossing must never exceed), the pair-norm oracles take one pair
 at a time through D x D matrices instead of the batched reshape kernel of
 ``no_hiding``, and the dense ground
 factorization works on the D x D code projector where
@@ -73,9 +73,9 @@ def scalar_distance_min_full_scan(p, v, grid_n=61):
 
     Scores all ``grid_n`` points of the grid, takes np.argmin's first index
     and refines its bracket by golden-section steps to a 1e-12 bracket, with
-    the battery's norm evaluation. ``verify._scalar_distance_min`` finds the
-    same grid index by bisection and then evaluates the crossing of the two
-    linear branches, so it lands on the minimum and may only be lower.
+    the battery's norm evaluation. ``verify._scalar_distance_min`` reads the
+    two linear branches at the far ends of the same range and evaluates
+    their crossing, so it lands on the minimum and may only be lower.
     """
     pvp = p @ v @ p
 

@@ -391,8 +391,8 @@ def test_injected_norm_fault_is_caught(tmp_path, monkeypatch):
 
 
 def test_injected_splitting_fault_is_caught(tmp_path, monkeypatch):
-    # a splitting off by 1e-3 must fail the duality oracle: the bisected grid
-    # search still measures the spread independently of ids
+    # a splitting off by 1e-3 must fail the duality oracle: its three
+    # full-space norms still measure the spread independently of ids
     true_ids = verify.ids
 
     def off(*args, **kwargs):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -21,6 +23,7 @@ from splitlab.operators import (
     fidelity,
     helstrom,
     partial_trace,
+    reduced_states,
     trace_norm,
 )
 from splitlab.splitting import ids
@@ -114,8 +117,14 @@ def test_pair_side_norms_values():
     assert nb == pytest.approx(2.0, abs=1e-12)
 
 
+ALL_SHAPES = [(da, db) for da in range(2, 6) for db in range(2, 6)]
+
+
+# the three first splits, then every other two-site shape with 2 <= d <= 5
 @pytest.mark.parametrize("dims, a_sites", [((2, 3), (0,)), ((5, 4), (0,)),
-                                            ((2, 3, 2), (0, 2))])
+                                            ((2, 3, 2), (0, 2))]
+                         + [(dims, (0,)) for dims in ALL_SHAPES
+                            if dims not in ((2, 3), (5, 4))])
 @pytest.mark.parametrize("batch", [(), (3,), (4, 5)])
 def test_pair_side_norms_batched_matches_per_pair(rng, dims, a_sites, batch):
     d = int(np.prod(dims))
@@ -141,18 +150,33 @@ def test_pair_side_norms_rejects_nan():
         pair_side_norms(np.stack([phi, psi]), np.stack([psi, phi]), (2, 2), a_sites=(0,))
 
 
-def _count_svd(monkeypatch):
+@pytest.mark.parametrize("dims, a_sites", [(dims, (0,)) for dims in ALL_SHAPES]
+                         + [((2, 3, 2), (0, 2))])
+def test_reduced_differences_are_bitwise_hermitian(rng, dims, a_sites):
+    # pair_side_norms takes eigvalsh of these differences, which reads one
+    # triangle only: entry (c, a) must be the exact conjugate of entry (a, c)
+    d = int(np.prod(dims))
+    pair = rng.standard_normal((2, 6, d)) + 1j * rng.standard_normal((2, 6, d))
+    b_sites = [i for i in range(len(dims)) if i not in a_sites]
+    for keep in (a_sites, b_sites):
+        rho, sigma = reduced_states(pair, dims, keep)
+        delta = rho - sigma
+        assert np.array_equal(delta, delta.conj().mT)
+
+
+def _count_factorizations(monkeypatch):
     # np.linalg.norm reaches the SVD through the private module's global,
-    # so both bindings are replaced
-    original = np.linalg.svd
-    calls = []
+    # so both bindings of each routine are replaced
+    calls = Counter()
+    for name in ("svd", "eigvalsh"):
+        original = getattr(np.linalg, name)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    monkeypatch.setattr(np.linalg._linalg, "svd", counting)
+        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(np.linalg._linalg, name, counting)
     return calls
 
 
@@ -165,20 +189,22 @@ def _random_pairs(rng):
 
 
 def test_scan_scores_its_grid_in_one_batch(rng, monkeypatch):
-    calls = _count_svd(monkeypatch)
+    # one eigvalsh per side for the whole grid, and no SVD
+    calls = _count_factorizations(monkeypatch)
     for b0, b1 in _random_pairs(rng):
         calls.clear()
         subspace_pair_score_scan(b0, b1, grid_n=24)
-        assert len(calls) <= 2
+        assert (calls["svd"], calls["eigvalsh"]) == (0, 2)
 
 
 def test_witness_scores_its_candidates_in_one_batch(rng, monkeypatch):
-    # one batched call for the three candidates, one inside the fidelity
-    calls = _count_svd(monkeypatch)
+    # one eigvalsh per side for the three candidates, one eigvalsh for the
+    # trace distance and one SVD inside the fidelity
+    calls = _count_factorizations(monkeypatch)
     for b0, b1 in _random_pairs(rng):
         calls.clear()
         no_hiding_witness(b0, b1)
-        assert len(calls) <= 2
+        assert (calls["svd"], calls["eigvalsh"]) == (1, 3)
 
 
 def _orthonormal_pairs(dims, n, rng):

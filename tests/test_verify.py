@@ -1,7 +1,5 @@
 """Pieces of the self-check battery tested on their own."""
 
-import math
-
 import numpy as np
 
 from oracles import scalar_distance_min_full_scan
@@ -20,11 +18,15 @@ def test_duality_oracle_norm_matches_svd(rng):
         assert abs(_herm_norm(m) - operator_norm(m)) <= 1e-12
 
 
-def _half_spread(p, v):
-    # (mu_max - mu_min) / 2 of the compression B^dag v B, B the range of p
+def _compressed_spectrum(p, v):
+    # eigenvalues of the compression B^dag v B, B the range of p
     w, u = np.linalg.eigh(p)
     b = u[:, w > 0.5]
-    mu = np.linalg.eigvalsh(b.conj().T @ v @ b)
+    return np.linalg.eigvalsh(b.conj().T @ v @ b)
+
+
+def _half_spread(p, v):
+    mu = _compressed_spectrum(p, v)
     return (mu[-1] - mu[0]) / 2.0
 
 
@@ -54,32 +56,41 @@ def test_bisected_oracle_lands_on_the_kink_on_edge_cases(rng):
     assert _scalar_distance_min(p3, zero) <= 1e-12
 
 
-def test_bisected_oracle_takes_the_first_of_a_tie(monkeypatch):
-    # spectrum +-6 on the code and |v| = 6: the even grid is -7, -5, ..., 7
-    # exactly and f(a) = 6 + |a| ties at -1 and 1, where np.argmin takes the
-    # first; so the branches are read at -3 and 1 and cross at a = 0
-    p = np.diag([1.0, 1.0, 0.0]).astype(complex)
-    v = np.diag([6.0, -6.0, 3.0]).astype(complex)
-    pvp = p @ v @ p
-    grid = np.linspace(-7.0, 7.0, 8)
-    assert grid[3] == -1.0 and grid[4] == 1.0
-    assert _herm_norm(pvp - grid[3] * p) == _herm_norm(pvp - grid[4] * p)
+def _counting_herm_norm(monkeypatch):
     seen = []
-    monkeypatch.setattr(verify, "_herm_norm", lambda m: seen.append(m) or _herm_norm(m))
-    assert _scalar_distance_min(p, v, 8) == 6.0
-    assert any(np.array_equal(m, pvp) for m in seen)                 # a = 0
-    assert any(np.array_equal(m, pvp - grid[2] * p) for m in seen)   # a = -3
+
+    def counting(m):
+        norm = _herm_norm(m)
+        seen.append((m, norm))
+        return norm
+
+    monkeypatch.setattr(verify, "_herm_norm", counting)
+    return seen
 
 
-def test_bisected_oracle_scores_few_grid_points(monkeypatch):
-    # every norm evaluation counts: the bisection, both bracket ends and the
-    # crossing of the branches
-    seen = []
-    monkeypatch.setattr(verify, "_herm_norm", lambda m: seen.append(m) or _herm_norm(m))
+def test_duality_oracle_takes_three_norms(monkeypatch):
+    # the battery's instances: both far ends and the crossing of the branches
+    seen = _counting_herm_norm(monkeypatch)
     rng = np.random.default_rng(401)
-    grid_n = 61
     for _ in range(60):
         p, _, v = _random_code_and_perturbation(rng)
         seen.clear()
-        _scalar_distance_min(p, v, grid_n)
-        assert 2 <= len(seen) <= 2 * math.ceil(math.log2(grid_n)) + 3
+        _scalar_distance_min(p, v)
+        assert len(seen) == 3
+
+
+def test_duality_oracle_far_ends_read_the_compressed_extremes(monkeypatch, rng):
+    # f(-r) - r and r - f(r) are the largest and least compressed eigenvalue
+    seen = _counting_herm_norm(monkeypatch)
+    for _ in range(40):
+        p, _, v = _random_code_and_perturbation(rng)
+        seen.clear()
+        _scalar_distance_min(p, v)
+        r = operator_norm(v) + 1.0
+        pvp = p @ v @ p
+        (low_m, low_f), (high_m, high_f) = seen[:2]
+        assert np.array_equal(low_m, pvp + r * p)
+        assert np.array_equal(high_m, pvp - r * p)
+        mu = _compressed_spectrum(p, v)
+        assert abs((low_f - r) - mu[-1]) <= 1e-13
+        assert abs((r - high_f) - mu[0]) <= 1e-13
