@@ -15,6 +15,7 @@ import numpy as np
 from .operators import (
     HermOp,
     _add_local,
+    _exact_herm,
     _herm_eigvalsh,
     _hermitian,
     _max_abs,
@@ -110,19 +111,28 @@ def _sum_terms(terms, dims) -> np.ndarray:
 
     Each term is added in place, in term order, by operators._add_local,
     which writes only the entries the term reaches; no term is embedded as
-    its own D x D matrix.
+    its own D x D matrix. Each term must be hermitian entry by entry (the
+    gate with no tolerance, at the term's size): entry (j, i) then takes the
+    conjugate of each addend of entry (i, j), in the same order, and IEEE
+    addition commutes with conjugation, so the sum is exactly hermitian too.
     """
     d = total_dim(dims)
     h = np.zeros((d, d), dtype=complex)
     for sites, m in terms:
         _add_local(h, m, sites, dims)
+        _hermitian(m, 0.0, f"term on {tuple(sites)} is not hermitian")
     return h
 
 
 def _shifted(h: np.ndarray, offset: float, dims) -> HermOp:
-    """h - offset * I as a HermOp; the offset comes off the diagonal in place."""
+    """h - offset * I as a HermOp, h from _sum_terms.
+
+    The offset comes off the diagonal in place, which keeps h exactly
+    hermitian, so h is wrapped as it is by operators._exact_herm: no D x D
+    hermiticity check and no second D x D array.
+    """
     np.fill_diagonal(h, h.diagonal() - offset)
-    return HermOp(h, dims)
+    return _exact_herm(h, dims)
 
 
 def _check_term(sites, matrix, dims) -> np.ndarray:
@@ -161,6 +171,13 @@ def _commutation_defect(terms, dims) -> float:
 
 
 def _finish_model(system, terms, meta=None, integer_spectrum=False) -> LocalModel:
+    """The LocalModel of the builders' exactly hermitian ``terms``.
+
+    The terms' commutation is certified, and their sum is assembled once:
+    its least eigenvalue is the energy offset (snapped to the integer
+    spectrum when asked), and the shifted sum is stored as the model's
+    hamiltonian, checked at its terms by _sum_terms, not as a whole.
+    """
     defect = _commutation_defect(terms, system.dims)
     model = LocalModel(
         system=system,

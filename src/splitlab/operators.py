@@ -8,7 +8,9 @@ it refuses past the caller's tolerance, else returns (M + M^dag)/2, and it
 reads a matrix of more than one tile tile by tile, forming no D x D array
 besides its result. Every scale max|M| is read in row chunks by _max_abs.
 HermOp, DensityOp and Projector are checked once, when they are built,
-and are frozen after. Spectral routines factor such a container as it is
+and are frozen after; the one exception is a model's hamiltonian, which is
+hermitian entry by entry by construction and is checked at its terms
+(_exact_herm). Spectral routines factor such a container as it is
 and gate a raw array at each call; they factor real-valued input in real
 arithmetic, factor a matrix whose nonzero pattern splits into blocks one
 block at a time, and fix eigenvector phases so results are reproducible
@@ -193,7 +195,8 @@ class _Checked:
 
     The matrix passes _hermitian within HERM_ATOL max(1, max|m|), then the
     subclass's _check; the gate's new array is stored read-only, and the
-    caller's array is neither kept nor written.
+    caller's array is neither kept nor written. The one exception is
+    _exact_herm, for a model's hamiltonian, which is checked at its terms.
     """
 
     matrix: np.ndarray
@@ -222,6 +225,23 @@ class _Checked:
 @dataclass(frozen=True, eq=False)
 class HermOp(_Checked):
     """Hermitian operator with explicit site structure."""
+
+
+def _exact_herm(m: np.ndarray, dims) -> HermOp:
+    """HermOp of a complex array that is hermitian entry by entry by construction.
+
+    For models._shifted alone: a sum of terms that each passed _hermitian
+    with no tolerance is exactly hermitian, and the gate would return its
+    bits, so only dims and shape are checked. ``m`` itself is stored and
+    frozen, with no D x D copy.
+    """
+    dims = _dims_tuple(dims)
+    _check_square(m, dims)
+    op = object.__new__(HermOp)
+    object.__setattr__(op, "matrix", m)
+    object.__setattr__(op, "dims", dims)
+    m.flags.writeable = False
+    return op
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,7 +501,7 @@ def _pattern_blocks(a: np.ndarray):
     if 64 * nnz > n * n:
         cum = np.cumsum(np.count_nonzero(nz, axis=1))
         cuts = np.searchsorted(cum, np.arange(1, 64) * (n * n // 64), side="right")
-        bounds = np.unique(np.r_[0, cuts, n])
+        bounds = sorted({0, n, *cuts.tolist()})   # np.unique would import numpy.ma
     root = np.arange(n)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         r, c = np.divmod(np.flatnonzero(nz[lo:hi]), n)
@@ -512,7 +532,7 @@ def _block_index(lab: np.ndarray) -> list:
     starts = np.flatnonzero(np.diff(lab[order], prepend=-1))
     sizes = np.diff(starts, append=lab.shape[0])
     out = []
-    for s in np.unique(sizes):
+    for s in sorted(set(sizes.tolist())):           # np.unique would import numpy.ma
         pos = starts[sizes == s][:, None] + np.arange(s)
         out.append((pos, order[pos]))
     return out

@@ -48,7 +48,6 @@ from .operators import (
     _max_abs,
     embed,
     haar_unitary,
-    operator_norm,
     partial_trace,
     random_herm,
     random_projector,
@@ -109,7 +108,7 @@ def _herm_norm(m: np.ndarray) -> float:
 
 
 def _scalar_distance_min(p: np.ndarray, v: np.ndarray) -> float:
-    """min over real a of ||PvP - a P||, from three full-space norms.
+    """min over real a of ||PvP - a P||, from three full-space norms of PvP - aP.
 
     Independent of the eigenvalue route: only norm evaluations of the full
     D x D matrix, no use of the compressed spectrum.
@@ -126,7 +125,7 @@ def _scalar_distance_min(p: np.ndarray, v: np.ndarray) -> float:
     def f(a):
         return _herm_norm(pvp - a * p)
 
-    r = operator_norm(v) + 1.0
+    r = _herm_norm(v) + 1.0
     mu_max = f(-r) - r
     mu_min = r - f(r)
     return f(0.5 * (mu_max + mu_min))

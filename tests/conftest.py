@@ -6,6 +6,7 @@ sweep and never reseed inside the loop.
 """
 
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,6 +30,23 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return haar_unitary(dim, rng)
+
+
+def count_factorizations(monkeypatch) -> Counter:
+    """A Counter of the svd and eigvalsh calls made from here on, by name."""
+    # np.linalg.norm reaches the SVD through the private module's global,
+    # so both bindings of each routine are replaced
+    calls = Counter()
+    for name in ("svd", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(np.linalg._linalg, name, counting)
+    return calls
 
 
 @pytest.fixture

@@ -6,7 +6,8 @@ hermitian, every scale max|m| is read by one chunked helper, local terms
 are placed into a D x D matrix by one route, the
 command line places and measures an ids perturbation on its sites without
 a D x D matrix, the battery's duality oracle never reaches the compressed
-route it certifies, and importing the command line loads no scipy.
+route it certifies, importing the command line loads no scipy, and an
+attack or dephase run loads no numpy.ma.
 
 An AST scan binds each name an import statement introduces (``import a.b``
 binds ``a``) and looks for a load of that name anywhere in the same file.
@@ -262,3 +263,35 @@ def test_cli_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+# Two runs on models at BLOCK_SCAN_MIN_DIM and above (D = 256), where the
+# eigen wrappers scan the pattern for blocks. The scan keeps its sets in
+# plain Python: the first np.unique of a process imports numpy.ma, a fixed
+# cost inside every timed run.
+_RUNS = """
+import json, sys
+from pathlib import Path
+from splitlab.cli import main
+tmp = Path(sys.argv[1])
+attack = {"schema_version": 1, "task": "attack",
+          "model": {"fixture": "repetition", "n": 8}, "seed": 1}
+dephase = {"schema_version": 1, "task": "dephase",
+           "model": {"fixture": "repetition", "n": 8}, "seed": 1,
+           "params": {"perturbation": {"pauli": "XIIIIIII"},
+                      "distribution": {"kind": "gaussian", "mean": 0.0, "std": 0.1},
+                      "t_grid": {"start": 0.0, "stop": 5.0, "num": 2},
+                      "nodes": 16, "gap_factor": 1000.0, "epsilon": 0.01}}
+for name, scenario in (("attack", attack), ("dephase", dephase)):
+    path = tmp / f"{name}.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp / name)]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_cli_runs_import_no_numpy_ma(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", _RUNS, str(tmp_path)], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip().splitlines()[-1] == "False"

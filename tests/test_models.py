@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from oracles import kron_sum_terms
 from splitlab.models import (
+    LocalModel,
     QuditSystem,
     _diag_energy,
     _sum_terms,
@@ -23,7 +24,15 @@ from splitlab.models import (
     stabilizer_hamiltonian,
     two_local_model,
 )
-from splitlab.operators import embed, operator_norm, random_herm, total_dim
+from splitlab.operators import (
+    HERM_ATOL,
+    _hermitian,
+    _max_abs,
+    embed,
+    operator_norm,
+    random_herm,
+    total_dim,
+)
 
 ZZ = np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0])).astype(complex)
 XX = pauli_string_matrix("XX")
@@ -197,11 +206,30 @@ def _mixed_two_local():
                                    [(0, 1), (2, 1), (3, 4), (0, 4)], 2),
     lambda: random_commuting_model(QuditSystem((2,) * 9), [(i, i + 1) for i in range(8)], 3),
     _mixed_two_local,
+    lambda: stabilizer_hamiltonian(4, ["YYII", "IYYI", "IIYY"]),
+    lambda: stabilizer_hamiltonian(5, ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]),    # [[5,1,3]]
+    lambda: block_sites(repetition_model(6), [[0, 1], [2, 3], [4, 5]]),
 ])
 def test_sum_terms_matches_kron_oracle_bytes(build):
     model = build()
     dims = model.system.dims
-    assert _sum_terms(model.terms, dims).tobytes() == kron_sum_terms(model.terms, dims).tobytes()
+    h = _sum_terms(model.terms, dims)
+    assert h.tobytes() == kron_sum_terms(model.terms, dims).tobytes()
+    # the hamiltonian is the shifted sum as it is, unchecked as a whole: the
+    # containers' gate would return the same bits
+    np.fill_diagonal(h, h.diagonal() - model.energy_offset)
+    gated = _hermitian(h, HERM_ATOL * max(1.0, _max_abs(h)), "not hermitian")
+    assert model.hamiltonian().matrix.tobytes() == h.tobytes() == gated.tobytes()
+
+
+def test_hand_built_model_refuses_an_inexact_term():
+    # the builders' terms are exactly hermitian; a term off by 1e-13, within
+    # the containers' tolerance, is refused at its own size
+    z = np.diag([1.0, -1.0]).astype(complex)
+    z[0, 1] = 1e-13
+    model = LocalModel(QuditSystem((2, 2)), [((0, 1), ZZ), ((1,), z)])
+    with pytest.raises(ValueError, match=r"term on \(1,\) is not hermitian"):
+        model.hamiltonian()
 
 
 def _traced_peak(fn) -> int:
@@ -223,14 +251,12 @@ def test_assembly_and_embed_allocate_one_full_matrix():
     assert _traced_peak(lambda: embed(ZZ, (3, 4), dims)) <= 1.1 * one
 
 
-def test_model_build_holds_two_full_matrices():
-    # the assembled sum and the hermiticity gate's result; the gate reads the
-    # sum tile by tile and its scale in row chunks, so it forms no conjugate
-    # copy, defect or |H| of their size. A first build at a size the block
-    # scan reads imports about 1 MiB of numpy internals, so one runs first.
-    repetition_model(7)
+def test_model_build_holds_one_full_matrix():
+    # the assembled sum, which becomes the hamiltonian as it is; the ground
+    # energy reads it through a boolean pattern of D^2 bytes, and no
+    # hermiticity gate, conjugate copy or |H| of its size is formed
     one = 16 * 1024 ** 2
-    assert _traced_peak(lambda: repetition_model(10)) <= 2.1 * one
+    assert _traced_peak(lambda: repetition_model(10)) <= 1.1 * one
 
 
 def test_oversized_chain_is_refused_before_its_strings():

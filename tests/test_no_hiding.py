@@ -1,10 +1,8 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_ket, random_unitary
+from conftest import count_factorizations, random_ket, random_unitary
 from oracles import pair_score_scan_loop, pair_side_norms_one
 from splitlab.code_space import CodeSubspace, ground_subspace
 from splitlab import no_hiding
@@ -164,22 +162,6 @@ def test_reduced_differences_are_bitwise_hermitian(rng, dims, a_sites):
         assert np.array_equal(delta, delta.conj().mT)
 
 
-def _count_factorizations(monkeypatch):
-    # np.linalg.norm reaches the SVD through the private module's global,
-    # so both bindings of each routine are replaced
-    calls = Counter()
-    for name in ("svd", "eigvalsh"):
-        original = getattr(np.linalg, name)
-
-        def counting(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
-        monkeypatch.setattr(np.linalg._linalg, name, counting)
-    return calls
-
-
 def _random_pairs(rng):
     for dims in ((2, 2), (3, 5)):
         d = int(np.prod(dims))
@@ -190,7 +172,7 @@ def _random_pairs(rng):
 
 def test_scan_scores_its_grid_in_one_batch(rng, monkeypatch):
     # one eigvalsh per side for the whole grid, and no SVD
-    calls = _count_factorizations(monkeypatch)
+    calls = count_factorizations(monkeypatch)
     for b0, b1 in _random_pairs(rng):
         calls.clear()
         subspace_pair_score_scan(b0, b1, grid_n=24)
@@ -200,7 +182,7 @@ def test_scan_scores_its_grid_in_one_batch(rng, monkeypatch):
 def test_witness_scores_its_candidates_in_one_batch(rng, monkeypatch):
     # one eigvalsh per side for the three candidates, one eigvalsh for the
     # trace distance and one SVD inside the fidelity
-    calls = _count_factorizations(monkeypatch)
+    calls = count_factorizations(monkeypatch)
     for b0, b1 in _random_pairs(rng):
         calls.clear()
         no_hiding_witness(b0, b1)

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from conftest import count_factorizations
 from oracles import scalar_distance_min_full_scan
 from splitlab import verify
 from splitlab.operators import operator_norm, random_herm, random_projector
@@ -69,14 +70,19 @@ def _counting_herm_norm(monkeypatch):
 
 
 def test_duality_oracle_takes_three_norms(monkeypatch):
-    # the battery's instances: both far ends and the crossing of the branches
+    # the battery's instances: after ||v||, which places the far ends, both
+    # far ends and the crossing of the branches, each one eigvalsh; no SVD
     seen = _counting_herm_norm(monkeypatch)
+    calls = count_factorizations(monkeypatch)
     rng = np.random.default_rng(401)
     for _ in range(60):
         p, _, v = _random_code_and_perturbation(rng)
         seen.clear()
+        calls.clear()
         _scalar_distance_min(p, v)
-        assert len(seen) == 3
+        assert len(seen) == 4
+        assert seen[0][0] is v
+        assert (calls["svd"], calls["eigvalsh"]) == (0, 4)
 
 
 def test_duality_oracle_far_ends_read_the_compressed_extremes(monkeypatch, rng):
@@ -86,9 +92,9 @@ def test_duality_oracle_far_ends_read_the_compressed_extremes(monkeypatch, rng):
         p, _, v = _random_code_and_perturbation(rng)
         seen.clear()
         _scalar_distance_min(p, v)
-        r = operator_norm(v) + 1.0
+        r = _herm_norm(v) + 1.0
         pvp = p @ v @ p
-        (low_m, low_f), (high_m, high_f) = seen[:2]
+        (low_m, low_f), (high_m, high_f) = seen[1:3]
         assert np.array_equal(low_m, pvp + r * p)
         assert np.array_equal(high_m, pvp - r * p)
         mu = _compressed_spectrum(p, v)
