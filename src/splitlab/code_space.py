@@ -130,4 +130,7 @@ def project_onto_code(code: CodeSubspace, v, sites=None) -> HermOp:
         comp = b.conj().T @ m @ b
     comp = _hermitian(comp, 1e-10 * max(1.0, _max_abs(m)),
                       "compressed operator is not hermitian; input was not")
+    # past the float range the sum overflows and the gate's NaN defect passes
+    if not np.isfinite(comp).all():
+        raise ValueError("non-finite entries")
     return HermOp(comp, (code.degeneracy,))

@@ -293,12 +293,10 @@ def subspace_pair_score_scan(b0: Ket, b1: Ket, a_sites=(0,), grid_n: int = 24) -
     _check_pair(b0, b1)
     dims = b0.dims
     a_sites = tuple(sorted(int(s) for s in a_sites))
-    thetas = np.unique(np.concatenate([np.linspace(0.0, np.pi, grid_n), [np.pi / 2]]))
-    phis = np.unique(
-        np.concatenate(
-            [np.linspace(0.0, 2 * np.pi, grid_n, endpoint=False), [0.0, np.pi / 2, np.pi, 1.5 * np.pi]]
-        )
-    )
+    # sorted sets, where np.unique would import numpy.ma
+    thetas = np.array(sorted({*np.linspace(0.0, np.pi, grid_n).tolist(), np.pi / 2}))
+    phis = np.array(sorted({*np.linspace(0.0, 2 * np.pi, grid_n, endpoint=False).tolist(),
+                            0.0, np.pi / 2, np.pi, 1.5 * np.pi}))
     u0, u1 = b0.amplitudes, b1.amplitudes
     c, s = np.cos(thetas / 2.0)[:, None], np.sin(thetas / 2.0)[:, None]
     z = np.exp(1j * phis)[None, :]

@@ -5,8 +5,8 @@ tuple ``dims`` of local dimensions; the total dimension is meant to stay at
 desk scale (a few thousand), so routines are direct dense computations.
 Every hermiticity check of the package goes through one gate, _hermitian:
 it refuses past the caller's tolerance, else returns (M + M^dag)/2, and it
-reads a matrix of more than one tile tile by tile, forming no D x D array
-besides its result. Every scale max|M| is read in row chunks by _max_abs.
+reads every matrix or stack tile by tile, forming no D x D array besides
+its result. Every scale max|M| is read in row chunks by _max_abs.
 HermOp, DensityOp and Projector are checked once, when they are built,
 and are frozen after; the one exception is a model's hamiltonian, which is
 hermitian entry by entry by construction and is checked at its terms
@@ -47,9 +47,9 @@ HERM_CHECK_REL = 1e-10
 # they go straight to LAPACK.
 BLOCK_SCAN_MIN_DIM = 128
 
-# Side of the square tiles in which _hermitian reads a matrix of more rows:
-# each tile's transposed partner is read into one buffer (1 MiB, complex)
-# that stays in cache, and the gate's only D x D array is its result.
+# Side of the square tiles in which _hermitian reads a matrix or a stack:
+# each tile's transposed partner is read into one buffer (1 MiB per complex
+# matrix) that stays in cache, and the gate's only D x D array is its result.
 HERM_TILE = 256
 
 # Entries of m that _max_abs reads at once, in whole rows: its |m| temporary
@@ -104,56 +104,29 @@ def _hermitian(m: np.ndarray, atol, message: str) -> np.ndarray:
     and an all-zero defect passes whatever ``atol`` is. The result is a new
     C-ordered array of ``m``'s dtype; ``m`` is never written.
 
-    A single matrix of more than HERM_TILE rows goes through
-    _hermitian_tiled, which forms no D x D array besides the result. A
-    stack, or a matrix up to one tile, forms the defect d once. When d is
-    all zeros, M - d stands in for M^dag, read in memory order: it differs
-    only where +0.0 meets -0.0, which the sum does not see, so the result
-    keeps the formula's bits, signed zeros included. It is built in d.
+    ``m`` is read in HERM_TILE x HERM_TILE tiles of its last two axes, one
+    tile up to HERM_TILE rows. Each tile's partner conj(m[J, I])^T is read
+    once into one reused buffer; the result tile is (m[I, J] + partner) *
+    0.5, and the defect is then formed in the buffer. The tiles' maxima
+    merge by np.maximum, which carries a NaN.
     """
     n = m.shape[-1]
-    if m.shape == (n, n) and n > HERM_TILE:
-        return _hermitian_tiled(m, atol, message)
-    d = m - m.conj().mT
-    if d.any():
-        if np.any(np.max(np.abs(d), axis=(-2, -1)) > atol):
-            raise ValueError(message)
-        np.add(m, m.conj().mT, out=d)
-    else:
-        np.subtract(m, d, out=d)
-        d += m
-    d *= 0.5
-    return d
-
-
-def _hermitian_tiled(m: np.ndarray, atol, message: str) -> np.ndarray:
-    """_hermitian of one n x n matrix, n > HERM_TILE, read tile by tile.
-
-    For each tile (I, J) the partner conj(m[J, I])^T is read once into one
-    reused tile buffer, where it stays in cache. The result tile is
-    (m[I, J] + partner) * 0.5, and the defect m[I, J] - partner is then
-    formed in the buffer; the maximum |defect| of each tile that is not all
-    zeros is kept. Each entry takes the whole-matrix formula's operations,
-    so the bits are the same. The tile maxima are reduced once at the end
-    by np.max, which carries a NaN, so the accept-or-refuse decision is the
-    whole defect's.
-    """
-    n = m.shape[0]
-    out = np.empty((n, n), dtype=m.dtype)
-    buf = np.empty((HERM_TILE, HERM_TILE), dtype=m.dtype)
-    worst = []
-    for i in range(0, n, HERM_TILE):
-        rows = slice(i, i + HERM_TILE)
-        for j in range(0, n, HERM_TILE):
-            cols = slice(j, j + HERM_TILE)
-            a, o = m[rows, cols], out[rows, cols]
-            t = np.conjugate(m[cols, rows].T, out=buf[:a.shape[0], :a.shape[1]])
+    tiles = [(slice(i, i + HERM_TILE), slice(0, min(HERM_TILE, n - i)))
+             for i in range(0, n, HERM_TILE)]
+    out = np.empty(m.shape, m.dtype)
+    buf = np.empty(m.shape[:-2] + (min(n, HERM_TILE),) * 2, m.dtype)
+    worst = None
+    for rows, br in tiles:
+        for cols, bc in tiles:
+            a, o = m[..., rows, cols], out[..., rows, cols]
+            t = np.conjugate(m[..., cols, rows].mT, out=buf[..., br, bc])
             np.add(a, t, out=o)
             o *= 0.5
             np.subtract(a, t, out=t)
             if t.any():
-                worst.append(_max_abs(t))
-    if worst and np.max(worst) > atol:
+                w = np.max(np.abs(t), axis=(-2, -1))
+                worst = w if worst is None else np.maximum(worst, w)
+    if worst is not None and (worst > atol).any():
         raise ValueError(message)
     return out
 

@@ -13,7 +13,7 @@ kron embedding builds each local operator as a Kronecker product with an
 identity and permutes its axes, where ``operators.embed`` and the model
 assembly add the operator into a strided view of the D x D result. The
 whole-matrix hermiticity gate forms the defect of the whole matrix at once,
-where ``operators._hermitian`` reads a large matrix tile by tile; the two
+where ``operators._hermitian`` reads every matrix tile by tile; the two
 must agree bit for bit.
 """
 

@@ -1,6 +1,7 @@
 """Scenario front end: exit codes, artifacts, determinism, mutation catch."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -217,6 +218,20 @@ def test_repetition_over_dimension_cap_unsupported(tmp_path):
     assert not out.exists()
 
 
+def test_perturbation_past_the_float_range_exits_4_without_files(tmp_path, capsys):
+    # finite entries whose compression (M + M^dag)/2 overflows: an ids run
+    # must not write a NaN into report.json, and exits as a dephase run does
+    huge = {"sites": [0], "matrix": [[[1e308, 0], [0, 0]], [[0, 0], [-1e308, 0]]]}
+    for name, scenario in (("ids", _ids_scenario(huge)),
+                           ("dephase", _dephase_scenario(perturbation=huge))):
+        scn = _write(tmp_path, f"{name}.json", scenario)
+        out = tmp_path / f"out_{name}"
+        with np.errstate(all="ignore"):
+            assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 4
+        assert not out.exists()
+    assert "non-finite entries" in capsys.readouterr().err
+
+
 def test_oversized_chains_exit_with_the_cap_in_the_message(tmp_path, capsys):
     # the message names the cap and the site count; the full product of
     # 16,000 dims has more digits than Python converts to a string
@@ -370,6 +385,16 @@ def test_verify_quick_passes(tmp_path):
     for c in rep["checks"]:
         assert set(c) == {"name", "passed", "measured", "bound", "direction",
                           "reference", "detail"}
+
+
+def test_verify_quick_without_out_prints_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["verify", "--quick"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("[PASS] ") for line in lines) == 21
+    assert not any(line.startswith("[FAIL]") for line in lines)
+    assert re.fullmatch(r"total \d+\.\ds at level quick", lines[-1])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_injected_norm_fault_is_caught(tmp_path, monkeypatch):

@@ -195,8 +195,8 @@ def _gate_shapes(monkeypatch) -> list:
 @pytest.mark.parametrize("n", [8, 9])
 def test_a_built_hamiltonian_is_not_gated_again(monkeypatch, n):
     # the model's HermOp was checked when it was built; the ground
-    # extraction factors it with no second D x D gate, neither the
-    # whole-matrix gate (D = 256) nor the tiled one (D = 512)
+    # extraction factors it with no second D x D gate, at one tile
+    # (D = 256) or more (D = 512)
     model = repetition_model(n)
     assert (model.hamiltonian().dim > HERM_TILE) == (n == 9)
     shapes = _gate_shapes(monkeypatch)

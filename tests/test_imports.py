@@ -7,7 +7,7 @@ are placed into a D x D matrix by one route, the
 command line places and measures an ids perturbation on its sites without
 a D x D matrix, the battery's duality oracle never reaches the compressed
 route it certifies, importing the command line loads no scipy, and an
-attack or dephase run loads no numpy.ma.
+attack, dephase or verify --quick run loads no numpy.ma.
 
 An AST scan binds each name an import statement introduces (``import a.b``
 binds ``a``) and looks for a load of that name anywhere in the same file.
@@ -286,6 +286,7 @@ for name, scenario in (("attack", attack), ("dephase", dephase)):
     path = tmp / f"{name}.json"
     path.write_text(json.dumps(scenario))
     assert main(["run", "--scenario", str(path), "--out", str(tmp / name)]) == 0
+assert main(["verify", "--quick", "--out", str(tmp / "verify")]) == 0
 print("numpy.ma" in sys.modules)
 """
 

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,18 +157,33 @@ def test_hermitian_gate_holds_each_stacked_matrix_to_its_own_tolerance(rng):
         _hermitian(m, 1e-10, "x")
 
 
-def _result_or_message(gate, m):
-    """(result, None) of a gate on ``m`` at atol 1e-12, or (None, its message)."""
+def _result_or_message(gate, m, atol=1e-12):
+    """(result, None) of a gate on ``m`` at ``atol``, or (None, its message)."""
     try:
-        return gate(m, 1e-12, "refused"), None
+        return gate(m, atol, "refused"), None
     except ValueError as exc:
         return None, str(exc)
 
 
+def _assert_gate_is_reference(m, atol=1e-12):
+    """The gate on ``m`` gives the whole-matrix reference's decision and bits."""
+    before = m.copy()
+    out, refused = _result_or_message(_hermitian, m, atol)
+    ref, ref_refused = _result_or_message(hermitian_whole_matrix, m, atol)
+    assert refused == ref_refused
+    assert m.tobytes() == before.tobytes()            # the input is never written
+    if ref is not None:
+        assert out.dtype == ref.dtype and out.flags.c_contiguous
+        assert out.tobytes() == ref.tobytes()
+        _assert_same_bits(out, ref)
+        assert not np.shares_memory(out, m)
+    return refused
+
+
 @pytest.mark.parametrize("n", [HERM_TILE - 1, HERM_TILE, HERM_TILE + 1, 1000])
-def test_tiled_gate_is_the_whole_matrix_gate_bit_for_bit(rng, n):
-    # past one tile the gate reads tile by tile; at one tile and below it
-    # keeps the whole-matrix body; either way every bit is the reference's
+def test_gate_is_the_whole_matrix_reference_bit_for_bit(rng, n):
+    # one tile up to HERM_TILE rows, tile by tile past it; either way every
+    # bit and every decision is the whole-matrix reference's
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     exact = a + a.conj().T
     # signed-zero pairs in the first and the last tile row, and on the diagonal
@@ -187,26 +203,25 @@ def test_tiled_gate_is_the_whole_matrix_gate_bit_for_bit(rng, n):
              exact.real, (exact + noise).real,        # strided views, as herm_eig passes
              within, above, nan, nan.real]
     for m in cases:
-        before = m.copy()
-        out, refused = _result_or_message(_hermitian, m)
-        ref, ref_refused = _result_or_message(hermitian_whole_matrix, m)
-        assert refused == ref_refused
-        assert m.tobytes() == before.tobytes()        # the input is never written
-        if ref is None:
-            continue
-        assert out.dtype == ref.dtype and out.flags.c_contiguous
-        assert out.tobytes() == ref.tobytes()
-        _assert_same_bits(out, ref)
-        assert not np.shares_memory(out, m)
+        _assert_gate_is_reference(m)
     assert _result_or_message(_hermitian, above)[1] == "refused"
     assert _result_or_message(_hermitian, within)[1] is None
     assert _result_or_message(_hermitian, nan)[1] is None     # a NaN anywhere passes
+    # stacks, each matrix held to its own tolerance: a NaN passes only its
+    # own matrix, and one matrix past its tolerance refuses the stack
+    for stack, atol, refused in [
+            (np.stack([exact + noise, within]), 1e-12, None),
+            (np.stack([within, above]), np.array([1e-12, 1e-12]), "refused"),
+            (np.stack([within, above]), np.array([1e-12, 1.1e-12]), None),
+            (np.stack([nan, above]), 1e-12, "refused"),
+            (np.stack([above, nan]).real, np.array([1.1e-12, 0.0]), None)]:
+        assert _assert_gate_is_reference(stack, atol) == refused
     before = exact.copy()
     op = HermOp(exact, (n,))
     assert exact.tobytes() == before.tobytes() and not np.shares_memory(op.matrix, exact)
 
 
-def test_tiled_gate_decides_once_for_the_whole_matrix():
+def test_gate_decides_once_for_the_whole_matrix():
     # the whole matrix is held to one tolerance: a defect past it refuses,
     # in a diagonal tile or off it, in the first tile or the last
     n = 2 * HERM_TILE + 3
@@ -218,6 +233,22 @@ def test_tiled_gate_decides_once_for_the_whole_matrix():
         _hermitian(m, 1e-8, "x")
     # an all-zero defect passes whatever the tolerance is
     assert _hermitian(np.eye(n), -1.0, "x").tobytes() == np.eye(n).tobytes()
+
+
+def test_gate_forms_no_second_d_by_d_array(rng):
+    # a raw matrix or a one-matrix stack past one tile: besides its result
+    # the gate holds one tile buffer and one tile's |defect|
+    n = 1024
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = a + a.conj().T + 1e-14 * rng.standard_normal((n, n))
+    for x in (m, m[None]):
+        tracemalloc.start()
+        try:
+            _hermitian(x, 1e-12, "x")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * m.nbytes, (x.shape, peak / m.nbytes)
 
 
 def _same_float(a, b) -> bool:

@@ -3,7 +3,8 @@
 Each example takes a small valid scenario (qubit chains of at most four
 sites, the four-qubit code and one 18-dimensional random chain), replaces the value at one path
 (or adds one field to one object) with an arbitrary JSON value, runs it and
-asserts the exit code is 0, 2, 3 or 4, with nothing written on 2 or 4.
+asserts the exit code is 0, 2, 3 or 4, with nothing written on 2 or 4,
+and every JSON file written on 0 or 3 strict JSON: no NaN or Infinity.
 Integers stay in [-2, 6] so sizes such as ``n``, ``nodes`` and ``num``
 cannot make an example slow.
 """
@@ -78,6 +79,10 @@ def _at(obj, path):
     return obj
 
 
+def _no_constant(name):
+    raise AssertionError(f"{name} in a written report")
+
+
 @settings(max_examples=1500, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
@@ -100,3 +105,8 @@ def test_mutated_scenario_exits_cleanly(data):
         assert code in (0, 2, 3, 4)
         if code in (2, 4):
             assert not out.exists()
+        else:
+            written = sorted(out.glob("*.json"))
+            assert out / "report.json" in written
+            for f in written:
+                json.loads(f.read_text(), parse_constant=_no_constant)

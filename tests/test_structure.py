@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -541,6 +542,45 @@ def test_attack_deterministic():
     b = commuting_model_attack(model, ground_subspace(model))
     assert a.branch == b.branch and a.site == b.site
     assert a.x.matrix.tobytes() == b.x.matrix.tobytes()
+
+
+def _descending(model):
+    """The model with each pair term listed as (j, i), its matrix reordered to match."""
+    dims = model.system.dims
+    terms = []
+    for sites, m in model.terms:
+        if len(sites) == 2:
+            i, j = sites
+            m = m.reshape(dims[i], dims[j], dims[i], dims[j]).transpose(1, 0, 3, 2)
+            m, sites = m.reshape(dims[i] * dims[j], -1), (j, i)
+        terms.append((sites, m))
+    return dataclasses.replace(model, terms=terms)
+
+
+def _factorization_or_refusal(model, code):
+    try:
+        return factor_ground_projector(model, code).to_json()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _virtual_chain(_bell(), n=3, seed=3),
+    lambda: random_commuting_model(QuditSystem((3, 3, 2)), [(0, 1), (1, 2)], 21, 2),
+], ids=["virtual_bell_chain", "random_chain_seed21"])
+def test_pairs_listed_in_descending_site_order_give_the_same_analysis(build):
+    # the structure pipeline turns a pair listed as (j, i) to ascending order
+    model = build()
+    flipped = _descending(model)
+    assert [s for s, _ in flipped.terms] == [(1, 0), (2, 1)]
+    h, h_flipped = model.hamiltonian().matrix, flipped.hamiltonian().matrix
+    assert h_flipped.tobytes() == h.tobytes()
+    code, code_flipped = ground_subspace(model), ground_subspace(flipped)
+    assert (_factorization_or_refusal(flipped, code_flipped)
+            == _factorization_or_refusal(model, code))
+    a = commuting_model_attack(model, code)
+    b = commuting_model_attack(flipped, code_flipped)
+    assert (b.branch, b.site, b.certified_delta_e) == (a.branch, a.site, a.certified_delta_e)
 
 
 def test_commuting_attack_rejects_zero_refine_iters_before_any_work(monkeypatch):
