@@ -469,7 +469,8 @@ def _run_decompose(scenario: Scenario):
         residual, detail = fz.reconstruction_error, "code projector rebuilt from pair factors"
         results = {"factorization": fz.to_json(), "degeneracy": code.degeneracy}
     except StructureError as exc:
-        residual, detail, results = np.inf, str(exc), {"error": str(exc)}
+        # 1.0 is the ceiling of ||B - Pi B|| for a projector Pi and an isometry B
+        residual, detail, results = 1.0, str(exc), {"error": str(exc)}
     checks = [verdict("factorization_residual", residual, 1e-6, "<=",
                       "structure.factor_ground_projector: reconstruction residual", detail)]
     return checks, results, None
@@ -628,7 +629,10 @@ def run_scenario_file(path: str, out_dir: str, seed_override=None) -> int:
     if seed_override is not None and isinstance(raw, dict):
         raw = {**raw, "seed": seed_override}
     try:
-        return execute(parse_scenario(raw), Path(out_dir))
+        # an input past the float range warns on its way; the finite checks
+        # of the parse and the tasks decide its exit
+        with np.errstate(all="ignore"):
+            return execute(parse_scenario(raw), Path(out_dir))
     except ScenarioError as exc:
         print(f"scenario rejected: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -49,10 +49,11 @@ BRACKET_DOUBLINGS = 60      # growth steps before declaring no crossing
 class NoiseDistribution:
     """Distribution of the perturbation magnitude.
 
-    Four closed-form families: ``gaussian``, ``uniform``, ``discrete`` and
-    ``delta``. Each knows its moments, its characteristic function and a
-    quadrature rule that integrates it either exactly (discrete, delta) or
-    with spectral accuracy (gaussian, uniform).
+    Three closed-form kinds: ``gaussian``, ``uniform`` and ``discrete``; a
+    point mass (``delta``) is the one-atom discrete law. Each knows its
+    moments, its characteristic function and a quadrature rule that
+    integrates it either exactly (discrete) or with spectral accuracy
+    (gaussian, uniform).
     """
 
     kind: str
@@ -84,7 +85,7 @@ class NoiseDistribution:
 
     @classmethod
     def delta(cls, value: float) -> "NoiseDistribution":
-        return cls("delta", (float(value),))
+        return cls.discrete([(value, 1.0)])
 
     @property
     def mean(self) -> float:
@@ -93,10 +94,8 @@ class NoiseDistribution:
         if self.kind == "uniform":
             a, b = self.params
             return (a + b) / 2
-        if self.kind == "discrete":
-            values, probs = self.params
-            return float(np.dot(values, probs))
-        return self.params[0]
+        values, probs = self.params
+        return float(np.dot(values, probs))
 
     @property
     def variance(self) -> float:
@@ -105,11 +104,9 @@ class NoiseDistribution:
         if self.kind == "uniform":
             a, b = self.params
             return (b - a) ** 2 / 12
-        if self.kind == "discrete":
-            values, probs = self.params
-            m = self.mean
-            return float(np.dot((np.asarray(values) - m) ** 2, probs))
-        return 0.0
+        values, probs = self.params
+        m = self.mean
+        return float(np.dot((np.asarray(values) - m) ** 2, probs))
 
     @property
     def second_moment(self) -> float:
@@ -125,12 +122,9 @@ class NoiseDistribution:
             a, b = self.params
             phase = np.exp(-1j * (a + b) / 2 * alpha)
             return phase * np.sinc((b - a) * alpha / (2 * np.pi))
-        if self.kind == "discrete":
-            values, probs = self.params
-            out = sum(
-                p * np.exp(-1j * v * alpha) for v, p in zip(values, probs))
-            return np.asarray(out, dtype=complex)
-        return np.exp(-1j * self.params[0] * alpha)
+        values, probs = self.params
+        out = sum(p * np.exp(-1j * v * alpha) for v, p in zip(values, probs))
+        return np.asarray(out, dtype=complex)
 
     def quadrature(self, nodes: int = DEFAULT_NODES):
         """Magnitude nodes and probability weights summing to 1."""
@@ -142,12 +136,8 @@ class NoiseDistribution:
             a, b = self.params
             x, w = np.polynomial.legendre.leggauss(int(nodes))
             return (b - a) / 2 * x + (a + b) / 2, w / 2
-        if self.kind == "discrete":
-            values, probs = self.params
-            return np.asarray(values, dtype=float), np.asarray(probs, dtype=float)
-        if self.kind == "delta":
-            return np.array([self.params[0]]), np.array([1.0])
-        raise ValueError(f"no quadrature rule for distribution kind {self.kind!r}")
+        values, probs = self.params
+        return np.asarray(values, dtype=float), np.asarray(probs, dtype=float)
 
 
 def dephasing_factors(r: IdsReport, dist: NoiseDistribution, t: float) -> np.ndarray:
@@ -558,14 +548,6 @@ class BathModel:
         return cls(labels=tuple(values), energies=np.asarray(energies, dtype=float),
                    populations=np.asarray(probs, dtype=float),
                    interactions=[lk * vm for lk in values])
-
-    @classmethod
-    def thermal(cls, labels, energies, interactions, beta: float) -> "BathModel":
-        """Populations proportional to exp(-beta energy)."""
-        e = np.asarray(energies, dtype=float)
-        w = np.exp(-float(beta) * (e - e.min()))
-        return cls(labels=tuple(labels), energies=e, populations=w / w.sum(),
-                   interactions=[np.asarray(mat_of(v), dtype=complex) for v in interactions])
 
 
 def bath_embedding_check(h0, bath: BathModel, rho0, t: float, rho_bath=None) -> float:

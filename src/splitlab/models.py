@@ -463,15 +463,12 @@ def model_to_json(model: LocalModel) -> dict:
     return data
 
 
-def model_from_json(data: dict) -> LocalModel:
-    if "dims" not in data:
-        raise ValueError("model JSON needs a 'dims' field")
-    terms = [dict(t, matrix=matrix_from_json(t["matrix"])) for t in data.get("terms") or []]
-    return build_model(data["dims"], terms, data.get("stabilizers"), data.get("seed"))
-
-
 def build_model(dims, terms=None, stabilizers=None, seed=None) -> LocalModel:
-    """model_from_json's build step: {sites, matrix} terms hold parsed matrices."""
+    """Build an inline model (model_to_json's format) from parsed fields.
+
+    Each {sites, matrix} term holds its matrix, not JSON pairs; the command
+    line's _INLINE_MODEL table parses them.
+    """
     dims = tuple(int(d) for d in dims)
     if bool(terms) == bool(stabilizers):
         raise ValueError("model JSON needs exactly one of 'terms' or 'stabilizers'")

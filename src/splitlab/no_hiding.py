@@ -29,7 +29,7 @@ from .operators import (
     _dims_tuple,
     _hermitian,
     _lapack_operand,
-    _psd_sqrt,
+    fidelity,
     helstrom,
     reduced_states,
     total_dim,
@@ -139,16 +139,14 @@ def _distance_and_fidelity(rho0: np.ndarray, rho1: np.ndarray):
     D is helstrom's distance without its projector: half the summed
     |eigenvalues| of rho0 - rho1, each difference through helstrom's gate
     (a defect up to HERM_CHECK_REL times its own Frobenius norm). F is
-    fidelity's trace norm of sqrt(rho0) sqrt(rho1).
+    fidelity of the two stacks.
     """
     delta = rho0 - rho1
     scale = np.linalg.norm(delta, axis=(-2, -1))
     a = _hermitian(_lapack_operand(delta), HERM_CHECK_REL * np.where(scale > 0, scale, 1.0),
                    "input is too far from hermitian")
     dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(a)), axis=-1)
-    roots = _psd_sqrt(np.stack([rho0, rho1]))
-    fid = np.sum(np.linalg.svd(roots[0] @ roots[1], compute_uv=False), axis=-1)
-    return dist, fid
+    return dist, fidelity(rho0, rho1)
 
 
 def no_hiding_witness_batch(b0s, b1s, dims, a_sites=(0,)) -> list[NoHidingWitness]:
@@ -222,7 +220,7 @@ def no_hiding_witness(b0: Ket, b1: Ket, a_sites=(0,)) -> NoHidingWitness:
     return no_hiding_witness_batch(b0.amplitudes[None], b1.amplitudes[None], b0.dims, a_sites)[0]
 
 
-def two_site_attack(p: Projector, redraw_seed: int | None = None) -> AttackReport:
+def two_site_attack(p: Projector) -> AttackReport:
     """Worst-case single-site projector for a two-site ground projector.
 
     Scans the three candidate pairs and both sides for the largest
@@ -240,14 +238,7 @@ def two_site_attack(p: Projector, redraw_seed: int | None = None) -> AttackRepor
 
     w, v = np.linalg.eigh(p.matrix)
     cols = v[:, w > 0.5]
-    if redraw_seed is None:
-        b0, b1 = cols[:, 0], cols[:, 1]
-    else:
-        rng = np.random.default_rng(redraw_seed)
-        z = rng.standard_normal((cols.shape[1], 2)) + 1j * rng.standard_normal((cols.shape[1], 2))
-        q, _ = np.linalg.qr(z)
-        picked = cols @ q
-        b0, b1 = picked[:, 0], picked[:, 1]
+    b0, b1 = cols[:, 0], cols[:, 1]
 
     v0s, v1s = _candidates(b0, b1)
     nas, nbs = pair_side_norms(v0s, v1s, dims, (0,))

@@ -249,26 +249,6 @@ class Projector(_Checked):
         object.__setattr__(self, "rank", r)
 
 
-def tensor(factors):
-    """Kronecker product of a list of Ket or a list of HermOp, dims concatenated."""
-    factors = list(factors)
-    if not factors:
-        raise ValueError("tensor of an empty list")
-    if all(isinstance(f, Ket) for f in factors):
-        v = factors[0].amplitudes
-        for f in factors[1:]:
-            v = np.kron(v, f.amplitudes)
-        dims = sum((f.dims for f in factors), ())
-        return Ket(v, dims)
-    if all(isinstance(f, HermOp) for f in factors):
-        m = factors[0].matrix
-        for f in factors[1:]:
-            m = np.kron(m, f.matrix)
-        dims = sum((f.dims for f in factors), ())
-        return HermOp(m, dims)
-    raise TypeError("tensor needs all Ket or all HermOp factors")
-
-
 def partial_trace(matrix, dims, keep) -> np.ndarray:
     """Trace out every site not in ``keep``.
 
@@ -651,15 +631,18 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)[..., None, :]) @ v.conj().mT
 
 
-def fidelity(rho, sigma) -> float:
+def fidelity(rho, sigma):
     """Uhlmann fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho)).
 
     Computed as the trace norm of sqrt(rho) sqrt(sigma), which is the same
-    quantity and keeps the evaluation manifestly symmetric.
+    quantity and keeps the evaluation manifestly symmetric. Two matrices
+    give a float; two stacks give an array of the stack shape, each entry
+    the bits of the call on that pair.
     """
     a = _psd_sqrt(mat_of(rho))
     b = _psd_sqrt(mat_of(sigma))
-    return float(np.linalg.norm(a @ b, "nuc"))
+    f = np.linalg.norm(a @ b, "nuc", axis=(-2, -1))
+    return float(f) if f.ndim == 0 else f
 
 
 def helstrom(rho0, rho1, dims=None):

@@ -205,8 +205,9 @@ def _site_generators(model: LocalModel):
 def _closure(gens, dim):
     """Hilbert-Schmidt orthonormal basis of the unital *-algebra of gens.
 
-    Span growth: repeatedly multiply the current basis by the generators and
-    keep any product whose residual after projection exceeds
+    Span growth: walk the basis once, in order, as it grows. Each element
+    is multiplied by every generator and by its adjoint a single time, and a
+    product joins the basis when its residual after projection exceeds
     CLOSURE_GROWTH_TOL times its norm. Appending generators on the right
     reaches every word, and seeding the adjoints keeps the span *-closed.
     """
@@ -216,30 +217,27 @@ def _closure(gens, dim):
         v = np.asarray(mat, dtype=complex).reshape(-1)
         nrm = np.linalg.norm(v)
         if nrm <= 1e-14:
-            return False
+            return
         for b in basis:
             v = v - np.vdot(b, v) * b
         if np.linalg.norm(v) <= CLOSURE_GROWTH_TOL * nrm:
-            return False
+            return
         for b in basis:
             v = v - np.vdot(b, v) * b
         basis.append(v / np.linalg.norm(v))
-        return True
 
     seed = [np.asarray(g, dtype=complex) for g in gens]
     absorb(np.eye(dim, dtype=complex))
     for g in seed:
         absorb(g)
         absorb(g.conj().T)
-    grew = True
-    while grew and len(basis) < dim * dim:
-        grew = False
-        for b in [b.reshape(dim, dim) for b in basis]:
-            for g in seed:
-                if absorb(b @ g):
-                    grew = True
-                if absorb(b @ g.conj().T):
-                    grew = True
+    i = 0
+    while i < len(basis) and len(basis) < dim * dim:
+        b = basis[i].reshape(dim, dim)
+        for g in seed:
+            absorb(b @ g)
+            absorb(b @ g.conj().T)
+        i += 1
     return [b.reshape(dim, dim) for b in basis]
 
 

@@ -44,7 +44,6 @@ from .models import (
 from .no_hiding import no_hiding_witness_batch, subspace_pair_score_scan, two_site_attack
 from .operators import (
     Ket,
-    Projector,
     _max_abs,
     embed,
     haar_unitary,
@@ -231,8 +230,7 @@ def check_two_site_attack(n_instances: int, seed: int = 403) -> list:
         da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         dim = da * db
         rank = int(rng.integers(2, min(4, dim - 1) + 1))
-        p = random_projector(dim, rank, rng)
-        p = Projector(p.matrix, (da, db))
+        p = random_projector(dim, rank, rng, (da, db))
         report = two_site_attack(p)
         worst_cert = min(worst_cert, report.certified_delta_e)
         code = _code_from_projector(p.matrix, (da, db))
@@ -273,12 +271,24 @@ def _virtual_chain(pair_projector: np.ndarray, n: int, seed: int,
                            single_site_terms=singles)
 
 
+def _virtual_chains(level: str):
+    """(name, model) of the virtual-pair chains both structural checks take."""
+    chains = [("virtual_bell_chain", _virtual_chain(_bell_projector(), 3, 3))]
+    if level == "full":
+        rank2 = random_projector(4, 2, np.random.default_rng(9)).matrix
+        chains += [
+            ("virtual_rank2_chain", _virtual_chain(rank2, 3, 6)),
+            ("virtual_pinned_chain",
+             _virtual_chain(_bell_projector(), 3, 3, pin_first_mult=True)),
+        ]
+    return chains
+
+
 def _attack_corpus(level: str):
     rep_top = 6 if level == "full" else 4
-    corpus = [(f"repetition_{n}", repetition_model(n), True)
-              for n in range(3, rep_top + 1)]
+    corpus = [(f"repetition_{n}", repetition_model(n)) for n in range(3, rep_top + 1)]
     corpus.append(("four_two_two_blocked",
-                   block_sites(four_two_two_model(), [[0, 1], [2, 3]]), True))
+                   block_sites(four_two_two_model(), [[0, 1], [2, 3]])))
     chain_specs = [((3, 3, 2), [(0, 1), (1, 2)], 21),
                    ((2, 3, 2), [(0, 1), (1, 2)], 22)]
     if level == "full":
@@ -288,23 +298,15 @@ def _attack_corpus(level: str):
     for dims, pairs, seed in chain_specs:
         model = random_commuting_model(QuditSystem(dims), pairs, seed=seed,
                                        ensure_ground_degeneracy=2)
-        corpus.append((f"random_chain_seed{seed}", model, True))
-    corpus.append(("virtual_bell_chain", _virtual_chain(_bell_projector(), 3, 3), False))
-    if level == "full":
-        rng = np.random.default_rng(9)
-        rank2 = random_projector(4, 2, rng).matrix
-        corpus.append(("virtual_rank2_chain", _virtual_chain(rank2, 3, 6), False))
-        corpus.append(("virtual_pinned_chain",
-                       _virtual_chain(_bell_projector(), 3, 3, pin_first_mult=True),
-                       False))
-    return corpus
+        corpus.append((f"random_chain_seed{seed}", model))
+    return corpus + _virtual_chains(level)
 
 
 def check_commuting_attack(level: str) -> list:
     worst = np.inf
     worst_sector = np.inf
     names = []
-    for name, model, _ in _attack_corpus(level):
+    for name, model in _attack_corpus(level):
         report = commuting_model_attack(model, ground_subspace(model))
         worst = min(worst, report.certified_delta_e)
         if report.branch == "sector":
@@ -461,17 +463,11 @@ def check_factorization(level: str) -> list:
     disconnected = two_local_model(
         QuditSystem((2, 2, 2, 2)),
         [((0, 1), np.eye(4) - pa), ((2, 3), np.eye(4) - pb)])
-    fixtures = [("disconnected_pairs", disconnected),
-                ("virtual_bell_chain", _virtual_chain(_bell_projector(), 3, 3))]
+    fixtures = [("disconnected_pairs", disconnected)] + _virtual_chains(level)
     if level == "full":
-        rank2 = random_projector(4, 2, np.random.default_rng(9)).matrix
-        fixtures += [
-            ("virtual_rank2_chain", _virtual_chain(rank2, 3, 6)),
-            ("virtual_pinned_chain",
-             _virtual_chain(_bell_projector(), 3, 3, pin_first_mult=True)),
+        fixtures.append(
             ("nondegenerate_chain",
-             random_commuting_model(QuditSystem((3, 3, 2)), [(0, 1), (1, 2)], seed=31)),
-        ]
+             random_commuting_model(QuditSystem((3, 3, 2)), [(0, 1), (1, 2)], seed=31)))
     worst = 0.0
     names = []
     for name, model in fixtures:

@@ -14,7 +14,9 @@ identity and permutes its axes, where ``operators.embed`` and the model
 assembly add the operator into a strided view of the D x D result. The
 whole-matrix hermiticity gate forms the defect of the whole matrix at once,
 where ``operators._hermitian`` reads every matrix tile by tile; the two
-must agree bit for bit.
+must agree bit for bit. The rounds closure re-multiplies the whole basis
+by every generator until a round adds nothing, where ``structure._closure``
+multiplies each element once; the two must also agree bit for bit.
 """
 
 import numpy as np
@@ -216,3 +218,42 @@ def hermitian_whole_matrix(m, atol, message):
         d += m
     d *= 0.5
     return d
+
+
+def closure_rounds(gens, dim, growth_tol=1e-9):
+    """Orthonormal basis of the unital *-algebra of gens, grown in rounds.
+
+    Each round multiplies a snapshot of the whole basis by every generator
+    and its adjoint, absorbing any product whose residual after two
+    Gram-Schmidt passes exceeds ``growth_tol`` times its norm, and the
+    rounds repeat until one adds nothing or the basis spans all matrices.
+    """
+    basis = []
+
+    def absorb(mat):
+        v = np.asarray(mat, dtype=complex).reshape(-1)
+        nrm = np.linalg.norm(v)
+        if nrm <= 1e-14:
+            return False
+        for b in basis:
+            v = v - np.vdot(b, v) * b
+        if np.linalg.norm(v) <= growth_tol * nrm:
+            return False
+        for b in basis:
+            v = v - np.vdot(b, v) * b
+        basis.append(v / np.linalg.norm(v))
+        return True
+
+    seed = [np.asarray(g, dtype=complex) for g in gens]
+    absorb(np.eye(dim, dtype=complex))
+    for g in seed:
+        absorb(g)
+        absorb(g.conj().T)
+    grew = True
+    while grew and len(basis) < dim * dim:
+        grew = False
+        for b in [b.reshape(dim, dim) for b in basis]:
+            for g in seed:
+                grew |= absorb(b @ g)
+                grew |= absorb(b @ g.conj().T)
+    return [b.reshape(dim, dim) for b in basis]

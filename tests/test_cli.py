@@ -218,18 +218,21 @@ def test_repetition_over_dimension_cap_unsupported(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
 def test_perturbation_past_the_float_range_exits_4_without_files(tmp_path, capsys):
     # finite entries whose compression (M + M^dag)/2 overflows: an ids run
-    # must not write a NaN into report.json, and exits as a dephase run does
+    # must not write a NaN into report.json, and exits as a dephase run does,
+    # with one line on stderr and no numpy warning before it
     huge = {"sites": [0], "matrix": [[[1e308, 0], [0, 0]], [[0, 0], [-1e308, 0]]]}
     for name, scenario in (("ids", _ids_scenario(huge)),
                            ("dephase", _dephase_scenario(perturbation=huge))):
         scn = _write(tmp_path, f"{name}.json", scenario)
         out = tmp_path / f"out_{name}"
-        with np.errstate(all="ignore"):
-            assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 4
+        assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 4
         assert not out.exists()
-    assert "non-finite entries" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("unsupported input: ")
+        assert "non-finite entries" in err
 
 
 def test_oversized_chains_exit_with_the_cap_in_the_message(tmp_path, capsys):
@@ -261,6 +264,20 @@ def test_dephase_on_nondegenerate_code_exits_4_before_simulating(tmp_path, monke
     assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 4
     assert not out.exists()
     assert "nothing to dephase" in capsys.readouterr().err
+
+
+def test_delta_law_runs_as_its_one_atom_discrete_law(tmp_path):
+    outs = []
+    for i, dist in enumerate(({"kind": "delta", "value": 0.3},
+                              {"kind": "discrete", "atoms": [[0.3, 1.0]]})):
+        scn = _write(tmp_path, f"s{i}.json", _dephase_scenario(
+            distribution=dist, perturbation={"pauli": "XII"}))
+        out = tmp_path / f"out{i}"
+        assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 0
+        outs.append(out)
+    (a, b) = (_report(out) for out in outs)
+    assert (a["checks"], a["results"]) == (b["checks"], b["results"])
+    assert (outs[0] / "dephasing.csv").read_bytes() == (outs[1] / "dephasing.csv").read_bytes()
 
 
 def test_dephase_writes_csv_with_fixed_columns(tmp_path):
@@ -314,6 +331,30 @@ def test_decompose_inline_model(tmp_path):
     ranks = {tuple(f["pair"]): f["rank"]
              for f in rep["results"]["factorization"]["pair_factors"]}
     assert ranks == {(0, 1): 2, (2, 3): 2}
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_decompose_structure_error_writes_a_json_report(tmp_path, monkeypatch):
+    # a factorization that fails records the residual's ceiling, 1.0, and
+    # exits 3; the report stays strict JSON
+    def fail(model, code):
+        raise cli.StructureError("no virtual pair split")
+
+    monkeypatch.setattr(cli, "factor_ground_projector", fail)
+    scn = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / \
+        "random_chain_decompose.json"
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(scn), "--out", str(out)]) == 3
+    rep = _strict_json((out / "report.json").read_text())
+    (check,) = rep["checks"]
+    assert (check["name"], check["measured"], check["passed"]) == \
+        ("factorization_residual", 1.0, False)
+    assert rep["results"] == {"error": "no virtual pair split"}
 
 
 def test_decompose_multi_sector_unsupported(tmp_path):
@@ -502,6 +543,79 @@ def test_module_entry_point_runs():
 
 # sha256 of each demo's canonical scenario; a canonical form that filled in
 # defaults, or stopped expanding t_grid, would change every report's digest
+SCHEMA_DOC = Path(__file__).resolve().parents[1] / "docs" / "scenario_schema.md"
+
+
+def _cells(line):
+    return [c.strip() for c in line.strip().strip("|").split("|")]
+
+
+def _doc_field_tables(text):
+    """{(section, first column): rows} of every table of the schema doc
+    with a field column. The section is the nearest heading above it, or a
+    task's bold name (``**ids**:``); each row is its list of cells."""
+    tables, section, rows = {}, None, None
+    for line in text.splitlines():
+        if line.startswith("#"):
+            section = line.lstrip("#").strip()
+        elif line.startswith("**"):
+            section = line.split("**")[1]
+        if not line.startswith("|"):
+            rows = None
+        elif rows is None:
+            head = _cells(line)
+            rows = tables.setdefault((section, head[0]), []) if "field" in head else []
+        elif not line.startswith("| ---"):
+            rows.append(_cells(line))
+    return tables
+
+
+def _doc_default(cell):
+    if cell == "required":
+        return cli.REQUIRED
+    if cell == "—":
+        return None
+    return json.loads(cell.strip("`"))
+
+
+def _doc_table(rows):
+    return {row[0].strip("`"): _doc_default(row[-1]) for row in rows}
+
+
+def _doc_variants(rows):
+    out, name = {}, None
+    for row in rows:
+        name = row[0].strip("`") or name
+        out.setdefault(name, {}).update(_doc_table([row[1:]]))
+    return out
+
+
+def _defaults(table):
+    return {k: f.default for k, f in table.items()}
+
+
+def test_schema_doc_tables_are_the_parse_tables():
+    # the hand-kept doc lists each field table of the parser: the same
+    # field names, in each table, with the same defaults
+    tables = _doc_field_tables(SCHEMA_DOC.read_text())
+    expected = {
+        ("Scenario file", "field"): _defaults(cli._SCENARIO),
+        ("Model source", "field"): _defaults(cli._INLINE_MODEL),
+        ("Perturbation spec", "field"): _defaults(cli._PERTURBATION),
+        ("Time grid", "field"): _defaults(cli._T_RANGE),
+        ("Model source", "fixture"):
+            {k: _defaults(t) for k, (t, _) in cli._FIXTURES.items()},
+        ("Magnitude distribution", "`kind`"):
+            {k: _defaults(t) for k, (t, _) in cli._DISTRIBUTIONS.items()},
+    }
+    expected.update({(task, "field"): _defaults(t) for task, t in cli._PARAMS.items() if t})
+    assert set(tables) == set(expected)
+    for key, rows in tables.items():
+        doc = _doc_variants(rows) if key[1] != "field" else _doc_table(rows)
+        assert doc == expected[key], key
+    assert cli._PARAMS["decompose"] == {}
+
+
 @pytest.mark.parametrize("name, digest", [
     ("four_two_two_detection",
      "8b0610706fb1f1350d7d72cb3ea79d4b356f741ffea43f38d55011e373ebb59b"),

@@ -114,6 +114,8 @@ def test_moments():
     assert abs(dd.mean - 1.0) < 1e-15 and abs(dd.variance - 1.0) < 1e-15
     assert abs(dd.second_moment - 2.0) < 1e-15
     assert NoiseDistribution.delta(3.0).variance == 0.0
+    # a point mass is the one-atom discrete law
+    assert NoiseDistribution.delta(3.0) == NoiseDistribution.discrete([(3.0, 1.0)])
 
 
 def test_quadrature_reproduces_characteristic():
@@ -726,10 +728,12 @@ def test_bath_two_level_matches_mixture():
 
 
 def test_bath_thermal_populations():
-    vs = [np.eye(2), pauli_string_matrix("Z")]
-    bath = BathModel.thermal(("a", "b"), [0.0, 1.0], vs, beta=2.0)
+    # Boltzmann populations at beta = 2 over levels whose interactions are
+    # not multiples of one operator
+    vs = [np.eye(2, dtype=complex), pauli_string_matrix("Z")]
     w = np.exp([0.0, -2.0])
-    assert np.allclose(bath.populations, w / w.sum(), atol=1e-14)
+    bath = BathModel(labels=("a", "b"), energies=np.array([0.0, 1.0]),
+                     populations=w / w.sum(), interactions=vs)
     h = np.diag([0.0, 1.0]).astype(complex)
     rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
     assert bath_embedding_check(h, bath, rho0, 1.5) < 1e-10

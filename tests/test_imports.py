@@ -6,8 +6,10 @@ hermitian, every scale max|m| is read by one chunked helper, local terms
 are placed into a D x D matrix by one route, the
 command line places and measures an ids perturbation on its sites without
 a D x D matrix, the battery's duality oracle never reaches the compressed
-route it certifies, importing the command line loads no scipy, and an
-attack, dephase or verify --quick run loads no numpy.ma.
+route it certifies, importing the command line loads no scipy, an
+attack, dephase or verify --quick run loads no numpy.ma, and every
+function, class and method of the package is loaded somewhere in the
+sources, demos or benchmark, or is exported.
 
 An AST scan binds each name an import statement introduces (``import a.b``
 binds ``a``) and looks for a load of that name anywhere in the same file.
@@ -53,6 +55,44 @@ def test_scanner_flags_an_unread_import():
 def test_no_unread_imports():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in FILES for line, name in unread_imports(path.read_text())]
+    assert found == []
+
+
+def loaded_names(source: str) -> set:
+    """Every name the module loads, as a bare name or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def defined_names(source: str) -> list:
+    """(line, name) of every function, class and method the module defines,
+    nested ones included; dunder methods are called by the language."""
+    return [(n.lineno, n.name) for n in ast.walk(ast.parse(source))
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (n.name.startswith("__") and n.name.endswith("__"))]
+
+
+def test_scanner_lists_definitions_and_loads():
+    src = ("class A:\n    def __init__(self):\n        pass\n    def m(self):\n"
+           "        return helper(self.x)\n"
+           "def helper(x):\n    def inner():\n        pass\n    return x\n")
+    assert sorted(defined_names(src)) == [(1, "A"), (4, "m"), (6, "helper"), (7, "inner")]
+    assert loaded_names(src) == {"helper", "self", "x"}
+
+
+def test_every_definition_is_loaded_or_exported():
+    # a helper that nothing in the package, the demos or the benchmark
+    # calls is dead code; the names in splitlab.__all__ are its entry points
+    import splitlab
+
+    loaded = set()
+    for d in ("src", "demos", "bench"):
+        for path in (ROOT / d).rglob("*.py"):
+            loaded |= loaded_names(path.read_text())
+    pkg = ROOT / "src" / "splitlab"
+    found = [f"{path.name}:{line}: {name}" for path in sorted(pkg.rglob("*.py"))
+             for line, name in defined_names(path.read_text())
+             if name not in loaded and name not in splitlab.__all__]
     assert found == []
 
 

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import kron_sum_terms
+from splitlab import cli
 from splitlab.models import (
     LocalModel,
     QuditSystem,
@@ -14,7 +15,6 @@ from splitlab.models import (
     four_two_two_model,
     matrix_from_json,
     matrix_to_json,
-    model_from_json,
     model_to_json,
     pauli_string_local,
     pauli_string_matrix,
@@ -280,31 +280,39 @@ def test_matrix_json_roundtrip(rng):
     assert_allclose(back, m, atol=0)
 
 
+# model_to_json's output is read back by the one reader of inline models,
+# the command line's _INLINE_MODEL table
+
+
 def test_model_json_roundtrip_terms():
     sys3 = QuditSystem((2, 2, 2))
     z = np.diag([1.0, -1.0]).astype(complex)
     m = two_local_model(sys3, [((0, 1), ZZ), ((1, 2), ZZ)], single_site_terms=[(2, z)])
     data = model_to_json(m)
-    back = model_from_json(data)
+    back = cli._build_model(data)
     assert_allclose(back.hamiltonian().matrix, m.hamiltonian().matrix, atol=1e-12)
+    chain = random_commuting_model(QuditSystem((3, 2)), [(0, 1)], seed=5)
+    back = cli._build_model(model_to_json(chain))
+    assert back.meta["seed"] == 5
+    assert_allclose(back.hamiltonian().matrix, chain.hamiltonian().matrix, atol=1e-12)
 
 
 def test_model_json_roundtrip_stabilizers():
     data = model_to_json(repetition_model(4))
     assert data["stabilizers"] == ["ZZII", "IZZI", "IIZZ"]
-    back = model_from_json(data)
+    back = cli._build_model(data)
     assert operator_norm(back.hamiltonian().matrix - repetition_model(4).hamiltonian().matrix) < 1e-12
 
 
 def test_model_json_rejects_ambiguous():
-    with pytest.raises(ValueError, match="exactly one"):
-        model_from_json({"dims": [2, 2], "terms": [], "stabilizers": []})
-    with pytest.raises(ValueError, match="exactly one"):
-        model_from_json(
+    with pytest.raises(cli.ScenarioError, match="exactly one"):
+        cli._build_model({"dims": [2, 2], "terms": [], "stabilizers": []})
+    with pytest.raises(cli.ScenarioError, match="exactly one"):
+        cli._build_model(
             {"dims": [2, 2], "terms": [{"sites": [0, 1], "matrix": matrix_to_json(ZZ)}], "stabilizers": ["ZZ"]}
         )
-    with pytest.raises(ValueError, match="dims"):
-        model_from_json({"terms": []})
+    with pytest.raises(cli.ScenarioError, match="dims"):
+        cli._build_model({"terms": []})
 
 
 def test_pauli_string_local_keeps_the_non_identity_letters():

@@ -189,6 +189,16 @@ def test_witness_scores_its_candidates_in_one_batch(rng, monkeypatch):
         assert (calls["svd"], calls["eigvalsh"]) == (1, 3)
 
 
+def test_witness_reads_its_fidelity_from_operators(rng):
+    # one fidelity routine: the batch takes operators.fidelity of its stacks
+    assert no_hiding.fidelity is fidelity
+    assert not hasattr(no_hiding, "_psd_sqrt")
+    b0s, b1s = _orthonormal_pairs((3, 2), 4, rng)
+    rho0, rho1 = reduced_states(np.stack([b0s, b1s]), (3, 2), (0,))
+    batch = no_hiding_witness_batch(b0s, b1s, (3, 2))
+    assert [w.fidelity_f for w in batch] == [fidelity(a, b) for a, b in zip(rho0, rho1)]
+
+
 def _orthonormal_pairs(dims, n, rng):
     d = int(np.prod(dims))
     q, _ = np.linalg.qr(rng.standard_normal((n, d, 2)) + 1j * rng.standard_normal((n, d, 2)))
@@ -312,14 +322,6 @@ def test_two_site_attack_rank_one_rejected():
 def test_two_site_attack_wrong_arity():
     with pytest.raises(ValueError, match="two"):
         two_site_attack(Projector(np.eye(8, dtype=complex), (2, 2, 2)))
-
-
-def test_two_site_attack_redraw_seed():
-    b0 = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    b1 = np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2)
-    p = np.outer(b0, b0.conj()) + np.outer(b1, b1.conj())
-    r1 = two_site_attack(Projector(p, (2, 2)), redraw_seed=7)
-    assert r1.certified_delta_e >= 1.0 / 3.0 - 1e-9
 
 
 def test_four_two_two_single_block_attack():

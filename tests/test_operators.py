@@ -37,7 +37,6 @@ from splitlab.operators import (
     partial_trace,
     random_herm,
     reduced_states,
-    tensor,
     total_dim,
     trace_norm,
 )
@@ -342,26 +341,7 @@ def test_scenario_matrix_is_used_as_given():
     assert_array_equal(_scenario_matrix(m), m)
 
 
-# ---------------------------------------------------------------- tensor / embed
-
-
-def test_tensor_kets_and_ops():
-    k0 = Ket(np.array([1.0, 0.0]), (2,))
-    k1 = Ket(np.array([0.0, 1.0]), (2,))
-    k = tensor([k0, k1])
-    assert k.dims == (2, 2)
-    assert_allclose(k.amplitudes, [0, 1, 0, 0])
-
-    zz = tensor([HermOp(Z, (2,)), HermOp(Z, (2,))])
-    assert_allclose(zz.matrix, np.kron(Z, Z))
-    assert zz.dims == (2, 2)
-
-
-def test_tensor_rejects_mixed_and_empty():
-    with pytest.raises(TypeError):
-        tensor([Ket(np.array([1.0, 0]), (2,)), HermOp(Z, (2,))])
-    with pytest.raises(ValueError):
-        tensor([])
+# ---------------------------------------------------------------- embed
 
 
 def test_embed_single_site():
@@ -853,6 +833,17 @@ def test_fidelity_range_symmetry_and_pure_overlap(rng):
     phi = random_ket(3, rng)
     f = fidelity(np.outer(psi, psi.conj()), np.outer(phi, phi.conj()))
     assert f == pytest.approx(abs(np.vdot(psi, phi)), abs=1e-9)
+
+
+def test_fidelity_of_stacks_is_the_pairwise_fidelity_bit_for_bit(rng):
+    for n in (2, 3, 5):
+        rhos = np.stack([random_density(n, rng) for _ in range(6)])
+        sigmas = np.stack([random_density(n, rng, rank=1 + i % n) for i in range(6)])
+        f = fidelity(rhos, sigmas)
+        assert isinstance(f, np.ndarray) and f.shape == (6,)
+        one = [fidelity(r, s) for r, s in zip(rhos, sigmas)]
+        assert all(type(x) is float for x in one)
+        assert np.array_equal(f, one)
 
 
 def test_fidelity_identical_states(rng):

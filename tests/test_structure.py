@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import dense_ground_factors
+from oracles import closure_rounds, dense_ground_factors
+from splitlab import structure, verify
 from splitlab.code_space import CodeSubspace, full_space_code, ground_subspace
 from splitlab.dynamics import gap_bound_check
 from splitlab.models import (
@@ -126,6 +127,27 @@ def test_site_algebra_repetition():
     z = Z.reshape(-1)
     coeff = vecs.conj() @ z
     assert np.linalg.norm(z - vecs.T @ coeff) <= 1e-10
+
+
+def test_closure_is_the_rounds_closure_bit_for_bit(monkeypatch):
+    # every closure the full battery's two structural checks make
+    seen = []
+
+    def recorded(gens, dim):
+        out = closure(gens, dim)
+        seen.append((list(gens), dim, out))
+        return out
+
+    closure = structure._closure
+    monkeypatch.setattr(structure, "_closure", recorded)
+    verify.check_commuting_attack("full")
+    verify.check_factorization("full")
+    assert len(seen) >= 70
+    assert max(len(out) for _, _, out in seen) > 1
+    for gens, dim, out in seen:
+        ref = closure_rounds(gens, dim, structure.CLOSURE_GROWTH_TOL)
+        assert len(out) == len(ref)
+        assert all(np.array_equal(a, b) for a, b in zip(out, ref))
 
 
 def test_site_algebra_untouched_site():
