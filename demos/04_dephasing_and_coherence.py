@@ -22,8 +22,8 @@ from splitlab.models import pauli_string_matrix, repetition_model
 from splitlab.splitting import ids
 
 model = repetition_model(3)
-h = model.hamiltonian()
-code = ground_subspace(model)
+h = model.hamiltonian()   # held once: the model hands it over and keeps no copy
+code = ground_subspace(h)
 z1 = pauli_string_matrix("ZII")
 dist = NoiseDistribution.gaussian(0.0, 0.1)
 

@@ -480,7 +480,8 @@ def _run_dephase(scenario: Scenario):
     model = scenario.model
     params = scenario.params
     sites, m = params["perturbation"]
-    code = ground_subspace(model)
+    h = model.hamiltonian()
+    code = ground_subspace(h)
     if code.degeneracy < 2:
         raise ValueError("nothing to dephase: the ground space is not degenerate")
     split = ids(code, m, sites)
@@ -490,7 +491,7 @@ def _run_dephase(scenario: Scenario):
     state = params["state"]
     if state == "worst":
         state = worst_code_state(split)
-    rows = dephasing_time_series(model.hamiltonian(), split, m, dist, state,
+    rows = dephasing_time_series(h, split, m, dist, state,
                                  t_grid, gap_factor, nodes=params["nodes"], sites=sites)
     gap_margin = min(r["gap_bound_rhs"] - r["gap_bound_lhs"] for r in rows)
     fid_margin = min(r["fidelity"] - r["fidelity_bound"] for r in rows)

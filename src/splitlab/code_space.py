@@ -78,7 +78,10 @@ def ground_subspace(h) -> CodeSubspace:
     eigenbasis are formed, each the same as herm_eig's: on a split pattern
     they are the only ones scattered from the blocks (operators._block_eigh).
     A HermOp, a model's included, was checked when built and is factored
-    as it is; a plain matrix goes through herm_eig's gate.
+    as it is; a plain matrix goes through herm_eig's gate. A model hands
+    its hamiltonian over (LocalModel.hamiltonian) and keeps no copy, so it
+    is freed when this returns; a caller that needs H again passes the
+    HermOp it holds instead of the model.
     """
     if hasattr(h, "hamiltonian"):
         h = h.hamiltonian()

@@ -204,7 +204,7 @@ class _BlockPencil:
     a non-hermitian entry stays inside a block (one _pattern_blocks scan;
     one block below BLOCK_SCAN_MIN_DIM). Every generator is zero off those
     blocks, so factoring the blocks is exact.
-    The blocks of g h0 and of m are gathered once per block size; m's are
+    The blocks of h0 and of m are gathered once per block size; m's are
     read from the small matrix through the site digits of each index, so
     no D x D perturbation is formed, and a generator's block entries are
     (g h0) + (lam m), the same sums as on the full matrix.
@@ -224,8 +224,7 @@ class _BlockPencil:
         self.m = m
         self.gap_factor = float(gap_factor)
         self.blocks = [idx for _, idx in _block_index(lab)]
-        self._h = [self.gap_factor * h[idx[:, :, None], idx[:, None, :]]
-                   for idx in self.blocks]
+        self._h = [h[idx[:, :, None], idx[:, None, :]] for idx in self.blocks]
         self._m = []
         rest = [i for i in range(len(dims)) if i not in on]
         for idx in self.blocks:
@@ -240,7 +239,10 @@ class _BlockPencil:
 
     def generator(self, lam: float) -> list:
         """Stacked blocks of g h0 + lam m, one array per block size."""
-        return [gh + lam * mb for gh, mb in zip(self._h, self._m)]
+        gens = [self.gap_factor * hb for hb in self._h]
+        for gen, mb in zip(gens, self._m):
+            gen += lam * mb             # (g h0) + (lam m), summed in place
+        return gens
 
     def factor(self, lam: float, a: np.ndarray) -> list:
         """Per block size, (e, Q, Q^dag a) of the generator at lam; ``a`` is D x r.
@@ -350,10 +352,13 @@ def _bound_pencil(h0, r: IdsReport, v, gap_factor: float, sites) -> _BlockPencil
     h = mat_of(h0)
     if code.dim != h.shape[0] or tuple(code.dims) != tuple(getattr(h0, "dims", code.dims)):
         raise ValueError(f"code dims {code.dims} do not fit the hamiltonian")
-    w = _herm_eigvalsh(h)
-    if abs(code.ground_energy) > 1e-10 * max(1.0, abs(w[0]), abs(w[-1])):
+    pencil = _BlockPencil(h, v, sites, code.dims, gap_factor)
+    # |h0|, its largest |eigenvalue|, from the pencil's blocks of h0, off
+    # which h0 is zero: one batched eigvalsh per block size
+    h0_norm = max(_max_abs(_herm_eigvalsh(hb)) for hb in pencil._h)
+    if abs(code.ground_energy) > 1e-10 * max(1.0, h0_norm):
         raise ValueError("shift the ground energy to 0 before checking the bound")
-    return _BlockPencil(h, v, sites, code.dims, gap_factor)
+    return pencil
 
 
 def _bound_rows(pencil: _BlockPencil, r: IdsReport, t_grid) -> list:
@@ -385,9 +390,10 @@ def gap_bound_check(h0, r: IdsReport, v, gap_factor: float, t_grid, sites=None) 
     sit at 0 within 1e-10 max(1, |h0|), |h0| its largest |eigenvalue|, or
     the phase-skewed comparison is refused. The norm is taken of the D x k
     difference on the code basis B, with exp(-i t P v P) B = B Q
-    exp(-i t e) Q^dag from the report. Full-size work: one eigvalsh of h0;
-    the generator g h0 + v is factored block by block (``_BlockPencil``,
-    one batched eigh per block size), with no D x D generator.
+    exp(-i t e) Q^dag from the report. Full-size work: |h0| and the
+    generator g h0 + v are factored block by block on one partition
+    (``_BlockPencil``: one batched eigvalsh of h0 and one batched eigh of
+    the generator per block size), with no D x D generator.
     """
     return _bound_rows(_bound_pencil(h0, r, v, gap_factor, sites), r, t_grid)
 
@@ -600,7 +606,8 @@ def dephasing_time_series(h0, r: IdsReport, v, dist: NoiseDistribution,
     The gap bound and the simulation share one block pencil: one pattern
     scan, then nodes + 1 gated batched eigh calls per block size (one per
     magnitude node, one for g h0 + v), whatever len(t_grid), plus one
-    eigvalsh of h0. The simulation reads only U^dag rho(t) U, U = B Q: per
+    batched eigvalsh of h0's blocks per block size for the ground-energy
+    guard. The simulation reads only U^dag rho(t) U, U = B Q: per
     node and time it accumulates the k x 1 vector U^dag x of the evolved
     pure start x, normalized by the scalar full trace, so it holds k x k
     per time and no D x D state, generator or perturbation, and runs no

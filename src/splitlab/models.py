@@ -77,7 +77,9 @@ class LocalModel:
     ``terms`` maps tuples of distinct sites to matrices given in the listed
     site order. ``commuting`` certifies that every pair of terms commutes
     within COMMUTING_REL_TOL on the union of their supports;
-    ``commutation_defect`` records the worst relative defect seen.
+    ``commutation_defect`` records the worst relative defect seen. A model
+    keeps no D x D array once its hamiltonian has been handed over (see
+    hamiltonian()).
     """
 
     system: QuditSystem
@@ -99,11 +101,19 @@ class LocalModel:
         return max((len(s) for s, _ in self.terms), default=0)
 
     def hamiltonian(self) -> HermOp:
-        """Assembled hamiltonian with the ground energy shifted to 0."""
-        if self._ham is None:
-            self._ham = _shifted(_sum_terms(self.terms, self.system.dims),
-                                 self.energy_offset, self.system.dims)
-        return self._ham
+        """Assembled hamiltonian with the ground energy shifted to 0.
+
+        The sum a builder assembled (_finish_model) is handed to the first
+        caller and the model forgets it, so it is freed once that caller
+        drops it. Every later call assembles the sum again from the same
+        terms, in the same order, with the same offset, so its bytes are
+        the same. A caller that needs H twice holds the one it was given.
+        """
+        h, self._ham = self._ham, None
+        if h is None:
+            h = _shifted(_sum_terms(self.terms, self.system.dims),
+                         self.energy_offset, self.system.dims)
+        return h
 
 
 def _sum_terms(terms, dims) -> np.ndarray:
@@ -175,8 +185,9 @@ def _finish_model(system, terms, meta=None, integer_spectrum=False) -> LocalMode
 
     The terms' commutation is certified, and their sum is assembled once:
     its least eigenvalue is the energy offset (snapped to the integer
-    spectrum when asked), and the shifted sum is stored as the model's
-    hamiltonian, checked at its terms by _sum_terms, not as a whole.
+    spectrum when asked), and the shifted sum, checked at its terms by
+    _sum_terms, not as a whole, is kept only until the first
+    hamiltonian() call hands it over.
     """
     defect = _commutation_defect(terms, system.dims)
     model = LocalModel(
@@ -194,7 +205,7 @@ def _finish_model(system, terms, meta=None, integer_spectrum=False) -> LocalMode
             raise ValueError(f"expected an integer ground energy, got {e0}")
         e0 = float(snapped)
     model.energy_offset = e0
-    model._ham = _shifted(raw, e0, system.dims)     # what hamiltonian() would assemble
+    model._ham = _shifted(raw, e0, system.dims)     # what hamiltonian() assembles, handed over once
     return model
 
 

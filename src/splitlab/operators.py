@@ -607,11 +607,12 @@ def _herm_eigvalsh(matrix) -> np.ndarray:
     hermiticity. An input whose imaginary part is exactly zero is factored
     as its real part, and one whose lower triangle's pattern splits into
     blocks is factored block by block; both are exact, since the matrix is
-    the same. Private, so that a traced run counts the factorization on the
-    layer that asks for it.
+    the same. A stack of matrices along leading axes is factored in one
+    batched call, with no pattern scan. Private, so that a traced run
+    counts the factorization on the layer that asks for it.
     """
     a = _lapack_operand(mat_of(matrix))
-    lab = _pattern_blocks(a)
+    lab = _pattern_blocks(a) if a.ndim == 2 else None
     if lab is not None:
         return _block_eigh(a, lab, vectors=False)
     return np.linalg.eigvalsh(a)

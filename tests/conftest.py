@@ -6,6 +6,7 @@ sweep and never reseed inside the loop.
 """
 
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -30,6 +31,20 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return haar_unitary(dim, rng)
+
+
+def traced_peak(fn):
+    """(fn(), the peak traced memory in bytes while it ran), under tracemalloc.
+
+    Only what fn allocates is traced; fn may read the current figure itself
+    through tracemalloc.get_traced_memory.
+    """
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def count_factorizations(monkeypatch) -> Counter:

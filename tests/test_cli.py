@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from splitlab import cli, verify
 from splitlab.code_space import ground_subspace
 from splitlab.models import (
@@ -680,21 +681,27 @@ def test_dephase_run_compresses_the_perturbation_once(tmp_path, factorizations):
 def test_dephase_at_the_time_ceiling_holds_code_size_per_time(tmp_path):
     # 10000 time points at D = 256: the run holds the k x k code block per
     # time, where a D x D state per time would need 10.5 GB
-    import tracemalloc
-
     scn = _write(tmp_path, "s.json", {
         **_dephase_scenario(perturbation={"pauli": "XZIIIIII"}, nodes=2,
                             t_grid={"start": 0.0, "stop": 5.0, "num": cli.MAX_TIMES}),
         "model": {"fixture": "repetition", "n": 8}})
-    tracemalloc.start()
-    try:
-        code = cli.main(["run", "--scenario", scn, "--out", str(tmp_path / "out")])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(
+        lambda: cli.main(["run", "--scenario", scn, "--out", str(tmp_path / "out")]))
     assert code == 0
     assert peak <= 64 * 2 ** 20
     assert _report(tmp_path / "out")["results"]["rows"] == cli.MAX_TIMES
+
+
+def test_attack_holds_one_full_matrix_at_a_time(tmp_path):
+    # D = 1024 (one complex D x D is 16 MiB): the model hands its hamiltonian
+    # to the ground extraction and keeps no copy, so H is freed before the
+    # re-measure embeds the attack operator as the run's one other D x D
+    scn = _write(tmp_path, "s.json", _attack_scenario(n=10))
+    code, peak = traced_peak(
+        lambda: cli.main(["run", "--scenario", scn, "--out", str(tmp_path / "out")]))
+    assert code == 0
+    assert _report(tmp_path / "out")["all_passed"] is True
+    assert peak <= 1.2 * 16 * 2 ** 20
 
 
 def test_attack_rejects_noncommuting_model_before_ground_extraction(tmp_path, monkeypatch):

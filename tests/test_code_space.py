@@ -1,11 +1,11 @@
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import splitlab.operators
+from conftest import traced_peak
 from splitlab.code_space import (
     CodeSubspace,
     full_space_code,
@@ -138,14 +138,8 @@ def test_ground_extraction_allocates_less_than_one_full_matrix():
     # on the split pattern of the repetition H only the k ground columns are
     # scattered from the blocks; the real operand the gate returns (half a
     # complex D x D) is the largest array the extraction makes
-    model = repetition_model(10)
-    model.hamiltonian()
-    tracemalloc.start()
-    try:
-        code = ground_subspace(model)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    h = repetition_model(10).hamiltonian()
+    code, peak = traced_peak(lambda: ground_subspace(h))
     assert code.degeneracy == 2
     assert peak < 16 * 1024 ** 2
 
@@ -197,10 +191,10 @@ def test_a_built_hamiltonian_is_not_gated_again(monkeypatch, n):
     # the model's HermOp was checked when it was built; the ground
     # extraction factors it with no second D x D gate, at one tile
     # (D = 256) or more (D = 512)
-    model = repetition_model(n)
-    assert (model.hamiltonian().dim > HERM_TILE) == (n == 9)
+    h = repetition_model(n).hamiltonian()
+    assert (h.dim > HERM_TILE) == (n == 9)
     shapes = _gate_shapes(monkeypatch)
-    ground_subspace(model)
+    ground_subspace(h)
     assert shapes == []
 
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import splitlab.operators
-from conftest import random_density
+from conftest import random_density, traced_peak
 from splitlab.code_space import ground_subspace
 from splitlab import dynamics
 from splitlab.dynamics import (
@@ -500,21 +500,14 @@ def test_pencil_refuses_a_nonhermitian_perturbation_as_herm_eig_does():
 def test_time_series_memory_stays_at_code_size():
     # D = 1024, 11 times, 8 nodes: the simulation holds k x k per time, no
     # D x D state, generator or accumulator (one complex D x D is 16 MiB)
-    import tracemalloc
-
     model, code = _rep_code(10)
     h = model.hamiltonian()
     m = pauli_string_matrix("X") + pauli_string_matrix("Z")
     r = ids(code, m, [0])
     start = worst_code_state(r)
     dist = NoiseDistribution.gaussian(0.0, 0.1)
-    tracemalloc.start()
-    try:
-        rows = dephasing_time_series(h, r, m, dist, start, np.linspace(0.0, 5.0, 11), 1000.0,
-                                     nodes=8, sites=[0])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rows, peak = traced_peak(lambda: dephasing_time_series(
+        h, r, m, dist, start, np.linspace(0.0, 5.0, 11), 1000.0, nodes=8, sites=[0]))
     assert len(rows) == 11
     assert peak <= 40 * 2 ** 20
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import traced_peak
 from oracles import kron_sum_terms
 from splitlab import cli
 from splitlab.models import (
@@ -211,15 +212,32 @@ def _mixed_two_local():
     lambda: block_sites(repetition_model(6), [[0, 1], [2, 3], [4, 5]]),
 ])
 def test_sum_terms_matches_kron_oracle_bytes(build):
-    model = build()
-    dims = model.system.dims
-    h = _sum_terms(model.terms, dims)
-    assert h.tobytes() == kron_sum_terms(model.terms, dims).tobytes()
-    # the hamiltonian is the shifted sum as it is, unchecked as a whole: the
-    # containers' gate would return the same bits
-    np.fill_diagonal(h, h.diagonal() - model.energy_offset)
-    gated = _hermitian(h, HERM_ATOL * max(1.0, _max_abs(h)), "not hermitian")
-    assert model.hamiltonian().matrix.tobytes() == h.tobytes() == gated.tobytes()
+    # the model is built under tracing, so that freeing its arrays shows
+    def check():
+        model = build()
+        dims = model.system.dims
+        h = _sum_terms(model.terms, dims)
+        assert h.tobytes() == kron_sum_terms(model.terms, dims).tobytes()
+        # the hamiltonian is the shifted sum as it is, unchecked as a whole:
+        # the containers' gate would return the same bits
+        np.fill_diagonal(h, h.diagonal() - model.energy_offset)
+        gated = _hermitian(h, HERM_ATOL * max(1.0, _max_abs(h)), "not hermitian")
+        first = model.hamiltonian()
+        assert first.matrix.tobytes() == h.tobytes() == gated.tobytes()
+        # the first call took the built sum; a second one assembles it again
+        second = model.hamiltonian()
+        assert second.matrix.tobytes() == first.matrix.tobytes()
+        del h, gated
+        # the model keeps neither, so dropping each frees its D x D array
+        held = tracemalloc.get_traced_memory()[0]
+        del first
+        dropped = tracemalloc.get_traced_memory()[0]
+        del second
+        return 16 * total_dim(dims) ** 2, held - dropped, dropped - tracemalloc.get_traced_memory()[0]
+
+    (one, *falls), _ = traced_peak(check)
+    for fall in falls:
+        assert one <= fall <= one + 1024     # the array and its HermOp wrapper
 
 
 def test_hand_built_model_refuses_an_inexact_term():
@@ -232,23 +250,14 @@ def test_hand_built_model_refuses_an_inexact_term():
         model.hamiltonian()
 
 
-def _traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_assembly_and_embed_allocate_one_full_matrix():
     # the result is one D x D complex array (16 MiB at D = 1024); placing
     # each term through kron allocated a D x D product and a transposed copy
     model = repetition_model(10)
     dims = model.system.dims
     one = 16 * total_dim(dims) ** 2
-    assert _traced_peak(lambda: _sum_terms(model.terms, dims)) <= 1.1 * one
-    assert _traced_peak(lambda: embed(ZZ, (3, 4), dims)) <= 1.1 * one
+    assert traced_peak(lambda: _sum_terms(model.terms, dims))[1] <= 1.1 * one
+    assert traced_peak(lambda: embed(ZZ, (3, 4), dims))[1] <= 1.1 * one
 
 
 def test_model_build_holds_one_full_matrix():
@@ -256,7 +265,7 @@ def test_model_build_holds_one_full_matrix():
     # energy reads it through a boolean pattern of D^2 bytes, and no
     # hermiticity gate, conjugate copy or |H| of its size is formed
     one = 16 * 1024 ** 2
-    assert _traced_peak(lambda: repetition_model(10)) <= 1.1 * one
+    assert traced_peak(lambda: repetition_model(10))[1] <= 1.1 * one
 
 
 def test_oversized_chain_is_refused_before_its_strings():
@@ -264,14 +273,12 @@ def test_oversized_chain_is_refused_before_its_strings():
     # before writing n - 1 generator strings of length n (9 MB at n = 3000)
     with pytest.raises(ValueError, match="16000 sites exceeds the cap 4096"):
         QuditSystem((2,) * 16_000)
-    tracemalloc.start()
-    try:
+
+    def refused():
         with pytest.raises(ValueError, match="3000 sites"):
             repetition_model(3000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1e6
+
+    assert traced_peak(refused)[1] < 1e6
 
 
 def test_matrix_json_roundtrip(rng):
