@@ -558,8 +558,7 @@ def _write_csv(out_dir: Path, name: str, rows: list) -> Path:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     return path
 
 

@@ -44,6 +44,11 @@ DEFAULT_NODES = 64          # quadrature order for continuous magnitudes
 RHO_FACTOR_CUT = 1e-13      # relative |eigenvalue| a start state's factor keeps
 BRACKET_DOUBLINGS = 60      # growth steps before declaring no crossing
 
+# A chunk of the time axis holds about max(D^2, TIME_CHUNK_MIN) entries in
+# each of its arrays: at least 1 MiB of complex, so that a run at small D
+# still takes hundreds of times a chunk.
+TIME_CHUNK_MIN = 1 << 16
+
 
 @dataclass(frozen=True)
 class NoiseDistribution:
@@ -198,6 +203,9 @@ def _state_factor(rho0):
 class _BlockPencil:
     """The generators g h0 + lam (m on ``sites``) of one run, block by block.
 
+    ``factor`` diagonalizes one generator's blocks and ``evolve`` applies
+    exp(-i t G) to a start for a whole chunk of times at once.
+
     ``m`` acts on the ``sites`` (all sites when None, as for embed). One
     partition serves every lam: the connected components of the joint
     nonzero pattern of h0 and the placed m, read on both triangles so that
@@ -244,24 +252,53 @@ class _BlockPencil:
             gen += lam * mb             # (g h0) + (lam m), summed in place
         return gens
 
-    def factor(self, lam: float, a: np.ndarray) -> list:
-        """Per block size, (e, Q, Q^dag a) of the generator at lam; ``a`` is D x r.
+    def factor(self, lam: float, a: np.ndarray) -> tuple:
+        """The generator at lam, factored to evolve ``a`` (D x r): (parts, slot).
 
-        The blocks go through one gate and one batched eigh per size
-        (operators._stacked_herm_eig).
+        All blocks go through one gate and one batched eigh per size
+        (operators._stacked_herm_eig). A block on which ``a`` is exactly
+        zero stays zero at every time, so ``parts`` keeps, per block size,
+        (e, Q, Q^dag a) of the other blocks alone, and ``slot`` maps each
+        index to its row among their rows laid end to end, or to one zero
+        row after them.
         """
-        parts = []
+        parts, rows = [], []
         for idx, (e, q) in zip(self.blocks, _stacked_herm_eig(self.generator(lam))):
-            q = q.astype(complex, copy=False)   # once, not at every time
-            parts.append((e, q, q.conj().mT @ a[idx]))
-        return parts
+            ai = a[idx]
+            live = ai.any(axis=(-2, -1))
+            q = q[live].astype(complex, copy=False)   # once, not at every time
+            parts.append((e[live], q, q.conj().mT @ ai[live]))
+            rows.append(idx[live].reshape(-1))
+        rows = np.concatenate(rows)
+        slot = np.full(self.dim, rows.size)
+        slot[rows] = np.arange(rows.size)
+        return parts, slot
 
-    def evolve(self, parts: list, t: float) -> np.ndarray:
-        """exp(-i t G) a, D x r, from ``parts = factor(lam, a)``, block by block."""
-        x = np.empty((self.dim, parts[0][2].shape[-1]), dtype=complex)
-        for idx, (e, q, c) in zip(self.blocks, parts):
-            x[idx.reshape(-1)] = (q @ (np.exp(-1j * t * e)[..., None] * c)).reshape(-1, x.shape[1])
-        return x
+    def evolve(self, factored: tuple, times: np.ndarray) -> np.ndarray:
+        """exp(-i t G) a for each t of ``times``, (T, D, r), from ``factor(lam, a)``.
+
+        Per block size the phases exp(-i t e) are one (T, blocks, b) array
+        and the chunk is one batched matmul, each (t, block) product the one
+        a single time would make. One gather puts the rows in index order,
+        the rows of the blocks ``factor`` left out from its zero row.
+        """
+        parts, slot = factored
+        n, r = len(times), parts[0][2].shape[-1]
+        ys = [(q @ (np.exp(-1j * times[:, None, None] * e)[..., None] * c)).reshape(n, e.size, r)
+              for e, q, c in parts]
+        ys.append(np.zeros((n, 1, r), dtype=complex))
+        return np.take(np.concatenate(ys, axis=1), slot, axis=1)
+
+
+def _time_chunks(n: int, dim: int, per_time: int) -> list:
+    """Slices of range(n), one chunk of the time axis each.
+
+    A chunk's arrays hold ``per_time`` entries a time, so a chunk of
+    max(D^2, TIME_CHUNK_MIN) // per_time times holds about one D x D
+    array's worth (``dim`` = D) of each.
+    """
+    step = max(1, max(dim * dim, TIME_CHUNK_MIN) // per_time)
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 def _mixture(pencil: _BlockPencil, lam, weights, a, s, t_grid, reader=None):
@@ -271,22 +308,27 @@ def _mixture(pencil: _BlockPencil, lam, weights, a, s, t_grid, reader=None):
     the columns, x = exp(-i t G_k) a, and each time accumulates
     w_k Y diag(s) Y^dag with Y = R^dag x (Y = x when R is None, the
     identity), and the scalar w_k sum_j s_j |x_j|^2, the trace of the full
-    D x D term. Returns (accumulators, traces). Nodes are summed in
-    ascending order, so the output is bit-stable.
+    D x D term. Returns (accumulators, traces), a (times, size, size) stack
+    and a vector. The times run in chunks (_time_chunks, per time the D x r
+    evolved columns and one accumulator): a chunk is one evolve call, one
+    stacked matmul for its Y diag(s) Y^dag and one np.vecdot for its
+    traces, which rounds each time's dot product as a single time's does.
+    Nodes are summed in ascending order, so the output is bit-stable.
     """
-    times = [float(t) for t in t_grid]
+    times = np.asarray(t_grid, dtype=float)
     rh = None if reader is None else reader.conj().T
     size = pencil.dim if reader is None else reader.shape[1]
-    accs = [np.zeros((size, size), dtype=complex) for _ in times]
+    accs = np.zeros((len(times), size, size), dtype=complex)
     traces = np.zeros(len(times))
+    chunks = _time_chunks(len(times), pencil.dim, pencil.dim * a.shape[1] + size * size)
     for lk, wk in zip(lam, weights):
         parts = pencil.factor(float(lk), a)
         ws = float(wk) * s
-        for j, t in enumerate(times):
-            x = pencil.evolve(parts, t)
+        for sl in chunks:
+            x = pencil.evolve(parts, times[sl])
             y = x if rh is None else rh @ x
-            accs[j] += (y * ws) @ y.conj().T
-            traces[j] += ws @ np.sum(x.real ** 2 + x.imag ** 2, axis=0)
+            accs[sl] += (y * ws) @ y.conj().mT
+            traces[sl] += np.vecdot(np.sum(x.real ** 2 + x.imag ** 2, axis=1), ws)
     return accs, traces
 
 
@@ -317,23 +359,42 @@ def evolve_mixture_grid(h0, v, dist: NoiseDistribution, rho0, t_grid,
     return [DensityOp(acc / tr, tuple(dims)) for acc, tr in zip(accs, traces)]
 
 
-def _simulated_code_block(acc: np.ndarray, trace: float) -> np.ndarray:
-    """acc / trace, a simulated state read in a code frame, checked.
+def _density_blocks(m: np.ndarray, trace_fault) -> np.ndarray:
+    """A stack of k x k density blocks, gated and checked as DensityOp checks one.
 
-    The k x k block of a density matrix: hermitian and above the PSD floor
-    as for DensityOp, with a trace in [0, 1 + DENSITY_TRACE_ATOL], short
-    of 1 by the weight that left the code.
+    One _hermitian call, each block held to HERM_ATOL max(1, max|block|);
+    ``trace_fault`` maps the traces of the gated blocks to the message of
+    the first one out of range, or None; then one stacked eigvalsh holds
+    every block to DENSITY_EIG_FLOOR. Messages are those of DensityOp.
     """
-    m = acc / trace
-    m = _hermitian(m, HERM_ATOL * max(1.0, _max_abs(m)),
+    m = _hermitian(m, HERM_ATOL * np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1))),
                    "density matrix is not hermitian within tolerance")
-    tr = np.trace(m).real
-    if not 0.0 <= tr <= 1.0 + DENSITY_TRACE_ATOL:
-        raise ValueError(f"code-frame trace {tr} is outside [0, 1 + {DENSITY_TRACE_ATOL}]")
-    lo = float(_herm_eigvalsh(m)[0])
-    if lo < DENSITY_EIG_FLOOR:
-        raise ValueError(f"negative eigenvalue {lo} below floor {DENSITY_EIG_FLOOR}")
+    fault = trace_fault(np.trace(m, axis1=-2, axis2=-1).real)
+    if fault is not None:
+        raise ValueError(fault)
+    lo = _herm_eigvalsh(m)[..., 0]
+    low = lo < DENSITY_EIG_FLOOR
+    if low.any():
+        raise ValueError(f"negative eigenvalue {float(lo[low][0])} below floor {DENSITY_EIG_FLOOR}")
     return m
+
+
+def _unit_trace_fault(tr: np.ndarray):
+    """DensityOp's trace message for the first trace off 1, or None."""
+    off = np.abs(tr - 1.0) > DENSITY_TRACE_ATOL
+    return f"trace {tr[off][0]} is not 1 within {DENSITY_TRACE_ATOL}" if off.any() else None
+
+
+def _code_trace_fault(tr: np.ndarray):
+    """The message for the first code-frame trace outside [0, 1 + DENSITY_TRACE_ATOL], or None.
+
+    A simulated state read in a code frame is short of trace 1 by the
+    weight that left the code.
+    """
+    off = ~((tr >= 0.0) & (tr <= 1.0 + DENSITY_TRACE_ATOL))
+    if off.any():
+        return f"code-frame trace {tr[off][0]} is outside [0, 1 + {DENSITY_TRACE_ATOL}]"
+    return None
 
 
 @dataclass(frozen=True)
@@ -362,20 +423,30 @@ def _bound_pencil(h0, r: IdsReport, v, gap_factor: float, sites) -> _BlockPencil
 
 
 def _bound_rows(pencil: _BlockPencil, r: IdsReport, t_grid) -> list:
-    """gap_bound_check's rows, its generator at lam = 1 factored by ``pencil``."""
+    """gap_bound_check's rows, its generator at lam = 1 factored by ``pencil``.
+
+    The times run in chunks (_time_chunks, one D x k difference per time):
+    a chunk's differences are one stack, whose 2-norms are one stacked SVD.
+    """
     code = r.code
     vnorm = operator_norm(pencil.m)
     g = pencil.gap_factor
     parts = pencil.factor(1.0, code.basis)
     e_code, q_code = r.eigenvalues, r.frame
     bq = code.basis @ q_code
+    times = np.asarray(t_grid, dtype=float)
+    lhs = np.empty(len(times))
+    for sl in _time_chunks(len(times), pencil.dim, pencil.dim * code.degeneracy):
+        ts = times[sl]
+        diff = pencil.evolve(parts, ts) - bq @ (
+            np.exp(-1j * ts[:, None, None] * e_code[:, None]) * q_code.conj().T)
+        if not np.all(np.isfinite(diff)):
+            raise ValueError("non-finite entries")
+        lhs[sl] = np.linalg.norm(diff, ord=2, axis=(-2, -1))
     rows = []
-    for t in t_grid:
-        t = float(t)
-        lhs = operator_norm(pencil.evolve(parts, t)
-                            - bq @ (np.exp(-1j * t * e_code)[:, None] * q_code.conj().T))
+    for t, left in zip(times.tolist(), lhs.tolist()):
         rhs = (4.0 * vnorm / (g * code.gap)) * (vnorm * abs(t) + 1.0)
-        rows.append(BoundRow(t=t, lhs=float(lhs), rhs=float(rhs), passed=bool(lhs <= rhs)))
+        rows.append(BoundRow(t=t, lhs=left, rhs=float(rhs), passed=bool(left <= rhs)))
     return rows
 
 
@@ -446,15 +517,23 @@ def fidelity_bound_check(r: IdsReport, dist: NoiseDistribution, t_grid,
 
 
 def _fidelity_rows(r: IdsReport, dist: NoiseDistribution, p, lam, weights, t_grid) -> list:
-    """fidelity_bound_check's rows; ``p`` holds |c_m|^2, c = Q^dag psi."""
+    """fidelity_bound_check's rows; ``p`` holds |c_m|^2, c = Q^dag psi.
+
+    The times run in chunks (_time_chunks, nodes x k phases per time): a
+    chunk's phases exp(-i t lam_j e_m) are one (T, nodes, k) array, and
+    its weighted sums one np.vecdot, which rounds as a single time's dot.
+    """
     coeff = dist.second_moment * r.delta_e ** 2 / 8.0
+    times = np.asarray(t_grid, dtype=float)
+    lam_e = np.outer(lam, r.eigenvalues)
+    f = np.empty(len(times))
+    for sl in _time_chunks(len(times), r.code.dim, lam_e.size):
+        amp = np.exp(-1j * times[sl, None, None] * lam_e) @ p
+        f[sl] = np.sqrt(np.maximum(np.vecdot(np.abs(amp) ** 2, weights), 0.0))
     rows = []
-    for t in t_grid:
-        t = float(t)
-        amp = np.exp(-1j * t * np.outer(lam, r.eigenvalues)) @ p
-        f = float(np.sqrt(max(float(weights @ np.abs(amp) ** 2), 0.0)))
+    for t, fid in zip(times.tolist(), f.tolist()):
         bound = 1.0 - coeff * t ** 2
-        rows.append(BoundRow(t=t, lhs=f, rhs=bound, passed=bool(f >= bound - 1e-12)))
+        rows.append(BoundRow(t=t, lhs=fid, rhs=bound, passed=bool(fid >= bound - 1e-12)))
     return rows
 
 
@@ -612,8 +691,14 @@ def dephasing_time_series(h0, r: IdsReport, v, dist: NoiseDistribution,
     pure start x, normalized by the scalar full trace, so it holds k x k
     per time and no D x D state, generator or perturbation, and runs no
     full-size SVD or herm_eig. Quadrature weights must be nonnegative,
-    which makes the mixture PSD; each k x k state is checked
-    (``_simulated_code_block``).
+    which makes the mixture PSD.
+    Every stage runs the time axis in chunks of about one D x D array's
+    worth (_time_chunks): the bound rows take one stacked SVD of a chunk's
+    D x k differences, and the k x k predictions and simulated states of a
+    chunk are each checked as DensityOps are by one gate call and one
+    stacked eigvalsh (``_density_blocks``), the simulated ones with a
+    trace in [0, 1 + DENSITY_TRACE_ATOL], short of 1 by the weight that
+    left the code.
     """
     code = r.code
     psi = _pure_code_vector(code, state)
@@ -628,21 +713,27 @@ def dephasing_time_series(h0, r: IdsReport, v, dist: NoiseDistribution,
         raise ValueError("a mixture needs nonnegative weights and a PSD start")
     accs, traces = _mixture(pencil, lam, weights, (code.basis @ psi)[:, None], np.ones(1),
                             t_grid, reader=code.basis @ r.frame)
+    times = np.asarray(t_grid, dtype=float)
+    diffs = r.eigenvalues[:, None] - r.eigenvalues[None, :]
+    mi, ni = np.triu_indices(d, 1)            # the pairs m < n, in row order
+    pairs = [f"{m}-{n}" for m, n in zip(mi, ni)]
     rows = []
-    for idx, t in enumerate(t_grid):
-        t = float(t)
-        pred_f = DensityOp(frame0 * dephasing_factors(r, dist, t), (d,)).matrix
-        sim_f = _simulated_code_block(accs[idx], traces[idx])
-        for m in range(d):
-            for n in range(m + 1, d):
-                rows.append({
-                    "t": t,
-                    "pair": f"{m}-{n}",
-                    "predicted_coherence": float(abs(pred_f[m, n])),
-                    "simulated_coherence": float(abs(sim_f[m, n])),
-                    "gap_bound_lhs": gap_rows[idx].lhs,
-                    "gap_bound_rhs": gap_rows[idx].rhs,
-                    "fidelity": fid_rows[idx].lhs,
-                    "fidelity_bound": fid_rows[idx].rhs,
-                })
+    for sl in _time_chunks(len(times), code.dim, code.dim * d):
+        ts = times[sl]
+        pred = _density_blocks(frame0 * dist.characteristic(ts[:, None, None] * diffs),
+                               _unit_trace_fault)
+        sim = _density_blocks(accs[sl] / traces[sl, None, None], _code_trace_fault)
+        for t, p, s, gap, fid in zip(ts.tolist(), np.abs(pred[:, mi, ni]).tolist(),
+                                     np.abs(sim[:, mi, ni]).tolist(),
+                                     gap_rows[sl], fid_rows[sl]):
+            rows.extend({
+                "t": t,
+                "pair": pair,
+                "predicted_coherence": p[i],
+                "simulated_coherence": s[i],
+                "gap_bound_lhs": gap.lhs,
+                "gap_bound_rhs": gap.rhs,
+                "fidelity": fid.lhs,
+                "fidelity_bound": fid.rhs,
+            } for i, pair in enumerate(pairs))
     return rows

@@ -28,7 +28,9 @@ from .operators import (
     Projector,
     _dims_tuple,
     _hermitian,
+    _kept_rows,
     _lapack_operand,
+    _unit_ket,
     fidelity,
     helstrom,
     reduced_states,
@@ -83,6 +85,18 @@ def _complement(dims, a_sites) -> tuple[int, ...]:
     return b
 
 
+def _trace_norms(delta: np.ndarray) -> np.ndarray:
+    """Trace norm of each matrix of a stack of exactly hermitian differences.
+
+    The one route of both pair_side_norms and the scan: non-finite input is
+    refused, then the norms are the summed |eigenvalues| of one batched
+    eigvalsh, which reads one triangle of each matrix.
+    """
+    if not np.all(np.isfinite(delta)):
+        raise ValueError("non-finite entries")
+    return np.sum(np.abs(np.linalg.eigvalsh(delta)), axis=-1)
+
+
 def pair_side_norms(psi: np.ndarray, phi: np.ndarray, dims, a_sites):
     """Trace norms of the reduced difference on side A and side B.
 
@@ -91,7 +105,7 @@ def pair_side_norms(psi: np.ndarray, phi: np.ndarray, dims, a_sites):
     side's differences come out of reduced_states exactly hermitian (entry
     (c, a) is the bitwise conjugate of entry (a, c)), so their trace norms
     are the summed |eigenvalues| of one batched eigvalsh at that side's own
-    size.
+    size (_trace_norms).
     """
     dims = tuple(int(d) for d in dims)
     a_sites = sorted(int(s) for s in a_sites)
@@ -99,13 +113,8 @@ def pair_side_norms(psi: np.ndarray, phi: np.ndarray, dims, a_sites):
     if psi.shape != phi.shape:
         raise ValueError(f"pair shapes differ: {psi.shape} and {phi.shape}")
     pair = np.stack([psi, phi])
-    norms = []
-    for keep in (a_sites, _complement(dims, a_sites)):
-        delta = np.subtract(*reduced_states(pair, dims, keep))
-        if not np.all(np.isfinite(delta)):
-            raise ValueError("non-finite entries")
-        norms.append(np.sum(np.abs(np.linalg.eigvalsh(delta)), axis=-1))
-    na, nb = norms
+    na, nb = (_trace_norms(np.subtract(*reduced_states(pair, dims, keep)))
+              for keep in (a_sites, _complement(dims, a_sites)))
     if na.ndim == 0:
         return float(na), float(nb)
     return na, nb
@@ -125,6 +134,14 @@ def _check_orthogonal(b0s: np.ndarray, b1s: np.ndarray):
     """Refuse unless each pair of kets, along the last axis, is orthogonal."""
     if np.any(np.abs(np.einsum("...i,...i->...", b0s.conj(), b1s)) > ORTHO_ATOL):
         raise ValueError("basis kets are not orthogonal")
+
+
+def _check_unit(kets: np.ndarray):
+    """Refuse, with Ket's message, unless each ket along the last axis has unit norm."""
+    nrm = np.linalg.norm(kets, axis=-1)
+    off = np.abs(nrm - 1.0) > KET_NORM_ATOL
+    if off.any():
+        raise ValueError(f"ket norm {nrm[off][0]} is not 1 within {KET_NORM_ATOL}")
 
 
 def _check_pair(b0: Ket, b1: Ket):
@@ -157,8 +174,10 @@ def no_hiding_witness_batch(b0s, b1s, dims, a_sites=(0,)) -> list[NoHidingWitnes
     each pair to orthogonality, with their messages. The three candidates
     of all n pairs are scored in one pair_side_norms call over (n, 3); each
     pair keeps its first candidate unless a later one beats it by more than
-    1e-15. Every pair's floor max(2D, F, 2/3) comes from stacked
-    factorizations of the A-side reduced states of the n input pairs.
+    1e-15. The chosen candidates are held to Ket's unit norm in one stacked
+    norm and wrapped as Kets with no norm of their own (_unit_ket). Every
+    pair's floor max(2D, F, 2/3) comes from stacked factorizations of the
+    A-side reduced states of the n input pairs.
     """
     dims = _dims_tuple(dims)
     a_sites = tuple(sorted(int(s) for s in a_sites))
@@ -167,10 +186,7 @@ def no_hiding_witness_batch(b0s, b1s, dims, a_sites=(0,)) -> list[NoHidingWitnes
         raise ValueError(f"pair shapes differ: {b0s.shape} and {b1s.shape}")
     if b0s.ndim != 2 or b0s.shape[1] != total_dim(dims):
         raise ValueError(f"batch shape {b0s.shape} does not match dims {dims}")
-    nrm = np.linalg.norm(np.stack([b0s, b1s]), axis=-1)
-    off = np.abs(nrm - 1.0) > KET_NORM_ATOL
-    if off.any():
-        raise ValueError(f"ket norm {nrm[off][0]} is not 1 within {KET_NORM_ATOL}")
+    _check_unit(np.stack([b0s, b1s]))
     _check_orthogonal(b0s, b1s)
 
     v0s, v1s = _candidates(b0s, b1s)
@@ -181,6 +197,8 @@ def no_hiding_witness_batch(b0s, b1s, dims, a_sites=(0,)) -> list[NoHidingWitnes
     for k in (1, 2):
         cid[totals[:, k] > totals[rows, cid] + 1e-15] = k
     scores, na, nb = totals[rows, cid], nas[rows, cid], nbs[rows, cid]
+    chosen = np.stack([v0s[rows, cid], v1s[rows, cid]])
+    _check_unit(chosen)
 
     rho0, rho1 = reduced_states(np.stack([b0s, b1s]), dims, a_sites)
     dist, fid = _distance_and_fidelity(rho0, rho1)
@@ -194,8 +212,8 @@ def no_hiding_witness_batch(b0s, b1s, dims, a_sites=(0,)) -> list[NoHidingWitnes
         )
     return [
         NoHidingWitness(
-            psi=Ket(v0s[i, c], dims),
-            phi=Ket(v1s[i, c], dims),
+            psi=_unit_ket(chosen[0, i], dims),
+            phi=_unit_ket(chosen[1, i], dims),
             score=float(scores[i]),
             side="A" if na[i] >= nb[i] else "B",
             candidate_id=int(c),
@@ -278,21 +296,34 @@ def subspace_pair_score_scan(b0: Ket, b1: Ket, a_sites=(0,), grid_n: int = 24) -
     the subspace, so a (theta, phi) grid covers them all; the closed-form
     candidate angles are appended so the oracle provably dominates the
     constructive witness at any grid size.
+
+    The point (pi - theta, phi + pi) is the pair of (theta, phi) with its two
+    vectors swapped, whose differences are negated and whose norms are
+    equal. For an even ``grid_n`` the grid maps onto itself under that swap,
+    so only its rows theta <= pi/2 are scored (13 of 25 at grid_n = 24); an
+    odd ``grid_n`` is refused. Each side's difference is linear on the
+    sphere, Delta = cos(theta) (R00 - R11) + sin(theta) (e^{-i phi} R01 +
+    e^{i phi} R01^dag) with R_ij the reduced |u_i><u_j|, from one einsum per
+    side. It is formed as w + w^dag, bitwise hermitian as eigvalsh assumes,
+    and the whole half grid is one _trace_norms stack per side.
     """
-    if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
+    if grid_n < 2 or grid_n % 2:
+        raise ValueError("grid_n must be even and at least 2")
     _check_pair(b0, b1)
     dims = b0.dims
     a_sites = tuple(sorted(int(s) for s in a_sites))
     # sorted sets, where np.unique would import numpy.ma
-    thetas = np.array(sorted({*np.linspace(0.0, np.pi, grid_n).tolist(), np.pi / 2}))
+    thetas = np.array([t for t in sorted({*np.linspace(0.0, np.pi, grid_n).tolist(), np.pi / 2})
+                       if t <= np.pi / 2])
     phis = np.array(sorted({*np.linspace(0.0, 2 * np.pi, grid_n, endpoint=False).tolist(),
                             0.0, np.pi / 2, np.pi, 1.5 * np.pi}))
-    u0, u1 = b0.amplitudes, b1.amplitudes
-    c, s = np.cos(thetas / 2.0)[:, None], np.sin(thetas / 2.0)[:, None]
-    z = np.exp(1j * phis)[None, :]
-    # every (theta, phi) pair of the grid, scored in one call
-    v0 = c[..., None] * u0 + (z * s)[..., None] * u1
-    v1 = s[..., None] * u0 - (z * c)[..., None] * u1
-    na, nb = pair_side_norms(v0, v1, dims, a_sites)
-    return float(np.max(na + nb))
+    half_cos = (0.5 * np.cos(thetas))[:, None, None, None]
+    sin_z = (np.sin(thetas)[:, None] * np.exp(-1j * phis)[None, :])[..., None, None]
+    pair = np.stack([b0.amplitudes, b1.amplitudes])
+    total = 0.0
+    for keep in (a_sites, _complement(dims, a_sites)):
+        m = _kept_rows(pair, dims, keep)
+        r = np.einsum("iab,jcb->ijac", m, m.conj())
+        w = half_cos * (r[0, 0] - r[1, 1]) + sin_z * r[0, 1]
+        total = total + _trace_norms(w + w.conj().mT)
+    return float(np.max(total))

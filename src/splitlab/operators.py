@@ -156,6 +156,19 @@ class Ket:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
+def _unit_ket(v: np.ndarray, dims: tuple[int, ...]) -> Ket:
+    """Ket of a 1-D complex array whose unit norm the caller has checked.
+
+    For no_hiding.no_hiding_witness_batch alone, which holds a whole stack
+    of candidates to Ket's norm in one np.linalg.norm: ``dims`` is a
+    checked tuple whose product is len(v), and ``v`` is stored as it is.
+    """
+    ket = object.__new__(Ket)
+    ket.amplitudes = v
+    ket.dims = dims
+    return ket
+
+
 def _check_square(m: np.ndarray, dims: tuple[int, ...]):
     d = total_dim(dims)
     if m.shape != (d, d):
@@ -360,6 +373,17 @@ def reduced_states(vecs, dims, keep) -> np.ndarray:
     D x D matrix is formed. Leading axes are batch axes. Equals
     partial_trace(outer(v, conj(v)), dims, keep) for each vector v.
     """
+    m = _kept_rows(vecs, dims, keep)
+    return np.einsum("...ab,...cb->...ac", m, m.conj())
+
+
+def _kept_rows(vecs, dims, keep) -> np.ndarray:
+    """Each vector along the last axis of ``vecs`` as reduced_states reads it.
+
+    That is a d_keep x d_rest matrix M with the kept sites first, in
+    ascending order, so that M M^dag is the reduced state on them; leading
+    axes are batch axes. ``keep`` must be a set of sites of ``dims``.
+    """
     vecs = np.asarray(vecs)
     dims = _dims_tuple(dims)
     keep = sorted(int(k) for k in keep)
@@ -371,8 +395,7 @@ def reduced_states(vecs, dims, keep) -> np.ndarray:
     t = vecs.reshape(batch + dims)
     t = np.moveaxis(t, [nb + i for i in keep], range(nb, nb + len(keep)))
     d_keep = total_dim([dims[i] for i in keep]) if keep else 1
-    m = t.reshape(batch + (d_keep, total_dim(dims) // d_keep))
-    return np.einsum("...ab,...cb->...ac", m, m.conj())
+    return t.reshape(batch + (d_keep, total_dim(dims) // d_keep))
 
 
 def operator_norm(matrix) -> float:

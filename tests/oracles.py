@@ -16,7 +16,10 @@ whole-matrix hermiticity gate forms the defect of the whole matrix at once,
 where ``operators._hermitian`` reads every matrix tile by tile; the two
 must agree bit for bit. The rounds closure re-multiplies the whole basis
 by every generator until a round adds nothing, where ``structure._closure``
-multiplies each element once; the two must also agree bit for bit.
+multiplies each element once; the two must also agree bit for bit. The
+per-time dynamics references evolve one time and one magnitude node at a
+time through a dense np.linalg.eigh of the full generator, where
+``dynamics._BlockPencil`` factors blocks once and evolves chunks of times.
 """
 
 import numpy as np
@@ -257,3 +260,41 @@ def closure_rounds(gens, dim, growth_tol=1e-9):
                 grew |= absorb(b @ g)
                 grew |= absorb(b @ g.conj().T)
     return [b.reshape(dim, dim) for b in basis]
+
+
+def dense_propagator(h, t):
+    """exp(-i t H) from one dense np.linalg.eigh of the hermitian H."""
+    w, u = np.linalg.eigh(h)
+    return (u * np.exp(-1j * t * w)) @ u.conj().T
+
+
+def mixture_per_time(h, v, lam, weights, rho0, t, g):
+    """sum_k w_k U_k rho0 U_k^dag over its trace, U_k = exp(-i t (g h + lam_k v)).
+
+    One dense propagator per magnitude node at the one time ``t``.
+    """
+    acc = np.zeros(rho0.shape, dtype=complex)
+    for lk, wk in zip(lam, weights):
+        u = dense_propagator(g * h + lk * v, t)
+        acc += wk * (u @ rho0 @ u.conj().T)
+    return acc / np.trace(acc).real
+
+
+def gap_bound_lhs_per_time(h, v, basis, t, g):
+    """||exp(-i t (g h + v)) P - exp(-i t P v P) P|| at the one time ``t``, P = B B^dag."""
+    proj = basis @ basis.conj().T
+    return float(np.linalg.norm(dense_propagator(g * h + v, t) @ proj
+                                - dense_propagator(proj @ v @ proj, t) @ proj, 2))
+
+
+def fidelity_per_time(psi, v, basis, lam, weights, t):
+    """Root fidelity of the mixture of exp(-i t lam_k P v P) psi with psi, at one time.
+
+    sum_k w_k |<psi| exp(-i t lam_k P v P) |psi>|^2 with one dense
+    propagator per node, P = B B^dag; ``psi`` lies in the code.
+    """
+    proj = basis @ basis.conj().T
+    pvp = proj @ v @ proj
+    f2 = sum(wk * abs(np.vdot(psi, dense_propagator(lk * pvp, t) @ psi)) ** 2
+             for lk, wk in zip(lam, weights))
+    return float(np.sqrt(f2))

@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 import splitlab.operators
-from conftest import random_density, traced_peak
+from conftest import count_factorizations, random_density, traced_peak
+from oracles import fidelity_per_time, gap_bound_lhs_per_time, mixture_per_time
 from splitlab.code_space import ground_subspace
 from splitlab import dynamics
 from splitlab.dynamics import (
@@ -32,7 +33,6 @@ from splitlab.operators import (
     embed,
     fidelity,
     herm_propagator,
-    mat_of,
     operator_norm,
 )
 from splitlab.splitting import ids
@@ -321,17 +321,21 @@ def test_dynamics_on_sites_equal_the_full_operator():
 
 
 def test_time_series_on_sites_runs_no_full_size_svd(monkeypatch):
-    # |v| is the norm of the site matrix and the ground-energy guard reads
-    # |h0| from its spectrum, so every operator_norm input is D x k or smaller
+    # |v| is the norm of the site matrix, the ground-energy guard reads |h0|
+    # from its spectrum and the gap bound takes the stacked 2-norm of D x k
+    # differences, so every SVD operand is D x k or smaller
     model, code = _rep_code(4)
     m = pauli_string_matrix("X") + pauli_string_matrix("Z")
     shapes = []
+    svd = np.linalg.svd
 
-    def recording(matrix):
-        shapes.append(np.shape(mat_of(matrix)))
-        return operator_norm(matrix)
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a)[-2:])
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "operator_norm", recording)
+    # np.linalg.norm reaches the SVD through the private module's global
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    monkeypatch.setattr(np.linalg._linalg, "svd", recording)
     r = ids(code, m, [1])
     dephasing_time_series(model.hamiltonian(), r, m, NoiseDistribution.gaussian(0.0, 0.1),
                           worst_code_state(r), [0.0, 1.0], 100.0, nodes=4, sites=[1])
@@ -376,6 +380,111 @@ def test_time_series_diagonalizes_each_node_once(factorizations):
                 assert full == []
                 assert len(scans) == 1
                 assert stacked == [(128, 2, 2)] * want
+
+
+def _chunk_plus_one(dim, per_time):
+    # one chunk of the time axis for arrays of per_time entries a time, plus one
+    return dynamics._time_chunks(1, dim, per_time)[0].stop + 1
+
+
+def _oracle_times(n, dim, *per_times):
+    # the indices the per-time oracle checks: both sides of every chunk
+    # boundary of each stage, the ends, and every 64th time between
+    picked = {0, n - 1, *range(0, n, 64)}
+    for per_time in per_times:
+        for sl in dynamics._time_chunks(n, dim, per_time)[1:]:
+            picked |= {sl.start - 1, sl.start}
+    return sorted(picked)
+
+
+def _chunked_case():
+    # repetition(3), D = 8, with a perturbation that splits the code by 2 and
+    # leaks out of it, so that no stage of the dynamics is trivial
+    model, code = _rep_code()
+    v = pauli_string_matrix("XII") + Z1_ON_3
+    r = ids(code, v)
+    return model.hamiltonian(), code, v, r, NoiseDistribution.gaussian(0.1, 0.3)
+
+
+def test_mixture_grid_crosses_a_chunk_as_the_per_time_oracle():
+    h, code, v, r, dist = _chunked_case()
+    psi = worst_code_state(r).amplitudes
+    per_time = 8 * 1 + 8 * 8          # the evolved column and a D x D accumulator
+    t_grid = np.linspace(0.0, 3.0, _chunk_plus_one(8, per_time))
+    lam, w = dist.quadrature(4)
+    grid = evolve_mixture_grid(h, v, dist, psi, t_grid, gap_factor=30.0, nodes=4)
+    assert len(grid) == len(t_grid)
+    for i in _oracle_times(len(t_grid), 8, per_time):
+        ref = mixture_per_time(h.matrix, v, lam, w, np.outer(psi, psi.conj()), t_grid[i], 30.0)
+        assert np.max(np.abs(grid[i].matrix - ref)) < 1e-12
+
+
+def test_gap_bound_crosses_a_chunk_as_the_per_time_oracle():
+    h, code, v, r, _ = _chunked_case()
+    t_grid = np.linspace(0.0, 3.0, _chunk_plus_one(8, 8 * 2))
+    rows = gap_bound_check(h, r, v, 30.0, t_grid)
+    assert len(rows) == len(t_grid)
+    for i in _oracle_times(len(t_grid), 8, 8 * 2):
+        ref = gap_bound_lhs_per_time(h.matrix, v, code.basis, t_grid[i], 30.0)
+        assert abs(rows[i].lhs - ref) < 1e-12
+
+
+def test_fidelity_bound_crosses_a_chunk_as_the_per_time_oracle():
+    _, code, v, r, dist = _chunked_case()
+    psi = worst_code_state(r).amplitudes
+    t_grid = np.linspace(0.0, 3.0, _chunk_plus_one(8, 4 * 2))
+    lam, w = dist.quadrature(4)
+    rows = fidelity_bound_check(r, dist, t_grid, nodes=4)
+    assert len(rows) == len(t_grid)
+    for i in _oracle_times(len(t_grid), 8, 4 * 2):
+        ref = fidelity_per_time(psi, v, code.basis, lam, w, t_grid[i])
+        assert abs(rows[i].lhs - ref) < 1e-12
+
+
+def test_time_series_crosses_every_chunk_as_the_per_time_oracle():
+    # the series' stages hold per time: the bound rows and the checks a
+    # D x k difference, the simulation an evolved column and a k x k block,
+    # the fidelity rows 4 nodes x k phases; the longest chunk plus one
+    # crosses a boundary of each
+    h, code, v, r, dist = _chunked_case()
+    start = worst_code_state(r)
+    psi = start.amplitudes
+    per_times = (8 * 2, 8 * 1 + 2 * 2, 4 * 2)
+    t_grid = np.linspace(0.0, 3.0, max(_chunk_plus_one(8, p) for p in per_times))
+    lam, w = dist.quadrature(4)
+    u_frame = code.basis @ r.frame
+    rows = dephasing_time_series(h, r, v, dist, start, t_grid, 30.0, nodes=4)
+    assert len(rows) == len(t_grid)
+    for i in _oracle_times(len(t_grid), 8, *per_times):
+        t, row = t_grid[i], rows[i]
+        sim = u_frame.conj().T @ mixture_per_time(h.matrix, v, lam, w,
+                                                  np.outer(psi, psi.conj()), t, 30.0) @ u_frame
+        assert row["t"] == t
+        assert abs(row["simulated_coherence"] - abs(sim[0, 1])) < 1e-12
+        assert abs(row["gap_bound_lhs"]
+                   - gap_bound_lhs_per_time(h.matrix, v, code.basis, t, 30.0)) < 1e-12
+        assert abs(row["fidelity"] - fidelity_per_time(psi, v, code.basis, lam, w, t)) < 1e-12
+
+
+def test_time_series_factors_once_per_chunk_not_per_time(monkeypatch):
+    # D = 256, 2000 times: one SVD for |v| and one stacked SVD per chunk of
+    # the bound rows; one eigvalsh for the gaussian quadrature's nodes, one
+    # per block size of h0 for the ground-energy guard, and two stacked ones
+    # per chunk, for the predictions and the simulated states
+    model, code = _rep_code(8)
+    m = pauli_string_matrix("X") + pauli_string_matrix("Z")
+    r = ids(code, m, [3])
+    start = worst_code_state(r)
+    h = model.hamiltonian()
+    sizes = len(dynamics._BlockPencil(h, m, [3], code.dims, 100.0).blocks)
+    chunks = len(dynamics._time_chunks(2000, 256, 256 * 2))
+    assert 1 < chunks < 2000
+    calls = count_factorizations(monkeypatch)
+    rows = dephasing_time_series(h, r, m, NoiseDistribution.gaussian(0.0, 0.1), start,
+                                 np.linspace(0.0, 5.0, 2000), 100.0, nodes=4, sites=[3])
+    assert len(rows) == 2000
+    assert calls["svd"] == 1 + chunks
+    assert calls["eigvalsh"] == 1 + sizes + 2 * chunks
 
 
 def _four_two_two_blocked():

@@ -148,17 +148,37 @@ def test_pair_side_norms_rejects_nan():
         pair_side_norms(np.stack([phi, psi]), np.stack([psi, phi]), (2, 2), a_sites=(0,))
 
 
+def _eigvalsh_operands(monkeypatch) -> list:
+    """Every array np.linalg.eigvalsh is handed from here on, in call order."""
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        seen.append(np.asarray(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return seen
+
+
 @pytest.mark.parametrize("dims, a_sites", [(dims, (0,)) for dims in ALL_SHAPES]
                          + [((2, 3, 2), (0, 2))])
-def test_reduced_differences_are_bitwise_hermitian(rng, dims, a_sites):
-    # pair_side_norms takes eigvalsh of these differences, which reads one
-    # triangle only: entry (c, a) must be the exact conjugate of entry (a, c)
+def test_reduced_differences_are_bitwise_hermitian(rng, monkeypatch, dims, a_sites):
+    # pair_side_norms and the scan take eigvalsh of these differences, which
+    # reads one triangle only: entry (c, a) must be the exact conjugate of
+    # entry (a, c)
     d = int(np.prod(dims))
     pair = rng.standard_normal((2, 6, d)) + 1j * rng.standard_normal((2, 6, d))
     b_sites = [i for i in range(len(dims)) if i not in a_sites]
     for keep in (a_sites, b_sites):
         rho, sigma = reduced_states(pair, dims, keep)
         delta = rho - sigma
+        assert np.array_equal(delta, delta.conj().mT)
+    q, _ = np.linalg.qr(rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2)))
+    seen = _eigvalsh_operands(monkeypatch)
+    subspace_pair_score_scan(Ket(q[:, 0], dims), Ket(q[:, 1], dims), a_sites=a_sites)
+    assert len(seen) == 2
+    for delta in seen:
         assert np.array_equal(delta, delta.conj().mT)
 
 
@@ -171,12 +191,16 @@ def _random_pairs(rng):
 
 
 def test_scan_scores_its_grid_in_one_batch(rng, monkeypatch):
-    # one eigvalsh per side for the whole grid, and no SVD
+    # one eigvalsh per side for the whole half grid, 13 theta rows (theta <=
+    # pi/2) by 24 phi columns at grid_n = 24, at that side's size; no SVD
     calls = count_factorizations(monkeypatch)
+    seen = _eigvalsh_operands(monkeypatch)
     for b0, b1 in _random_pairs(rng):
         calls.clear()
+        seen.clear()
         subspace_pair_score_scan(b0, b1, grid_n=24)
         assert (calls["svd"], calls["eigvalsh"]) == (0, 2)
+        assert [a.shape for a in seen] == [(13, 24, d, d) for d in b0.dims]
 
 
 def test_witness_scores_its_candidates_in_one_batch(rng, monkeypatch):
@@ -242,6 +266,23 @@ def test_witness_batch_refuses_a_bad_member_anywhere(rng):
     with pytest.raises(ValueError, match="does not match dims"):
         no_hiding_witness_batch(b0s, b1s, (2, 2))
     assert no_hiding_witness_batch(b0s[:0], b1s[:0], (2, 3)) == []
+
+
+def test_witness_batch_holds_its_chosen_candidates_to_unit_norm(rng, monkeypatch):
+    # the witnesses are wrapped with no norm of their own, so the batch's one
+    # stacked norm check must catch a candidate off the unit sphere
+    b0s, b1s = _orthonormal_pairs((2, 3), 5, rng)
+    chosen = no_hiding_witness_batch(b0s, b1s, (2, 3))[3].candidate_id
+    true_candidates = no_hiding._candidates
+
+    def scaled(b0, b1):
+        v0, v1 = true_candidates(b0, b1)
+        v0[3, chosen] *= 1.001
+        return v0, v1
+
+    monkeypatch.setattr(no_hiding, "_candidates", scaled)
+    with pytest.raises(ValueError, match="ket norm .* is not 1"):
+        no_hiding_witness_batch(b0s, b1s, (2, 3))
 
 
 def test_witness_floor_guard_still_fires(rng, monkeypatch):
@@ -353,7 +394,8 @@ def test_scan_dominates_witness(rng):
 
 @pytest.mark.parametrize("grid_n", [16, 24])
 def test_scan_matches_double_loop(rng, grid_n):
-    for dims, a_sites in (((2, 2), (0,)), ((3, 4), (0,)), ((2, 3, 2), (0, 2))):
+    for dims, a_sites in (((2, 2), (0,)), ((3, 4), (0,)), ((2, 3, 2), (0, 2)),
+                          ((5, 5), (1,)), ((2, 5), (1,)), ((3, 3), (1,))):
         d = int(np.prod(dims))
         g = rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
         q, _ = np.linalg.qr(g)
@@ -368,3 +410,12 @@ def test_scan_grid_validation():
     b1 = _ket([0, 1, 0, 0], (2, 2))
     with pytest.raises(ValueError, match="grid"):
         subspace_pair_score_scan(b0, b1, grid_n=1)
+
+
+@pytest.mark.parametrize("grid_n", [3, 15, 25])
+def test_scan_refuses_an_odd_grid(grid_n):
+    # the half-sphere scan needs the phi ring closed under phi + pi
+    b0 = _ket([1, 0, 0, 0], (2, 2))
+    b1 = _ket([0, 1, 0, 0], (2, 2))
+    with pytest.raises(ValueError, match="grid_n must be even"):
+        subspace_pair_score_scan(b0, b1, grid_n=grid_n)
