@@ -19,6 +19,7 @@ from .operators import (
     _eigh_columns,
     _hermitian,
     _max_abs,
+    _require_finite,
     apply_local,
     mat_of,
     total_dim,
@@ -134,6 +135,5 @@ def project_onto_code(code: CodeSubspace, v, sites=None) -> HermOp:
     comp = _hermitian(comp, 1e-10 * max(1.0, _max_abs(m)),
                       "compressed operator is not hermitian; input was not")
     # past the float range the sum overflows and the gate's NaN defect passes
-    if not np.isfinite(comp).all():
-        raise ValueError("non-finite entries")
+    _require_finite(comp)
     return HermOp(comp, (code.degeneracy,))

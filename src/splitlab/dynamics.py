@@ -17,18 +17,19 @@ import numpy as np
 
 from .code_space import CodeSubspace
 from .operators import (
-    DENSITY_EIG_FLOOR,
     DENSITY_TRACE_ATOL,
     HERM_ATOL,
     DensityOp,
     Ket,
     _add_local,
     _block_index,
+    _density_rules,
     _herm_eigvalsh,
     _hermitian,
     _max_abs,
     _pattern_blocks,
     _stacked_herm_eig,
+    _unit_trace_fault,
     herm_eig,
     herm_propagator,
     mat_of,
@@ -58,7 +59,8 @@ class NoiseDistribution:
     point mass (``delta``) is the one-atom discrete law. Each knows its
     moments, its characteristic function and a quadrature rule that
     integrates it either exactly (discrete) or with spectral accuracy
-    (gaussian, uniform).
+    (gaussian, uniform). Every parameter must be finite, and every guard
+    refuses unless its condition holds, so a NaN is refused.
     """
 
     kind: str
@@ -68,12 +70,16 @@ class NoiseDistribution:
     def gaussian(cls, mean: float, std: float) -> "NoiseDistribution":
         if not std > 0:
             raise ValueError("gaussian width must be positive")
+        if not np.isfinite([mean, std]).all():
+            raise ValueError("gaussian mean and width must be finite")
         return cls("gaussian", (float(mean), float(std)))
 
     @classmethod
     def uniform(cls, a: float, b: float) -> "NoiseDistribution":
         if not b > a:
             raise ValueError("uniform needs b > a")
+        if not np.isfinite([a, b]).all():
+            raise ValueError("uniform ends must be finite")
         return cls("uniform", (float(a), float(b)))
 
     @classmethod
@@ -82,9 +88,11 @@ class NoiseDistribution:
         probs = tuple(float(p) for _, p in pairs)
         if not values:
             raise ValueError("discrete distribution needs at least one atom")
-        if any(p < 0 for p in probs):
+        if not np.isfinite(values + probs).all():
+            raise ValueError("discrete values and probabilities must be finite")
+        if not all(p >= 0 for p in probs):
             raise ValueError("negative probability")
-        if abs(sum(probs) - 1.0) > PROB_ATOL:
+        if not abs(sum(probs) - 1.0) <= PROB_ATOL:
             raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
         return cls("discrete", (values, probs))
 
@@ -145,15 +153,17 @@ class NoiseDistribution:
         return np.asarray(values, dtype=float), np.asarray(probs, dtype=float)
 
 
-def dephasing_factors(r: IdsReport, dist: NoiseDistribution, t: float) -> np.ndarray:
-    """k x k large-gap channel factors in the eigenframe of ``r``.
+def dephasing_factors(r: IdsReport, dist: NoiseDistribution, t) -> np.ndarray:
+    """k x k large-gap channel factors in the eigenframe of ``r``, at one time or many.
 
     The channel multiplies the (m, n) matrix element in the eigenbasis of
     the compressed perturbation by the characteristic function at t times
-    the eigenvalue difference e_m - e_n.
+    the eigenvalue difference e_m - e_n. ``t`` is one time (a k x k array)
+    or an array of times (an array of t's shape followed by k x k), each
+    k x k slice the bits of the call at that time.
     """
     diffs = r.eigenvalues[:, None] - r.eigenvalues[None, :]
-    return dist.characteristic(float(t) * diffs)
+    return dist.characteristic(np.multiply.outer(np.asarray(t, dtype=float), diffs))
 
 
 def _code_frame_state(code: CodeSubspace, rho0) -> np.ndarray:
@@ -362,27 +372,15 @@ def evolve_mixture_grid(h0, v, dist: NoiseDistribution, rho0, t_grid,
 def _density_blocks(m: np.ndarray, trace_fault) -> np.ndarray:
     """A stack of k x k density blocks, gated and checked as DensityOp checks one.
 
-    One _hermitian call, each block held to HERM_ATOL max(1, max|block|);
-    ``trace_fault`` maps the traces of the gated blocks to the message of
-    the first one out of range, or None; then one stacked eigvalsh holds
-    every block to DENSITY_EIG_FLOOR. Messages are those of DensityOp.
+    One _hermitian call, each block held to HERM_ATOL max(1, max|block|)
+    with DensityOp's message, then DensityOp's own rules on the whole
+    stack (operators._density_rules), the trace window set by
+    ``trace_fault``.
     """
     m = _hermitian(m, HERM_ATOL * np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1))),
-                   "density matrix is not hermitian within tolerance")
-    fault = trace_fault(np.trace(m, axis1=-2, axis2=-1).real)
-    if fault is not None:
-        raise ValueError(fault)
-    lo = _herm_eigvalsh(m)[..., 0]
-    low = lo < DENSITY_EIG_FLOOR
-    if low.any():
-        raise ValueError(f"negative eigenvalue {float(lo[low][0])} below floor {DENSITY_EIG_FLOOR}")
+                   DensityOp._message)
+    _density_rules(m, trace_fault)
     return m
-
-
-def _unit_trace_fault(tr: np.ndarray):
-    """DensityOp's trace message for the first trace off 1, or None."""
-    off = np.abs(tr - 1.0) > DENSITY_TRACE_ATOL
-    return f"trace {tr[off][0]} is not 1 within {DENSITY_TRACE_ATOL}" if off.any() else None
 
 
 def _code_trace_fault(tr: np.ndarray):
@@ -426,7 +424,8 @@ def _bound_rows(pencil: _BlockPencil, r: IdsReport, t_grid) -> list:
     """gap_bound_check's rows, its generator at lam = 1 factored by ``pencil``.
 
     The times run in chunks (_time_chunks, one D x k difference per time):
-    a chunk's differences are one stack, whose 2-norms are one stacked SVD.
+    a chunk's differences are one stack, whose 2-norms are one operator_norm
+    call, one stacked SVD.
     """
     code = r.code
     vnorm = operator_norm(pencil.m)
@@ -440,9 +439,7 @@ def _bound_rows(pencil: _BlockPencil, r: IdsReport, t_grid) -> list:
         ts = times[sl]
         diff = pencil.evolve(parts, ts) - bq @ (
             np.exp(-1j * ts[:, None, None] * e_code[:, None]) * q_code.conj().T)
-        if not np.all(np.isfinite(diff)):
-            raise ValueError("non-finite entries")
-        lhs[sl] = np.linalg.norm(diff, ord=2, axis=(-2, -1))
+        lhs[sl] = operator_norm(diff)
     rows = []
     for t, left in zip(times.tolist(), lhs.tolist()):
         rhs = (4.0 * vnorm / (g * code.gap)) * (vnorm * abs(t) + 1.0)
@@ -618,7 +615,7 @@ class BathModel:
         if not (len(self.energies) == len(self.populations) == len(self.interactions) == n):
             raise ValueError("bath fields must all have one entry per level")
         p = np.asarray(self.populations, dtype=float)
-        if np.any(p < -PROB_ATOL) or abs(p.sum() - 1.0) > PROB_ATOL:
+        if not (np.all(p >= -PROB_ATOL) and abs(p.sum() - 1.0) <= PROB_ATOL):
             raise ValueError("bath populations must form a probability vector")
 
     @classmethod
@@ -652,7 +649,7 @@ def bath_embedding_check(h0, bath: BathModel, rho0, t: float, rho_bath=None) -> 
         if _max_abs(rb - np.diag(np.diag(rb))) > BATH_DIAG_ATOL:
             raise ValueError("bath state must be diagonal in the pointer basis")
         pops = np.real(np.diag(rb))
-        if abs(pops.sum() - 1.0) > PROB_ATOL:
+        if not abs(pops.sum() - 1.0) <= PROB_ATOL:
             raise ValueError("bath state must have unit trace")
     ds = h.shape[0]
     joint = np.kron(h, np.eye(nb)) + np.kron(np.eye(ds), np.diag(bath.energies))
@@ -693,10 +690,11 @@ def dephasing_time_series(h0, r: IdsReport, v, dist: NoiseDistribution,
     full-size SVD or herm_eig. Quadrature weights must be nonnegative,
     which makes the mixture PSD.
     Every stage runs the time axis in chunks of about one D x D array's
-    worth (_time_chunks): the bound rows take one stacked SVD of a chunk's
-    D x k differences, and the k x k predictions and simulated states of a
-    chunk are each checked as DensityOps are by one gate call and one
-    stacked eigvalsh (``_density_blocks``), the simulated ones with a
+    worth (_time_chunks): the bound rows take one stacked operator_norm of
+    a chunk's D x k differences, the predictions one dephasing_factors call
+    per chunk, and the k x k predictions and simulated states of a chunk
+    are each checked as DensityOps are by one gate call and one stacked
+    eigvalsh (``_density_blocks``), the simulated ones with a
     trace in [0, 1 + DENSITY_TRACE_ATOL], short of 1 by the weight that
     left the code.
     """
@@ -714,14 +712,12 @@ def dephasing_time_series(h0, r: IdsReport, v, dist: NoiseDistribution,
     accs, traces = _mixture(pencil, lam, weights, (code.basis @ psi)[:, None], np.ones(1),
                             t_grid, reader=code.basis @ r.frame)
     times = np.asarray(t_grid, dtype=float)
-    diffs = r.eigenvalues[:, None] - r.eigenvalues[None, :]
     mi, ni = np.triu_indices(d, 1)            # the pairs m < n, in row order
     pairs = [f"{m}-{n}" for m, n in zip(mi, ni)]
     rows = []
     for sl in _time_chunks(len(times), code.dim, code.dim * d):
         ts = times[sl]
-        pred = _density_blocks(frame0 * dist.characteristic(ts[:, None, None] * diffs),
-                               _unit_trace_fault)
+        pred = _density_blocks(frame0 * dephasing_factors(r, dist, ts), _unit_trace_fault)
         sim = _density_blocks(accs[sl] / traces[sl, None, None], _code_trace_fault)
         for t, p, s, gap, fid in zip(ts.tolist(), np.abs(pred[:, mi, ni]).tolist(),
                                      np.abs(sim[:, mi, ni]).tolist(),

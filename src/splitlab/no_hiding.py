@@ -21,15 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
-    HERM_CHECK_REL,
-    KET_NORM_ATOL,
     HermOp,
     Ket,
     Projector,
+    _check_unit,
     _dims_tuple,
-    _hermitian,
     _kept_rows,
-    _lapack_operand,
+    _require_finite,
     _unit_ket,
     fidelity,
     helstrom,
@@ -88,12 +86,12 @@ def _complement(dims, a_sites) -> tuple[int, ...]:
 def _trace_norms(delta: np.ndarray) -> np.ndarray:
     """Trace norm of each matrix of a stack of exactly hermitian differences.
 
-    The one route of both pair_side_norms and the scan: non-finite input is
-    refused, then the norms are the summed |eigenvalues| of one batched
-    eigvalsh, which reads one triangle of each matrix.
+    The one route of pair_side_norms, the scan and the witness's trace
+    distance: non-finite input is refused (operators._require_finite), then
+    the norms are the summed |eigenvalues| of one batched eigvalsh, which
+    reads one triangle of each matrix. A single matrix gives a 0-d array.
     """
-    if not np.all(np.isfinite(delta)):
-        raise ValueError("non-finite entries")
+    _require_finite(delta)
     return np.sum(np.abs(np.linalg.eigvalsh(delta)), axis=-1)
 
 
@@ -132,16 +130,8 @@ def _candidates(b0: np.ndarray, b1: np.ndarray):
 
 def _check_orthogonal(b0s: np.ndarray, b1s: np.ndarray):
     """Refuse unless each pair of kets, along the last axis, is orthogonal."""
-    if np.any(np.abs(np.einsum("...i,...i->...", b0s.conj(), b1s)) > ORTHO_ATOL):
+    if not np.all(np.abs(np.einsum("...i,...i->...", b0s.conj(), b1s)) <= ORTHO_ATOL):
         raise ValueError("basis kets are not orthogonal")
-
-
-def _check_unit(kets: np.ndarray):
-    """Refuse, with Ket's message, unless each ket along the last axis has unit norm."""
-    nrm = np.linalg.norm(kets, axis=-1)
-    off = np.abs(nrm - 1.0) > KET_NORM_ATOL
-    if off.any():
-        raise ValueError(f"ket norm {nrm[off][0]} is not 1 within {KET_NORM_ATOL}")
 
 
 def _check_pair(b0: Ket, b1: Ket):
@@ -150,34 +140,21 @@ def _check_pair(b0: Ket, b1: Ket):
     _check_orthogonal(b0.amplitudes, b1.amplitudes)
 
 
-def _distance_and_fidelity(rho0: np.ndarray, rho1: np.ndarray):
-    """Trace distance D and fidelity F of each pair of a stack of states.
-
-    D is helstrom's distance without its projector: half the summed
-    |eigenvalues| of rho0 - rho1, each difference through helstrom's gate
-    (a defect up to HERM_CHECK_REL times its own Frobenius norm). F is
-    fidelity of the two stacks.
-    """
-    delta = rho0 - rho1
-    scale = np.linalg.norm(delta, axis=(-2, -1))
-    a = _hermitian(_lapack_operand(delta), HERM_CHECK_REL * np.where(scale > 0, scale, 1.0),
-                   "input is too far from hermitian")
-    dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(a)), axis=-1)
-    return dist, fidelity(rho0, rho1)
-
-
 def no_hiding_witness_batch(b0s, b1s, dims, a_sites=(0,)) -> list[NoHidingWitness]:
     """no_hiding_witness of every pair (b0s[i], b1s[i]) of a batch.
 
     ``b0s`` and ``b1s`` hold the pairs' amplitudes as rows of an (n, D)
-    array on the sites ``dims``. Each row is held to Ket's unit norm and
-    each pair to orthogonality, with their messages. The three candidates
-    of all n pairs are scored in one pair_side_norms call over (n, 3); each
-    pair keeps its first candidate unless a later one beats it by more than
-    1e-15. The chosen candidates are held to Ket's unit norm in one stacked
-    norm and wrapped as Kets with no norm of their own (_unit_ket). Every
-    pair's floor max(2D, F, 2/3) comes from stacked factorizations of the
-    A-side reduced states of the n input pairs.
+    array on the sites ``dims``. Each row is held to Ket's unit norm by
+    Ket's own rule (operators._check_unit, on the whole stack, so a NaN row
+    is refused with Ket's message) and each pair to orthogonality. The three
+    candidates of all n pairs are scored in one pair_side_norms call over
+    (n, 3); each pair keeps its first candidate unless a later one beats it
+    by more than 1e-15. The chosen candidates are held to Ket's unit norm
+    in one more _check_unit call and wrapped as Kets with no norm of their
+    own (_unit_ket). Every pair's floor max(2D, F, 2/3) comes from the
+    A-side reduced states of the n input pairs: D is half the trace norm
+    of each difference, which reduced_states gives bitwise hermitian
+    (_trace_norms), and F one stacked fidelity call.
     """
     dims = _dims_tuple(dims)
     a_sites = tuple(sorted(int(s) for s in a_sites))
@@ -201,7 +178,7 @@ def no_hiding_witness_batch(b0s, b1s, dims, a_sites=(0,)) -> list[NoHidingWitnes
     _check_unit(chosen)
 
     rho0, rho1 = reduced_states(np.stack([b0s, b1s]), dims, a_sites)
-    dist, fid = _distance_and_fidelity(rho0, rho1)
+    dist, fid = 0.5 * _trace_norms(rho0 - rho1), fidelity(rho0, rho1)
     floors = np.maximum(np.maximum(2.0 * dist, fid), SCORE_FLOOR)
     low = scores < floors - SCORE_ATOL
     if low.any():

@@ -10,11 +10,13 @@ its result. Every scale max|M| is read in row chunks by _max_abs.
 HermOp, DensityOp and Projector are checked once, when they are built,
 and are frozen after; the one exception is a model's hamiltonian, which is
 hermitian entry by entry by construction and is checked at its terms
-(_exact_herm). Spectral routines factor such a container as it is
-and gate a raw array at each call; they factor real-valued input in real
-arithmetic, factor a matrix whose nonzero pattern splits into blocks one
-block at a time, and fix eigenvector phases so results are reproducible
-across BLAS builds.
+(_exact_herm). Every other container rule has one body, for one item or
+a stack, that refuses a NaN: _check_unit, _density_rules and
+_require_finite. Spectral routines factor such a container as it is and
+gate a raw array at each call (_raw_gate); they factor real-valued input
+in real arithmetic, factor a matrix whose nonzero pattern splits into
+blocks one block at a time, and fix eigenvector phases so results are
+reproducible across BLAS builds.
 A local operator is placed into a D x D matrix by one routine, _add_local,
 which adds it through a strided view of that matrix and forms no kron
 product.
@@ -131,9 +133,23 @@ def _hermitian(m: np.ndarray, atol, message: str) -> np.ndarray:
     return out
 
 
+def _require_finite(m: np.ndarray):
+    """Refuse ``m``, any shape, unless every entry is finite."""
+    if not np.isfinite(m).all():
+        raise ValueError("non-finite entries")
+
+
+def _check_unit(kets: np.ndarray):
+    """Refuse unless each ket along the last axis, one or a stack, has unit norm."""
+    nrm = np.linalg.norm(kets, axis=-1)
+    off = ~(np.abs(nrm - 1.0) <= KET_NORM_ATOL)
+    if off.any():
+        raise ValueError(f"ket norm {nrm[off][0]} is not 1 within {KET_NORM_ATOL}")
+
+
 @dataclass(eq=False)
 class Ket:
-    """Unit vector on a tensor product of sites."""
+    """Unit vector on a tensor product of sites, held to unit norm by _check_unit."""
 
     amplitudes: np.ndarray
     dims: tuple[int, ...]
@@ -143,9 +159,7 @@ class Ket:
         v = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if v.size != total_dim(self.dims):
             raise ValueError(f"length {v.size} does not match dims {self.dims}")
-        nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > KET_NORM_ATOL:
-            raise ValueError(f"ket norm {nrm} is not 1 within {KET_NORM_ATOL}")
+        _check_unit(v)
         self.amplitudes = v
 
     @property
@@ -160,7 +174,7 @@ def _unit_ket(v: np.ndarray, dims: tuple[int, ...]) -> Ket:
     """Ket of a 1-D complex array whose unit norm the caller has checked.
 
     For no_hiding.no_hiding_witness_batch alone, which holds a whole stack
-    of candidates to Ket's norm in one np.linalg.norm: ``dims`` is a
+    of candidates to Ket's norm in one _check_unit call: ``dims`` is a
     checked tuple whose product is len(v), and ``v`` is stored as it is.
     """
     ket = object.__new__(Ket)
@@ -230,34 +244,61 @@ def _exact_herm(m: np.ndarray, dims) -> HermOp:
     return op
 
 
+def _unit_trace_fault(tr: np.ndarray):
+    """DensityOp's trace message for the first trace off 1, or None."""
+    off = ~(np.abs(tr - 1.0) <= DENSITY_TRACE_ATOL)
+    return f"trace {tr[off][0]} is not 1 within {DENSITY_TRACE_ATOL}" if off.any() else None
+
+
+def _density_rules(m: np.ndarray, trace_fault):
+    """DensityOp's rules on a gated matrix or a stack: finite entries, then the traces.
+
+    ``trace_fault`` maps the traces to the message of the first one out of
+    its window, or None; then each lowest eigenvalue must reach
+    DENSITY_EIG_FLOOR. A single matrix keeps _herm_eigvalsh's block
+    dispatch, a stack is one batched call.
+    """
+    _require_finite(m)
+    fault = trace_fault(np.trace(m, axis1=-2, axis2=-1).real)
+    if fault is not None:
+        raise ValueError(fault)
+    lo = _herm_eigvalsh(m)[..., 0]
+    low = ~(lo >= DENSITY_EIG_FLOOR)
+    if low.any():
+        raise ValueError(f"negative eigenvalue {float(lo[low][0])} below floor {DENSITY_EIG_FLOOR}")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOp(_Checked):
-    """Hermitian, unit-trace, positive-semidefinite (within tolerance) state."""
+    """Hermitian, unit-trace, positive-semidefinite (within tolerance) state.
+
+    The rules after the gate are _density_rules, which the dynamics also
+    applies to stacks; a NaN state is refused.
+    """
 
     _message = "density matrix is not hermitian within tolerance"
 
     def _check(self, m):
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > DENSITY_TRACE_ATOL:
-            raise ValueError(f"trace {tr} is not 1 within {DENSITY_TRACE_ATOL}")
-        lo = float(_herm_eigvalsh(m)[0])
-        if lo < DENSITY_EIG_FLOOR:
-            raise ValueError(f"negative eigenvalue {lo} below floor {DENSITY_EIG_FLOOR}")
+        _density_rules(m, _unit_trace_fault)
 
 
 @dataclass(frozen=True, eq=False)
 class Projector(_Checked):
-    """Orthogonal projector; rank is inferred from the trace when omitted."""
+    """Orthogonal projector; rank is inferred from the trace when omitted.
+
+    Each test refuses unless within its tolerance, so a NaN projector is
+    refused as not idempotent, with or without ``rank``.
+    """
 
     rank: int = -1
     _message = "projector is not hermitian within tolerance"
 
     def _check(self, m):
-        if _max_abs(m @ m - m) > PROJECTOR_IDEM_ATOL:
+        if not _max_abs(m @ m - m) <= PROJECTOR_IDEM_ATOL:
             raise ValueError("matrix is not idempotent within tolerance")
         tr = np.trace(m).real
         r = int(round(tr)) if self.rank < 0 else int(self.rank)
-        if abs(tr - r) > PROJECTOR_RANK_ATOL:
+        if not abs(tr - r) <= PROJECTOR_RANK_ATOL:
             raise ValueError(f"trace {tr} is not the integer rank {r}")
         object.__setattr__(self, "rank", r)
 
@@ -398,29 +439,32 @@ def _kept_rows(vecs, dims, keep) -> np.ndarray:
     return t.reshape(batch + (d_keep, total_dim(dims) // d_keep))
 
 
-def operator_norm(matrix) -> float:
-    """Largest singular value."""
+def _schatten(matrix, kind):
+    """operator_norm (``kind`` 2) or trace_norm ("nuc"), the one body of both."""
     m = mat_of(matrix)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("non-finite entries")
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+    _require_finite(m)
+    out = np.linalg.norm(m, kind, axis=(-2, -1)) if m.size else np.zeros(m.shape[:-2])
+    return float(out) if out.ndim == 0 else out
 
 
-def trace_norm(matrix) -> float:
-    """Sum of singular values.
+def operator_norm(matrix):
+    """Largest singular value of a matrix (a float) or of each matrix of a stack.
 
-    Dual characterization: ||Y||_1 equals the maximum of |Tr(Y U)| over
+    A stack gives an array of its shape, each entry the bits of the call on
+    that matrix, zeros when it is empty. Non-finite entries are refused.
+    """
+    return _schatten(matrix, 2)
+
+
+def trace_norm(matrix):
+    """Sum of singular values of a matrix (a float) or of each matrix of a stack.
+
+    A stack gives an array of its shape, as operator_norm does. Non-finite
+    entries are refused. Dual characterization: ||Y||_1 equals the maximum of |Tr(Y U)| over
     unitaries U, attained at the transpose of the polar unitary of Y. The
     test suite checks this on small instances against an optimization oracle.
     """
-    m = mat_of(matrix)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("non-finite entries")
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, "nuc"))
+    return _schatten(matrix, "nuc")
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
@@ -448,6 +492,13 @@ def _lapack_operand(m: np.ndarray) -> np.ndarray:
     matrix factored is the input itself.
     """
     return m.real if not m.imag.any() else m
+
+
+def _raw_gate(m: np.ndarray, scale: float) -> np.ndarray:
+    """The spectral wrappers' gate of a raw ``m``: _hermitian of its LAPACK operand
+    within HERM_CHECK_REL times ``scale``, a Frobenius norm (1 when it is zero)."""
+    return _hermitian(_lapack_operand(m), HERM_CHECK_REL * (scale or 1.0),
+                      "input is too far from hermitian")
 
 
 def _pattern_blocks(a: np.ndarray):
@@ -566,15 +617,14 @@ def _eigh_columns(matrix):
     caller that keeps a few columns, as ground_subspace does, forms no
     D x D eigenvector array. On the dense route fewer than D columns are a
     copy, which lets the LAPACK array go. A container's array, checked when
-    it was built, is factored as it is; a raw array goes through _hermitian
+    it was built, is factored as it is; a raw array goes through _raw_gate
     within HERM_CHECK_REL times its Frobenius norm.
     """
     if isinstance(matrix, _Checked):
         a = _lapack_operand(matrix.matrix)
     else:
         m = mat_of(matrix)
-        a = _hermitian(_lapack_operand(m), HERM_CHECK_REL * (float(np.linalg.norm(m)) or 1.0),
-                       "input is too far from hermitian")
+        a = _raw_gate(m, float(np.linalg.norm(m)))
     lab = _pattern_blocks(a)
     if lab is not None:
         return _block_eigh(a, lab, vectors=True)
@@ -588,7 +638,7 @@ def herm_eig(matrix):
 
     Returns (eigenvalues ascending, complex128 eigenvectors as columns),
     all columns of _eigh_columns. A HermOp, DensityOp or Projector is
-    factored with no further check; a raw array goes through _hermitian,
+    factored with no further check; a raw array goes through _raw_gate,
     with a defect allowed up to HERM_CHECK_REL times the Frobenius norm.
     Column phases follow the largest-entry-real-positive
     convention. Two exact tests of the input pick the LAPACK work. An input
@@ -609,7 +659,7 @@ def _stacked_herm_eig(stacks: list) -> list:
 
     The stacks are the principal blocks of one matrix that is zero off
     them, such as a block form from _block_index. Each goes through
-    herm_eig's gate, with its message and one tolerance for all of them:
+    herm_eig's gate, _raw_gate, with one tolerance for all of them:
     HERM_CHECK_REL times the Frobenius norm of the whole matrix, which
     is the norm of all the stacks. Since the entries off the blocks are
     zero, that is the test herm_eig makes of the full matrix. A stack whose
@@ -617,10 +667,8 @@ def _stacked_herm_eig(stacks: list) -> list:
     columns keep LAPACK's phases: a propagator Q exp(-i t e) Q^dag does not
     see them.
     """
-    scale = float(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in stacks))) or 1.0
-    return [np.linalg.eigh(_hermitian(_lapack_operand(b), HERM_CHECK_REL * scale,
-                                      "input is too far from hermitian"))
-            for b in stacks]
+    scale = float(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in stacks)))
+    return [np.linalg.eigh(_raw_gate(b, scale)) for b in stacks]
 
 
 def _herm_eigvalsh(matrix) -> np.ndarray:

@@ -138,6 +138,13 @@ def require_commuting_pairs(model: LocalModel):
             "pair terms only: block wider terms into composite sites first")
 
 
+def _require_model_code(model: LocalModel, code: CodeSubspace):
+    """require_commuting_pairs, then refuse a code on other sites than the model's."""
+    require_commuting_pairs(model)
+    if tuple(code.dims) != model.system.dims:
+        raise ValueError(f"code dims {code.dims} do not match the model")
+
+
 def operator_schmidt(op, dims=None):
     """Factor a pair operator as sum_a s_a L_a (x) R_a.
 
@@ -182,7 +189,9 @@ def _site_generators(model: LocalModel):
     Grouping matters: factors from distinct groups commute elementwise
     exactly when the model commutes, and each pair group generates one
     virtual-subsystem factor inside a sector. One-site terms are kept
-    separate; they refine the sectors but never own a slot.
+    separate; they refine the sectors but never own a slot. It runs one
+    operator-Schmidt SVD per pair term, so an analysis builds this table
+    once and hands it to its per-site helpers.
     """
     dims = model.system.dims
     groups = {i: {} for i in range(model.n_sites)}
@@ -251,7 +260,12 @@ def site_algebra(model: LocalModel, site: int) -> np.ndarray:
     require_commuting_pairs(model)
     if not 0 <= site < model.n_sites:
         raise ValueError(f"site {site} out of range for {model.n_sites} sites")
-    groups, singles = _site_generators(model)
+    return _site_algebra(model, site, _site_generators(model))
+
+
+def _site_algebra(model: LocalModel, site: int, table) -> np.ndarray:
+    """site_algebra of a checked model and site, ``table`` its _site_generators."""
+    groups, singles = table
     gens = [op for ops in groups[site].values() for op in ops]
     gens += singles[site]
     return np.stack(_closure(gens, model.system.dims[site]))
@@ -302,7 +316,11 @@ def sector_projectors(model: LocalModel, site: int) -> SiteSectorDecomposition:
     commute with every projector, and that certificate is checked here, not
     assumed.
     """
-    alg = site_algebra(model, site)
+    return _sector_decomposition(model, site, site_algebra(model, site))
+
+
+def _sector_decomposition(model: LocalModel, site: int, alg) -> SiteSectorDecomposition:
+    """sector_projectors of a checked model and site, ``alg`` its site_algebra."""
     d = model.system.dims[site]
     herm = _center_hermitian_span(list(alg))
     rng = np.random.default_rng(SECTOR_SEED + 1009 * site)
@@ -513,20 +531,24 @@ def factor_ground_projector(model: LocalModel, code: CodeSubspace) -> GroundFact
     state of the virtual basis U^dag B (U the product of the site
     isometries), and the product form is verified by the residual
     ||B - U R U^dag B||, 1 when the ranks miss the degeneracy, which is
-    stored on the result and must stay below FACTOR_RESIDUAL_TOL.
+    stored on the result and must stay below FACTOR_RESIDUAL_TOL. The site
+    generator table (_site_generators) is built once and serves every site.
     """
-    require_commuting_pairs(model)
-    if tuple(code.dims) != model.system.dims:
-        raise ValueError(f"code dims {code.dims} do not match the model")
+    _require_model_code(model, code)
+    table = _site_generators(model)
     sectors = []
     for i in range(model.n_sites):
-        dec = sector_projectors(model, i)
+        dec = _sector_decomposition(model, i, _site_algebra(model, i, table))
         sectors.append((dec, detect_multi_sector(code, dec)))
-    return _factor_sectors(model, code, sectors)
+    return _factor_sectors(model, code, sectors, table[0])
 
 
-def _factor_sectors(model: LocalModel, code: CodeSubspace, sectors) -> GroundFactorization:
-    """factor_ground_projector given (decomposition, populated sectors) for every site."""
+def _factor_sectors(model: LocalModel, code: CodeSubspace, sectors,
+                    groups) -> GroundFactorization:
+    """factor_ground_projector given (decomposition, populated sectors) for every site.
+
+    ``groups`` is the pair groups of the model's _site_generators table.
+    """
     decomps = [dec for dec, _ in sectors]
     assignment = []
     for i, (_, populated) in enumerate(sectors):
@@ -536,7 +558,6 @@ def _factor_sectors(model: LocalModel, code: CodeSubspace, sectors) -> GroundFac
                 "a sector attack applies instead of factorization")
         assignment.append(populated[0])
 
-    groups, _ = _site_generators(model)
     rng = np.random.default_rng(11)
     maps = {i: _site_virtual_map(model, i, assignment[i], decomps[i], groups, rng)
             for i in range(model.n_sites)}
@@ -653,26 +674,26 @@ def commuting_model_attack(model: LocalModel, code: CodeSubspace, refine_iters: 
     two-site attack), and a multiplicity slot of dimension two or more
     (exactly 2). The analytic operator then seeds a monotone ascent, so the
     reported splitting never falls below the analytic floor; both values
-    are kept in the details.
+    are kept in the details. The site generator table (_site_generators) is
+    built once, after every refusal, and serves every site.
     """
     if refine_iters < 1:
         raise ValueError("refine_iters must be >= 1")
-    require_commuting_pairs(model)
-    if tuple(code.dims) != model.system.dims:
-        raise ValueError(f"code dims {code.dims} do not match the model")
+    _require_model_code(model, code)
     if code.degeneracy < 2:
         raise ValueError("nothing to split: the ground space is not degenerate")
 
+    table = _site_generators(model)
     base, sectors = None, []
     for i in range(model.n_sites):
-        dec = sector_projectors(model, i)
+        dec = _sector_decomposition(model, i, _site_algebra(model, i, table))
         populated = detect_multi_sector(code, dec)
         if len(populated) >= 2:
             base = multi_sector_attack(code, i, dec.projectors[populated[0]])
             break
         sectors.append((dec, populated))
     if base is None:
-        fz = _factor_sectors(model, code, sectors)
+        fz = _factor_sectors(model, code, sectors, table[0])
         base = _pair_or_multiplicity_attack(model, code, fz)
         base.details["factorization"] = fz.to_json()
 

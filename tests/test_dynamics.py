@@ -29,7 +29,9 @@ from splitlab.models import (
     repetition_model,
 )
 from splitlab.operators import (
+    DensityOp,
     Ket,
+    _unit_trace_fault,
     embed,
     fidelity,
     herm_propagator,
@@ -140,6 +142,24 @@ def test_distribution_validation():
         NoiseDistribution.discrete([(1.0, 0.6), (-1.0, 0.6)])
     with pytest.raises(ValueError, match="negative"):
         NoiseDistribution.discrete([(1.0, 1.5), (-1.0, -0.5)])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: NoiseDistribution.discrete([(0.0, np.nan), (1.0, 1.0)]),
+    lambda: NoiseDistribution.discrete([(np.nan, 0.5), (1.0, 0.5)]),
+    lambda: NoiseDistribution.discrete([(np.inf, 1.0)]),
+    lambda: NoiseDistribution.gaussian(np.nan, 0.1),
+    lambda: NoiseDistribution.gaussian(0.0, np.inf),
+    lambda: NoiseDistribution.uniform(0.0, np.inf),
+    lambda: NoiseDistribution.uniform(-np.inf, 0.0),
+    lambda: BathModel(labels=(0.0, 1.0), energies=np.zeros(2),
+                      populations=np.array([np.nan, 1.0]), interactions=[Z1_ON_3, Z1_ON_3]),
+], ids=["discrete-probability", "discrete-value", "discrete-infinite", "gaussian-mean",
+        "gaussian-width", "uniform-end", "uniform-start", "bath-population"])
+def test_noise_laws_refuse_non_finite_parameters(make):
+    # a NaN probability once gave coherence_time an infinite tau_eps and no error
+    with pytest.raises(ValueError, match="finite|probability vector"):
+        make()
 
 
 # dephasing prediction
@@ -901,3 +921,31 @@ def test_time_series_prediction_matches_closed_form():
                                  [0.8], gap_factor=100.0)
     expect = 0.5 * np.exp(-0.01 * (2 * 0.8) ** 2 / 2)
     assert rows[0]["predicted_coherence"] == pytest.approx(expect, abs=1e-12)
+
+
+def test_dephasing_factors_of_many_times_are_the_per_time_factors_bit_for_bit():
+    _, code = _rep_code()
+    r = ids(code, Z1_ON_3)
+    dist = NoiseDistribution.gaussian(0.2, 0.3)
+    times = np.linspace(0.0, 4.0, 6).reshape(2, 3)
+    many = dephasing_factors(r, dist, times)
+    assert many.shape == (2, 3) + (code.degeneracy,) * 2
+    for idx in np.ndindex(times.shape):
+        assert np.array_equal(many[idx], dephasing_factors(r, dist, float(times[idx])))
+
+
+@pytest.mark.parametrize("m, match", [
+    (np.array([[0.5, 0.1], [0.0, 0.5]]), "not hermitian"),
+    (np.diag([0.7, 0.7]), "trace 1.4 is not 1 within"),
+    (np.diag([1.5, -0.5]), "negative eigenvalue -0.5 below floor"),
+    (np.array([[0.5, np.nan], [np.nan, 0.5]]), "non-finite entries"),
+], ids=["hermitian", "trace", "eigenvalue", "nan"])
+def test_density_rules_refuse_a_matrix_and_a_stack_alike(m, match):
+    # DensityOp and the stacked checks of the dephasing rows share one body
+    m = m.astype(complex)
+    with pytest.raises(ValueError, match=match) as one:
+        DensityOp(m, (2,))
+    stack = np.stack([0.5 * np.eye(2, dtype=complex), m])
+    with pytest.raises(ValueError) as many:
+        dynamics._density_blocks(stack, _unit_trace_fault)
+    assert str(many.value) == str(one.value)

@@ -2,7 +2,9 @@
 the models, code_space and dynamics modules call no eigensolver directly,
 the dynamics module compresses no operator onto a code itself, only the
 hermiticity gate of the operators module refuses a matrix as not
-hermitian, every scale max|m| is read by one chunked helper, local terms
+hermitian, each message of a container rule (unit norm, trace, eigenvalue
+floor, finite entries, the raw-array eigen gate) is written in one function,
+every scale max|m| is read by one chunked helper, local terms
 are placed into a D x D matrix by one route, the
 command line places and measures an ids perturbation on its sites without
 a D x D matrix, the battery's duality oracle never reaches the compressed
@@ -177,6 +179,59 @@ def test_only_the_gate_refuses_a_matrix_as_not_hermitian():
     gate = next(n for n in ast.walk(ast.parse((pkg / "operators.py").read_text()))
                 if isinstance(n, ast.FunctionDef) and n.name == "_hermitian")
     assert any(isinstance(n, ast.Raise) for n in ast.walk(gate))
+
+
+# The messages of the container rules, with each replacement field read as
+# {}. Each rule has one body in operators, for one item or a stack; a second
+# copy would write its own message.
+RULE_TEMPLATES = ("ket norm {} is not 1 within {}", "trace {} is not 1 within {}",
+                  "negative eigenvalue {} below floor {}", "non-finite entries",
+                  "input is too far from hermitian")
+
+
+def template_sites(source: str, template: str) -> list:
+    """(line, innermost enclosing function) of every string literal or
+    f-string whose text, each replacement field read as {}, is ``template``."""
+    found = []
+
+    def text(node):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return node.value
+        if isinstance(node, ast.JoinedStr):
+            return "".join(v.value if isinstance(v, ast.Constant) else "{}"
+                           for v in node.values)
+        return None
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if text(child) == template:
+                found.append((child.lineno, func))
+            elif not isinstance(child, ast.JoinedStr):
+                visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_scanner_flags_a_rule_template():
+    src = ("def f(x):\n    raise ValueError(f'ket norm {x} is not 1 within {1e-12}')\n"
+           "def g(x):\n    msg = 'non-finite entries'\n"
+           "    return f'ket norm {x:.3} is not 1 within {x!r}'\n"
+           "def h():\n    return 'matrix has non-finite entries', f'non-finite entries'\n"
+           "m = 'ket norm {} is not 1 within {}'\n")
+    assert template_sites(src, RULE_TEMPLATES[0]) == [(2, "f"), (5, "g"), (8, None)]
+    assert template_sites(src, RULE_TEMPLATES[3]) == [(4, "g"), (7, "h")]
+
+
+def test_each_container_rule_lives_in_one_function():
+    pkg = ROOT / "src" / "splitlab"
+    for template in RULE_TEMPLATES:
+        found = {(path.name, func) for path in sorted(pkg.rglob("*.py"))
+                 for _, func in template_sites(path.read_text(), template)}
+        assert len(found) == 1, (template, sorted(found))
 
 
 def whole_max_abs_calls(source: str) -> list:

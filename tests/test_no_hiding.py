@@ -419,3 +419,15 @@ def test_scan_refuses_an_odd_grid(grid_n):
     b1 = _ket([0, 1, 0, 0], (2, 2))
     with pytest.raises(ValueError, match="grid_n must be even"):
         subspace_pair_score_scan(b0, b1, grid_n=grid_n)
+
+
+@pytest.mark.parametrize("scale", [1.001, np.nan], ids=["scaled", "nan"])
+def test_witness_batch_refuses_a_ket_as_ket_does(scale):
+    # one unit-norm rule for a Ket and for the rows of a batch
+    b0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex) * scale
+    b1 = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
+    with pytest.raises(ValueError, match="ket norm") as ket:
+        Ket(b0, (2, 2))
+    with pytest.raises(ValueError) as batch:
+        no_hiding_witness_batch(b0[None], b1[None], (2, 2))
+    assert str(batch.value) == str(ket.value)

@@ -86,6 +86,21 @@ def test_projector_rank_inferred():
     assert p.rank == 2
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: Ket(np.array([np.nan, 1.0]), (2,)), "ket norm nan is not 1 within"),
+    (lambda: DensityOp(np.array([[0.5, np.nan], [np.nan, 0.5]]), (2,)), "non-finite entries"),
+    (lambda: DensityOp(np.full((2, 2), np.nan), (2,)), "non-finite entries"),
+    (lambda: Projector(np.full((2, 2), np.nan), (2,), 1), "idempotent"),
+    (lambda: Projector(np.full((2, 2), np.nan), (2,)), "idempotent"),
+    (lambda: Projector(np.diag([1.0, np.nan]), (2,), 1), "idempotent"),
+], ids=["Ket", "DensityOp-offdiagonal", "DensityOp-all", "Projector-rank",
+        "Projector-inferred", "Projector-diagonal"])
+def test_containers_refuse_nan(make, match):
+    # every rule refuses unless its test holds, so a NaN fails each one
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 @pytest.mark.parametrize("make, base", [
     (lambda m: HermOp(m, (2,)), Z),
     (lambda m: DensityOp(m, (2,)), 0.5 * I2),
@@ -534,6 +549,24 @@ def test_norms_reject_nonfinite():
         operator_norm(np.array([[np.nan, 0], [0, 1]]))
     with pytest.raises(ValueError):
         trace_norm(np.array([[np.inf, 0], [0, 1]]))
+
+
+@pytest.mark.parametrize("norm", [operator_norm, trace_norm])
+def test_norms_of_a_stack_are_the_per_matrix_norms_bit_for_bit(rng, norm):
+    for shape in ((5,), (2, 3)):
+        stack = rng.standard_normal(shape + (4, 3)) + 1j * rng.standard_normal(shape + (4, 3))
+        out = norm(stack)
+        assert isinstance(out, np.ndarray) and out.shape == shape
+        one = [norm(m) for m in stack.reshape(-1, 4, 3)]
+        assert all(type(x) is float for x in one)
+        assert np.array_equal(out.reshape(-1), one)
+    stack[1, 2, 3, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite entries"):
+        norm(stack)
+    for shape in ((0, 3, 3), (2, 0, 0)):
+        empty = norm(np.zeros(shape))
+        assert isinstance(empty, np.ndarray) and np.array_equal(empty, np.zeros(shape[:-2]))
+    assert norm(np.zeros((0, 0))) == 0.0
 
 
 # ---------------------------------------------------------------- herm_eig

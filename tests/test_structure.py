@@ -398,7 +398,7 @@ def test_factor_rejects_code_of_another_model_before_any_work(monkeypatch):
     def no_sectors(*args, **kwargs):
         raise AssertionError("sector analysis ran for a rejected call")
 
-    monkeypatch.setattr("splitlab.structure.sector_projectors", no_sectors)
+    monkeypatch.setattr("splitlab.structure._site_generators", no_sectors)
     model = _virtual_chain(_bell(), n=3, seed=3)
     with pytest.raises(ValueError, match="code dims .* do not match the model"):
         factor_ground_projector(model, ground_subspace(_virtual_chain(_bell(), n=4, seed=3)))
@@ -490,18 +490,43 @@ def test_attack_analyses_each_site_once(monkeypatch):
 
     model = _virtual_chain(_bell(), n=3, seed=3)
     code = ground_subspace(model)
-    original = structure.sector_projectors
+    original = structure._sector_decomposition
     sites = []
 
     def counted(model, site, *args, **kwargs):
         sites.append(site)
         return original(model, site, *args, **kwargs)
 
-    monkeypatch.setattr(structure, "sector_projectors", counted)
+    monkeypatch.setattr(structure, "_sector_decomposition", counted)
     report = commuting_model_attack(model, code)
     assert report.branch == "multiplicity"
     assert "factorization" in report.details
     assert sites == list(range(model.n_sites))
+
+
+@pytest.mark.parametrize("build, branch", [
+    (lambda: repetition_model(3), "sector"),
+    (lambda: _virtual_chain(_bell(), n=3, seed=3), "multiplicity"),
+], ids=["sector", "factorization"])
+def test_each_analysis_builds_the_generator_table_once(monkeypatch, build, branch):
+    # one operator-Schmidt SVD per pair term per analysis, not one per site
+    from splitlab import structure
+
+    model = build()
+    code = ground_subspace(model)
+    original = structure._site_generators
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return original(model)
+
+    monkeypatch.setattr(structure, "_site_generators", counted)
+    assert commuting_model_attack(model, code).branch == branch
+    assert len(calls) == 1
+    if branch == "multiplicity":
+        factor_ground_projector(model, code)
+        assert len(calls) == 2
 
 
 def test_attack_virtual_rank_two_chain_pair_branch(rng):
@@ -609,7 +634,7 @@ def test_commuting_attack_rejects_zero_refine_iters_before_any_work(monkeypatch)
     def no_sectors(*args, **kwargs):
         raise AssertionError("sector analysis ran for a rejected call")
 
-    monkeypatch.setattr("splitlab.structure.sector_projectors", no_sectors)
+    monkeypatch.setattr("splitlab.structure._site_generators", no_sectors)
     model = repetition_model(3)
     with pytest.raises(ValueError, match="refine_iters must be >= 1"):
         commuting_model_attack(model, ground_subspace(model), refine_iters=0)
