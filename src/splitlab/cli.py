@@ -6,8 +6,9 @@ series). ``splitlab verify --quick|--full`` runs the acceptance battery.
 
 Exit codes: 0 all checks passed; 2 malformed scenario or an unusable
 --out (nothing is written); 3 a numerical check failed (the report is
-still written); 4 a valid scenario the model cannot take (nothing is
-written).
+still written), or a verify check raised or its worker process died (one
+line on stderr, nothing is written); 4 a valid scenario the model cannot
+take (nothing is written).
 
 Reports are byte-identical across runs of the same scenario and seed,
 except for the wall_clock_seconds field.
@@ -643,18 +644,27 @@ def run_scenario_file(path: str, out_dir: str, seed_override=None) -> int:
 
 
 def run_verify(level: str, out_dir=None) -> int:
-    if out_dir is None:
+    """Run the battery; print its lines, or write report.json to ``out_dir``.
+
+    A check that raises, or a battery worker that dies, is a numerical
+    failure: one line on stderr and exit 3, with no report.
+    """
+    if out_dir is not None and _refuse_out(out_dir):
+        return EXIT_SCHEMA
+    try:
+        if out_dir is not None:
+            scenario = parse_scenario({"schema_version": SCHEMA_VERSION, "task": "verify",
+                                       "params": {"level": level}})
+            return execute(scenario, Path(out_dir))
         t0 = time.perf_counter()
         battery = run_battery(level)
-        for r in battery:
-            print(r.line())
-        print(f"total {time.perf_counter() - t0:.1f}s at level {level}")
-        return EXIT_OK if all(r.passed for r in battery) else EXIT_TOLERANCE
-    if _refuse_out(out_dir):
-        return EXIT_SCHEMA
-    scenario = parse_scenario({"schema_version": SCHEMA_VERSION, "task": "verify",
-                               "params": {"level": level}})
-    return execute(scenario, Path(out_dir))
+    except Exception as exc:
+        print(f"battery failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_TOLERANCE
+    for r in battery:
+        print(r.line())
+    print(f"total {time.perf_counter() - t0:.1f}s at level {level}")
+    return EXIT_OK if all(r.passed for r in battery) else EXIT_TOLERANCE
 
 
 def main(argv=None) -> int:

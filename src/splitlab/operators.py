@@ -12,8 +12,9 @@ and are frozen after; the one exception is a model's hamiltonian, which is
 hermitian entry by entry by construction and is checked at its terms
 (_exact_herm). Every other container rule has one body, for one item or
 a stack, that refuses a NaN: _check_unit, _density_rules and
-_require_finite. Spectral routines factor such a container as it is and
-gate a raw array at each call (_raw_gate); they factor real-valued input
+_require_finite, which every checked container passes. Spectral routines
+factor such a container as it is and gate a raw array at each call
+(_raw_gate, which refuses a NaN too); they factor real-valued input
 in real arithmetic, factor a matrix whose nonzero pattern splits into
 blocks one block at a time, and fix eigenvector phases so results are
 reproducible across BLAS builds.
@@ -133,9 +134,14 @@ def _hermitian(m: np.ndarray, atol, message: str) -> np.ndarray:
     return out
 
 
-def _require_finite(m: np.ndarray):
-    """Refuse ``m``, any shape, unless every entry is finite."""
-    if not np.isfinite(m).all():
+def _require_finite(m: np.ndarray, scale: float = math.nan):
+    """Refuse ``m``, any shape, unless every entry is finite.
+
+    ``scale`` is a max|m| or a norm of ``m`` that the caller already holds:
+    a NaN or infinite entry makes it NaN or infinite, so a finite ``scale``
+    vouches for every entry and ``m`` is not read again.
+    """
+    if not math.isfinite(scale) and not np.isfinite(m).all():
         raise ValueError("non-finite entries")
 
 
@@ -193,10 +199,11 @@ def _check_square(m: np.ndarray, dims: tuple[int, ...]):
 class _Checked:
     """A square matrix on the sites ``dims``, checked once, when it is built.
 
-    The matrix passes _hermitian within HERM_ATOL max(1, max|m|), then the
-    subclass's _check; the gate's new array is stored read-only, and the
-    caller's array is neither kept nor written. The one exception is
-    _exact_herm, for a model's hamiltonian, which is checked at its terms.
+    The matrix must have finite entries (_require_finite) and pass
+    _hermitian within HERM_ATOL max(1, max|m|), then the subclass's _check;
+    the gate's new array is stored read-only, and the caller's array is
+    neither kept nor written. The one exception is _exact_herm, for a
+    model's hamiltonian, which is checked at its terms.
     """
 
     matrix: np.ndarray
@@ -208,7 +215,9 @@ class _Checked:
         dims = _dims_tuple(self.dims)
         m = np.asarray(self.matrix, dtype=complex)
         _check_square(m, dims)
-        m = _hermitian(m, HERM_ATOL * max(1.0, _max_abs(m)), self._message)
+        scale = _max_abs(m)
+        _require_finite(m, scale)
+        m = _hermitian(m, HERM_ATOL * max(1.0, scale), self._message)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", m)
         self._check(m)
@@ -286,8 +295,8 @@ class DensityOp(_Checked):
 class Projector(_Checked):
     """Orthogonal projector; rank is inferred from the trace when omitted.
 
-    Each test refuses unless within its tolerance, so a NaN projector is
-    refused as not idempotent, with or without ``rank``.
+    Each test refuses unless within its tolerance, so it would refuse a NaN
+    projector as not idempotent; _Checked refuses one first.
     """
 
     rank: int = -1
@@ -495,8 +504,10 @@ def _lapack_operand(m: np.ndarray) -> np.ndarray:
 
 
 def _raw_gate(m: np.ndarray, scale: float) -> np.ndarray:
-    """The spectral wrappers' gate of a raw ``m``: _hermitian of its LAPACK operand
-    within HERM_CHECK_REL times ``scale``, a Frobenius norm (1 when it is zero)."""
+    """The spectral wrappers' gate of a raw ``m``: finite entries, then _hermitian
+    of its LAPACK operand within HERM_CHECK_REL times ``scale``, a Frobenius
+    norm (1 when it is zero) of ``m`` or of a matrix that holds it."""
+    _require_finite(m, scale)
     return _hermitian(_lapack_operand(m), HERM_CHECK_REL * (scale or 1.0),
                       "input is too far from hermitian")
 

@@ -13,6 +13,9 @@ shadowed by an import-time binding.
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -481,8 +484,117 @@ def check_factorization(level: str) -> list:
         "; ".join(names))]
 
 
+class LaneError(RuntimeError):
+    """A battery worker process ended without handing back its results."""
+
+
+def _lanes(groups: int) -> int:
+    """Processes to run ``groups`` check groups on: one per CPU this process
+    may use, at most one per group. 1 where fork or the affinity call is
+    missing, and while another thread runs, since a forked child holds a
+    copy of whatever lock that thread held."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return max(1, min(groups, len(os.sched_getaffinity(0))))
+
+
+def _run_lane(plan: list, tickets: int) -> dict:
+    """{index: results} of the groups this lane pulls from the ticket pipe.
+
+    One byte is one group index; the lane runs and times each group it
+    reads until the pipe is empty. A lane whose group raises drains the
+    pipe first, so the other lanes stop after their current group.
+    """
+    done = {}
+    try:
+        while ticket := os.read(tickets, 1):
+            i = ticket[0]
+            t0 = time.perf_counter()
+            out = plan[i]()
+            dt = time.perf_counter() - t0
+            done[i] = [replace(r, seconds=round(dt, 3)) for r in out]
+    except BaseException:
+        while os.read(tickets, 256):
+            pass
+        raise
+    return done
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """``exc``, or a RuntimeError of its repr when it does not survive pickling."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(repr(exc))
+    return exc
+
+
+def _fork_lane(plan: list, tickets: int) -> tuple:
+    """(pid, read end of its result pipe) of a worker process that runs one lane.
+
+    The worker pickles ("ok", {index: results}) or ("raised", exception,
+    traceback text) onto the pipe and leaves through os._exit, so it flushes
+    no stdio buffer the parent also holds and runs no atexit handler. An
+    interrupt in the worker travels like any exception.
+    """
+    rd, wr = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rd)
+        os.close(wr)
+        raise
+    if pid:
+        os.close(wr)
+        return pid, rd
+    try:
+        os.close(rd)
+        try:
+            payload = ("ok", _run_lane(plan, tickets))
+        except BaseException as exc:
+            import traceback
+            payload = ("raised", _portable(exc), traceback.format_exc())
+        with os.fdopen(wr, "wb") as pipe:
+            pipe.write(pickle.dumps(payload))
+    finally:
+        os._exit(0)
+
+
+def _collect(pid: int, rd: int) -> dict:
+    """The results of worker ``pid`` from its pipe ``rd``; reaps it and closes ``rd``.
+
+    Re-raises the worker's exception, its traceback text as the cause, and
+    raises LaneError with the wait status for a worker that sent nothing.
+    """
+    try:
+        with os.fdopen(rd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if not data:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"exit code {code}" if code >= 0 else f"signal {-code}"
+        raise LaneError(f"battery worker {pid} ended with wait status {status} "
+                        f"({how}) and no results")
+    payload = pickle.loads(data)
+    if payload[0] == "raised":
+        raise payload[1] from LaneError(f"in battery worker {pid}:\n{payload[2]}")
+    return payload[1]
+
+
 def run_battery(level: str = "quick") -> list:
-    """All acceptance checks at the requested scale, in criterion order."""
+    """All acceptance checks at the requested scale, in criterion order.
+
+    The check groups are independent, each with its own seeds, so they run
+    on _lanes(len(plan)) lanes: the calling process and a forked worker per
+    further lane. Every lane pulls group indices, in plan order, from one
+    ticket pipe that holds them all; the heavy groups come first, so that
+    balances the lanes. With one lane nothing is forked. The results are
+    merged in plan order, so they do not depend on the lane count. Every
+    worker is reaped however the battery ends.
+    """
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}")
     full = level == "full"
@@ -500,10 +612,22 @@ def run_battery(level: str = "quick") -> list:
         lambda: check_bath_embedding(20 if full else 8),
         lambda: check_factorization(level),
     ]
-    results = []
-    for step in plan:
-        t0 = time.perf_counter()
-        out = step()
-        dt = time.perf_counter() - t0
-        results.extend(replace(r, seconds=round(dt, 3)) for r in out)
-    return results
+    tickets, feed = os.pipe()
+    os.write(feed, bytes(range(len(plan))))
+    os.close(feed)
+    workers = []
+    try:
+        for _ in range(_lanes(len(plan)) - 1):
+            try:
+                workers.append(_fork_lane(plan, tickets))
+            except OSError:     # no process to spare: run on the lanes forked so far
+                break
+        done = _run_lane(plan, tickets)
+        while workers:
+            done.update(_collect(*workers.pop(0)))
+    finally:
+        os.close(tickets)
+        for pid, rd in workers:
+            os.close(rd)
+            os.waitpid(pid, 0)
+    return [r for i in range(len(plan)) for r in done[i]]

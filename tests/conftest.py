@@ -5,6 +5,7 @@ test is reproducible; tests that sweep many instances derive one rng per
 sweep and never reseed inside the loop.
 """
 
+import os
 import sys
 import tracemalloc
 from collections import Counter
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import splitlab.operators
-from splitlab import dynamics
+from splitlab import dynamics, verify
 from splitlab.operators import haar_unitary, mat_of
 
 
@@ -62,6 +63,32 @@ def count_factorizations(monkeypatch) -> Counter:
         monkeypatch.setattr(np.linalg, name, counting)
         monkeypatch.setattr(np.linalg._linalg, name, counting)
     return calls
+
+
+# the battery's check groups, in plan order
+BATTERY_GROUPS = (
+    "check_ids_duality", "check_stabilizer_examples", "check_no_hiding",
+    "check_two_site_attack", "check_commuting_attack", "check_gap_bound",
+    "check_dephasing_scaling", "check_coherence_time", "check_fidelity_bound",
+    "check_bath_embedding", "check_factorization")
+
+
+def battery_cpus(monkeypatch, cpus: int):
+    """Let the battery see ``cpus`` usable CPUs, so it runs on that many lanes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def stub_battery(monkeypatch, in_parent, in_worker):
+    """Replace every check group by a stub that calls ``in_parent()`` in the
+    calling process or ``in_worker()`` in a forked lane, then returns one
+    passing check named after its group."""
+    parent = os.getpid()
+    for name in BATTERY_GROUPS:
+        def stub(*args, _name=name, **kwargs):
+            (in_parent if os.getpid() == parent else in_worker)()
+            return [verify.verdict(_name, 0.0, 0.0, "<=", "stub")]
+
+        monkeypatch.setattr(verify, name, stub)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Scenario front end: exit codes, artifacts, determinism, mutation catch."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import battery_cpus, stub_battery, traced_peak
 from splitlab import cli, verify
 from splitlab.code_space import ground_subspace
 from splitlab.models import (
@@ -437,6 +438,54 @@ def test_verify_quick_without_out_prints_and_writes_nothing(tmp_path, monkeypatc
     assert not any(line.startswith("[FAIL]") for line in lines)
     assert re.fullmatch(r"total \d+\.\ds at level quick", lines[-1])
     assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_report_bytes_do_not_depend_on_the_lane_count(tmp_path, monkeypatch):
+    # all CPUs this process may use, then one: the same bytes but the clock
+    reports = []
+    for cpus in (None, 1):
+        if cpus is not None:
+            battery_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus-{cpus}"
+        assert cli.main(["verify", "--quick", "--out", str(out)]) == 0
+        text = (out / "report.json").read_text()
+        reports.append(re.sub(r'\n  "wall_clock_seconds": [^\n]*', "", text))
+    assert "wall_clock_seconds" not in reports[0]
+    assert reports[0] == reports[1]
+
+
+def _raise_in_a_check(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("check blew up")
+
+    monkeypatch.setattr(verify, "check_coherence_time", broken)
+    return "battery failed: ValueError: check blew up\n"
+
+
+def _kill_a_worker(monkeypatch):
+    # the calling process pauses on its groups, so the forked lane pulls one
+    stub_battery(monkeypatch, lambda: __import__("time").sleep(0.02), lambda: os._exit(9))
+    battery_cpus(monkeypatch, 2)
+    return re.compile(r"battery failed: LaneError: battery worker \d+ ended with "
+                      r"wait status 2304 \(exit code 9\) and no results\n")
+
+
+@pytest.mark.parametrize("fault", [_raise_in_a_check, _kill_a_worker],
+                         ids=["check-raises", "worker-dies"])
+@pytest.mark.parametrize("with_out", [False, True], ids=["printed", "report"])
+def test_battery_failure_is_one_line_and_exit_3(tmp_path, monkeypatch, capsys, fault, with_out):
+    # a numerical failure: no traceback, no check lines, no report
+    expected = fault(monkeypatch)
+    out = tmp_path / "out"
+    argv = ["verify", "--quick"] + (["--out", str(out)] if with_out else [])
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if isinstance(expected, str):
+        assert captured.err == expected
+    else:
+        assert expected.fullmatch(captured.err)
+    assert not out.exists()
 
 
 def test_injected_norm_fault_is_caught(tmp_path, monkeypatch):

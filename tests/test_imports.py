@@ -360,6 +360,17 @@ def test_cli_imports_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_imports_no_process_pool_or_network():
+    # the battery forks its lanes with os.fork and os.pipe; any of these
+    # modules would add its import time to every command's start-up
+    code = ("import sys, splitlab.cli; print(sorted(m for m in ('multiprocessing', "
+            "'concurrent.futures', 'subprocess', 'socket') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"
+
+
 # Two runs on models at BLOCK_SCAN_MIN_DIM and above (D = 256), where the
 # eigen wrappers scan the pattern for blocks. The scan keeps its sets in
 # plain Python: the first np.unique of a process imports numpy.ma, a fixed

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from conftest import random_density, random_ket, random_unitary
 from oracles import hermitian_whole_matrix, kron_embed
 from splitlab import cli
-from splitlab.code_space import full_space_code, project_onto_code
+from splitlab.code_space import full_space_code, ground_subspace, project_onto_code
 from splitlab.models import _check_term, matrix_to_json, repetition_model
 from splitlab.operators import (
     HERM_ATOL,
@@ -26,6 +26,7 @@ from splitlab.operators import (
     _herm_eigvalsh,
     _pattern_blocks,
     _hermitian,
+    _stacked_herm_eig,
     _max_abs,
     apply_local,
     embed,
@@ -90,15 +91,30 @@ def test_projector_rank_inferred():
     (lambda: Ket(np.array([np.nan, 1.0]), (2,)), "ket norm nan is not 1 within"),
     (lambda: DensityOp(np.array([[0.5, np.nan], [np.nan, 0.5]]), (2,)), "non-finite entries"),
     (lambda: DensityOp(np.full((2, 2), np.nan), (2,)), "non-finite entries"),
-    (lambda: Projector(np.full((2, 2), np.nan), (2,), 1), "idempotent"),
-    (lambda: Projector(np.full((2, 2), np.nan), (2,)), "idempotent"),
-    (lambda: Projector(np.diag([1.0, np.nan]), (2,), 1), "idempotent"),
+    (lambda: Projector(np.full((2, 2), np.nan), (2,), 1), "non-finite entries"),
+    (lambda: Projector(np.full((2, 2), np.nan), (2,)), "non-finite entries"),
+    (lambda: Projector(np.diag([1.0, np.nan]), (2,), 1), "non-finite entries"),
+    (lambda: HermOp(np.array([[1.0, np.nan], [np.nan, -1.0]]), (2,)), "non-finite entries"),
+    (lambda: HermOp(np.diag([1.0, np.inf]), (2,)), "non-finite entries"),
 ], ids=["Ket", "DensityOp-offdiagonal", "DensityOp-all", "Projector-rank",
-        "Projector-inferred", "Projector-diagonal"])
+        "Projector-inferred", "Projector-diagonal", "HermOp", "HermOp-inf"])
 def test_containers_refuse_nan(make, match):
     # every rule refuses unless its test holds, so a NaN fails each one
     with pytest.raises(ValueError, match=match):
         make()
+
+
+def test_spectral_routines_refuse_a_nan_array():
+    # the raw-array gate refuses as the containers do: no NaN eigenpair
+    # comes back, and the ground extraction does not fail later on an
+    # empty cluster; a dense and a block-scanned size, real and complex
+    nan = np.array([[1.0, np.nan], [np.nan, -1.0]])
+    big = np.diag(np.arange(130.0))
+    big[3, 3] = np.inf
+    for m in (nan, nan.astype(complex), big, big.astype(complex)):
+        for solve in (herm_eig, ground_subspace, lambda a: _stacked_herm_eig([a[None]])):
+            with pytest.raises(ValueError, match="non-finite entries"):
+                solve(m)
 
 
 @pytest.mark.parametrize("make, base", [

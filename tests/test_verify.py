@@ -1,8 +1,14 @@
 """Pieces of the self-check battery tested on their own."""
 
-import numpy as np
+import os
+import threading
+import time
+from dataclasses import replace
 
-from conftest import count_factorizations
+import numpy as np
+import pytest
+
+from conftest import BATTERY_GROUPS, battery_cpus, count_factorizations, stub_battery
 from oracles import scalar_distance_min_full_scan
 from splitlab import verify
 from splitlab.operators import operator_norm, random_herm, random_projector
@@ -100,3 +106,113 @@ def test_duality_oracle_far_ends_read_the_compressed_extremes(monkeypatch, rng):
         mu = _compressed_spectrum(p, v)
         assert abs((low_f - r) - mu[-1]) <= 1e-13
         assert abs((r - high_f) - mu[0]) <= 1e-13
+
+
+# ---------------------------------------------------------------- lanes
+
+
+def test_lane_count_does_not_change_results(monkeypatch):
+    # every field but the group's own seconds, in the same order
+    many = verify.run_battery("quick")
+    battery_cpus(monkeypatch, 1)
+    one = verify.run_battery("quick")
+    assert len(one) == 21
+    assert [replace(r, seconds=0.0) for r in one] == [replace(r, seconds=0.0) for r in many]
+
+
+def _no_fork():
+    raise AssertionError("forked")
+
+
+def _one_cpu(monkeypatch):
+    battery_cpus(monkeypatch, 1)
+
+
+def _another_thread(monkeypatch):
+    # a forked child would hold a copy of any lock this thread holds
+    battery_cpus(monkeypatch, 3)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    return lambda: (release.set(), thread.join(60))
+
+
+@pytest.mark.parametrize("setting", [_one_cpu, _another_thread],
+                         ids=["one-cpu", "another-thread"])
+def test_one_lane_forks_nothing(monkeypatch, setting):
+    # the same pull loop, in the calling process alone
+    monkeypatch.setattr(os, "fork", _no_fork)
+    stub_battery(monkeypatch, lambda: None, lambda: None)
+    done = setting(monkeypatch)
+    try:
+        assert [r.name for r in verify.run_battery("quick")] == list(BATTERY_GROUPS)
+    finally:
+        if done:
+            done()
+
+
+def test_a_refused_fork_leaves_the_lanes_forked_so_far(monkeypatch):
+    real_fork, forks = os.fork, []
+
+    def fork_once():
+        forks.append(1)
+        if len(forks) > 1:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    stub_battery(monkeypatch, _pause, _pause)
+    battery_cpus(monkeypatch, 3)
+    assert [r.name for r in verify.run_battery("quick")] == list(BATTERY_GROUPS)
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _pause():
+    time.sleep(0.02)
+
+
+def _raise():
+    raise RuntimeError("group failed")
+
+
+class _Unpicklable(Exception):
+    def __init__(self):
+        super().__init__("cannot travel")
+        self.hook = lambda: None
+
+
+def _raise_unpicklable():
+    raise _Unpicklable()
+
+
+def _die():
+    os._exit(7)
+
+
+@pytest.mark.parametrize("in_parent, in_worker, kind, error", [
+    (_pause, _pause, None, None),
+    (_raise, _pause, RuntimeError, "group failed"),
+    (_pause, _raise, RuntimeError, "group failed"),
+    (_pause, _raise_unpicklable, RuntimeError, "cannot travel"),
+    (_pause, _die, verify.LaneError,
+     r"ended with wait status 1792 \(exit code 7\) and no results"),
+], ids=["returns", "parent-raises", "worker-raises", "worker-raises-unpicklable",
+        "worker-dies"])
+def test_no_worker_is_left_behind(monkeypatch, in_parent, in_worker, kind, error):
+    # however the battery ends, every forked lane is reaped before it does;
+    # a lane pauses on each group it runs, so each one pulls some
+    stub_battery(monkeypatch, in_parent, in_worker)
+    battery_cpus(monkeypatch, 3)
+    if kind is None:
+        assert [r.name for r in verify.run_battery("quick")] == list(BATTERY_GROUPS)
+    else:
+        with pytest.raises(kind, match=error) as caught:
+            verify.run_battery("quick")
+        if in_worker is _raise:
+            # the worker's own exception, its traceback text as the cause
+            assert isinstance(caught.value.__cause__, verify.LaneError)
+            assert "_raise" in str(caught.value.__cause__)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
