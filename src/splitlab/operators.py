@@ -134,14 +134,9 @@ def _hermitian(m: np.ndarray, atol, message: str) -> np.ndarray:
     return out
 
 
-def _require_finite(m: np.ndarray, scale: float = math.nan):
-    """Refuse ``m``, any shape, unless every entry is finite.
-
-    ``scale`` is a max|m| or a norm of ``m`` that the caller already holds:
-    a NaN or infinite entry makes it NaN or infinite, so a finite ``scale``
-    vouches for every entry and ``m`` is not read again.
-    """
-    if not math.isfinite(scale) and not np.isfinite(m).all():
+def _require_finite(m: np.ndarray):
+    """Refuse ``m``, any shape, unless every entry is finite."""
+    if not np.isfinite(m).all():
         raise ValueError("non-finite entries")
 
 
@@ -215,9 +210,8 @@ class _Checked:
         dims = _dims_tuple(self.dims)
         m = np.asarray(self.matrix, dtype=complex)
         _check_square(m, dims)
-        scale = _max_abs(m)
-        _require_finite(m, scale)
-        m = _hermitian(m, HERM_ATOL * max(1.0, scale), self._message)
+        _require_finite(m)
+        m = _hermitian(m, HERM_ATOL * max(1.0, _max_abs(m)), self._message)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", m)
         self._check(m)
@@ -507,7 +501,7 @@ def _raw_gate(m: np.ndarray, scale: float) -> np.ndarray:
     """The spectral wrappers' gate of a raw ``m``: finite entries, then _hermitian
     of its LAPACK operand within HERM_CHECK_REL times ``scale``, a Frobenius
     norm (1 when it is zero) of ``m`` or of a matrix that holds it."""
-    _require_finite(m, scale)
+    _require_finite(m)
     return _hermitian(_lapack_operand(m), HERM_CHECK_REL * (scale or 1.0),
                       "input is too far from hermitian")
 

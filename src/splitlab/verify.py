@@ -488,14 +488,29 @@ class LaneError(RuntimeError):
     """A battery worker process ended without handing back its results."""
 
 
+# The standard variables that size a linear-algebra thread pool.
+POOL_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _one_pool_thread() -> bool:
+    """Whether the standard variables hold linear algebra to one thread: at
+    least one of POOL_VARS is set and none that is set asks for more."""
+    sizes = [os.environ[v].strip() for v in POOL_VARS if v in os.environ]
+    return bool(sizes) and all(size == "1" for size in sizes)
+
+
 def _lanes(groups: int) -> int:
     """Processes to run ``groups`` check groups on: one per CPU this process
-    may use, at most one per group. 1 where fork or the affinity call is
-    missing, and while another thread runs, since a forked child holds a
-    copy of whatever lock that thread held."""
+    may use, at most one per group, when linear algebra runs on one thread.
+
+    1 where fork or the affinity call is missing; while another thread
+    runs, since a forked child holds a copy of whatever lock that thread
+    held; and when a BLAS or OpenMP pool may start more threads, which
+    lanes would oversubscribe and which an OpenMP runtime may not survive
+    a fork with."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    if threading.active_count() > 1:
+    if threading.active_count() > 1 or not _one_pool_thread():
         return 1
     return max(1, min(groups, len(os.sched_getaffinity(0))))
 

@@ -74,8 +74,11 @@ BATTERY_GROUPS = (
 
 
 def battery_cpus(monkeypatch, cpus: int):
-    """Let the battery see ``cpus`` usable CPUs, so it runs on that many lanes."""
+    """Let the battery see ``cpus`` usable CPUs and one-thread linear algebra,
+    so it runs on that many lanes."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for var in verify.POOL_VARS:
+        monkeypatch.setenv(var, "1")
 
 
 def stub_battery(monkeypatch, in_parent, in_worker):

@@ -441,11 +441,10 @@ def test_verify_quick_without_out_prints_and_writes_nothing(tmp_path, monkeypatc
 
 
 def test_verify_report_bytes_do_not_depend_on_the_lane_count(tmp_path, monkeypatch):
-    # all CPUs this process may use, then one: the same bytes but the clock
+    # three lanes, then one: the same bytes but the clock
     reports = []
-    for cpus in (None, 1):
-        if cpus is not None:
-            battery_cpus(monkeypatch, cpus)
+    for cpus in (3, 1):
+        battery_cpus(monkeypatch, cpus)
         out = tmp_path / f"cpus-{cpus}"
         assert cli.main(["verify", "--quick", "--out", str(out)]) == 0
         text = (out / "report.json").read_text()

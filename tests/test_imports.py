@@ -376,7 +376,7 @@ def test_cli_imports_no_process_pool_or_network():
 # plain Python: the first np.unique of a process imports numpy.ma, a fixed
 # cost inside every timed run.
 _RUNS = """
-import json, sys
+import json, os, sys
 from pathlib import Path
 from splitlab.cli import main
 tmp = Path(sys.argv[1])
@@ -392,6 +392,8 @@ for name, scenario in (("attack", attack), ("dephase", dephase)):
     path = tmp / f"{name}.json"
     path.write_text(json.dumps(scenario))
     assert main(["run", "--scenario", str(path), "--out", str(tmp / name)]) == 0
+# one usable CPU gives the battery one lane, so every check group runs here
+os.sched_setaffinity(0, {next(iter(os.sched_getaffinity(0)))})
 assert main(["verify", "--quick", "--out", str(tmp / "verify")]) == 0
 print("numpy.ma" in sys.modules)
 """

@@ -113,7 +113,11 @@ def test_duality_oracle_far_ends_read_the_compressed_extremes(monkeypatch, rng):
 
 def test_lane_count_does_not_change_results(monkeypatch):
     # every field but the group's own seconds, in the same order
+    battery_cpus(monkeypatch, 3)
+    forked, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(fork()) or forked[-1])
     many = verify.run_battery("quick")
+    assert len(forked) == 2
     battery_cpus(monkeypatch, 1)
     one = verify.run_battery("quick")
     assert len(one) == 21
@@ -137,8 +141,20 @@ def _another_thread(monkeypatch):
     return lambda: (release.set(), thread.join(60))
 
 
-@pytest.mark.parametrize("setting", [_one_cpu, _another_thread],
-                         ids=["one-cpu", "another-thread"])
+def _pool_unset(monkeypatch):
+    # a BLAS pool left at its default may take every CPU
+    battery_cpus(monkeypatch, 3)
+    for var in verify.POOL_VARS:
+        monkeypatch.delenv(var)
+
+
+def _pool_of_two(monkeypatch):
+    battery_cpus(monkeypatch, 3)
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+
+
+@pytest.mark.parametrize("setting", [_one_cpu, _another_thread, _pool_unset, _pool_of_two],
+                         ids=["one-cpu", "another-thread", "pool-unset", "pool-of-two"])
 def test_one_lane_forks_nothing(monkeypatch, setting):
     # the same pull loop, in the calling process alone
     monkeypatch.setattr(os, "fork", _no_fork)
