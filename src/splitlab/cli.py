@@ -442,7 +442,7 @@ def _run_attack(scenario: Scenario):
                 "structure.commuting_model_attack: branch-specific analytic floor"
                 if site is None else
                 "splitting.worst_single_site_ascent: numeric search result",
-                f"branch {report.branch or 'ascent'}, site {report.site}"),
+                f"branch {report.branch}, site {report.site}"),
         verdict("attack_remeasured", remeasured - report.certified_delta_e,
                 -1e-9, ">=",
                 "splitting.ids: independent re-measurement of the certificate",
@@ -450,7 +450,7 @@ def _run_attack(scenario: Scenario):
     ]
     results = {
         "site": report.site,
-        "branch": report.branch or "ascent",
+        "branch": report.branch,
         "guarantee": report.guarantee,
         "delta_e": report.certified_delta_e,
         "remeasured_delta_e": remeasured,

@@ -40,7 +40,6 @@ from .splitting import IdsReport
 
 LEAK_TOL = 1e-10            # initial-state weight allowed outside the code
 PROB_ATOL = 1e-12           # discrete probabilities must sum to 1 this tightly
-BATH_DIAG_ATOL = 1e-12      # off-diagonal bath-state weight allowed
 DEFAULT_NODES = 64          # quadrature order for continuous magnitudes
 RHO_FACTOR_CUT = 1e-13      # relative |eigenvalue| a start state's factor keeps
 BRACKET_DOUBLINGS = 60      # growth steps before declaring no crossing
@@ -551,7 +550,7 @@ def coherence_time(dist: NoiseDistribution, delta_e: float, epsilon: float) -> C
     The bracket for the first crossing grows geometrically from a step set
     by the small-argument expansion, then bisection pins the crossing. If
     the coherence factor never drops that far (a point mass, or a discrete
-    distribution dominated by one atom) the time is infinite.
+    distribution dominated by one atom) c and the time are infinite.
     """
     if not delta_e > 0:
         raise ValueError("delta_e must be positive")
@@ -559,28 +558,26 @@ def coherence_time(dist: NoiseDistribution, delta_e: float, epsilon: float) -> C
         raise ValueError("epsilon must sit strictly between 0 and 1")
     var = dist.variance
     small = float(np.sqrt(2.0 * epsilon / var)) if var > 0 else np.inf
-    if var == 0.0:
-        return CoherenceReport(epsilon=float(epsilon), tau_eps=np.inf,
-                               c_eps=np.inf, delta_e=float(delta_e),
-                               small_eps_c=small)
-
     target = 1.0 - epsilon
 
     def above(alpha):
         return abs(complex(dist.characteristic(alpha))) > target
 
-    step = 0.1 * small
-    lo, hi = 0.0, step
-    found = False
-    for _ in range(BRACKET_DOUBLINGS):
-        if not above(hi):
-            found = True
-            break
-        lo, hi = hi, hi * 2.0
-    if not found:
-        return CoherenceReport(epsilon=float(epsilon), tau_eps=np.inf,
-                               c_eps=np.inf, delta_e=float(delta_e),
-                               small_eps_c=small)
+    c = np.inf
+    if var != 0.0:
+        lo, hi = 0.0, 0.1 * small
+        for _ in range(BRACKET_DOUBLINGS):
+            if not above(hi):
+                c = _bisect(above, lo, hi)
+                break
+            lo, hi = hi, hi * 2.0
+    return CoherenceReport(epsilon=float(epsilon), tau_eps=float(c / delta_e),
+                           c_eps=float(c), delta_e=float(delta_e),
+                           small_eps_c=small)
+
+
+def _bisect(above, lo: float, hi: float) -> float:
+    """The point where ``above`` turns from true at lo to false at hi."""
     for _ in range(200):
         mid = (lo + hi) / 2.0
         if above(mid):
@@ -589,10 +586,7 @@ def coherence_time(dist: NoiseDistribution, delta_e: float, epsilon: float) -> C
             hi = mid
         if hi - lo <= 1e-14 * max(hi, 1.0):
             break
-    c = (lo + hi) / 2.0
-    return CoherenceReport(epsilon=float(epsilon), tau_eps=float(c / delta_e),
-                           c_eps=float(c), delta_e=float(delta_e),
-                           small_eps_c=small)
+    return (lo + hi) / 2.0
 
 
 @dataclass(eq=False)
@@ -632,25 +626,18 @@ class BathModel:
                    interactions=[lk * vm for lk in values])
 
 
-def bath_embedding_check(h0, bath: BathModel, rho0, t: float, rho_bath=None) -> float:
+def bath_embedding_check(h0, bath: BathModel, rho0, t: float) -> float:
     """Joint evolution with a pointer bath versus the unitary mixture.
 
-    Builds the joint hamiltonian, evolves rho0 (x) rho_bath, traces out the
-    bath and compares with the level-weighted mixture of system evolutions.
+    Builds the joint hamiltonian, evolves rho0 (x) diag(populations), the
+    bath state diagonal in the pointer basis, traces out the bath and
+    compares with the population-weighted mixture of system evolutions.
     Returns the operator-norm deviation, which is zero in exact arithmetic.
     """
     h = mat_of(h0)
     rho = mat_of(rho0)
     nb = len(bath.labels)
-    if rho_bath is None:
-        pops = np.asarray(bath.populations, dtype=float)
-    else:
-        rb = mat_of(rho_bath)
-        if _max_abs(rb - np.diag(np.diag(rb))) > BATH_DIAG_ATOL:
-            raise ValueError("bath state must be diagonal in the pointer basis")
-        pops = np.real(np.diag(rb))
-        if not abs(pops.sum() - 1.0) <= PROB_ATOL:
-            raise ValueError("bath state must have unit trace")
+    pops = np.asarray(bath.populations, dtype=float)
     ds = h.shape[0]
     joint = np.kron(h, np.eye(nb)) + np.kron(np.eye(ds), np.diag(bath.energies))
     for k, vk in enumerate(bath.interactions):
@@ -688,7 +675,8 @@ def dephasing_time_series(h0, r: IdsReport, v, dist: NoiseDistribution,
     pure start x, normalized by the scalar full trace, so it holds k x k
     per time and no D x D state, generator or perturbation, and runs no
     full-size SVD or herm_eig. Quadrature weights must be nonnegative,
-    which makes the mixture PSD.
+    which makes the mixture PSD; a negative one is refused before any other
+    work.
     Every stage runs the time axis in chunks of about one D x D array's
     worth (_time_chunks): the bound rows take one stacked operator_norm of
     a chunk's D x k differences, the predictions one dephasing_factors call
@@ -698,6 +686,9 @@ def dephasing_time_series(h0, r: IdsReport, v, dist: NoiseDistribution,
     trace in [0, 1 + DENSITY_TRACE_ATOL], short of 1 by the weight that
     left the code.
     """
+    lam, weights = dist.quadrature(nodes)
+    if np.any(weights < 0):
+        raise ValueError("a mixture needs nonnegative weights and a PSD start")
     code = r.code
     psi = _pure_code_vector(code, state)
     c = r.frame.conj().T @ psi
@@ -705,10 +696,7 @@ def dephasing_time_series(h0, r: IdsReport, v, dist: NoiseDistribution,
     d = code.degeneracy
     pencil = _bound_pencil(h0, r, v, gap_factor, sites)
     gap_rows = _bound_rows(pencil, r, t_grid)
-    lam, weights = dist.quadrature(nodes)
     fid_rows = _fidelity_rows(r, dist, np.abs(c) ** 2, lam, weights, t_grid)
-    if np.any(weights < 0):
-        raise ValueError("a mixture needs nonnegative weights and a PSD start")
     accs, traces = _mixture(pencil, lam, weights, (code.basis @ psi)[:, None], np.ones(1),
                             t_grid, reader=code.basis @ r.frame)
     times = np.asarray(t_grid, dtype=float)

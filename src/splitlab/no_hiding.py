@@ -1,11 +1,13 @@
 """Distinguishable reduced states inside any two-dimensional subspace.
 
-Any 2D subspace of a bipartite space contains an orthonormal pair whose
+Any 2D subspace of a two-site space contains an orthonormal pair whose
 reduced states, summed over the two sides, are at least 2/3 apart in trace
-norm. Only three candidate pairs ever need checking: the input basis and its
-two balanced superpositions (real and imaginary relative phase). That bound
-is what makes the two-site attack constructive: the more distinguishable
-side yields a projector whose expectation separates the pair by at least 1/3.
+norm; side A is site 0 and side B site 1, and any other site count is
+refused. Only three candidate pairs ever need checking: the input basis and
+its two balanced superpositions (real and imaginary relative phase). That
+bound is what makes the two-site attack constructive: the more
+distinguishable side yields a projector whose expectation separates the
+pair by at least 1/3.
 
 The witness is computed for a batch of pairs at once: no_hiding_witness_batch
 takes the pairs' amplitudes with a leading batch axis, scores all three
@@ -42,6 +44,10 @@ SCORE_ATOL = 1e-9
 
 ORTHO_ATOL = 1e-10
 
+# The grid oracle's theta and phi resolution. It is even, so the phi ring
+# is closed under phi + pi and half the sphere covers every pair.
+GRID_N = 24
+
 
 @dataclass(eq=False)
 class NoHidingWitness:
@@ -54,8 +60,7 @@ class NoHidingWitness:
     candidate_id: int       # 0 input pair, 1 real superpositions, 2 imaginary
     fidelity_f: float       # A-side fidelity of the input basis pair
     distance_d: float       # A-side trace distance of the input basis pair
-    a_sites: tuple[int, ...]
-    side_norms: tuple[float, float] = (0.0, 0.0)
+    side_norms: tuple[float, float]
 
 
 @dataclass(eq=False)
@@ -68,19 +73,17 @@ class AttackReport:
     witness_psi: Ket
     witness_phi: Ket
     guarantee: str                 # 'analytic' or 'numeric'
-    branch: str = ""
+    branch: str
     trajectories: tuple = ()
     details: dict = field(default_factory=dict)
 
 
-def _complement(dims, a_sites) -> tuple[int, ...]:
-    a = set(int(s) for s in a_sites)
-    if not a or not a.issubset(range(len(dims))):
-        raise ValueError(f"bad bipartition {sorted(a)} for {len(dims)} sites")
-    b = tuple(i for i in range(len(dims)) if i not in a)
-    if not b:
-        raise ValueError("bipartition leaves the B side empty")
-    return b
+def _two_sites(dims) -> tuple[int, int]:
+    """``dims`` as a tuple, refused unless it has two sites: A and B."""
+    dims = _dims_tuple(dims)
+    if len(dims) != 2:
+        raise ValueError(f"the two sides need a two-site dims, not {dims}")
+    return dims
 
 
 def _trace_norms(delta: np.ndarray) -> np.ndarray:
@@ -95,24 +98,24 @@ def _trace_norms(delta: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(np.linalg.eigvalsh(delta)), axis=-1)
 
 
-def pair_side_norms(psi: np.ndarray, phi: np.ndarray, dims, a_sites):
+def pair_side_norms(psi: np.ndarray, phi: np.ndarray, dims):
     """Trace norms of the reduced difference on side A and side B.
 
-    ``psi`` and ``phi`` may carry the same leading batch axes. A single pair
+    Side A is site 0 and side B site 1 of the two-site ``dims``. ``psi``
+    and ``phi`` may carry the same leading batch axes. A single pair
     gives two floats; a batch gives two arrays of the batch shape. Each
     side's differences come out of reduced_states exactly hermitian (entry
     (c, a) is the bitwise conjugate of entry (a, c)), so their trace norms
     are the summed |eigenvalues| of one batched eigvalsh at that side's own
     size (_trace_norms).
     """
-    dims = tuple(int(d) for d in dims)
-    a_sites = sorted(int(s) for s in a_sites)
+    dims = _two_sites(dims)
     psi, phi = np.asarray(psi), np.asarray(phi)
     if psi.shape != phi.shape:
         raise ValueError(f"pair shapes differ: {psi.shape} and {phi.shape}")
     pair = np.stack([psi, phi])
-    na, nb = (_trace_norms(np.subtract(*reduced_states(pair, dims, keep)))
-              for keep in (a_sites, _complement(dims, a_sites)))
+    na, nb = (_trace_norms(np.subtract(*reduced_states(pair, dims, [site])))
+              for site in (0, 1))
     if na.ndim == 0:
         return float(na), float(nb)
     return na, nb
@@ -140,11 +143,11 @@ def _check_pair(b0: Ket, b1: Ket):
     _check_orthogonal(b0.amplitudes, b1.amplitudes)
 
 
-def no_hiding_witness_batch(b0s, b1s, dims, a_sites=(0,)) -> list[NoHidingWitness]:
+def no_hiding_witness_batch(b0s, b1s, dims) -> list[NoHidingWitness]:
     """no_hiding_witness of every pair (b0s[i], b1s[i]) of a batch.
 
     ``b0s`` and ``b1s`` hold the pairs' amplitudes as rows of an (n, D)
-    array on the sites ``dims``. Each row is held to Ket's unit norm by
+    array on the two sites ``dims``. Each row is held to Ket's unit norm by
     Ket's own rule (operators._check_unit, on the whole stack, so a NaN row
     is refused with Ket's message) and each pair to orthogonality. The three
     candidates of all n pairs are scored in one pair_side_norms call over
@@ -156,8 +159,7 @@ def no_hiding_witness_batch(b0s, b1s, dims, a_sites=(0,)) -> list[NoHidingWitnes
     of each difference, which reduced_states gives bitwise hermitian
     (_trace_norms), and F one stacked fidelity call.
     """
-    dims = _dims_tuple(dims)
-    a_sites = tuple(sorted(int(s) for s in a_sites))
+    dims = _two_sites(dims)
     b0s, b1s = np.asarray(b0s, dtype=complex), np.asarray(b1s, dtype=complex)
     if b0s.shape != b1s.shape:
         raise ValueError(f"pair shapes differ: {b0s.shape} and {b1s.shape}")
@@ -167,7 +169,7 @@ def no_hiding_witness_batch(b0s, b1s, dims, a_sites=(0,)) -> list[NoHidingWitnes
     _check_orthogonal(b0s, b1s)
 
     v0s, v1s = _candidates(b0s, b1s)
-    nas, nbs = pair_side_norms(v0s, v1s, dims, a_sites)
+    nas, nbs = pair_side_norms(v0s, v1s, dims)
     totals = nas + nbs
     rows = np.arange(len(b0s))
     cid = np.zeros(len(b0s), dtype=int)
@@ -177,7 +179,7 @@ def no_hiding_witness_batch(b0s, b1s, dims, a_sites=(0,)) -> list[NoHidingWitnes
     chosen = np.stack([v0s[rows, cid], v1s[rows, cid]])
     _check_unit(chosen)
 
-    rho0, rho1 = reduced_states(np.stack([b0s, b1s]), dims, a_sites)
+    rho0, rho1 = reduced_states(np.stack([b0s, b1s]), dims, [0])
     dist, fid = 0.5 * _trace_norms(rho0 - rho1), fidelity(rho0, rho1)
     floors = np.maximum(np.maximum(2.0 * dist, fid), SCORE_FLOOR)
     low = scores < floors - SCORE_ATOL
@@ -196,14 +198,13 @@ def no_hiding_witness_batch(b0s, b1s, dims, a_sites=(0,)) -> list[NoHidingWitnes
             candidate_id=int(c),
             fidelity_f=float(fid[i]),
             distance_d=float(dist[i]),
-            a_sites=a_sites,
             side_norms=(float(na[i]), float(nb[i])),
         )
         for i, c in enumerate(cid)
     ]
 
 
-def no_hiding_witness(b0: Ket, b1: Ket, a_sites=(0,)) -> NoHidingWitness:
+def no_hiding_witness(b0: Ket, b1: Ket) -> NoHidingWitness:
     """Best of the three candidate pairs by summed two-side trace norm.
 
     The returned score is guaranteed to be at least max(2D, F) for the
@@ -212,7 +213,7 @@ def no_hiding_witness(b0: Ket, b1: Ket, a_sites=(0,)) -> NoHidingWitness:
     This is the one-pair call of no_hiding_witness_batch.
     """
     _check_pair(b0, b1)
-    return no_hiding_witness_batch(b0.amplitudes[None], b1.amplitudes[None], b0.dims, a_sites)[0]
+    return no_hiding_witness_batch(b0.amplitudes[None], b1.amplitudes[None], b0.dims)[0]
 
 
 def two_site_attack(p: Projector) -> AttackReport:
@@ -225,18 +226,16 @@ def two_site_attack(p: Projector) -> AttackReport:
     the Helstrom projector of the winning reduced pair, and its
     expectation gap, Tr(X delta) = ||delta||_1 / 2, is at least 1/3.
     """
-    if len(p.dims) != 2:
-        raise ValueError("the attack needs an explicitly two-site projector")
+    dims = _two_sites(p.dims)
     if p.rank < 2:
         raise ValueError("nothing to split: the projector has rank < 2")
-    dims = p.dims
 
     w, v = np.linalg.eigh(p.matrix)
     cols = v[:, w > 0.5]
     b0, b1 = cols[:, 0], cols[:, 1]
 
     v0s, v1s = _candidates(b0, b1)
-    nas, nbs = pair_side_norms(v0s, v1s, dims, (0,))
+    nas, nbs = pair_side_norms(v0s, v1s, dims)
     best = None
     for cid in range(3):
         for side, norm in (("A", nas[cid]), ("B", nbs[cid])):
@@ -266,7 +265,7 @@ def two_site_attack(p: Projector) -> AttackReport:
     )
 
 
-def subspace_pair_score_scan(b0: Ket, b1: Ket, a_sites=(0,), grid_n: int = 24) -> float:
+def subspace_pair_score_scan(b0: Ket, b1: Ket) -> float:
     """Grid oracle: best summed score over all orthonormal pairs in the span.
 
     Orthonormal pairs correspond to antipodal points on the Bloch sphere of
@@ -276,30 +275,26 @@ def subspace_pair_score_scan(b0: Ket, b1: Ket, a_sites=(0,), grid_n: int = 24) -
 
     The point (pi - theta, phi + pi) is the pair of (theta, phi) with its two
     vectors swapped, whose differences are negated and whose norms are
-    equal. For an even ``grid_n`` the grid maps onto itself under that swap,
-    so only its rows theta <= pi/2 are scored (13 of 25 at grid_n = 24); an
-    odd ``grid_n`` is refused. Each side's difference is linear on the
+    equal. The GRID_N grid, GRID_N even, maps onto itself under that swap,
+    so only its rows theta <= pi/2 are scored (13 of 25). Each side's difference is linear on the
     sphere, Delta = cos(theta) (R00 - R11) + sin(theta) (e^{-i phi} R01 +
     e^{i phi} R01^dag) with R_ij the reduced |u_i><u_j|, from one einsum per
     side. It is formed as w + w^dag, bitwise hermitian as eigvalsh assumes,
     and the whole half grid is one _trace_norms stack per side.
     """
-    if grid_n < 2 or grid_n % 2:
-        raise ValueError("grid_n must be even and at least 2")
+    dims = _two_sites(b0.dims)
     _check_pair(b0, b1)
-    dims = b0.dims
-    a_sites = tuple(sorted(int(s) for s in a_sites))
     # sorted sets, where np.unique would import numpy.ma
-    thetas = np.array([t for t in sorted({*np.linspace(0.0, np.pi, grid_n).tolist(), np.pi / 2})
+    thetas = np.array([t for t in sorted({*np.linspace(0.0, np.pi, GRID_N).tolist(), np.pi / 2})
                        if t <= np.pi / 2])
-    phis = np.array(sorted({*np.linspace(0.0, 2 * np.pi, grid_n, endpoint=False).tolist(),
+    phis = np.array(sorted({*np.linspace(0.0, 2 * np.pi, GRID_N, endpoint=False).tolist(),
                             0.0, np.pi / 2, np.pi, 1.5 * np.pi}))
     half_cos = (0.5 * np.cos(thetas))[:, None, None, None]
     sin_z = (np.sin(thetas)[:, None] * np.exp(-1j * phis)[None, :])[..., None, None]
     pair = np.stack([b0.amplitudes, b1.amplitudes])
     total = 0.0
-    for keep in (a_sites, _complement(dims, a_sites)):
-        m = _kept_rows(pair, dims, keep)
+    for site in (0, 1):
+        m = _kept_rows(pair, dims, [site])
         r = np.einsum("iab,jcb->ijac", m, m.conj())
         w = half_cos * (r[0, 0] - r[1, 1]) + sin_z * r[0, 1]
         total = total + _trace_norms(w + w.conj().mT)

@@ -722,8 +722,8 @@ def fidelity(rho, sigma):
     return float(f) if f.ndim == 0 else f
 
 
-def helstrom(rho0, rho1, dims=None):
-    """Best one-shot distinguishability of two states.
+def helstrom(rho0, rho1, dims):
+    """Best one-shot distinguishability of two states on the sites ``dims``.
 
     Returns (D, X_opt) with D = ||rho0 - rho1||_1 / 2 and X_opt the projector
     onto the nonnegative eigenspace of rho0 - rho1 (zero eigenvalues are kept
@@ -732,8 +732,6 @@ def helstrom(rho0, rho1, dims=None):
     m0, m1 = mat_of(rho0), mat_of(rho1)
     if m0.shape != m1.shape:
         raise ValueError("state shapes differ")
-    if dims is None:
-        dims = getattr(rho0, "dims", None) or getattr(rho1, "dims", None) or (m0.shape[0],)
     delta = m0 - m1
     w, v = herm_eig(delta)
     dist = 0.5 * float(np.sum(np.abs(w)))

@@ -145,17 +145,15 @@ def _require_model_code(model: LocalModel, code: CodeSubspace):
         raise ValueError(f"code dims {code.dims} do not match the model")
 
 
-def operator_schmidt(op, dims=None):
-    """Factor a pair operator as sum_a s_a L_a (x) R_a.
+def operator_schmidt(op, dims):
+    """Factor a pair operator on the two sites ``dims`` as sum_a s_a L_a (x) R_a.
 
     Factors are orthonormal under the Hilbert-Schmidt inner product and the
     weights s_a come out in nonincreasing order, so the reconstruction is
     exact up to round-off and the left factors span the operator's full
     footprint on the first site.
     """
-    if dims is None:
-        dims = getattr(op, "dims", None)
-    if dims is None or len(dims) != 2:
+    if len(dims) != 2:
         raise ValueError("need the two factor dimensions of the pair")
     di, dj = (int(d) for d in dims)
     m = mat_of(op)
@@ -468,7 +466,7 @@ def _matrix_units(ops, dim, rng):
     raise StructureError("matrix-units extraction failed to certify a factor")
 
 
-def _site_virtual_map(model, site, sector_index, decomp, groups, rng) -> SiteVirtualMap:
+def _site_virtual_map(site, sector_index, decomp, groups, rng) -> SiteVirtualMap:
     """Peel one virtual slot per pair off the site's code sector.
 
     The running isometry maps (extracted slots) (x) (remaining space) onto
@@ -536,11 +534,15 @@ def factor_ground_projector(model: LocalModel, code: CodeSubspace) -> GroundFact
     """
     _require_model_code(model, code)
     table = _site_generators(model)
-    sectors = []
+    return _factor_sectors(model, code, list(_site_sectors(model, code, table)), table[0])
+
+
+def _site_sectors(model: LocalModel, code: CodeSubspace, table):
+    """(decomposition, populated sectors) of each site in turn, ``table`` the
+    analysis's one _site_generators table; a caller may stop at any site."""
     for i in range(model.n_sites):
         dec = _sector_decomposition(model, i, _site_algebra(model, i, table))
-        sectors.append((dec, detect_multi_sector(code, dec)))
-    return _factor_sectors(model, code, sectors, table[0])
+        yield dec, detect_multi_sector(code, dec)
 
 
 def _factor_sectors(model: LocalModel, code: CodeSubspace, sectors,
@@ -559,7 +561,7 @@ def _factor_sectors(model: LocalModel, code: CodeSubspace, sectors,
         assignment.append(populated[0])
 
     rng = np.random.default_rng(11)
-    maps = {i: _site_virtual_map(model, i, assignment[i], decomps[i], groups, rng)
+    maps = {i: _site_virtual_map(i, assignment[i], decomps[i], groups, rng)
             for i in range(model.n_sites)}
 
     # global virtual layout: per site its pair slots, then its multiplicity
@@ -609,7 +611,7 @@ def _lift_virtual(mp: SiteVirtualMap, slot_index: int, x: np.ndarray) -> np.ndar
     return mp.isometry @ apply_local(x, [slot_index], local_dims, mp.isometry.conj().T)
 
 
-def _pair_or_multiplicity_attack(model, code, fz: GroundFactorization) -> AttackReport:
+def _pair_or_multiplicity_attack(code, fz: GroundFactorization) -> AttackReport:
     for key, pf in fz.pair_factors:
         if pf.rank < 2:
             continue
@@ -685,16 +687,14 @@ def commuting_model_attack(model: LocalModel, code: CodeSubspace, refine_iters: 
 
     table = _site_generators(model)
     base, sectors = None, []
-    for i in range(model.n_sites):
-        dec = _sector_decomposition(model, i, _site_algebra(model, i, table))
-        populated = detect_multi_sector(code, dec)
+    for dec, populated in _site_sectors(model, code, table):
         if len(populated) >= 2:
-            base = multi_sector_attack(code, i, dec.projectors[populated[0]])
+            base = multi_sector_attack(code, dec.site, dec.projectors[populated[0]])
             break
         sectors.append((dec, populated))
     if base is None:
         fz = _factor_sectors(model, code, sectors, table[0])
-        base = _pair_or_multiplicity_attack(model, code, fz)
+        base = _pair_or_multiplicity_attack(code, fz)
         base.details["factorization"] = fz.to_json()
 
     floor = float(base.certified_delta_e)

@@ -141,8 +141,8 @@ def _random_code_and_perturbation(rng):
     return p, _code_from_projector(p, (dim,)), v
 
 
-def check_ids_duality(n_instances: int, seed: int = 401) -> list:
-    rng = np.random.default_rng(seed)
+def check_ids_duality(n_instances: int) -> list:
+    rng = np.random.default_rng(401)
     worst = 0.0
     for _ in range(n_instances):
         p, code, v = _random_code_and_perturbation(rng)
@@ -185,8 +185,8 @@ def _random_subspace_pairs(da, db, n, rng):
     return q
 
 
-def check_no_hiding(per_shape: int, scan_per_shape: int, seed: int = 402) -> list:
-    rng = np.random.default_rng(seed)
+def check_no_hiding(per_shape: int, scan_per_shape: int) -> list:
+    rng = np.random.default_rng(402)
     floor = np.inf
     ceiling = 0.0
     shapes = [(da, db) for da in range(2, 6) for db in range(2, 6)]
@@ -194,11 +194,11 @@ def check_no_hiding(per_shape: int, scan_per_shape: int, seed: int = 402) -> lis
         q = _random_subspace_pairs(*dims, per_shape, rng)
         for lo in range(0, per_shape, WITNESS_CHUNK):
             part = q[lo:lo + WITNESS_CHUNK]
-            for w in no_hiding_witness_batch(part[..., 0], part[..., 1], dims, a_sites=(0,)):
+            for w in no_hiding_witness_batch(part[..., 0], part[..., 1], dims):
                 floor = min(floor, w.score)
         for pair in q[:scan_per_shape]:
             b0, b1 = Ket(pair[:, 0], dims), Ket(pair[:, 1], dims)
-            ceiling = max(ceiling, subspace_pair_score_scan(b0, b1, a_sites=(0,)))
+            ceiling = max(ceiling, subspace_pair_score_scan(b0, b1))
     out = [
         verdict("no_hiding_witness_floor", floor, 2.0 / 3.0 - 1e-9, ">=",
                 "no_hiding.no_hiding_witness: constructive distinguishability floor",
@@ -224,8 +224,8 @@ def check_no_hiding(per_shape: int, scan_per_shape: int, seed: int = 402) -> lis
     return out
 
 
-def check_two_site_attack(n_instances: int, seed: int = 403) -> list:
-    rng = np.random.default_rng(seed)
+def check_two_site_attack(n_instances: int) -> list:
+    rng = np.random.default_rng(403)
     worst_cert = np.inf
     worst_gap = np.inf
     done = 0
@@ -328,8 +328,9 @@ def check_commuting_attack(level: str) -> list:
     ]
 
 
-def check_gap_bound(t_points: int, decades, seed: int = 404) -> list:
-    rng = np.random.default_rng(seed)
+def check_gap_bound(t_points: int) -> list:
+    rng = np.random.default_rng(404)
+    decades = (10.0, 100.0, 1000.0, 10000.0)
     t_grid = np.linspace(0.0, 10.0, t_points)
     worst_margin = np.inf
     ratios = []
@@ -449,10 +450,8 @@ def check_bath_embedding(t_points: int) -> list:
         dist = NoiseDistribution.discrete(
             [(float(k) - 1.0, float(p)) for k, p in enumerate(wts)])
         bath = BathModel.from_discrete(dist, v, energies=e)
-        rho_bath = np.diag(wts).astype(complex)
         for t in np.linspace(0.0, 3.0, t_points):
-            worst = max(worst, bath_embedding_check(h, bath, rho0, float(t),
-                                                    rho_bath=rho_bath))
+            worst = max(worst, bath_embedding_check(h, bath, rho0, float(t)))
     return [verdict(
         "bath_embedding_deviation", worst, 1e-10, "<=",
         "dynamics.bath_embedding_check: pointer bath reproduces the mixture",
@@ -619,8 +618,7 @@ def run_battery(level: str = "quick") -> list:
         lambda: check_no_hiding(1000 if full else 40, 10 if full else 2),
         lambda: check_two_site_attack(200 if full else 40),
         lambda: check_commuting_attack(level),
-        lambda: check_gap_bound(50 if full else 15,
-                                (10.0, 100.0, 1000.0, 10000.0)),
+        lambda: check_gap_bound(50 if full else 15),
         lambda: check_dephasing_scaling(11 if full else 6),
         lambda: check_coherence_time(),
         lambda: check_fidelity_bound(21 if full else 9),

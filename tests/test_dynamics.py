@@ -363,6 +363,22 @@ def test_time_series_on_sites_runs_no_full_size_svd(monkeypatch):
     assert (16, 16) not in shapes
 
 
+def test_time_series_refuses_negative_weights_before_any_work(monkeypatch):
+    # a law built directly skips discrete()'s sign check; its negative
+    # weight must be refused before the pencil's pattern scan runs
+    model, code = _rep_code()
+    r = ids(code, Z1_ON_3)
+    dist = NoiseDistribution("discrete", ((0.0, 1.0), (1.5, -0.5)))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the pencil was built before the weights were checked")
+
+    monkeypatch.setattr(dynamics, "_pattern_blocks", no_work)
+    with pytest.raises(ValueError, match="nonnegative weights"):
+        dephasing_time_series(model.hamiltonian(), r, Z1_ON_3, dist,
+                              worst_code_state(r), [0.0, 1.0], 10.0)
+
+
 def test_mixture_rejects_nonhermitian_start():
     model, _ = _rep_code()
     rho0 = _plus_logical().density()
@@ -802,6 +818,14 @@ def test_coherence_time_delta_is_infinite():
     assert np.isinf(rep.tau_eps) and np.isinf(rep.c_eps)
 
 
+def test_coherence_time_without_a_crossing_is_infinite():
+    # one atom holds 0.999 of the weight, so |char| never drops below 0.998
+    dist = NoiseDistribution.discrete([(0.0, 0.999), (1.0, 0.001)])
+    rep = coherence_time(dist, 2.0, 0.01)
+    assert (rep.epsilon, rep.tau_eps, rep.c_eps, rep.delta_e) == (0.01, np.inf, np.inf, 2.0)
+    assert rep.small_eps_c == np.sqrt(2.0 * 0.01 / dist.variance)
+
+
 def test_coherence_time_small_epsilon_approximation():
     dist = NoiseDistribution.gaussian(0.0, 0.25)
     rep = coherence_time(dist, 1.0, 1e-6)
@@ -859,26 +883,6 @@ def test_bath_thermal_populations():
     h = np.diag([0.0, 1.0]).astype(complex)
     rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
     assert bath_embedding_check(h, bath, rho0, 1.5) < 1e-10
-
-
-def test_bath_rejects_nondiagonal_state():
-    dist = NoiseDistribution.discrete([(1.0, 0.5), (-1.0, 0.5)])
-    bath = BathModel.from_discrete(dist, Z1_ON_3)
-    model, _ = _rep_code()
-    rho_bath = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
-    with pytest.raises(ValueError, match="diagonal"):
-        bath_embedding_check(model.hamiltonian(), bath, _plus_logical().density(),
-                             0.5, rho_bath=rho_bath)
-
-
-def test_bath_explicit_diagonal_state_overrides_populations():
-    dist = NoiseDistribution.discrete([(1.0, 0.5), (-1.0, 0.5)])
-    bath = BathModel.from_discrete(dist, Z1_ON_3)
-    model, _ = _rep_code()
-    rho_bath = np.diag([0.9, 0.1]).astype(complex)
-    dev = bath_embedding_check(model.hamiltonian(), bath, _plus_logical().density(),
-                               0.8, rho_bath=rho_bath)
-    assert dev < 1e-10
 
 
 def test_bath_validation():

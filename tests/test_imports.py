@@ -9,9 +9,10 @@ are placed into a D x D matrix by one route, the
 command line places and measures an ids perturbation on its sites without
 a D x D matrix, the battery's duality oracle never reaches the compressed
 route it certifies, importing the command line loads no scipy, an
-attack, dephase or verify --quick run loads no numpy.ma, and every
+attack, dephase or verify --quick run loads no numpy.ma, every
 function, class and method of the package is loaded somewhere in the
-sources, demos or benchmark, or is exported.
+sources, demos or benchmark, or is exported, and every parameter of a
+package function or method is read by its body.
 
 An AST scan binds each name an import statement introduces (``import a.b``
 binds ``a``) and looks for a load of that name anywhere in the same file.
@@ -95,6 +96,58 @@ def test_every_definition_is_loaded_or_exported():
     found = [f"{path.name}:{line}: {name}" for path in sorted(pkg.rglob("*.py"))
              for line, name in defined_names(path.read_text())
              if name not in loaded and name not in splitlab.__all__]
+    assert found == []
+
+
+FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _is_docstring_only(f) -> bool:
+    return (len(f.body) == 1 and isinstance(f.body[0], ast.Expr)
+            and isinstance(f.body[0].value, ast.Constant)
+            and isinstance(f.body[0].value.value, str))
+
+
+def unread_parameters(source: str) -> list:
+    """(line, function, parameter) of every parameter that a module-level or
+    class-level def never reads in its body. A read inside a nested closure
+    or lambda counts; their own parameters are not scanned. A method's
+    receiver (self, cls) and a hook whose body is only its docstring are
+    exempt."""
+    tree = ast.parse(source)
+    scanned = [(f, False) for f in tree.body if isinstance(f, FUNCTION_DEFS)]
+    scanned += [(f, not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                            for d in f.decorator_list))
+                for c in tree.body if isinstance(c, ast.ClassDef)
+                for f in c.body if isinstance(f, FUNCTION_DEFS)]
+    found = []
+    for f, has_receiver in sorted(scanned, key=lambda item: item[0].lineno):
+        if _is_docstring_only(f):
+            continue
+        a = f.args
+        params = [p.arg for p in a.posonlyargs + a.args][int(has_receiver):]
+        params += [p.arg for p in a.kwonlyargs + [a.vararg, a.kwarg] if p is not None]
+        read = {n.id for stmt in f.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(f.lineno, f.name, p) for p in params if p not in read]
+    return found
+
+
+def test_scanner_flags_an_unread_parameter():
+    src = ("def f(a, b, *args, c, **kw):\n    return a + sum(args) + g(lambda: kw)\n"
+           "class C:\n    def m(self, x):\n        return 1\n"
+           "    def hook(self, y):\n        \"\"\"A hook.\"\"\"\n"
+           "    @staticmethod\n    def s(z):\n        return 0\n"
+           "def outer(p):\n    def inner(q):\n        return p\n    return inner\n")
+    assert unread_parameters(src) == [(1, "f", "b"), (1, "f", "c"), (4, "m", "x"),
+                                      (9, "s", "z")]
+
+
+def test_every_parameter_is_read():
+    # a parameter that its body never reads is a setting nothing honours
+    pkg = ROOT / "src" / "splitlab"
+    found = [f"{path.name}:{line}: {func}({name})" for path in sorted(pkg.rglob("*.py"))
+             for line, func, name in unread_parameters(path.read_text())]
     assert found == []
 
 

@@ -104,12 +104,12 @@ def test_witness_local_unitary_covariance(rng):
 def test_pair_side_norms_values():
     b0 = _ket([1, 0, 0, 0], (2, 2)).amplitudes
     b1 = _ket([0, 0, 0, 1], (2, 2)).amplitudes
-    na, nb = pair_side_norms(b0, b1, (2, 2), a_sites=(0,))
+    na, nb = pair_side_norms(b0, b1, (2, 2))
     # |00> vs |11>: the marginals are orthogonal on both sides
     assert na == pytest.approx(2.0, abs=1e-12)
     assert nb == pytest.approx(2.0, abs=1e-12)
     b2 = _ket([0, 1, 0, 0], (2, 2)).amplitudes
-    na, nb = pair_side_norms(b0, b2, (2, 2), a_sites=(0,))
+    na, nb = pair_side_norms(b0, b2, (2, 2))
     # |00> vs |01>: identical on A, orthogonal on B
     assert na == pytest.approx(0.0, abs=1e-12)
     assert nb == pytest.approx(2.0, abs=1e-12)
@@ -118,9 +118,9 @@ def test_pair_side_norms_values():
 ALL_SHAPES = [(da, db) for da in range(2, 6) for db in range(2, 6)]
 
 
-# the three first splits, then every other two-site shape with 2 <= d <= 5
-@pytest.mark.parametrize("dims, a_sites", [((2, 3), (0,)), ((5, 4), (0,)),
-                                            ((2, 3, 2), (0, 2))]
+# the three first shapes, then every other two-site shape with 2 <= d <= 5;
+# a_sites is the oracle's side A, site 0 as in pair_side_norms
+@pytest.mark.parametrize("dims, a_sites", [((2, 3), (0,)), ((5, 4), (0,)), ((6, 2), (0,))]
                          + [(dims, (0,)) for dims in ALL_SHAPES
                             if dims not in ((2, 3), (5, 4))])
 @pytest.mark.parametrize("batch", [(), (3,), (4, 5)])
@@ -128,7 +128,7 @@ def test_pair_side_norms_batched_matches_per_pair(rng, dims, a_sites, batch):
     d = int(np.prod(dims))
     psi = rng.standard_normal(batch + (d,)) + 1j * rng.standard_normal(batch + (d,))
     phi = rng.standard_normal(batch + (d,)) + 1j * rng.standard_normal(batch + (d,))
-    na, nb = pair_side_norms(psi, phi, dims, a_sites)
+    na, nb = pair_side_norms(psi, phi, dims)
     if batch == ():
         assert isinstance(na, float) and isinstance(nb, float)
     assert np.shape(na) == batch and np.shape(nb) == batch
@@ -143,9 +143,9 @@ def test_pair_side_norms_rejects_nan():
     phi = _ket([0, 1, 0, 0], (2, 2)).amplitudes
     psi[2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        pair_side_norms(psi, phi, (2, 2), a_sites=(0,))
+        pair_side_norms(psi, phi, (2, 2))
     with pytest.raises(ValueError, match="non-finite"):
-        pair_side_norms(np.stack([phi, psi]), np.stack([psi, phi]), (2, 2), a_sites=(0,))
+        pair_side_norms(np.stack([phi, psi]), np.stack([psi, phi]), (2, 2))
 
 
 def _eigvalsh_operands(monkeypatch) -> list:
@@ -162,11 +162,11 @@ def _eigvalsh_operands(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("dims, a_sites", [(dims, (0,)) for dims in ALL_SHAPES]
-                         + [((2, 3, 2), (0, 2))])
+                         + [((6, 2), (0,))])
 def test_reduced_differences_are_bitwise_hermitian(rng, monkeypatch, dims, a_sites):
     # pair_side_norms and the scan take eigvalsh of these differences, which
     # reads one triangle only: entry (c, a) must be the exact conjugate of
-    # entry (a, c)
+    # entry (a, c); side A is a_sites, site 0 as in the product
     d = int(np.prod(dims))
     pair = rng.standard_normal((2, 6, d)) + 1j * rng.standard_normal((2, 6, d))
     b_sites = [i for i in range(len(dims)) if i not in a_sites]
@@ -176,7 +176,7 @@ def test_reduced_differences_are_bitwise_hermitian(rng, monkeypatch, dims, a_sit
         assert np.array_equal(delta, delta.conj().mT)
     q, _ = np.linalg.qr(rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2)))
     seen = _eigvalsh_operands(monkeypatch)
-    subspace_pair_score_scan(Ket(q[:, 0], dims), Ket(q[:, 1], dims), a_sites=a_sites)
+    subspace_pair_score_scan(Ket(q[:, 0], dims), Ket(q[:, 1], dims))
     assert len(seen) == 2
     for delta in seen:
         assert np.array_equal(delta, delta.conj().mT)
@@ -192,13 +192,14 @@ def _random_pairs(rng):
 
 def test_scan_scores_its_grid_in_one_batch(rng, monkeypatch):
     # one eigvalsh per side for the whole half grid, 13 theta rows (theta <=
-    # pi/2) by 24 phi columns at grid_n = 24, at that side's size; no SVD
+    # pi/2) by 24 phi columns of the GRID_N = 24 grid, at that side's size;
+    # no SVD
     calls = count_factorizations(monkeypatch)
     seen = _eigvalsh_operands(monkeypatch)
     for b0, b1 in _random_pairs(rng):
         calls.clear()
         seen.clear()
-        subspace_pair_score_scan(b0, b1, grid_n=24)
+        subspace_pair_score_scan(b0, b1)
         assert (calls["svd"], calls["eigvalsh"]) == (0, 2)
         assert [a.shape for a in seen] == [(13, 24, d, d) for d in b0.dims]
 
@@ -232,10 +233,10 @@ def _orthonormal_pairs(dims, n, rng):
 @pytest.mark.parametrize("dims", [(da, db) for da in range(2, 6) for db in range(2, 6)])
 def test_witness_batch_matches_one_pair_calls(rng, dims):
     b0s, b1s = _orthonormal_pairs(dims, 7, rng)
-    batch = no_hiding_witness_batch(b0s, b1s, dims, a_sites=(0,))
+    batch = no_hiding_witness_batch(b0s, b1s, dims)
     assert len(batch) == 7
     for b0, b1, w in zip(b0s, b1s, batch):
-        one = no_hiding_witness(Ket(b0, dims), Ket(b1, dims), a_sites=(0,))
+        one = no_hiding_witness(Ket(b0, dims), Ket(b1, dims))
         assert (w.score, w.candidate_id, w.side, w.side_norms) == \
             (one.score, one.candidate_id, one.side, one.side_norms)
         assert np.array_equal(w.psi.amplitudes, one.psi.amplitudes)
@@ -245,7 +246,7 @@ def test_witness_batch_matches_one_pair_calls(rng, dims):
         rho0 = partial_trace(np.outer(b0, b0.conj()), dims, [0])
         rho1 = partial_trace(np.outer(b1, b1.conj()), dims, [0])
         for wit in (w, one):
-            assert abs(wit.distance_d - helstrom(rho0, rho1)[0]) <= 1e-12
+            assert abs(wit.distance_d - helstrom(rho0, rho1, dims[:1])[0]) <= 1e-12
             assert abs(wit.fidelity_f - fidelity(rho0, rho1)) <= 1e-12
 
 
@@ -387,38 +388,34 @@ def test_scan_dominates_witness(rng):
         b0 = _ket(raw0, (2, 2))
         b1 = _ket(raw1, (2, 2))
         w = no_hiding_witness(b0, b1)
-        best = subspace_pair_score_scan(b0, b1, grid_n=16)
+        best = subspace_pair_score_scan(b0, b1)
         assert best >= w.score - 1e-9
         assert best <= 4.0 + 1e-9
 
 
-@pytest.mark.parametrize("grid_n", [16, 24])
-def test_scan_matches_double_loop(rng, grid_n):
-    for dims, a_sites in (((2, 2), (0,)), ((3, 4), (0,)), ((2, 3, 2), (0, 2)),
-                          ((5, 5), (1,)), ((2, 5), (1,)), ((3, 3), (1,))):
+def test_scan_matches_double_loop(rng):
+    for dims in ((2, 2), (3, 4), (6, 2), (5, 5), (2, 5), (3, 3)):
         d = int(np.prod(dims))
         g = rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
         q, _ = np.linalg.qr(g)
         b0, b1 = Ket(q[:, 0], dims), Ket(q[:, 1], dims)
-        best = subspace_pair_score_scan(b0, b1, a_sites=a_sites, grid_n=grid_n)
-        ref = pair_score_scan_loop(q[:, 0], q[:, 1], dims, a_sites, grid_n)
+        best = subspace_pair_score_scan(b0, b1)
+        ref = pair_score_scan_loop(q[:, 0], q[:, 1], dims, (0,), no_hiding.GRID_N)
         assert abs(best - ref) <= 1e-12
 
 
-def test_scan_grid_validation():
-    b0 = _ket([1, 0, 0, 0], (2, 2))
-    b1 = _ket([0, 1, 0, 0], (2, 2))
-    with pytest.raises(ValueError, match="grid"):
-        subspace_pair_score_scan(b0, b1, grid_n=1)
-
-
-@pytest.mark.parametrize("grid_n", [3, 15, 25])
-def test_scan_refuses_an_odd_grid(grid_n):
-    # the half-sphere scan needs the phi ring closed under phi + pi
-    b0 = _ket([1, 0, 0, 0], (2, 2))
-    b1 = _ket([0, 1, 0, 0], (2, 2))
-    with pytest.raises(ValueError, match="grid_n must be even"):
-        subspace_pair_score_scan(b0, b1, grid_n=grid_n)
+def test_two_sides_refuse_other_site_counts(rng):
+    # side A is site 0 and side B site 1: a three-site dims has no such split
+    dims = (2, 3, 2)
+    b0s, b1s = _orthonormal_pairs(dims, 2, rng)
+    b0, b1 = Ket(b0s[0], dims), Ket(b1s[0], dims)
+    for call in (lambda: pair_side_norms(b0s, b1s, dims),
+                 lambda: no_hiding_witness_batch(b0s, b1s, dims),
+                 lambda: no_hiding_witness(b0, b1),
+                 lambda: subspace_pair_score_scan(b0, b1),
+                 lambda: two_site_attack(Projector(np.eye(12, dtype=complex), dims))):
+        with pytest.raises(ValueError, match=r"two-site dims, not \(2, 3, 2\)"):
+            call()
 
 
 @pytest.mark.parametrize("scale", [1.001, np.nan], ids=["scaled", "nan"])

@@ -907,14 +907,14 @@ def test_helstrom_trace_identity(rng):
     for _ in range(30):
         r0 = random_density(4, rng)
         r1 = random_density(4, rng)
-        d, x = helstrom(r0, r1)
+        d, x = helstrom(r0, r1, (4,))
         assert np.trace(x.matrix @ (r0 - r1)).real == pytest.approx(d, abs=1e-10)
         assert 0 <= d <= 1 + 1e-12
 
 
 def test_helstrom_equal_states_full_projector(rng):
     r = random_density(3, rng)
-    d, x = helstrom(r, r)
+    d, x = helstrom(r, r, (3,))
     assert d == pytest.approx(0.0, abs=1e-12)
     assert_allclose(x.matrix, np.eye(3), atol=1e-9)
 
@@ -922,7 +922,7 @@ def test_helstrom_equal_states_full_projector(rng):
 def test_helstrom_orthogonal_pure_states():
     r0 = np.diag([1.0, 0.0]).astype(complex)
     r1 = np.diag([0.0, 1.0]).astype(complex)
-    d, x = helstrom(r0, r1)
+    d, x = helstrom(r0, r1, (2,))
     assert d == pytest.approx(1.0, abs=1e-12)
     assert_allclose(x.matrix, r0, atol=1e-12)
 
@@ -933,7 +933,7 @@ def test_fidelity_distance_tradeoff(rng):
         n = int(rng.integers(2, 5))
         r0 = random_density(n, rng, rank=int(rng.integers(1, n + 1)))
         r1 = random_density(n, rng, rank=int(rng.integers(1, n + 1)))
-        d, _ = helstrom(r0, r1)
+        d, _ = helstrom(r0, r1, (n,))
         assert 1 - d <= fidelity(r0, r1) + 1e-9
 
 

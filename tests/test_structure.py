@@ -112,7 +112,7 @@ def test_schmidt_shape_validation():
     with pytest.raises(ValueError, match="dims"):
         operator_schmidt(ZZ, (2, 3))
     with pytest.raises(ValueError, match="dimensions"):
-        operator_schmidt(ZZ)
+        operator_schmidt(ZZ, (4,))
 
 
 # --------------------------------------------------------- site algebra
