@@ -16,6 +16,7 @@ import numpy as np
 from .operators import (
     HermOp,
     Projector,
+    _diag_eigh,
     _eigh_columns,
     _hermitian,
     _max_abs,
@@ -82,11 +83,18 @@ def ground_subspace(h) -> CodeSubspace:
     as it is; a plain matrix goes through herm_eig's gate. A model hands
     its hamiltonian over (LocalModel.hamiltonian) and keeps no copy, so it
     is freed when this returns; a caller that needs H again passes the
-    HermOp it holds instead of the model.
+    HermOp it holds instead of the model. A model with a ``diagonal`` long
+    enough for the block route gives its code with no factorization and
+    no D x D array (operators._diag_eigh), the bits that route gives for
+    the assembled matrix; a shorter one is assembled and factored.
     """
     if hasattr(h, "hamiltonian"):
-        h = h.hamiltonian()
-    w, columns = _eigh_columns(h)
+        dims = h.system.dims
+        pair = None if h.diagonal is None else _diag_eigh(h.diagonal)
+        w, columns = _eigh_columns(h.hamiltonian()) if pair is None else pair
+    else:
+        dims = getattr(h, "dims", None)
+        w, columns = _eigh_columns(h)
     spread = float(w[-1] - w[0])
     if spread <= 0:
         raise ValueError(
@@ -104,7 +112,7 @@ def ground_subspace(h) -> CodeSubspace:
             f"cluster, resolution {resolution:.3e}"
         )
     return CodeSubspace(basis=columns(d), gap=gap, ground_energy=float(w[0]),
-                        dims=tuple(getattr(h, "dims", (len(w),))))
+                        dims=tuple(dims or (len(w),)))
 
 
 def full_space_code(dims) -> CodeSubspace:

@@ -59,41 +59,51 @@ class NoiseDistribution:
     moments, its characteristic function and a quadrature rule that
     integrates it either exactly (discrete) or with spectral accuracy
     (gaussian, uniform). Every parameter must be finite, and every guard
-    refuses unless its condition holds, so a NaN is refused.
+    refuses unless its condition holds, so a NaN is refused. The rules
+    hold however the law is built, by a classmethod or directly.
     """
 
     kind: str
     params: tuple
 
+    def __post_init__(self):
+        if self.kind == "gaussian":
+            if not self.params[1] > 0:
+                raise ValueError("gaussian width must be positive")
+            if not np.isfinite(self.params).all():
+                raise ValueError("gaussian mean and width must be finite")
+        elif self.kind == "uniform":
+            if not self.params[1] > self.params[0]:
+                raise ValueError("uniform needs b > a")
+            if not np.isfinite(self.params).all():
+                raise ValueError("uniform ends must be finite")
+        elif self.kind == "discrete":
+            values, probs = self.params
+            if not values:
+                raise ValueError("discrete distribution needs at least one atom")
+            if len(probs) != len(values):
+                raise ValueError("discrete distribution needs one probability per value")
+            if not np.isfinite([*values, *probs]).all():
+                raise ValueError("discrete values and probabilities must be finite")
+            if not all(p >= 0 for p in probs):
+                raise ValueError("negative probability")
+            if not abs(sum(probs) - 1.0) <= PROB_ATOL:
+                raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
+        else:
+            raise ValueError(f"unknown noise distribution kind {self.kind!r}")
+
     @classmethod
     def gaussian(cls, mean: float, std: float) -> "NoiseDistribution":
-        if not std > 0:
-            raise ValueError("gaussian width must be positive")
-        if not np.isfinite([mean, std]).all():
-            raise ValueError("gaussian mean and width must be finite")
         return cls("gaussian", (float(mean), float(std)))
 
     @classmethod
     def uniform(cls, a: float, b: float) -> "NoiseDistribution":
-        if not b > a:
-            raise ValueError("uniform needs b > a")
-        if not np.isfinite([a, b]).all():
-            raise ValueError("uniform ends must be finite")
         return cls("uniform", (float(a), float(b)))
 
     @classmethod
     def discrete(cls, pairs) -> "NoiseDistribution":
-        values = tuple(float(v) for v, _ in pairs)
-        probs = tuple(float(p) for _, p in pairs)
-        if not values:
-            raise ValueError("discrete distribution needs at least one atom")
-        if not np.isfinite(values + probs).all():
-            raise ValueError("discrete values and probabilities must be finite")
-        if not all(p >= 0 for p in probs):
-            raise ValueError("negative probability")
-        if not abs(sum(probs) - 1.0) <= PROB_ATOL:
-            raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
-        return cls("discrete", (values, probs))
+        return cls("discrete", (tuple(float(v) for v, _ in pairs),
+                                tuple(float(p) for _, p in pairs)))
 
     @classmethod
     def delta(cls, value: float) -> "NoiseDistribution":

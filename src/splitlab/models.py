@@ -77,9 +77,11 @@ class LocalModel:
     ``terms`` maps tuples of distinct sites to matrices given in the listed
     site order. ``commuting`` certifies that every pair of terms commutes
     within COMMUTING_REL_TOL on the union of their supports;
-    ``commutation_defect`` records the worst relative defect seen. A model
-    keeps no D x D array once its hamiltonian has been handed over (see
-    hamiltonian()).
+    ``commutation_defect`` records the worst relative defect seen. When every
+    term is exactly diagonal, a builder's model keeps ``diagonal``, the D
+    reals of its shifted hamiltonian, and never holds a D x D array;
+    otherwise ``diagonal`` is None and the model keeps no D x D array once
+    its hamiltonian has been handed over (see hamiltonian()).
     """
 
     system: QuditSystem
@@ -91,6 +93,7 @@ class LocalModel:
 
     def __post_init__(self):
         self._ham = None
+        self.diagonal = None
 
     @property
     def n_sites(self) -> int:
@@ -103,11 +106,13 @@ class LocalModel:
     def hamiltonian(self) -> HermOp:
         """Assembled hamiltonian with the ground energy shifted to 0.
 
-        The sum a builder assembled (_finish_model) is handed to the first
-        caller and the model forgets it, so it is freed once that caller
-        drops it. Every later call assembles the sum again from the same
-        terms, in the same order, with the same offset, so its bytes are
-        the same. A caller that needs H twice holds the one it was given.
+        A model with a ``diagonal`` holds no sum, so each call assembles
+        one. Otherwise the sum a builder assembled (_finish_model) is handed
+        to the first caller and the model forgets it, so it is freed once
+        that caller drops it. Every later call assembles the sum again from
+        the same terms, in the same order, with the same offset, so its
+        bytes are the same. A caller that needs H twice holds the one it
+        was given.
         """
         h, self._ham = self._ham, None
         if h is None:
@@ -132,6 +137,36 @@ def _sum_terms(terms, dims) -> np.ndarray:
         _add_local(h, m, sites, dims)
         _hermitian(m, 0.0, f"term on {tuple(sites)} is not hermitian")
     return h
+
+
+def _diag_energy(dims, pieces) -> np.ndarray:
+    """Sum of local diagonals, each broadcast over the other sites, as a
+    flat vector of D reals.
+
+    Each piece is (sites, d), d the diagonal of a term given in the listed
+    site order (indexed [label of sites[0], label of sites[1], ...]); the
+    pieces are added to zeros in order.
+    """
+    e = np.zeros(dims)
+    for sites, d in pieces:
+        d = np.reshape(d, [dims[s] for s in sites]).transpose(np.argsort(sites))
+        e += d.reshape([dims[s] if s in sites else 1 for s in range(len(dims))])
+    return e.reshape(-1)
+
+
+def _summed_diagonal(terms, dims):
+    """The diagonal of _sum_terms(terms, dims) as D reals, or None as soon as
+    a term has a nonzero entry off its diagonal.
+
+    Each term passes _sum_terms' exact gate, and _diag_energy adds their
+    diagonals to zeros in term order, as _add_local adds them there: every
+    entry is the same float as _sum_terms'.
+    """
+    for sites, m in terms:
+        if np.count_nonzero(m) != np.count_nonzero(m.diagonal()):
+            return None
+        _hermitian(m, 0.0, f"term on {tuple(sites)} is not hermitian")
+    return _diag_energy(dims, [(sites, m.diagonal().real) for sites, m in terms])
 
 
 def _shifted(h: np.ndarray, offset: float, dims) -> HermOp:
@@ -183,11 +218,15 @@ def _commutation_defect(terms, dims) -> float:
 def _finish_model(system, terms, meta=None, integer_spectrum=False) -> LocalModel:
     """The LocalModel of the builders' exactly hermitian ``terms``.
 
-    The terms' commutation is certified, and their sum is assembled once:
-    its least eigenvalue is the energy offset (snapped to the integer
-    spectrum when asked), and the shifted sum, checked at its terms by
-    _sum_terms, not as a whole, is kept only until the first
-    hamiltonian() call hands it over.
+    The terms' commutation is certified. When every term is diagonal, the
+    energy offset is the least entry of their summed diagonal (a diagonal
+    matrix's eigenvalues are its entries, so this is the bits of
+    _herm_eigvalsh on the sum), and the model keeps that diagonal,
+    shifted: no D x D sum is assembled and nothing is factored. Otherwise
+    the sum is assembled once: its least eigenvalue is the offset, and
+    the shifted sum, checked at its terms by _sum_terms, not as a whole,
+    is kept only until the first hamiltonian() call hands it over. The
+    offset is snapped to the integer spectrum when asked.
     """
     defect = _commutation_defect(terms, system.dims)
     model = LocalModel(
@@ -197,15 +236,22 @@ def _finish_model(system, terms, meta=None, integer_spectrum=False) -> LocalMode
         commutation_defect=defect,
         meta=meta or {},
     )
-    raw = _sum_terms(terms, system.dims)
-    e0 = float(_herm_eigvalsh(raw)[0])
+    diag = _summed_diagonal(terms, system.dims)
+    if diag is None:
+        raw = _sum_terms(terms, system.dims)
+        e0 = float(_herm_eigvalsh(raw)[0])
+    else:
+        e0 = float(diag.min())
     if integer_spectrum:
         snapped = round(e0)
         if abs(e0 - snapped) > 1e-9:
             raise ValueError(f"expected an integer ground energy, got {e0}")
         e0 = float(snapped)
     model.energy_offset = e0
-    model._ham = _shifted(raw, e0, system.dims)     # what hamiltonian() assembles, handed over once
+    if diag is None:
+        model._ham = _shifted(raw, e0, system.dims)     # what hamiltonian() assembles, handed over once
+    else:
+        model.diagonal = diag - e0
     return model
 
 
@@ -307,18 +353,6 @@ def four_two_two_model() -> LocalModel:
     return stabilizer_hamiltonian(4, ["XXXX", "ZZZZ"])
 
 
-def _diag_energy(dims, pairs, couplings) -> np.ndarray:
-    """Total diagonal energy per product label, as a flat vector."""
-    e = np.zeros(dims)
-    for (i, j), c in zip(pairs, couplings):
-        # c is indexed [label_i, label_j]; broadcast it over axes i and j
-        c = np.reshape(c, (dims[i], dims[j]))
-        shape = [1] * len(dims)
-        shape[i], shape[j] = dims[i], dims[j]
-        e += (c if i < j else c.T).reshape(shape)
-    return e.reshape(-1)
-
-
 def random_commuting_model(
     system: QuditSystem,
     pairs,
@@ -363,7 +397,7 @@ def random_commuting_model(
     # label sharing that entry by the same amount, but those started at or
     # above E(b), so nothing falls below E(a*).
     for _ in range(64):
-        energies = _diag_energy(dims, pairs, couplings)
+        energies = _diag_energy(dims, zip(pairs, couplings))
         ground = energies.min()
         degenerate = int(np.sum(energies == ground))
         if degenerate >= target:
@@ -388,7 +422,7 @@ def random_commuting_model(
         u = np.kron(rotations[i], rotations[j])
         m = (u * c.astype(float)) @ u.conj().T
         terms.append(((i, j), 0.5 * (m + m.conj().T)))
-    energies = _diag_energy(dims, pairs, couplings)
+    energies = _diag_energy(dims, zip(pairs, couplings))
     model = LocalModel(
         system=system,
         terms=terms,

@@ -583,8 +583,7 @@ def _block_eigh(a: np.ndarray, lab: np.ndarray, vectors: bool):
     block, so a block column's first largest entry is also the full
     column's.
     """
-    n = a.shape[0]
-    w_all = np.empty(n)
+    w_all = np.empty(a.shape[0])
     parts = []
     for pos, idx in _block_index(lab):
         s = idx.shape[1]
@@ -596,9 +595,20 @@ def _block_eigh(a: np.ndarray, lab: np.ndarray, vectors: bool):
         else:
             w = np.linalg.eigvalsh(sub)
         w_all[pos] = w
-    rank = np.argsort(w_all, kind="stable")
     if not vectors:
-        return w_all[rank]
+        return w_all[np.argsort(w_all, kind="stable")]
+    return _ranked_columns(w_all, parts)
+
+
+def _ranked_columns(w_all: np.ndarray, parts: list):
+    """(w, columns) of eigenpairs given block by block, as _block_eigh returns them.
+
+    ``w_all`` holds each block's eigenvalues at their slots ``pos`` and each
+    part is (pos, idx, v) with v the block columns; see _block_eigh. The
+    eigenvalues are sorted stably.
+    """
+    n = w_all.shape[0]
+    rank = np.argsort(w_all, kind="stable")
     col = np.empty(n, dtype=np.intp)
     col[rank] = np.arange(n)
 
@@ -611,6 +621,23 @@ def _block_eigh(a: np.ndarray, lab: np.ndarray, vectors: bool):
         return out
 
     return w_all[rank], columns
+
+
+def _diag_eigh(diag: np.ndarray):
+    """(w, columns) of the real diagonal matrix with diagonal ``diag``, or
+    None when it has fewer than BLOCK_SCAN_MIN_DIM entries.
+
+    From that size on, _eigh_columns splits that matrix into 1 x 1 blocks,
+    each factored exactly (eigenvalue the entry, column 1), so this is
+    _block_eigh's output with nothing factored and no D x D array read:
+    the same eigenvalues, the same stable order of ties and the same unit
+    columns. Below it the dense LAPACK route orders ties, so the caller
+    factors the matrix.
+    """
+    if diag.shape[0] < BLOCK_SCAN_MIN_DIM:
+        return None
+    idx = np.arange(diag.shape[0])[:, None]
+    return _ranked_columns(diag, [(idx, idx, np.ones((1, diag.shape[0])))])
 
 
 def _eigh_columns(matrix):

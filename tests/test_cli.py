@@ -20,7 +20,13 @@ from splitlab.models import (
     pauli_string_matrix,
     two_local_model,
 )
-from splitlab.operators import embed, operator_norm, random_herm, random_projector
+from splitlab.operators import (
+    BLOCK_SCAN_MIN_DIM,
+    embed,
+    operator_norm,
+    random_herm,
+    random_projector,
+)
 from splitlab.splitting import ids
 
 
@@ -750,6 +756,52 @@ def test_attack_holds_one_full_matrix_at_a_time(tmp_path):
     assert code == 0
     assert _report(tmp_path / "out")["all_passed"] is True
     assert peak <= 1.2 * 16 * 2 ** 20
+
+
+def test_attack_on_a_diagonal_model_assembles_nothing_full(tmp_path, monkeypatch):
+    # the repetition chain's terms are all diagonal: its offset and its
+    # code come from D reals, so no D x D sum is assembled or scanned; only
+    # the re-measure embeds the attack operator
+    import splitlab.models
+    import splitlab.operators
+
+    scan = splitlab.operators._pattern_blocks
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a D x D sum was assembled")
+
+    def small_scan(a):
+        # a k x k spectrum, below BLOCK_SCAN_MIN_DIM, asks and gets None
+        if a.shape[0] >= BLOCK_SCAN_MIN_DIM:
+            raise AssertionError(f"a {a.shape} matrix was scanned")
+        return scan(a)
+
+    monkeypatch.setattr(splitlab.models, "_sum_terms", refuse)
+    monkeypatch.setattr(splitlab.operators, "_pattern_blocks", small_scan)
+    scn = _write(tmp_path, "s.json", _attack_scenario(n=10))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 0
+    results = _report(out)["results"]
+    assert results["delta_e"] == results["remeasured_delta_e"] == 2
+
+
+def test_dephase_on_a_diagonal_model_assembles_its_hamiltonian_once(tmp_path, monkeypatch):
+    import splitlab.models
+
+    original = splitlab.models._sum_terms
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(splitlab.models, "_sum_terms", counting)
+    scn = _write(tmp_path, "s.json", {
+        **_dephase_scenario(perturbation={"pauli": "Z" + "I" * 9}, nodes=2,
+                            t_grid={"start": 0.0, "stop": 2.0, "num": 2}),
+        "model": {"fixture": "repetition", "n": 10}})
+    assert cli.main(["run", "--scenario", scn, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 def test_attack_rejects_noncommuting_model_before_ground_extraction(tmp_path, monkeypatch):

@@ -14,6 +14,9 @@ from splitlab.code_space import (
 )
 from splitlab.models import (
     QuditSystem,
+    _sum_terms,
+    block_sites,
+    build_model,
     four_two_two_model,
     random_commuting_model,
     repetition_model,
@@ -22,6 +25,7 @@ from splitlab.operators import (
     BLOCK_SCAN_MIN_DIM,
     HERM_TILE,
     HermOp,
+    _herm_eigvalsh,
     _pattern_blocks,
     embed,
     herm_eig,
@@ -168,6 +172,42 @@ def test_ground_basis_is_herm_eigs_first_columns():
         assert code.basis.tobytes() == want.tobytes()
     assert {ground_subspace(m).degeneracy for m in split} >= {2, 8, 32}
 
+
+def _diagonal_qutrits(n: int):
+    """An inline chain of n qutrits whose pair and site terms are diagonal,
+    with non-integer entries; a pair listed backwards tests the site order."""
+    rng = np.random.default_rng(n)
+    terms = [{"sites": [k + 1, k], "matrix": np.diag(rng.normal(size=9)).astype(complex)}
+             for k in range(n - 1)]
+    terms.append({"sites": [1], "matrix": np.diag(rng.normal(size=3)).astype(complex)})
+    return build_model([3] * n, terms=terms)
+
+
+_DIAGONAL_MODELS = {
+    **{f"repetition{n}": lambda n=n: repetition_model(n) for n in range(7, 13)},
+    "z_chain": lambda: build_model(
+        [2] * 8, stabilizers=["I" * k + "ZZZ" + "I" * (5 - k) for k in range(6)]),
+    "qutrits27": lambda: _diagonal_qutrits(3),
+    "qutrits243": lambda: _diagonal_qutrits(5),
+    "blocked": lambda: block_sites(repetition_model(8), [[0, 1], [2, 3], [4, 5], [6, 7]]),
+}
+
+
+@pytest.mark.parametrize("build", _DIAGONAL_MODELS.values(), ids=_DIAGONAL_MODELS.keys())
+def test_diagonal_route_gives_the_matrix_routes_bits(build):
+    # a model whose terms are all diagonal keeps its summed diagonal; its
+    # offset and its code are those of the assembled matrix, bit for bit,
+    # below BLOCK_SCAN_MIN_DIM (qutrits27) and from it on
+    model = build()
+    assert model.diagonal is not None and model._ham is None
+    h = model.hamiltonian()
+    assert model.diagonal.tobytes() == h.matrix.diagonal().real.tobytes()
+    raw = _herm_eigvalsh(_sum_terms(model.terms, model.system.dims))
+    assert np.float64(model.energy_offset).tobytes() == raw[:1].tobytes()
+    a, b = ground_subspace(model), ground_subspace(h)
+    assert a.basis.dtype == b.basis.dtype and a.basis.tobytes() == b.basis.tobytes()
+    assert np.array([a.gap, a.ground_energy]).tobytes() == np.array([b.gap, b.ground_energy]).tobytes()
+    assert a.dims == b.dims
 
 
 def _gate_shapes(monkeypatch) -> list:

@@ -142,6 +142,26 @@ def test_distribution_validation():
         NoiseDistribution.discrete([(1.0, 0.6), (-1.0, 0.6)])
     with pytest.raises(ValueError, match="negative"):
         NoiseDistribution.discrete([(1.0, 1.5), (-1.0, -0.5)])
+    with pytest.raises(ValueError, match="at least one atom"):
+        NoiseDistribution.discrete([])
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("gaussian", (0.0, 0.0), "positive"),
+    ("gaussian", (np.nan, 0.1), "finite"),
+    ("uniform", (1.0, 1.0), "b > a"),
+    ("uniform", (-np.inf, 0.0), "finite"),
+    ("discrete", ((0.0, 1.0), (1.5, -0.5)), "negative probability"),
+    ("discrete", ((0.0, 1.0), (0.6, 0.6)), "sum"),
+    ("discrete", ((), ()), "at least one atom"),
+    ("discrete", ((0.0, 1.0), (1.0,)), "one probability per value"),
+    ("lorentzian", (0.0, 1.0), "unknown"),
+])
+def test_directly_built_laws_keep_the_classmethod_rules(kind, params, message):
+    # a law built without its classmethod once reached coherence_time with
+    # variance -0.75, which returned an infinite tau_eps and no error
+    with pytest.raises(ValueError, match=message):
+        NoiseDistribution(kind, params)
 
 
 @pytest.mark.parametrize("make", [
@@ -364,11 +384,14 @@ def test_time_series_on_sites_runs_no_full_size_svd(monkeypatch):
 
 
 def test_time_series_refuses_negative_weights_before_any_work(monkeypatch):
-    # a law built directly skips discrete()'s sign check; its negative
-    # weight must be refused before the pencil's pattern scan runs
+    # NoiseDistribution refuses a negative weight where it is built; a law
+    # that bypasses that check must still be refused by the series itself,
+    # before the pencil's pattern scan runs
     model, code = _rep_code()
     r = ids(code, Z1_ON_3)
-    dist = NoiseDistribution("discrete", ((0.0, 1.0), (1.5, -0.5)))
+    dist = object.__new__(NoiseDistribution)
+    object.__setattr__(dist, "kind", "discrete")
+    object.__setattr__(dist, "params", ((0.0, 1.0), (1.5, -0.5)))
 
     def no_work(*args, **kwargs):
         raise AssertionError("the pencil was built before the weights were checked")

@@ -185,7 +185,7 @@ def test_diag_energy_equals_embedded_diagonals_exactly(seed):
     want = np.zeros(int(np.prod(dims)))
     for (i, j), c in zip(pairs, couplings):
         want += embed(np.diag(c), (i, j), dims).diagonal().real
-    got = _diag_energy(dims, pairs, couplings)
+    got = _diag_energy(dims, zip(pairs, couplings))
     assert got.shape == want.shape
     assert np.array_equal(got, want)
 
@@ -224,7 +224,8 @@ def test_sum_terms_matches_kron_oracle_bytes(build):
         gated = _hermitian(h, HERM_ATOL * max(1.0, _max_abs(h)), "not hermitian")
         first = model.hamiltonian()
         assert first.matrix.tobytes() == h.tobytes() == gated.tobytes()
-        # the first call took the built sum; a second one assembles it again
+        # the first call took the built sum, if the model kept one; a second
+        # one assembles it again
         second = model.hamiltonian()
         assert second.matrix.tobytes() == first.matrix.tobytes()
         del h, gated
@@ -261,11 +262,27 @@ def test_assembly_and_embed_allocate_one_full_matrix():
 
 
 def test_model_build_holds_one_full_matrix():
-    # the assembled sum, which becomes the hamiltonian as it is; the ground
-    # energy reads it through a boolean pattern of D^2 bytes, and no
-    # hermiticity gate, conjugate copy or |H| of its size is formed
+    # a model with an off-diagonal term (X on site 0) keeps the assembled
+    # sum, which becomes the hamiltonian as it is; the ground energy reads
+    # it through a boolean pattern of D^2 bytes, and no hermiticity gate,
+    # conjugate copy or |H| of its size is formed
     one = 16 * 1024 ** 2
-    assert traced_peak(lambda: repetition_model(10))[1] <= 1.1 * one
+    gens = ["XZ" + "I" * 8] + ["I" * k + "ZZ" + "I" * (8 - k) for k in range(1, 9)]
+    model, peak = traced_peak(lambda: stabilizer_hamiltonian(10, gens))
+    assert model.diagonal is None
+    assert peak <= 1.1 * one
+
+
+def test_diagonal_model_build_holds_its_diagonal_alone():
+    # every term of the repetition chain is diagonal: the build adds the
+    # terms' diagonals and keeps D reals, with no D x D sum and no pattern
+    d = 1024
+    model, peak = traced_peak(lambda: repetition_model(10))
+    assert model._ham is None
+    arrays = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
+    arrays += [m for _, m in model.terms]
+    assert [a.nbytes for a in arrays if a.size >= d] == [model.diagonal.nbytes] == [8 * d]
+    assert peak <= 64 * d
 
 
 def test_oversized_chain_is_refused_before_its_strings():
