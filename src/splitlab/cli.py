@@ -481,8 +481,11 @@ def _run_dephase(scenario: Scenario):
     model = scenario.model
     params = scenario.params
     sites, m = params["perturbation"]
-    h = model.hamiltonian()
-    code = ground_subspace(h)
+    if model.diagonal is None:
+        h = model.hamiltonian()
+        code = ground_subspace(h)
+    else:   # h0 stays D reals; the code comes from them, or from H at small D
+        h, code = model.diagonal, ground_subspace(model)
     if code.degeneracy < 2:
         raise ValueError("nothing to dephase: the ground space is not degenerate")
     split = ids(code, m, sites)

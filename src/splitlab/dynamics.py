@@ -222,19 +222,19 @@ def _state_factor(rho0):
 class _BlockPencil:
     """The generators g h0 + lam (m on ``sites``) of one run, block by block.
 
-    ``factor`` diagonalizes one generator's blocks and ``evolve`` applies
-    exp(-i t G) to a start for a whole chunk of times at once.
+    ``factor`` diagonalizes the generators of many lam at once; ``evolve``
+    applies one, exp(-i t G), to a start at a chunk of times.
 
-    ``m`` acts on the ``sites`` (all sites when None, as for embed). One
-    partition serves every lam: the connected components of the joint
-    nonzero pattern of h0 and the placed m, read on both triangles so that
-    a non-hermitian entry stays inside a block (one _pattern_blocks scan;
-    one block below BLOCK_SCAN_MIN_DIM). Every generator is zero off those
+    ``h0`` is D x D, or a diagonal's D reals; ``m`` acts on the
+    ``sites`` (all sites when None, as for embed). One partition serves
+    every lam: the connected components of the joint nonzero pattern of h0
+    and the placed m, read on both triangles so that a non-hermitian entry
+    stays inside a block (one _pattern_blocks scan; one block below
+    BLOCK_SCAN_MIN_DIM). Every generator is zero off those
     blocks, so factoring the blocks is exact.
-    The blocks of h0 and of m are gathered once per block size; m's are
-    read from the small matrix through the site digits of each index, so
-    no D x D perturbation is formed, and a generator's block entries are
-    (g h0) + (lam m), the same sums as on the full matrix.
+    The blocks of h0 and of m are gathered once per block size, m's read
+    from the small matrix through the site digits of each index, and a
+    generator's block entries are (g h0) + (lam m), as on the full matrix.
     """
 
     def __init__(self, h0, m, sites, dims, gap_factor: float):
@@ -242,7 +242,7 @@ class _BlockPencil:
         m = mat_of(m)
         dims = tuple(int(d) for d in dims)
         on = list(range(len(dims)) if sites is None else sites)
-        pattern = h != 0
+        pattern = np.diag(h != 0) if h.ndim == 1 else h != 0
         _add_local(pattern, m != 0, on, dims)     # boolean +=: a logical or
         pattern |= pattern.T
         lab = _pattern_blocks(pattern)
@@ -251,10 +251,11 @@ class _BlockPencil:
         self.m = m
         self.gap_factor = float(gap_factor)
         self.blocks = [idx for _, idx in _block_index(lab)]
-        self._h = [h[idx[:, :, None], idx[:, None, :]] for idx in self.blocks]
-        self._m = []
+        self._h, self._m = [], []
         rest = [i for i in range(len(dims)) if i not in on]
         for idx in self.blocks:
+            r, c = idx[:, :, None], idx[:, None, :]
+            self._h.append(h[r, c] if h.ndim == 2 else np.where(r == c, h[r], 0))
             digits = np.unravel_index(idx, dims)
             sub = np.zeros_like(idx)
             for i in on:
@@ -264,37 +265,33 @@ class _BlockPencil:
                 same &= digits[i][:, :, None] == digits[i][:, None, :]
             self._m.append(np.where(same, m[sub[:, :, None], sub[:, None, :]], 0))
 
-    def generator(self, lam: float) -> list:
-        """Stacked blocks of g h0 + lam m, one array per block size."""
-        gens = [self.gap_factor * hb for hb in self._h]
-        for gen, mb in zip(gens, self._m):
-            gen += lam * mb             # (g h0) + (lam m), summed in place
+    def generator(self, lams) -> list:
+        """Blocks of (g h0) + (lam m) per size, over ``lams`` first."""
+        lams = np.asarray(lams, dtype=float)[..., None, None, None]
+        gens = [lams * mb for mb in self._m]
+        for gen, hb in zip(gens, self._h):
+            gen += self.gap_factor * hb
         return gens
 
-    def factor(self, lam: float, a: np.ndarray) -> tuple:
-        """The generator at lam, factored to evolve ``a`` (D x r): (parts, slot).
+    def factor(self, lams, a: np.ndarray) -> list:
+        """(parts, slot) per lam of ``lams``: its generator factored to evolve ``a`` (D x r).
 
-        All blocks go through one gate and one batched eigh per size
-        (operators._stacked_herm_eig). A block on which ``a`` is exactly
-        zero stays zero at every time, so ``parts`` keeps, per block size,
-        (e, Q, Q^dag a) of the other blocks alone, and ``slot`` maps each
-        index to its row among their rows laid end to end, or to one zero
-        row after them.
+        Every block is gated; a block where ``a`` is exactly zero stays
+        zero, so only the others reach LAPACK, one batched eigh a size for
+        all ``lams`` (operators._stacked_herm_eig). ``parts`` keeps, per
+        size, (e, Q, Q^dag a) of those blocks; ``slot`` maps each index to
+        its row among their rows laid end to end, or to a zero row after.
         """
-        parts, rows = [], []
-        for idx, (e, q) in zip(self.blocks, _stacked_herm_eig(self.generator(lam))):
-            ai = a[idx]
-            live = ai.any(axis=(-2, -1))
-            q = q[live].astype(complex, copy=False)   # once, not at every time
-            parts.append((e[live], q, q.conj().mT @ ai[live]))
-            rows.append(idx[live].reshape(-1))
-        rows = np.concatenate(rows)
+        live = [a[idx].any(axis=(-2, -1)) for idx in self.blocks]
+        rows = np.concatenate([idx[lv].reshape(-1) for idx, lv in zip(self.blocks, live)])
         slot = np.full(self.dim, rows.size)
         slot[rows] = np.arange(rows.size)
-        return parts, slot
+        parts = [(e, q, q.conj().mT @ a[idx[lv]]) for (e, q), idx, lv
+                 in zip(_stacked_herm_eig(self.generator(lams), live), self.blocks, live)]
+        return [([(e[k], q[k], c[k]) for e, q, c in parts], slot) for k in range(len(lams))]
 
     def evolve(self, factored: tuple, times: np.ndarray) -> np.ndarray:
-        """exp(-i t G) a for each t of ``times``, (T, D, r), from ``factor(lam, a)``.
+        """exp(-i t G) a for each t of ``times``, (T, D, r), from a ``factor`` entry.
 
         Per block size the phases exp(-i t e) are one (T, blocks, b) array
         and the chunk is one batched matmul, each (t, block) product the one
@@ -328,11 +325,12 @@ def _mixture(pencil: _BlockPencil, lam, weights, a, s, t_grid, reader=None):
     w_k Y diag(s) Y^dag with Y = R^dag x (Y = x when R is None, the
     identity), and the scalar w_k sum_j s_j |x_j|^2, the trace of the full
     D x D term. Returns (accumulators, traces), a (times, size, size) stack
-    and a vector. The times run in chunks (_time_chunks, per time the D x r
-    evolved columns and one accumulator): a chunk is one evolve call, one
-    stacked matmul for its Y diag(s) Y^dag and one np.vecdot for its
-    traces, which rounds each time's dot product as a single time's does.
-    Nodes are summed in ascending order, so the output is bit-stable.
+    and a vector. Nodes and times run in chunks (_time_chunks; per node its
+    generator's blocks, per time the D x r evolved columns and one
+    accumulator): one factor call a node chunk; a time chunk is one evolve
+    call, one stacked matmul for its Y diag(s) Y^dag and one np.vecdot for
+    its traces, which rounds as a single time's dot does. Nodes are summed
+    in ascending order, so the output is bit-stable.
     """
     times = np.asarray(t_grid, dtype=float)
     rh = None if reader is None else reader.conj().T
@@ -340,14 +338,14 @@ def _mixture(pencil: _BlockPencil, lam, weights, a, s, t_grid, reader=None):
     accs = np.zeros((len(times), size, size), dtype=complex)
     traces = np.zeros(len(times))
     chunks = _time_chunks(len(times), pencil.dim, pencil.dim * a.shape[1] + size * size)
-    for lk, wk in zip(lam, weights):
-        parts = pencil.factor(float(lk), a)
-        ws = float(wk) * s
-        for sl in chunks:
-            x = pencil.evolve(parts, times[sl])
-            y = x if rh is None else rh @ x
-            accs[sl] += (y * ws) @ y.conj().mT
-            traces[sl] += np.vecdot(np.sum(x.real ** 2 + x.imag ** 2, axis=1), ws)
+    for nl in _time_chunks(len(lam), pencil.dim, sum(hb.size for hb in pencil._h)):
+        for parts, wk in zip(pencil.factor(lam[nl], a), weights[nl]):
+            ws = float(wk) * s
+            for sl in chunks:
+                x = pencil.evolve(parts, times[sl])
+                y = x if rh is None else rh @ x
+                accs[sl] += (y * ws) @ y.conj().mT
+                traces[sl] += np.vecdot(np.sum(x.real ** 2 + x.imag ** 2, axis=1), ws)
     return accs, traces
 
 
@@ -360,12 +358,11 @@ def evolve_mixture_grid(h0, v, dist: NoiseDistribution, rho0, t_grid,
     for embed). Magnitudes come from dist.quadrature (exact for discrete
     and point laws). ``rho0``, a density matrix or a 1-D pure state, is
     written once as A diag(s) A^dag (``_state_factor``). The generators
-    are factored block by block on one partition (``_BlockPencil``): each
-    node costs one gated batched eigh per block size and no D x D
-    generator. Each time adds w X diag(s) X^dag, X = exp(-i t G) A built
-    block by block, into one D x D accumulator, at O(D^2 r) for a rank-r
-    start, and is normalized by the scalar full trace; each output is
-    checked as a DensityOp.
+    are factored on the blocks A reaches (``_BlockPencil``), with no D x D
+    generator. Each time adds w X diag(s) X^dag, X = exp(-i t G) A, into
+    one D x D accumulator, at O(D^2 r) for a rank-r start, and is
+    normalized by the scalar full trace; each output is checked as a
+    DensityOp.
     """
     h = mat_of(h0)
     dims = getattr(rho0, "dims", None) or getattr(h0, "dims", None) or (h.shape[0],)
@@ -421,8 +418,7 @@ def _bound_pencil(h0, r: IdsReport, v, gap_factor: float, sites) -> _BlockPencil
     if code.dim != h.shape[0] or tuple(code.dims) != tuple(getattr(h0, "dims", code.dims)):
         raise ValueError(f"code dims {code.dims} do not fit the hamiltonian")
     pencil = _BlockPencil(h, v, sites, code.dims, gap_factor)
-    # |h0|, its largest |eigenvalue|, from the pencil's blocks of h0, off
-    # which h0 is zero: one batched eigvalsh per block size
+    # |h0|, its largest |eigenvalue|, from h0's blocks, one eigvalsh a size
     h0_norm = max(_max_abs(_herm_eigvalsh(hb)) for hb in pencil._h)
     if abs(code.ground_energy) > 1e-10 * max(1.0, h0_norm):
         raise ValueError("shift the ground energy to 0 before checking the bound")
@@ -439,7 +435,7 @@ def _bound_rows(pencil: _BlockPencil, r: IdsReport, t_grid) -> list:
     code = r.code
     vnorm = operator_norm(pencil.m)
     g = pencil.gap_factor
-    parts = pencil.factor(1.0, code.basis)
+    parts = pencil.factor([1.0], code.basis)[0]
     e_code, q_code = r.eigenvalues, r.frame
     bq = code.basis @ q_code
     times = np.asarray(t_grid, dtype=float)
@@ -467,10 +463,9 @@ def gap_bound_check(h0, r: IdsReport, v, gap_factor: float, t_grid, sites=None) 
     sit at 0 within 1e-10 max(1, |h0|), |h0| its largest |eigenvalue|, or
     the phase-skewed comparison is refused. The norm is taken of the D x k
     difference on the code basis B, with exp(-i t P v P) B = B Q
-    exp(-i t e) Q^dag from the report. Full-size work: |h0| and the
-    generator g h0 + v are factored block by block on one partition
-    (``_BlockPencil``: one batched eigvalsh of h0 and one batched eigh of
-    the generator per block size), with no D x D generator.
+    exp(-i t e) Q^dag from the report. Full-size work, on the blocks of
+    one partition (``_BlockPencil``), per block size: one batched eigvalsh
+    of h0 and one batched eigh of the blocks of g h0 + v that B reaches.
     """
     return _bound_rows(_bound_pencil(h0, r, v, gap_factor, sites), r, t_grid)
 
@@ -671,30 +666,29 @@ def dephasing_time_series(h0, r: IdsReport, v, dist: NoiseDistribution,
     """Row dicts comparing prediction, simulation and both bounds over time.
 
     ``r = ids(code, v, sites)`` is the run's one compression of ``v`` (D x D,
-    or with ``sites`` on those sites only) onto the ground code of h0. One
-    row per time point and eigenvalue pair (m < n) of the compressed
-    perturbation: predicted and simulated coherence magnitudes, the
-    projected-evolution bound numbers and the fidelity pair, as plain
-    floats. The start state enters the eigenframe as c c^dag, c = Q^dag psi.
+    or with ``sites`` on those sites only) onto the ground code of h0
+    (D x D, or a diagonal h0's D reals). One row per time point and
+    eigenvalue pair (m < n) of the compressed perturbation: predicted and
+    simulated coherence magnitudes, the projected-evolution bound numbers
+    and the fidelity pair, as plain floats. The start state enters the
+    eigenframe as c c^dag, c = Q^dag psi.
     The gap bound and the simulation share one block pencil: one pattern
-    scan, then nodes + 1 gated batched eigh calls per block size (one per
-    magnitude node, one for g h0 + v), whatever len(t_grid), plus one
-    batched eigvalsh of h0's blocks per block size for the ground-energy
-    guard. The simulation reads only U^dag rho(t) U, U = B Q: per
-    node and time it accumulates the k x 1 vector U^dag x of the evolved
-    pure start x, normalized by the scalar full trace, so it holds k x k
-    per time and no D x D state, generator or perturbation, and runs no
-    full-size SVD or herm_eig. Quadrature weights must be nonnegative,
-    which makes the mixture PSD; a negative one is refused before any other
-    work.
+    scan, then per block size one gated batched eigh for g h0 + v and one
+    per chunk of nodes (_mixture), of the blocks the code basis or the
+    start reaches, whatever len(t_grid), plus one batched eigvalsh of h0's
+    blocks per block size for the ground-energy guard. The simulation
+    reads only U^dag rho(t) U, U = B Q: per node and time it accumulates
+    the k x 1 vector U^dag x of the evolved pure start x, normalized by the
+    scalar full trace, so it holds k x k per time and no D x D state,
+    generator or perturbation, and runs no full-size SVD or herm_eig.
+    Quadrature weights must be nonnegative, which makes the mixture PSD; a
+    negative one is refused before any other work.
     Every stage runs the time axis in chunks of about one D x D array's
-    worth (_time_chunks): the bound rows take one stacked operator_norm of
-    a chunk's D x k differences, the predictions one dephasing_factors call
-    per chunk, and the k x k predictions and simulated states of a chunk
-    are each checked as DensityOps are by one gate call and one stacked
-    eigvalsh (``_density_blocks``), the simulated ones with a
-    trace in [0, 1 + DENSITY_TRACE_ATOL], short of 1 by the weight that
-    left the code.
+    worth (_time_chunks); a chunk's predictions are one dephasing_factors
+    call, and its k x k predictions and simulated states are each checked
+    as DensityOps are in one call (``_density_blocks``), the simulated ones
+    with a trace in [0, 1 + DENSITY_TRACE_ATOL], short of 1 by the weight
+    that left the code.
     """
     lam, weights = dist.quadrature(nodes)
     if np.any(weights < 0):

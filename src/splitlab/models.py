@@ -154,6 +154,11 @@ def _diag_energy(dims, pieces) -> np.ndarray:
     return e.reshape(-1)
 
 
+def _is_diagonal(m: np.ndarray) -> bool:
+    """True when every nonzero entry of the square ``m`` is on its diagonal."""
+    return np.count_nonzero(m) == np.count_nonzero(m.diagonal())
+
+
 def _summed_diagonal(terms, dims):
     """The diagonal of _sum_terms(terms, dims) as D reals, or None as soon as
     a term has a nonzero entry off its diagonal.
@@ -163,7 +168,7 @@ def _summed_diagonal(terms, dims):
     entry is the same float as _sum_terms'.
     """
     for sites, m in terms:
-        if np.count_nonzero(m) != np.count_nonzero(m.diagonal()):
+        if not _is_diagonal(m):
             return None
         _hermitian(m, 0.0, f"term on {tuple(sites)} is not hermitian")
     return _diag_energy(dims, [(sites, m.diagonal().real) for sites, m in terms])
@@ -195,14 +200,18 @@ def _check_term(sites, matrix, dims) -> np.ndarray:
 
 
 def _commutation_defect(terms, dims) -> float:
-    """Worst relative commutator norm over term pairs with overlapping support."""
+    """Worst relative commutator norm over term pairs with overlapping support.
+
+    A pair of exactly diagonal terms scores 0.0 unmeasured: diagonal
+    matrices commute, and their measured commutator is exactly zero too.
+    """
     worst = 0.0
+    diagonal = [_is_diagonal(m) for _, m in terms]
     for a in range(len(terms)):
         sa, ma = terms[a]
         for b in range(a + 1, len(terms)):
             sb, mb = terms[b]
-            shared = set(sa) & set(sb)
-            if not shared:
+            if not set(sa) & set(sb) or diagonal[a] and diagonal[b]:
                 continue
             union = sorted(set(sa) | set(sb))
             sub = [dims[s] for s in union]

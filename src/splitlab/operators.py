@@ -102,10 +102,11 @@ def _hermitian(m: np.ndarray, atol, message: str) -> np.ndarray:
 
     ``m`` may also be a stack of square matrices along its leading axes;
     then M^dag is taken of each and each defect is held to ``atol``, which
-    is one float for the whole stack or an array of the stack's shape, one
-    tolerance per matrix. A NaN anywhere in a matrix's defect passes it,
-    and an all-zero defect passes whatever ``atol`` is. The result is a new
-    C-ordered array of ``m``'s dtype; ``m`` is never written.
+    is one float for the whole stack or an array that broadcasts to the
+    stack's shape, one tolerance per matrix. A NaN anywhere in a matrix's
+    defect passes it, and an all-zero defect passes whatever ``atol`` is.
+    The result is a new C-ordered array of ``m``'s dtype; ``m`` is never
+    written.
 
     ``m`` is read in HERM_TILE x HERM_TILE tiles of its last two axes, one
     tile up to HERM_TILE rows. Each tile's partner conj(m[J, I])^T is read
@@ -497,12 +498,13 @@ def _lapack_operand(m: np.ndarray) -> np.ndarray:
     return m.real if not m.imag.any() else m
 
 
-def _raw_gate(m: np.ndarray, scale: float) -> np.ndarray:
+def _raw_gate(m: np.ndarray, scale) -> np.ndarray:
     """The spectral wrappers' gate of a raw ``m``: finite entries, then _hermitian
     of its LAPACK operand within HERM_CHECK_REL times ``scale``, a Frobenius
-    norm (1 when it is zero) of ``m`` or of a matrix that holds it."""
+    norm (1 where it is zero) of ``m`` or of a matrix that holds it, or an
+    array of them, one per matrix of a stack."""
     _require_finite(m)
-    return _hermitian(_lapack_operand(m), HERM_CHECK_REL * (scale or 1.0),
+    return _hermitian(_lapack_operand(m), HERM_CHECK_REL * np.where(scale > 0, scale, 1.0),
                       "input is too far from hermitian")
 
 
@@ -686,21 +688,39 @@ def herm_eig(matrix):
     return w, columns(len(w))
 
 
-def _stacked_herm_eig(stacks: list) -> list:
-    """(e, Q) of each stack of hermitian blocks, one batched LAPACK call a stack.
+def _stacked_herm_eig(stacks: list, live: list) -> list:
+    """(e, Q) of the ``live`` blocks of several matrices, one stack per block size.
 
-    The stacks are the principal blocks of one matrix that is zero off
-    them, such as a block form from _block_index. Each goes through
-    herm_eig's gate, _raw_gate, with one tolerance for all of them:
-    HERM_CHECK_REL times the Frobenius norm of the whole matrix, which
-    is the norm of all the stacks. Since the entries off the blocks are
-    zero, that is the test herm_eig makes of the full matrix. A stack whose
-    imaginary part is exactly zero is factored as its real part. The
-    columns keep LAPACK's phases: a propagator Q exp(-i t e) Q^dag does not
-    see them.
+    A stack is (matrices, blocks, b, b), the principal blocks of one size of
+    each matrix (as from _block_index), which is zero off its blocks. Every
+    block passes _raw_gate within HERM_CHECK_REL times its matrix's
+    Frobenius norm, the test herm_eig makes of the full matrix. Only the
+    blocks the boolean mask ``live`` marks reach LAPACK, one batched call
+    per arithmetic: a matrix whose blocks of that size are exactly real is
+    factored in real arithmetic. Returns per stack e (matrices, live, b) and complex Q
+    (matrices, live, b, b), each block's the bits of a call on it alone;
+    the columns keep LAPACK's phases, which a propagator does not see.
     """
-    scale = float(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in stacks)))
-    return [np.linalg.eigh(_raw_gate(b, scale)) for b in stacks]
+    n = len(stacks[0])
+    flat = [s.reshape(n, -1) for s in stacks]
+    scale = np.sqrt(sum(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag) for f in flat))
+    out = []
+    for s, lv in zip(stacks, live):
+        cplx = s.imag.any(axis=(1, 2, 3))
+        got = []
+        for on in (~cplx, cplx):
+            if on.any():
+                b = _raw_gate(s if on.all() else s[on], scale[on, None])
+                b = b if lv.all() else b[:, lv]
+                if b.size:
+                    got.append((on, *np.linalg.eigh(b.reshape((-1,) + b.shape[-2:]))))
+                del b       # freed before q is allocated
+        shape = (n, np.count_nonzero(lv)) + s.shape[-2:]
+        e, q = np.empty(shape[:-1]), np.empty(shape, dtype=complex)
+        for on, w, v in got:
+            e[on], q[on] = w.reshape((-1,) + shape[1:-1]), v.reshape((-1,) + shape[1:])
+        out.append((e, q))
+    return out
 
 
 def _herm_eigvalsh(matrix) -> np.ndarray:

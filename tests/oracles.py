@@ -20,11 +20,25 @@ multiplies each element once; the two must also agree bit for bit. The
 per-time dynamics references evolve one time and one magnitude node at a
 time through a dense np.linalg.eigh of the full generator, where
 ``dynamics._BlockPencil`` factors blocks once and evolves chunks of times.
+The per-node mixture factors each node's generator alone and every one of
+its blocks, where ``_BlockPencil.factor`` factors a chunk of nodes at once
+and only the blocks the start reaches; the two must agree bit for bit.
+The all-pairs commutation defect measures every overlapping pair of terms,
+where ``models._commutation_defect`` scores a pair of diagonal terms 0.0
+unmeasured; the two must agree exactly.
 """
 
 import numpy as np
 
-from splitlab.operators import embed, operator_norm, partial_trace, total_dim, trace_norm
+from splitlab.dynamics import _time_chunks
+from splitlab.operators import (
+    _raw_gate,
+    embed,
+    operator_norm,
+    partial_trace,
+    total_dim,
+    trace_norm,
+)
 from splitlab.verify import _herm_norm
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -298,3 +312,71 @@ def fidelity_per_time(psi, v, basis, lam, weights, t):
     f2 = sum(wk * abs(np.vdot(psi, dense_propagator(lk * pvp, t) @ psi)) ** 2
              for lk, wk in zip(lam, weights))
     return float(np.sqrt(f2))
+
+
+def factor_all_blocks(pencil, lam, a):
+    """(parts, slot) for the one node ``lam``, as ``pencil.factor`` gives it per node.
+
+    The node's blocks are summed as (g h0) + (lam m) in place, every block
+    is gated with the node's one tolerance and factored, one eigh per block
+    size, and the blocks on which ``a`` is zero are dropped afterwards.
+    """
+    gens = [pencil.gap_factor * hb for hb in pencil._h]
+    for gen, mb in zip(gens, pencil._m):
+        gen += lam * mb
+    scale = float(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in gens)))
+    parts, rows = [], []
+    for idx, gen in zip(pencil.blocks, gens):
+        e, q = np.linalg.eigh(_raw_gate(gen, scale))
+        ai = a[idx]
+        live = ai.any(axis=(-2, -1))
+        q = q[live].astype(complex, copy=False)
+        parts.append((e[live], q, q.conj().mT @ ai[live]))
+        rows.append(idx[live].reshape(-1))
+    rows = np.concatenate(rows)
+    slot = np.full(pencil.dim, rows.size)
+    slot[rows] = np.arange(rows.size)
+    return parts, slot
+
+
+def mixture_per_node(pencil, lam, weights, a, s, t_grid, reader=None):
+    """(accumulators, traces) of dynamics._mixture, each node factored by factor_all_blocks."""
+    times = np.asarray(t_grid, dtype=float)
+    rh = None if reader is None else reader.conj().T
+    size = pencil.dim if reader is None else reader.shape[1]
+    accs = np.zeros((len(times), size, size), dtype=complex)
+    traces = np.zeros(len(times))
+    chunks = _time_chunks(len(times), pencil.dim, pencil.dim * a.shape[1] + size * size)
+    for lk, wk in zip(lam, weights):
+        parts = factor_all_blocks(pencil, float(lk), a)
+        ws = float(wk) * s
+        for sl in chunks:
+            x = pencil.evolve(parts, times[sl])
+            y = x if rh is None else rh @ x
+            accs[sl] += (y * ws) @ y.conj().mT
+            traces[sl] += np.vecdot(np.sum(x.real ** 2 + x.imag ** 2, axis=1), ws)
+    return accs, traces
+
+
+def commutation_defect_all_pairs(terms, dims):
+    """Worst relative commutator norm over term pairs with overlapping support.
+
+    Every such pair is embedded on the union of its supports and measured
+    by three operator norms, pairs of diagonal terms included.
+    """
+    worst = 0.0
+    for a in range(len(terms)):
+        sa, ma = terms[a]
+        for b in range(a + 1, len(terms)):
+            sb, mb = terms[b]
+            if not set(sa) & set(sb):
+                continue
+            union = sorted(set(sa) | set(sb))
+            sub = [dims[s] for s in union]
+            ea = embed(ma, [union.index(s) for s in sa], sub)
+            eb = embed(mb, [union.index(s) for s in sb], sub)
+            denom = operator_norm(ea) * operator_norm(eb)
+            if denom == 0:
+                continue
+            worst = max(worst, operator_norm(ea @ eb - eb @ ea) / denom)
+    return worst

@@ -713,9 +713,9 @@ def test_run_extracts_the_ground_code_once(tmp_path, monkeypatch, scenario):
 def test_dephase_run_compresses_the_perturbation_once(tmp_path, factorizations):
     # one k x k eigendecomposition (ids) and one full-size one (the ground
     # extraction) for the whole run; the gap bound and the simulation share
-    # one block pencil: one pattern scan, then one batched block eigh per
-    # magnitude node plus one for the gap bound's generator, whatever the
-    # number of time points
+    # one block pencil: one pattern scan, then one batched block eigh for
+    # the gap bound's generator and one for all magnitude nodes, whatever
+    # the number of time points
     full, scans, stacked = factorizations
     nodes = 8
     for num in (2, 5):
@@ -729,7 +729,7 @@ def test_dephase_run_compresses_the_perturbation_once(tmp_path, factorizations):
         assert cli.main(["run", "--scenario", scn, "--out", str(tmp_path / f"out{num}")]) == 0
         assert sorted(full) == [(2, 2), (16, 16)]
         assert len(scans) == 1
-        assert stacked == [(1, 16, 16)] * (nodes + 1)
+        assert stacked == [(1, 16, 16), (nodes, 16, 16)]
 
 
 def test_dephase_at_the_time_ceiling_holds_code_size_per_time(tmp_path):
@@ -796,12 +796,83 @@ def test_dephase_on_a_diagonal_model_assembles_its_hamiltonian_once(tmp_path, mo
         return original(*args)
 
     monkeypatch.setattr(splitlab.models, "_sum_terms", counting)
-    scn = _write(tmp_path, "s.json", {
-        **_dephase_scenario(perturbation={"pauli": "Z" + "I" * 9}, nodes=2,
-                            t_grid={"start": 0.0, "stop": 2.0, "num": 2}),
-        "model": {"fixture": "repetition", "n": 10}})
+    # the pencil takes h0 as its D reals; at D = 1024 the code comes from
+    # them too, and nothing is assembled, while below BLOCK_SCAN_MIN_DIM the
+    # ground extraction assembles H once and factors it
+    for n, want in ((10, 0), (6, 1)):
+        calls.clear()
+        scn = _write(tmp_path, "s.json", {
+            **_dephase_scenario(perturbation={"pauli": "Z" + "I" * (n - 1)}, nodes=2,
+                                t_grid={"start": 0.0, "stop": 2.0, "num": 2}),
+            "model": {"fixture": "repetition", "n": n}})
+        assert cli.main(["run", "--scenario", scn, "--out", str(tmp_path / f"out{n}")]) == 0
+        assert len(calls) == want
+
+
+def _x_plus_z_scenario(n, nodes):
+    # the benchmark's dephase run: X + Z on site 0 of a repetition chain
+    x_plus_z = matrix_to_json(pauli_string_matrix("X") + pauli_string_matrix("Z"))
+    return {**_dephase_scenario(perturbation={"sites": [0], "matrix": x_plus_z}, nodes=nodes,
+                                t_grid={"start": 0.0, "stop": 5.0, "num": 2}, epsilon=0.01,
+                                sim_tol=5e-2),
+            "model": {"fixture": "repetition", "n": n}}
+
+
+def test_dephase_factors_only_the_blocks_it_evolves(tmp_path, factorizations):
+    # repetition n = 8 with 64 nodes: the pattern has 128 blocks of size 2,
+    # but the start and the code basis are nonzero on indices 0 and 255
+    # alone, so each of the 65 generators sends its 2 live blocks to
+    # LAPACK; the diagonal h0 needs no full-size factorization
+    full, scans, stacked = factorizations
+    nodes = 64
+    scn = _write(tmp_path, "s.json", _x_plus_z_scenario(8, nodes))
     assert cli.main(["run", "--scenario", scn, "--out", str(tmp_path / "out")]) == 0
-    assert len(calls) == 1
+    assert full == [(2, 2)]
+    assert len(scans) == 1
+    assert {shape[1:] for shape in stacked} == {(2, 2)}
+    assert sum(shape[0] for shape in stacked) == (nodes + 1) * 2
+
+
+def test_dephase_at_the_cap_assembles_no_hamiltonian(tmp_path, monkeypatch):
+    # D = 4096: the repetition chain's h0 stays its D reals, so no D x D
+    # complex array (256 MiB) is formed; the pattern scan's D x D booleans
+    # are the largest arrays
+    import splitlab.models
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a D x D hamiltonian was assembled")
+
+    monkeypatch.setattr(splitlab.models, "_sum_terms", refuse)
+    monkeypatch.setattr(splitlab.models.LocalModel, "hamiltonian", refuse)
+    scn = _write(tmp_path, "s.json", _x_plus_z_scenario(12, 4))
+    code, peak = traced_peak(
+        lambda: cli.main(["run", "--scenario", scn, "--out", str(tmp_path / "out")]))
+    assert code == 0
+    assert peak <= 4 * 4096 ** 2
+
+
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_dephase_on_a_diagonal_writes_the_assembled_route_bytes(tmp_path, monkeypatch, n):
+    # the same run with the model's diagonal cleared assembles H, extracts
+    # the code from it and hands the pencil D x D: the same report and csv
+    import splitlab.models
+
+    original = splitlab.models._sum_terms
+    sums = []
+    monkeypatch.setattr(splitlab.models, "_sum_terms", lambda *a: sums.append(1) or original(*a))
+    scn = _write(tmp_path, "s.json", _x_plus_z_scenario(n, 16))
+    outs = []
+    for route, want in (("diagonal", int(2 ** n < BLOCK_SCAN_MIN_DIM)), ("assembled", 1)):
+        sums.clear()
+        if route == "assembled":
+            monkeypatch.setattr(splitlab.models, "_summed_diagonal", lambda terms, dims: None)
+        out = tmp_path / route
+        assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 0
+        assert len(sums) == want
+        report = _report(out)
+        report.pop("wall_clock_seconds")
+        outs.append((report, (out / "dephasing.csv").read_bytes()))
+    assert outs[0] == outs[1]
 
 
 def test_attack_rejects_noncommuting_model_before_ground_extraction(tmp_path, monkeypatch):

@@ -6,7 +6,13 @@ from scipy.integrate import quad
 
 import splitlab.operators
 from conftest import count_factorizations, random_density, traced_peak
-from oracles import fidelity_per_time, gap_bound_lhs_per_time, mixture_per_time
+from oracles import (
+    factor_all_blocks,
+    fidelity_per_time,
+    gap_bound_lhs_per_time,
+    mixture_per_node,
+    mixture_per_time,
+)
 from splitlab.code_space import ground_subspace
 from splitlab import dynamics
 from splitlab.dynamics import (
@@ -27,6 +33,7 @@ from splitlab.models import (
     pauli_string_matrix,
     random_commuting_model,
     repetition_model,
+    stabilizer_hamiltonian,
 )
 from splitlab.operators import (
     DensityOp,
@@ -413,9 +420,10 @@ def test_mixture_rejects_nonhermitian_start():
 
 def test_time_series_diagonalizes_each_node_once(factorizations):
     # no full-size herm_eig: one pattern scan for the run's one pencil, then
-    # one batched block eigh per magnitude node plus one for the gap bound's
-    # g h0 + v, whatever the number of time points; the mixture grid alone
-    # makes one per node
+    # one batched block eigh for the gap bound's g h0 + v and one for all
+    # magnitude nodes, whatever the number of time points; the mixture grid
+    # alone makes the nodes' one. Each takes only the 2 of the 128 blocks
+    # the start (or the code basis) reaches
     model, code = _rep_code(8)
     h = model.hamiltonian()
     v = embed(pauli_string_matrix("X") + pauli_string_matrix("Z"), [3], code.dims)
@@ -438,7 +446,7 @@ def test_time_series_diagonalizes_each_node_once(factorizations):
                 call()
                 assert full == []
                 assert len(scans) == 1
-                assert stacked == [(128, 2, 2)] * want
+                assert stacked == [(2, 2, 2)] * (want - nodes) + [(2 * nodes, 2, 2)]
 
 
 def _chunk_plus_one(dim, per_time):
@@ -562,6 +570,11 @@ def _oracle_cases():
     m4 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     m4 = (m4 + m4.conj().T) / 4
     floor = splitlab.operators.BLOCK_SCAN_MIN_DIM
+    # on both blocked sites: ZZ on qubits 0 and 1 splits the code, and the
+    # flip 0001 <-> 0010 joins two odd-weight blocks, which the code does
+    # not reach, into one of size 4 among the others of size 2
+    zz_flip = np.kron(np.diag([1.0, -1.0, -1.0, 1.0]), np.eye(4)).astype(complex)
+    zz_flip[1, 2] = zz_flip[2, 1] = 1.0
     return [
         ("repetition", repetition_model(8), [3],
          pauli_string_matrix("X") + pauli_string_matrix("Z"), floor),
@@ -569,6 +582,7 @@ def _oracle_cases():
         ("four_two_two", _four_two_two_blocked(), [1], m4, floor),
         ("four_two_two_split", _four_two_two_blocked(), [1],
          np.kron(pauli_string_matrix("X"), np.eye(2)), 2),
+        ("four_two_two_mixed", _four_two_two_blocked(), [0, 1], zz_flip, 2),
     ]
 
 
@@ -642,6 +656,55 @@ def test_gap_bound_rows_match_the_dense_formulation(case, monkeypatch):
                 rhs = 4.0 * vnorm / (g * code.gap) * (vnorm * t + 1.0)
                 assert abs(row.rhs - rhs) < 1e-12
                 assert row.passed == (row.lhs <= row.rhs)
+
+
+_LAWS = [
+    (NoiseDistribution.gaussian(0.1, 0.3), 5),
+    # an odd rule with its middle node at lam = 0: with a complex m that
+    # node alone is factored in real arithmetic
+    (NoiseDistribution.gaussian(0.0, 0.3), 5),
+    (NoiseDistribution.discrete([(-0.4, 0.25), (0.0, 0.5), (1.1, 0.25)]), 3),
+]
+
+
+def _row_bytes(rows):
+    return np.array([(r.t, r.lhs, r.rhs, r.passed) for r in rows]).tobytes()
+
+
+# [[5,1,3]]: a real h0 whose real and complex factorizations differ in bits
+@pytest.mark.parametrize("case", _oracle_cases() + [
+    ("five_one_three", stabilizer_hamiltonian(5, ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]), [2],
+     pauli_string_matrix("Y") + 0.5 * pauli_string_matrix("Z"),
+     splitlab.operators.BLOCK_SCAN_MIN_DIM),
+], ids=lambda c: c[0])
+def test_live_block_factoring_matches_the_all_block_oracle_bit_for_bit(case, rng, monkeypatch):
+    # the nodes are factored together and only on the blocks the start
+    # reaches; the accumulators, traces and bound rows keep every bit of
+    # the factoring of each node's every block on its own
+    name, model, sites, m, floor = case
+    monkeypatch.setattr(splitlab.operators, "BLOCK_SCAN_MIN_DIM", floor)
+    h = model.hamiltonian()
+    code = ground_subspace(model)
+    r = ids(code, m, sites)
+    pencil = dynamics._BlockPencil(h, m, sites, code.dims, 20.0)
+    if name == "four_two_two_mixed":
+        sizes = [idx.shape for idx in pencil.blocks]
+        live = [code.basis[idx].any(axis=(-2, -1)).sum() for idx in pencil.blocks]
+        assert (sizes, live) == ([(6, 2), (1, 4)], [4, 0])
+    t_grid = [0.0, 0.7, 2.3]
+    starts = [(worst_code_state(r).amplitudes[:, None], np.ones(1), code.basis @ r.frame),
+              (*dynamics._state_factor(random_density(code.dim, rng)), None)]
+    for dist, nodes in _LAWS:
+        lam, w = dist.quadrature(nodes)
+        for a, s, reader in starts:
+            got = dynamics._mixture(pencil, lam, w, a, s, t_grid, reader)
+            want = mixture_per_node(pencil, lam, w, a, s, t_grid, reader)
+            for x, y in zip(got, want, strict=True):
+                assert x.tobytes() == y.tobytes()
+    rows = dynamics._bound_rows(pencil, r, t_grid)
+    monkeypatch.setattr(pencil, "factor", lambda lams, a: [
+        factor_all_blocks(pencil, float(lk), a) for lk in lams])
+    assert _row_bytes(rows) == _row_bytes(dynamics._bound_rows(pencil, r, t_grid))
 
 
 def test_pencil_refuses_a_nonhermitian_perturbation_as_herm_eig_does():

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import traced_peak
-from oracles import kron_sum_terms
+from oracles import commutation_defect_all_pairs, kron_sum_terms
 from splitlab import cli
 from splitlab.models import (
     LocalModel,
@@ -198,7 +198,7 @@ def _mixed_two_local():
     return two_local_model(QuditSystem((2, 3, 2)), pairs, singles)
 
 
-@pytest.mark.parametrize("build", [
+_BUILDS = [
     lambda: repetition_model(8),
     lambda: repetition_model(10),
     four_two_two_model,
@@ -210,7 +210,10 @@ def _mixed_two_local():
     lambda: stabilizer_hamiltonian(4, ["YYII", "IYYI", "IIYY"]),
     lambda: stabilizer_hamiltonian(5, ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]),    # [[5,1,3]]
     lambda: block_sites(repetition_model(6), [[0, 1], [2, 3], [4, 5]]),
-])
+]
+
+
+@pytest.mark.parametrize("build", _BUILDS)
 def test_sum_terms_matches_kron_oracle_bytes(build):
     # the model is built under tracing, so that freeing its arrays shows
     def check():
@@ -239,6 +242,30 @@ def test_sum_terms_matches_kron_oracle_bytes(build):
     (one, *falls), _ = traced_peak(check)
     for fall in falls:
         assert one <= fall <= one + 1024     # the array and its HermOp wrapper
+
+
+@pytest.mark.parametrize("build", _BUILDS + [
+    lambda: two_local_model(QuditSystem((2, 2, 2)), [((0, 1), XX), ((1, 2), ZZ)]),
+])
+def test_commutation_defect_matches_the_all_pairs_oracle(build):
+    # a pair of diagonal terms is scored 0.0 unmeasured; every other pair
+    # keeps its measured defect, so the worst one is the same float
+    model = build()
+    assert model.commutation_defect == commutation_defect_all_pairs(model.terms,
+                                                                    model.system.dims)
+
+
+def test_all_diagonal_model_measures_no_commutator(monkeypatch):
+    import splitlab.models
+
+    calls = []
+    monkeypatch.setattr(splitlab.models, "operator_norm",
+                        lambda m: calls.append(1) or operator_norm(m))
+    model = repetition_model(8)
+    assert calls == []
+    assert model.commuting and model.commutation_defect == 0.0
+    four_two_two_model()        # one mixed pair: two norms and its commutator's
+    assert len(calls) == 3
 
 
 def test_hand_built_model_refuses_an_inexact_term():

@@ -112,7 +112,8 @@ def test_spectral_routines_refuse_a_nan_array():
     big = np.diag(np.arange(130.0))
     big[3, 3] = np.inf
     for m in (nan, nan.astype(complex), big, big.astype(complex)):
-        for solve in (herm_eig, ground_subspace, lambda a: _stacked_herm_eig([a[None]])):
+        for solve in (herm_eig, ground_subspace,
+                      lambda a: _stacked_herm_eig([a[None, None]], [np.ones(1, bool)])):
             with pytest.raises(ValueError, match="non-finite entries"):
                 solve(m)
 
