@@ -230,7 +230,9 @@ class _BlockPencil:
     every lam: the connected components of the joint nonzero pattern of h0
     and the placed m, read on both triangles so that a non-hermitian entry
     stays inside a block (one _pattern_blocks scan; one block below
-    BLOCK_SCAN_MIN_DIM). Every generator is zero off those
+    BLOCK_SCAN_MIN_DIM). With a diagonal h0 that is m's pattern made
+    symmetric on its sites before it is placed, so the scan reads one
+    D x D boolean. Every generator is zero off those
     blocks, so factoring the blocks is exact.
     The blocks of h0 and of m are gathered once per block size, m's read
     from the small matrix through the site digits of each index, and a
@@ -242,9 +244,14 @@ class _BlockPencil:
         m = mat_of(m)
         dims = tuple(int(d) for d in dims)
         on = list(range(len(dims)) if sites is None else sites)
-        pattern = np.diag(h != 0) if h.ndim == 1 else h != 0
-        _add_local(pattern, m != 0, on, dims)     # boolean +=: a logical or
-        pattern |= pattern.T
+        nz = m != 0
+        if h.ndim == 1:     # placing nz.T places the transpose of nz's placement
+            pattern = np.diag(h != 0)
+            _add_local(pattern, nz | nz.T, on, dims)    # boolean +=: a logical or
+        else:
+            pattern = h != 0
+            _add_local(pattern, nz, on, dims)
+            pattern |= pattern.T
         lab = _pattern_blocks(pattern)
         lab = np.zeros(h.shape[0], dtype=np.intp) if lab is None else lab
         self.dim = h.shape[0]

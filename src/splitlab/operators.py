@@ -515,7 +515,8 @@ def _pattern_blocks(a: np.ndarray):
     index, the smallest index of its component, or None when the pattern is
     one component or ``a`` is smaller than BLOCK_SCAN_MIN_DIM. The lower
     triangle is the part the LAPACK drivers read; for a hermitian matrix its
-    components are those of the full pattern. A matrix with more nonzero
+    components are those of the full pattern. A boolean ``a`` is read as
+    the pattern itself, with no copy. A matrix with more nonzero
     entries than any split pattern holds, (n-1)^2 + 1, leaves after that
     one count. Otherwise the edges are read once, in row chunks of at most
     n^2/64 + n entries, so that no temporary outgrows the n x n boolean
@@ -527,7 +528,7 @@ def _pattern_blocks(a: np.ndarray):
     n = a.shape[0]
     if n < BLOCK_SCAN_MIN_DIM:
         return None
-    nz = a != 0
+    nz = a if a.dtype == bool else a != 0
     nnz = np.count_nonzero(nz)
     if nnz > (n - 1) ** 2 + 1:
         return None

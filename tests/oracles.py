@@ -25,7 +25,10 @@ its blocks, where ``_BlockPencil.factor`` factors a chunk of nodes at once
 and only the blocks the start reaches; the two must agree bit for bit.
 The all-pairs commutation defect measures every overlapping pair of terms,
 where ``models._commutation_defect`` scores a pair of diagonal terms 0.0
-unmeasured; the two must agree exactly.
+unmeasured; the two must agree exactly. The dense re-measure embeds an
+attack operator as a D x D matrix and compresses it with ``splitting.ids``,
+where the command line's ``_remeasure`` reads the code's reduced states on
+the attacked site and forms no D x D matrix.
 """
 
 import numpy as np
@@ -39,6 +42,7 @@ from splitlab.operators import (
     total_dim,
     trace_norm,
 )
+from splitlab.splitting import ids
 from splitlab.verify import _herm_norm
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -380,3 +384,8 @@ def commutation_defect_all_pairs(terms, dims):
                 continue
             worst = max(worst, operator_norm(ea @ eb - eb @ ea) / denom)
     return worst
+
+
+def dense_remeasure(code, x, site):
+    """Splitting of ``x`` on ``site`` over ``code``, through its D x D embedding."""
+    return ids(code, embed(x, [site], code.dims)).delta_e

@@ -345,6 +345,22 @@ def test_generator_placement_matches_the_embedded_sum_bit_for_bit(model, rng):
                         assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def test_pencil_on_a_diagonal_finds_the_blocks_of_the_full_h0():
+    # with h0 as D reals the site pattern of m is made symmetric before it
+    # is placed, with h0 as D x D the placed pattern is: the same blocks,
+    # here for an m whose one-sided entries must stay inside a block
+    model = repetition_model(8)
+    dims = model.system.dims
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 1], m[3, 2], m[2, 2] = 1e-14, 0.5, 1.0
+    for sites in ([0, 3], [5, 1]):
+        got, want = (dynamics._BlockPencil(h, m, sites, dims, 10.0).blocks
+                     for h in (model.diagonal, np.diag(model.diagonal)))
+        assert sum(len(idx) for idx in want) > 1
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_dynamics_on_sites_equal_the_full_operator():
     # the local form moves nothing but |v|, read from the small matrix
     model, code = _rep_code(4)

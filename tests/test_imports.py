@@ -7,8 +7,9 @@ floor, finite entries, the raw-array eigen gate) is written in one function,
 every scale max|m| is read by one chunked helper, local terms
 are placed into a D x D matrix by one route, the
 command line places and measures an ids perturbation on its sites without
-a D x D matrix, the battery's duality oracle never reaches the compressed
-route it certifies, importing the command line loads no scipy, an
+a D x D matrix, the command line imports no embed, the battery's duality
+oracle never reaches the compressed route it certifies, importing the
+command line loads no scipy, an
 attack, dephase or verify --quick run loads no numpy.ma, every
 function, class and method of the package is loaded somewhere in the
 sources, demos or benchmark, or is exported, and every parameter of a
@@ -400,6 +401,14 @@ def test_dephase_perturbations_stay_on_their_sites():
     banned = {"embed", "pauli_string_matrix"}
     assert not banned & called_names((pkg / "dynamics.py").read_text())
     assert not banned & called_names((pkg / "cli.py").read_text(), "_run_dephase")
+
+
+def test_cli_imports_no_embed():
+    # every task of the command line acts on (sites, matrix) pairs and the
+    # attack re-measures from the code's reduced states; an embed would
+    # bring back a D x D perturbation
+    source = (ROOT / "src" / "splitlab" / "cli.py").read_text()
+    assert "embed" not in imported_names(source) | loaded_names(source)
 
 
 def test_cli_imports_no_scipy():

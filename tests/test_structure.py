@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import closure_rounds, dense_ground_factors
-from splitlab import structure, verify
+from splitlab import cli, structure, verify
 from splitlab.code_space import CodeSubspace, full_space_code, ground_subspace
 from splitlab.dynamics import gap_bound_check
 from splitlab.models import (
@@ -465,7 +466,7 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_attack_acts_on_site_factors_only(monkeypatch):
+def test_attack_acts_on_site_factors_only(monkeypatch, tmp_path):
     model = repetition_model(6)
     code = ground_subspace(model)
     embeds = _count_calls(monkeypatch, "embed")
@@ -473,6 +474,14 @@ def test_attack_acts_on_site_factors_only(monkeypatch):
     report = commuting_model_attack(model, code)
     assert report.branch == "sector"
     assert report.certified_delta_e == pytest.approx(2.0, abs=1e-9)
+    assert embeds == [] and traces == []
+    # a whole command line run, model build and re-measure included, by the
+    # structural attack and by the ascent on one site
+    for params in ({}, {"site": 2}):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"schema_version": 1, "task": "attack", "params": params,
+                                    "model": {"fixture": "repetition", "n": 6}}))
+        assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
     assert embeds == [] and traces == []
 
 
