@@ -509,7 +509,7 @@ def _run_dephase(scenario: Scenario):
     if model.diagonal is None:
         h = model.hamiltonian()
         code = ground_subspace(h)
-    else:   # h0 stays D reals; the code comes from them, or from H at small D
+    else:   # h0 stays D reals, and the code comes from them
         h, code = model.diagonal, ground_subspace(model)
     if code.degeneracy < 2:
         raise ValueError("nothing to dephase: the ground space is not degenerate")
@@ -667,7 +667,7 @@ def run_scenario_file(path: str, out_dir: str, seed_override=None) -> int:
         return EXIT_SCHEMA
     except (ValueError, ArithmeticError) as exc:
         # the model cannot take the input, or its magnitudes leave the float range
-        print(f"unsupported input: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        print(f"unsupported input: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
 
 

@@ -80,18 +80,16 @@ def ground_subspace(h) -> CodeSubspace:
     eigenbasis are formed, each the same as herm_eig's: on a split pattern
     they are the only ones scattered from the blocks (operators._block_eigh).
     A HermOp, a model's included, was checked when built and is factored
-    as it is; a plain matrix goes through herm_eig's gate. A model hands
-    its hamiltonian over (LocalModel.hamiltonian) and keeps no copy, so it
-    is freed when this returns; a caller that needs H again passes the
-    HermOp it holds instead of the model. A model with a ``diagonal`` long
-    enough for the block route gives its code with no factorization and
-    no D x D array (operators._diag_eigh), the bits that route gives for
-    the assembled matrix; a shorter one is assembled and factored.
+    as it is; a plain matrix goes through herm_eig's gate. A model
+    assembles its hamiltonian for this call alone, so a caller that needs
+    H again passes the HermOp it holds instead of the model. A model with
+    a ``diagonal`` gives its code with no factorization and no D x D array
+    (operators._diag_eigh).
     """
     if hasattr(h, "hamiltonian"):
         dims = h.system.dims
-        pair = None if h.diagonal is None else _diag_eigh(h.diagonal)
-        w, columns = _eigh_columns(h.hamiltonian()) if pair is None else pair
+        w, columns = (_eigh_columns(h.hamiltonian()) if h.diagonal is None
+                      else _diag_eigh(h.diagonal))
     else:
         dims = getattr(h, "dims", None)
         w, columns = _eigh_columns(h)

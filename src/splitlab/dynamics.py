@@ -58,15 +58,20 @@ class NoiseDistribution:
     point mass (``delta``) is the one-atom discrete law. Each knows its
     moments, its characteristic function and a quadrature rule that
     integrates it either exactly (discrete) or with spectral accuracy
-    (gaussian, uniform). Every parameter must be finite, and every guard
-    refuses unless its condition holds, so a NaN is refused. The rules
-    hold however the law is built, by a classmethod or directly.
+    (gaussian, uniform). Each kind takes two parameters (a discrete law's
+    values and probabilities), every parameter must be finite, and every
+    guard refuses unless its condition holds, so a NaN is refused. The
+    rules hold however the law is built, by a classmethod or directly.
     """
 
     kind: str
     params: tuple
 
     def __post_init__(self):
+        if self.kind not in ("gaussian", "uniform", "discrete"):
+            raise ValueError(f"unknown noise distribution kind {self.kind!r}")
+        if len(self.params) != 2:
+            raise ValueError(f"a {self.kind} law takes 2 parameters, got {len(self.params)}")
         if self.kind == "gaussian":
             if not self.params[1] > 0:
                 raise ValueError("gaussian width must be positive")
@@ -77,7 +82,7 @@ class NoiseDistribution:
                 raise ValueError("uniform needs b > a")
             if not np.isfinite(self.params).all():
                 raise ValueError("uniform ends must be finite")
-        elif self.kind == "discrete":
+        else:
             values, probs = self.params
             if not values:
                 raise ValueError("discrete distribution needs at least one atom")
@@ -89,8 +94,6 @@ class NoiseDistribution:
                 raise ValueError("negative probability")
             if not abs(sum(probs) - 1.0) <= PROB_ATOL:
                 raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
-        else:
-            raise ValueError(f"unknown noise distribution kind {self.kind!r}")
 
     @classmethod
     def gaussian(cls, mean: float, std: float) -> "NoiseDistribution":

@@ -8,7 +8,7 @@ snaps the shift to the integer spectrum so the ground energy is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,30 +70,25 @@ class QuditSystem:
         return total_dim(self.dims)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LocalModel:
     """Sum of hermitian terms on small site subsets.
 
     ``terms`` maps tuples of distinct sites to matrices given in the listed
-    site order. ``commuting`` certifies that every pair of terms commutes
-    within COMMUTING_REL_TOL on the union of their supports;
-    ``commutation_defect`` records the worst relative defect seen. When every
-    term is exactly diagonal, a builder's model keeps ``diagonal``, the D
-    reals of its shifted hamiltonian, and never holds a D x D array;
-    otherwise ``diagonal`` is None and the model keeps no D x D array once
-    its hamiltonian has been handed over (see hamiltonian()).
+    site order. ``commutation_defect`` is the worst relative commutator
+    norm over pairs of terms on the union of their supports, inf when it
+    was never measured; ``commuting`` certifies it within
+    COMMUTING_REL_TOL. When every term is exactly diagonal, a builder's
+    model keeps ``diagonal``, the D reals of its shifted hamiltonian;
+    otherwise ``diagonal`` is None. A model holds no D x D array.
     """
 
     system: QuditSystem
     terms: list[tuple[tuple[int, ...], np.ndarray]]
-    commuting: bool = False
-    commutation_defect: float = 0.0
+    commutation_defect: float = np.inf
     energy_offset: float = 0.0
+    diagonal: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self._ham = None
-        self.diagonal = None
 
     @property
     def n_sites(self) -> int:
@@ -103,22 +98,19 @@ class LocalModel:
     def max_locality(self) -> int:
         return max((len(s) for s, _ in self.terms), default=0)
 
+    @property
+    def commuting(self) -> bool:
+        return self.commutation_defect <= COMMUTING_REL_TOL
+
     def hamiltonian(self) -> HermOp:
         """Assembled hamiltonian with the ground energy shifted to 0.
 
-        A model with a ``diagonal`` holds no sum, so each call assembles
-        one. Otherwise the sum a builder assembled (_finish_model) is handed
-        to the first caller and the model forgets it, so it is freed once
-        that caller drops it. Every later call assembles the sum again from
-        the same terms, in the same order, with the same offset, so its
-        bytes are the same. A caller that needs H twice holds the one it
-        was given.
+        Each call assembles the sum of the terms, in term order, with the
+        same offset, so every call gives the same bytes; a caller that
+        needs H twice holds the one it was given.
         """
-        h, self._ham = self._ham, None
-        if h is None:
-            h = _shifted(_sum_terms(self.terms, self.system.dims),
-                         self.energy_offset, self.system.dims)
-        return h
+        return _shifted(_sum_terms(self.terms, self.system.dims),
+                        self.energy_offset, self.system.dims)
 
 
 def _sum_terms(terms, dims) -> np.ndarray:
@@ -232,23 +224,12 @@ def _finish_model(system, terms, meta=None, integer_spectrum=False) -> LocalMode
     matrix's eigenvalues are its entries, so this is the bits of
     _herm_eigvalsh on the sum), and the model keeps that diagonal,
     shifted: no D x D sum is assembled and nothing is factored. Otherwise
-    the sum is assembled once: its least eigenvalue is the offset, and
-    the shifted sum, checked at its terms by _sum_terms, not as a whole,
-    is kept only until the first hamiltonian() call hands it over. The
-    offset is snapped to the integer spectrum when asked.
+    the sum is assembled once, its least eigenvalue is the offset, and the
+    sum is freed. The offset is snapped to the integer spectrum when asked.
     """
-    defect = _commutation_defect(terms, system.dims)
-    model = LocalModel(
-        system=system,
-        terms=terms,
-        commuting=defect <= COMMUTING_REL_TOL,
-        commutation_defect=defect,
-        meta=meta or {},
-    )
     diag = _summed_diagonal(terms, system.dims)
     if diag is None:
-        raw = _sum_terms(terms, system.dims)
-        e0 = float(_herm_eigvalsh(raw)[0])
+        e0 = float(_herm_eigvalsh(_sum_terms(terms, system.dims))[0])
     else:
         e0 = float(diag.min())
     if integer_spectrum:
@@ -256,12 +237,14 @@ def _finish_model(system, terms, meta=None, integer_spectrum=False) -> LocalMode
         if abs(e0 - snapped) > 1e-9:
             raise ValueError(f"expected an integer ground energy, got {e0}")
         e0 = float(snapped)
-    model.energy_offset = e0
-    if diag is None:
-        model._ham = _shifted(raw, e0, system.dims)     # what hamiltonian() assembles, handed over once
-    else:
-        model.diagonal = diag - e0
-    return model
+    return LocalModel(
+        system=system,
+        terms=terms,
+        commutation_defect=_commutation_defect(terms, system.dims),
+        energy_offset=e0,
+        diagonal=None if diag is None else diag - e0,
+        meta=meta or {},
+    )
 
 
 def two_local_model(system: QuditSystem, pair_terms, single_site_terms=None) -> LocalModel:
@@ -344,8 +327,7 @@ def stabilizer_hamiltonian(n_qubits: int, generators: list[str]) -> LocalModel:
     for g in gens:
         support, body = pauli_string_local(g)
         terms.append((support, 0.5 * (np.eye(body.shape[0]) - body)))
-    model = _finish_model(system, terms, meta={"stabilizers": gens}, integer_spectrum=True)
-    return model
+    return _finish_model(system, terms, meta={"stabilizers": gens}, integer_spectrum=True)
 
 
 def repetition_model(n: int) -> LocalModel:
@@ -435,12 +417,11 @@ def random_commuting_model(
     model = LocalModel(
         system=system,
         terms=terms,
-        commuting=True,
         commutation_defect=_commutation_defect(terms, dims),
         energy_offset=float(energies.min()),
         meta={"seed": int(seed), "rotations": rotations, "couplings": couplings},
     )
-    if model.commutation_defect > COMMUTING_REL_TOL:
+    if not model.commuting:
         raise AssertionError("rotated-diagonal terms failed the commutation certificate")
     return model
 
@@ -452,6 +433,8 @@ def block_sites(model: LocalModel, groups) -> LocalModel:
     [[0], [1, 2]]. Merging consecutive sites keeps the kron ordering, so the
     assembled hamiltonian matrix is unchanged; the spectrum is re-verified
     anyway. A term whose support meets three or more groups is rejected.
+    Of the model's meta only its seed is kept: its stabilizer strings and
+    its per-site rotations describe the unblocked sites.
     """
     dims = model.system.dims
     groups = [list(int(s) for s in g) for g in groups]
@@ -478,7 +461,8 @@ def block_sites(model: LocalModel, groups) -> LocalModel:
         new_m = embed(m, local, sub_dims)
         new_terms.append((tuple(touched), new_m))
 
-    blocked = _finish_model(new_system, new_terms, meta=dict(model.meta))
+    seed = {k: v for k, v in model.meta.items() if k == "seed"}
+    blocked = _finish_model(new_system, new_terms, meta=seed)
     old = _herm_eigvalsh(model.hamiltonian())
     new = _herm_eigvalsh(blocked.hamiltonian())
     if _max_abs(old - new) > 1e-10 * max(1.0, _max_abs(old)):
@@ -505,12 +489,18 @@ def matrix_from_json(data) -> np.ndarray:
 
 
 def model_to_json(model: LocalModel) -> dict:
+    """The inline-model format of ``model``: its stabilizer strings, or its
+    terms with those on one support summed, as the format holds one term
+    per support (a blocked [[4,2,2]] model has two on its one pair)."""
     data: dict = {"dims": list(model.system.dims)}
     if "stabilizers" in model.meta:
         data["stabilizers"] = list(model.meta["stabilizers"])
     else:
+        merged: dict = {}
+        for sites, m in model.terms:
+            merged[sites] = merged[sites] + m if sites in merged else m
         data["terms"] = [
-            {"sites": list(sites), "matrix": matrix_to_json(m)} for sites, m in model.terms
+            {"sites": list(sites), "matrix": matrix_to_json(m)} for sites, m in merged.items()
         ]
     if "seed" in model.meta:
         data["seed"] = int(model.meta["seed"])
@@ -539,5 +529,5 @@ def build_model(dims, terms=None, stabilizers=None, seed=None) -> LocalModel:
         single = [(s[0], m) for s, m in terms if len(s) == 1]
         model = two_local_model(QuditSystem(dims), pair, single)
     if seed is not None:
-        model.meta["seed"] = int(seed)
+        model = replace(model, meta={**model.meta, "seed": int(seed)})
     return model

@@ -627,18 +627,12 @@ def _ranked_columns(w_all: np.ndarray, parts: list):
 
 
 def _diag_eigh(diag: np.ndarray):
-    """(w, columns) of the real diagonal matrix with diagonal ``diag``, or
-    None when it has fewer than BLOCK_SCAN_MIN_DIM entries.
+    """(w, columns) of the real diagonal matrix with diagonal ``diag``.
 
-    From that size on, _eigh_columns splits that matrix into 1 x 1 blocks,
-    each factored exactly (eigenvalue the entry, column 1), so this is
-    _block_eigh's output with nothing factored and no D x D array read:
-    the same eigenvalues, the same stable order of ties and the same unit
-    columns. Below it the dense LAPACK route orders ties, so the caller
-    factors the matrix.
+    Each entry is a 1 x 1 block, factored exactly (eigenvalue the entry,
+    column 1), so this is _block_eigh's output with nothing factored and
+    no D x D array read: eigenvalues sorted stably, unit columns.
     """
-    if diag.shape[0] < BLOCK_SCAN_MIN_DIM:
-        return None
     idx = np.arange(diag.shape[0])[:, None]
     return _ranked_columns(diag, [(idx, idx, np.ones((1, diag.shape[0])))])
 

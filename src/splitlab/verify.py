@@ -367,7 +367,7 @@ def check_gap_bound(t_points: int) -> list:
 def check_dephasing_scaling(t_points: int) -> list:
     model = repetition_model(3)
     h = model.hamiltonian()
-    code = ground_subspace(h)
+    code = ground_subspace(model)
     dist = NoiseDistribution.gaussian(0.0, 0.1)
     z1 = pauli_string_matrix("ZII")
     v_leaky = pauli_string_matrix("XII") + z1
@@ -440,7 +440,7 @@ def check_fidelity_bound(t_points: int) -> list:
 def check_bath_embedding(t_points: int) -> list:
     model = repetition_model(3)
     h = model.hamiltonian()
-    rho0 = worst_code_state(ids(ground_subspace(h), pauli_string_matrix("ZII"))).density()
+    rho0 = worst_code_state(ids(ground_subspace(model), pauli_string_matrix("ZII"))).density()
     v = pauli_string_matrix("XII") + pauli_string_matrix("ZII")
     worst = 0.0
     for energies, beta in (([0.0, 0.7], 1.3), ([0.0, 0.4, 1.1], 0.9)):

@@ -284,6 +284,18 @@ def test_perturbation_past_the_float_range_exits_4_without_files(tmp_path, capsy
         assert "non-finite entries" in err
 
 
+def test_a_law_past_the_float_range_names_its_overflow(tmp_path, capsys):
+    # the variance std ** 2 overflows, and Python's OverflowError reads as
+    # an errno tuple alone; the exit-4 line names the exception's type
+    scn = _write(tmp_path, "s.json", _dephase_scenario(
+        distribution={"kind": "gaussian", "mean": 1e300, "std": 1e300}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("unsupported input: OverflowError: ")
+
+
 def test_oversized_chains_exit_with_the_cap_in_the_message(tmp_path, capsys):
     # the message names the cap and the site count; the full product of
     # 16,000 dims has more digits than Python converts to a string
@@ -752,8 +764,9 @@ def test_run_extracts_the_ground_code_once(tmp_path, monkeypatch, scenario):
 
 
 def test_dephase_run_compresses_the_perturbation_once(tmp_path, factorizations):
-    # one k x k eigendecomposition (ids) and one full-size one (the ground
-    # extraction) for the whole run; the gap bound and the simulation share
+    # one k x k eigendecomposition (ids) for the whole run, and no
+    # full-size one: the diagonal model's code comes from its D reals;
+    # the gap bound and the simulation share
     # one block pencil: one pattern scan, then one batched block eigh for
     # the gap bound's generator and one for all magnitude nodes, whatever
     # the number of time points
@@ -768,7 +781,7 @@ def test_dephase_run_compresses_the_perturbation_once(tmp_path, factorizations):
                                 t_grid={"start": 0.0, "stop": 2.0, "num": num}),
             "model": {"fixture": "repetition", "n": 4}})
         assert cli.main(["run", "--scenario", scn, "--out", str(tmp_path / f"out{num}")]) == 0
-        assert sorted(full) == [(2, 2), (16, 16)]
+        assert full == [(2, 2)]
         assert len(scans) == 1
         assert stacked == [(1, 16, 16), (nodes, 16, 16)]
 
@@ -838,17 +851,15 @@ def test_dephase_on_a_diagonal_model_assembles_its_hamiltonian_once(tmp_path, mo
         return original(*args)
 
     monkeypatch.setattr(splitlab.models, "_sum_terms", counting)
-    # the pencil takes h0 as its D reals; at D = 1024 the code comes from
-    # them too, and nothing is assembled, while below BLOCK_SCAN_MIN_DIM the
-    # ground extraction assembles H once and factors it
-    for n, want in ((10, 0), (6, 1)):
-        calls.clear()
+    # the pencil takes h0 as its D reals and the code comes from them too,
+    # so nothing is assembled, at D = 1024 and below BLOCK_SCAN_MIN_DIM
+    for n in (10, 6):
         scn = _write(tmp_path, "s.json", {
             **_dephase_scenario(perturbation={"pauli": "Z" + "I" * (n - 1)}, nodes=2,
                                 t_grid={"start": 0.0, "stop": 2.0, "num": 2}),
             "model": {"fixture": "repetition", "n": n}})
         assert cli.main(["run", "--scenario", scn, "--out", str(tmp_path / f"out{n}")]) == 0
-        assert len(calls) == want
+        assert calls == []
 
 
 def _x_plus_z_scenario(n, nodes):
@@ -895,8 +906,10 @@ def test_dephase_at_the_cap_assembles_no_hamiltonian(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("n", [6, 8, 10])
 def test_dephase_on_a_diagonal_writes_the_assembled_route_bytes(tmp_path, monkeypatch, n):
-    # the same run with the model's diagonal cleared assembles H, extracts
-    # the code from it and hands the pencil D x D: the same report and csv
+    # the same run with the model's diagonal cleared assembles H twice (the
+    # build reads its offset, the run extracts the code from it and hands
+    # the pencil D x D): the same report and csv as the diagonal route,
+    # which assembles nothing
     import splitlab.models
 
     original = splitlab.models._sum_terms
@@ -904,7 +917,7 @@ def test_dephase_on_a_diagonal_writes_the_assembled_route_bytes(tmp_path, monkey
     monkeypatch.setattr(splitlab.models, "_sum_terms", lambda *a: sums.append(1) or original(*a))
     scn = _write(tmp_path, "s.json", _x_plus_z_scenario(n, 16))
     outs = []
-    for route, want in (("diagonal", int(2 ** n < BLOCK_SCAN_MIN_DIM)), ("assembled", 1)):
+    for route, want in (("diagonal", 0), ("assembled", 2)):
         sums.clear()
         if route == "assembled":
             monkeypatch.setattr(splitlab.models, "_summed_diagonal", lambda terms, dims: None)

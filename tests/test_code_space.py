@@ -183,10 +183,16 @@ def _diagonal_qutrits(n: int):
     return build_model([3] * n, terms=terms)
 
 
+def _zzz_chain(n: int):
+    return build_model([2] * n, stabilizers=["I" * k + "ZZZ" + "I" * (n - 3 - k)
+                                             for k in range(n - 2)])
+
+
 _DIAGONAL_MODELS = {
-    **{f"repetition{n}": lambda n=n: repetition_model(n) for n in range(7, 13)},
-    "z_chain": lambda: build_model(
-        [2] * 8, stabilizers=["I" * k + "ZZZ" + "I" * (5 - k) for k in range(6)]),
+    **{f"repetition{n}": lambda n=n: repetition_model(n) for n in range(2, 13)},
+    **{f"z_chain{n}": lambda n=n: _zzz_chain(n) for n in range(3, 7)},
+    "z_chain": lambda: _zzz_chain(8),
+    "qutrits9": lambda: _diagonal_qutrits(2),
     "qutrits27": lambda: _diagonal_qutrits(3),
     "qutrits243": lambda: _diagonal_qutrits(5),
     "blocked": lambda: block_sites(repetition_model(8), [[0, 1], [2, 3], [4, 5], [6, 7]]),
@@ -197,9 +203,10 @@ _DIAGONAL_MODELS = {
 def test_diagonal_route_gives_the_matrix_routes_bits(build):
     # a model whose terms are all diagonal keeps its summed diagonal; its
     # offset and its code are those of the assembled matrix, bit for bit,
-    # below BLOCK_SCAN_MIN_DIM (qutrits27) and from it on
+    # below BLOCK_SCAN_MIN_DIM, where that matrix is factored dense, and
+    # from it on, where it is factored in 1 x 1 blocks
     model = build()
-    assert model.diagonal is not None and model._ham is None
+    assert model.diagonal is not None
     h = model.hamiltonian()
     assert model.diagonal.tobytes() == h.matrix.diagonal().real.tobytes()
     raw = _herm_eigvalsh(_sum_terms(model.terms, model.system.dims))

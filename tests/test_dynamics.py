@@ -163,6 +163,10 @@ def test_distribution_validation():
     ("discrete", ((), ()), "at least one atom"),
     ("discrete", ((0.0, 1.0), (1.0,)), "one probability per value"),
     ("lorentzian", (0.0, 1.0), "unknown"),
+    ("gaussian", (1.0,), "takes 2 parameters, got 1"),
+    ("gaussian", (0.0, 1.0, 5.0), "takes 2 parameters, got 3"),
+    ("uniform", (0.0, 1.0, 2.0), "takes 2 parameters, got 3"),
+    ("discrete", ((0.0, 1.0),), "takes 2 parameters, got 1"),
 ])
 def test_directly_built_laws_keep_the_classmethod_rules(kind, params, message):
     # a law built without its classmethod once reached coherence_time with

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -289,9 +290,9 @@ def test_assembly_and_embed_allocate_one_full_matrix():
 
 
 def test_model_build_holds_one_full_matrix():
-    # a model with an off-diagonal term (X on site 0) keeps the assembled
-    # sum, which becomes the hamiltonian as it is; the ground energy reads
-    # it through a boolean pattern of D^2 bytes, and no hermiticity gate,
+    # a model with an off-diagonal term (X on site 0) assembles its sum
+    # once, for its ground energy, and frees it; the ground energy reads it
+    # through a boolean pattern of D^2 bytes, and no hermiticity gate,
     # conjugate copy or |H| of its size is formed
     one = 16 * 1024 ** 2
     gens = ["XZ" + "I" * 8] + ["I" * k + "ZZ" + "I" * (8 - k) for k in range(1, 9)]
@@ -305,11 +306,41 @@ def test_diagonal_model_build_holds_its_diagonal_alone():
     # terms' diagonals and keeps D reals, with no D x D sum and no pattern
     d = 1024
     model, peak = traced_peak(lambda: repetition_model(10))
-    assert model._ham is None
     arrays = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
     arrays += [m for _, m in model.terms]
     assert [a.nbytes for a in arrays if a.size >= d] == [model.diagonal.nbytes] == [8 * d]
     assert peak <= 64 * d
+
+
+_BUILDERS = {
+    "two_local": lambda: two_local_model(QuditSystem((2, 3)), [((0, 1), np.kron(
+        pauli_string_matrix("X"), np.diag([1.0, 0.0, -1.0])).astype(complex))]),
+    "stabilizers": lambda: stabilizer_hamiltonian(3, ["XXI", "ZZZ"]),
+    "repetition": lambda: repetition_model(4),
+    "four_two_two": four_two_two_model,
+    "random_commuting": lambda: random_commuting_model(QuditSystem((3, 2)), [(0, 1)], seed=5),
+    "blocked": lambda: block_sites(four_two_two_model(), [[0, 1], [2, 3]]),
+    "inline": lambda: cli._build_model({"dims": [2, 2], "stabilizers": ["ZZ"], "seed": 7}),
+}
+
+
+@pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS.keys())
+def test_a_built_model_is_a_frozen_value(build):
+    # a builder sets every field in one constructor call and stores nothing
+    # beside them; hamiltonian() assembles the same bytes on every call
+    model = build()
+    assert set(vars(model)) == {f.name for f in dataclasses.fields(LocalModel)}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.energy_offset = 1.0
+    first = model.hamiltonian().matrix.tobytes()
+    assert model.hamiltonian().matrix.tobytes() == first
+    assert model.hamiltonian().matrix.tobytes() == first
+
+
+def test_a_hand_built_model_is_not_certified():
+    # the defect defaults to inf, unmeasured, so commuting stays False
+    model = LocalModel(QuditSystem((2, 2)), [((0, 1), ZZ)])
+    assert model.commutation_defect == np.inf and not model.commuting
 
 
 def test_oversized_chain_is_refused_before_its_strings():
@@ -353,6 +384,23 @@ def test_model_json_roundtrip_stabilizers():
     assert data["stabilizers"] == ["ZZII", "IZZI", "IIZZ"]
     back = cli._build_model(data)
     assert operator_norm(back.hamiltonian().matrix - repetition_model(4).hamiltonian().matrix) < 1e-12
+
+
+@pytest.mark.parametrize("blocked", [
+    lambda: block_sites(four_two_two_model(), [[0, 1], [2, 3]]),
+    lambda: block_sites(repetition_model(4), [[0], [1, 2], [3]]),
+    lambda: block_sites(random_commuting_model(QuditSystem((2, 2, 3)), [(0, 1), (1, 2)], seed=4),
+                        [[0, 1], [2]]),
+], ids=["four_two_two", "repetition", "random_commuting"])
+def test_model_json_roundtrip_blocked(blocked):
+    # a blocked model's sites are not qubits, so it is written as its terms,
+    # those on one support summed into one; the unblocked model's
+    # stabilizer strings and rotations are dropped, its seed kept
+    model = blocked()
+    assert set(model.meta) <= {"seed"}
+    back = cli._build_model(model_to_json(model))
+    assert back.meta == model.meta
+    assert_allclose(back.hamiltonian().matrix, model.hamiltonian().matrix, atol=1e-12)
 
 
 def test_model_json_rejects_ambiguous():
