@@ -765,11 +765,10 @@ def test_run_extracts_the_ground_code_once(tmp_path, monkeypatch, scenario):
 
 def test_dephase_run_compresses_the_perturbation_once(tmp_path, factorizations):
     # one k x k eigendecomposition (ids) for the whole run, and no
-    # full-size one: the diagonal model's code comes from its D reals;
-    # the gap bound and the simulation share
-    # one block pencil: one pattern scan, then one batched block eigh for
-    # the gap bound's generator and one for all magnitude nodes, whatever
-    # the number of time points
+    # full-size one: the diagonal model's code comes from its D reals; the
+    # gap bound and the simulation share one block pencil: one pattern
+    # scan, then one batched block eigh for the gap bound's generator and
+    # one for all magnitude nodes, whatever the number of time points
     full, scans, stacked = factorizations
     nodes = 8
     for num in (2, 5):
