@@ -2,13 +2,16 @@
 
 ``splitlab run --scenario file.json --out dir`` loads a model, runs one
 analysis task and writes a deterministic JSON report (plus CSV for time
-series). ``splitlab verify --quick|--full`` runs the acceptance battery.
+series). ``splitlab verify --quick|--full`` runs the acceptance battery:
+the verify scenario, through the same body.
 
 Exit codes: 0 all checks passed; 2 malformed scenario or an unusable
 --out (nothing is written); 3 a numerical check failed (the report is
-still written), or a verify check raised or its worker process died (one
-line on stderr, nothing is written); 4 a valid scenario the model cannot
-take (nothing is written).
+still written), or an analysis could not finish: a battery check raised
+or its worker process died, or an attack's structure analysis failed
+(one line on stderr, nothing is written); 4 a valid scenario the model
+cannot take (nothing is written). No command ends in exit 1 or a
+traceback.
 
 Reports are byte-identical across runs of the same scenario and seed,
 except for the wall_clock_seconds field.
@@ -55,7 +58,7 @@ from .operators import (
     herm_eig,
     operator_norm,
 )
-from .splitting import ids, worst_single_site_ascent
+from .splitting import KL_REL_TOL, ids, worst_single_site_ascent
 from .structure import (
     StructureError,
     commuting_model_attack,
@@ -299,7 +302,7 @@ _PARAMS = {
                                "a non-empty list of perturbation specs", None),
         "sweep": Field(_word("single_paulis"), '"single_paulis"', None),
         "require_kl": Field(_boolean, "a boolean", False),
-        "kl_tol": Field(_real(lambda x: x >= 0), "a finite number >= 0", 1e-8),
+        "kl_tol": Field(_real(lambda x: x >= 0), "a finite number >= 0", KL_REL_TOL),
     },
     "attack": {
         "site": Field(_integer(0), "an integer >= 0", None),
@@ -554,7 +557,11 @@ def _run_dephase(scenario: Scenario):
 
 def _run_verify(scenario: Scenario):
     level = scenario.params["level"]
-    return run_battery(level), {"level": level}, None
+    try:
+        checks = run_battery(level)
+    except Exception as exc:    # exit 3 whatever its type, even a ValueError
+        raise _BatteryStopped(f"battery failed: {type(exc).__name__}: {exc}") from exc
+    return checks, {"level": level}, None
 
 
 _TASK_RUNNERS = {
@@ -574,23 +581,6 @@ def _digest(scenario: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _write_report(out_dir: Path, report: dict) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "report.json"
-    path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    return path
-
-
-def _write_csv(out_dir: Path, name: str, rows: list) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-    return path
-
-
 def _refuse_out(out_dir: str) -> bool:
     """True, after one line on stderr, when ``out_dir`` cannot take the
     artifacts: its nearest existing path (itself, if it exists) is not a
@@ -605,8 +595,10 @@ def _refuse_out(out_dir: str) -> bool:
     return True
 
 
-def execute(scenario: Scenario, out_dir: Path) -> int:
-    """Run a parsed scenario and write its artifacts. Returns exit code."""
+def execute(scenario: Scenario, out_dir) -> int:
+    """Run a parsed scenario, print its check lines and write its artifacts
+    to ``out_dir`` (a verify run without --out writes none and prints its
+    total instead). Returns the exit code; a failure raises, for _run."""
     t0 = time.perf_counter()
     task = scenario.canonical["task"]
     checks, results, series = _TASK_RUNNERS[task](scenario)
@@ -621,78 +613,85 @@ def execute(scenario: Scenario, out_dir: Path) -> int:
         "all_passed": all(c.passed for c in checks),
         "wall_clock_seconds": round(time.perf_counter() - t0, 6),
     }
-    try:
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
         if series is not None:
             name, rows = series
-            _write_csv(out_dir, name, rows)
+            with open(out / name, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+                writer.writeheader()
+                writer.writerows(rows)
             report["data_files"] = [name]
-        path = _write_report(out_dir, report)
-    except OSError as exc:
-        print(f"cannot write artifacts: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+        path = out / "report.json"
+        path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     for c in checks:
-        tag = "PASS" if c.passed else "FAIL"
-        print(f"[{tag}] {c.name}: measured {c.measured:.6g} "
-              f"{c.direction} bound {c.bound:.6g}")
-    print(f"report: {path}")
+        print(c.line())
+    print(f"total {report['wall_clock_seconds']:.1f}s at level {results['level']}"
+          if out_dir is None else f"report: {path}")
     return EXIT_OK if report["all_passed"] else EXIT_TOLERANCE
+
+
+class _BatteryStopped(Exception):
+    """A battery check raised or a worker died; the message is its stderr line."""
 
 
 def _no_constant(name):
     raise ValueError(f"{name} is not a JSON number")
 
 
-def run_scenario_file(path: str, out_dir: str, seed_override=None) -> int:
-    if _refuse_out(out_dir):
-        return EXIT_SCHEMA
+def _read_scenario(path: str, seed_override):
+    """The JSON at ``path``, its seed replaced by ``seed_override`` if given."""
     try:
-        text = Path(path).read_text()
+        raw = json.loads(Path(path).read_text(), parse_constant=_no_constant)
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"cannot read scenario: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    try:
-        raw = json.loads(text, parse_constant=_no_constant)
+        raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except ValueError as exc:
-        print(f"scenario is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+        raise ScenarioError(f"not valid JSON: {exc}") from exc
     if seed_override is not None and isinstance(raw, dict):
         raw = {**raw, "seed": seed_override}
+    return raw
+
+
+def _run(read, out_dir) -> int:
+    """The one body of every command: refuse an unusable ``out_dir``, then
+    parse the scenario ``read()`` returns, run it, and map each failure to
+    its exit code with one line on stderr and no report."""
+    if out_dir is not None and _refuse_out(out_dir):
+        return EXIT_SCHEMA
     try:
         # an input past the float range warns on its way; the finite checks
         # of the parse and the tasks decide its exit
         with np.errstate(all="ignore"):
-            return execute(parse_scenario(raw), Path(out_dir))
+            return execute(parse_scenario(read()), out_dir)
     except ScenarioError as exc:
         print(f"scenario rejected: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    except OSError as exc:
+        print(f"cannot write artifacts: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except _BatteryStopped as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_TOLERANCE
     except (ValueError, ArithmeticError) as exc:
         # the model cannot take the input, or its magnitudes leave the float range
         print(f"unsupported input: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except Exception as exc:
+        # an analysis that cannot finish, such as a StructureError out of an attack
+        print(f"analysis failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_TOLERANCE
+
+
+def run_scenario_file(path: str, out_dir: str, seed_override=None) -> int:
+    return _run(lambda: _read_scenario(path, seed_override), out_dir)
 
 
 def run_verify(level: str, out_dir=None) -> int:
-    """Run the battery; print its lines, or write report.json to ``out_dir``.
-
-    A check that raises, or a battery worker that dies, is a numerical
-    failure: one line on stderr and exit 3, with no report.
-    """
-    if out_dir is not None and _refuse_out(out_dir):
-        return EXIT_SCHEMA
-    try:
-        if out_dir is not None:
-            scenario = parse_scenario({"schema_version": SCHEMA_VERSION, "task": "verify",
-                                       "params": {"level": level}})
-            return execute(scenario, Path(out_dir))
-        t0 = time.perf_counter()
-        battery = run_battery(level)
-    except Exception as exc:
-        print(f"battery failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    for r in battery:
-        print(r.line())
-    print(f"total {time.perf_counter() - t0:.1f}s at level {level}")
-    return EXIT_OK if all(r.passed for r in battery) else EXIT_TOLERANCE
+    """The verify scenario at ``level``: its lines printed, and report.json
+    written to ``out_dir`` when given."""
+    return _run(lambda: {"schema_version": SCHEMA_VERSION, "task": "verify",
+                         "params": {"level": level}}, out_dir)
 
 
 def main(argv=None) -> int:

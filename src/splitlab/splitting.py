@@ -27,7 +27,7 @@ from .operators import (
     reduced_states,
 )
 
-# Default relative tolerance for calling a compression scalar.
+# kl_check calls a compression scalar within this many operator norms of v.
 KL_REL_TOL = 1e-8
 
 # Ascent stops once an iteration improves the splitting by less than this.
@@ -85,15 +85,15 @@ def ids(code: CodeSubspace, v, sites=None) -> IdsReport:
     )
 
 
-def kl_check(code: CodeSubspace, v, tol: float = KL_REL_TOL) -> tuple[bool, float]:
+def kl_check(code: CodeSubspace, v) -> tuple[bool, float]:
     """Does the code detect v? True when P V P is a scalar on the code.
 
     Returns (verdict, best scalar alpha). The verdict compares the
-    deviation against ``tol`` times the operator norm of v.
+    deviation against KL_REL_TOL times the operator norm of v.
     """
     report = ids(code, v)
     scale = operator_norm(v)
-    return report.kl_deviation <= tol * scale, report.alpha_opt
+    return report.kl_deviation <= KL_REL_TOL * scale, report.alpha_opt
 
 
 def worst_single_site_ascent(

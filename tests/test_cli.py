@@ -20,6 +20,7 @@ from splitlab.models import (
     matrix_to_json,
     model_to_json,
     pauli_string_matrix,
+    random_commuting_model,
     two_local_model,
 )
 from splitlab.operators import (
@@ -528,21 +529,64 @@ def _kill_a_worker(monkeypatch):
                       r"wait status 2304 \(exit code 9\) and no results\n")
 
 
+def _verify_scenario(tmp_path):
+    # the scenario that splitlab verify --quick runs
+    return _write(tmp_path, "verify.json", {"schema_version": 1, "task": "verify",
+                                            "params": {"level": "quick"}})
+
+
 @pytest.mark.parametrize("fault", [_raise_in_a_check, _kill_a_worker],
                          ids=["check-raises", "worker-dies"])
-@pytest.mark.parametrize("with_out", [False, True], ids=["printed", "report"])
-def test_battery_failure_is_one_line_and_exit_3(tmp_path, monkeypatch, capsys, fault, with_out):
-    # a numerical failure: no traceback, no check lines, no report
+@pytest.mark.parametrize("entry", ["printed", "report", "scenario"])
+def test_battery_failure_is_one_line_and_exit_3(tmp_path, monkeypatch, capsys, fault, entry):
+    # a numerical failure, whichever command runs the battery: no
+    # traceback, no check lines, no report
     expected = fault(monkeypatch)
     out = tmp_path / "out"
-    argv = ["verify", "--quick"] + (["--out", str(out)] if with_out else [])
-    assert cli.main(argv) == 3
+    argv = {"printed": ["verify", "--quick"],
+            "report": ["verify", "--quick", "--out", str(out)],
+            "scenario": ["run", "--scenario", _verify_scenario(tmp_path), "--out", str(out)]}
+    assert cli.main(argv[entry]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     if isinstance(expected, str):
         assert captured.err == expected
     else:
         assert expected.fullmatch(captured.err)
+    assert not out.exists()
+
+
+def test_verify_scenario_writes_the_bytes_of_verify(tmp_path):
+    # run --scenario of the verify scenario and verify --out: the same
+    # bytes but the clock
+    reports = []
+    for argv in (["run", "--scenario", _verify_scenario(tmp_path)], ["verify", "--quick"]):
+        out = tmp_path / argv[0]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        text = (out / "report.json").read_text()
+        reports.append(re.sub(r'\n  "wall_clock_seconds": [^\n]*', "", text))
+    assert "wall_clock_seconds" not in reports[0]
+    assert reports[0] == reports[1]
+
+
+def test_attack_whose_structure_analysis_fails_is_one_line_and_exit_3(tmp_path, capsys):
+    # a chain that commutes within COMMUTING_REL_TOL, but whose matrix units
+    # the attack cannot certify: an analysis that cannot finish, with no
+    # traceback and nothing written
+    model = random_commuting_model(QuditSystem((2, 2, 2)), [(0, 1), (1, 2)], seed=1,
+                                   ensure_ground_degeneracy=2)
+    src = model_to_json(model)
+    term = src["terms"][1]
+    nudge = 1e-10 * random_herm(4, np.random.default_rng(1))
+    term["matrix"] = matrix_to_json(matrix_from_json(term["matrix"]) + nudge)
+    assert cli._build_model(src).commuting
+    scn = _write(tmp_path, "s.json", {"schema_version": 1, "task": "attack", "model": src})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("analysis failed: StructureError: "
+                            "matrix-units extraction failed to certify a factor\n")
     assert not out.exists()
 
 
@@ -839,7 +883,7 @@ def test_attack_on_a_diagonal_model_assembles_nothing_full(tmp_path, monkeypatch
     assert results["delta_e"] == results["remeasured_delta_e"] == 2
 
 
-def test_dephase_on_a_diagonal_model_assembles_its_hamiltonian_once(tmp_path, monkeypatch):
+def test_dephase_on_a_diagonal_model_assembles_no_hamiltonian(tmp_path, monkeypatch):
     import splitlab.models
 
     original = splitlab.models._sum_terms
