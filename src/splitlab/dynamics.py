@@ -11,6 +11,7 @@ closed-form bounds relating the two.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,14 +156,24 @@ class NoiseDistribution:
         """Magnitude nodes and probability weights summing to 1."""
         if self.kind == "gaussian":
             mu, sigma = self.params
-            x, w = np.polynomial.hermite.hermgauss(int(nodes))
+            x, w = _gauss_rule(np.polynomial.hermite.hermgauss, int(nodes))
             return mu + np.sqrt(2.0) * sigma * x, w / np.sqrt(np.pi)
         if self.kind == "uniform":
             a, b = self.params
-            x, w = np.polynomial.legendre.leggauss(int(nodes))
+            x, w = _gauss_rule(np.polynomial.legendre.leggauss, int(nodes))
             return (b - a) / 2 * x + (a + b) / 2, w / 2
         values, probs = self.params
         return np.asarray(values, dtype=float), np.asarray(probs, dtype=float)
+
+
+@functools.cache
+def _gauss_rule(rule, nodes: int) -> tuple:
+    """rule(nodes), computed once per order and read-only: a run that reads
+    its quadrature twice (the simulation and the fidelity bound) factors one
+    companion matrix."""
+    x, w = rule(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def dephasing_factors(r: IdsReport, dist: NoiseDistribution, t) -> np.ndarray:
@@ -520,20 +531,14 @@ def fidelity_bound_check(r: IdsReport, dist: NoiseDistribution, t_grid,
     for every node, so F(t)^2 is the weighted sum over nodes of
     |sum_m |c_m|^2 exp(-i t lambda e_m)|^2 with c = Q^dag psi; no node is
     diagonalized. ``state`` defaults to worst_code_state(r).
-    """
-    if state is None:
-        state = worst_code_state(r)
-    p = np.abs(r.frame.conj().T @ _pure_code_vector(r.code, state)) ** 2
-    return _fidelity_rows(r, dist, p, *dist.quadrature(nodes), t_grid)
-
-
-def _fidelity_rows(r: IdsReport, dist: NoiseDistribution, p, lam, weights, t_grid) -> list:
-    """fidelity_bound_check's rows; ``p`` holds |c_m|^2, c = Q^dag psi.
-
     The times run in chunks (_time_chunks, nodes x k phases per time): a
     chunk's phases exp(-i t lam_j e_m) are one (T, nodes, k) array, and
     its weighted sums one np.vecdot, which rounds as a single time's dot.
     """
+    if state is None:
+        state = worst_code_state(r)
+    p = np.abs(r.frame.conj().T @ _pure_code_vector(r.code, state)) ** 2
+    lam, weights = dist.quadrature(nodes)
     coeff = dist.second_moment * r.delta_e ** 2 / 8.0
     times = np.asarray(t_grid, dtype=float)
     lam_e = np.outer(lam, r.eigenvalues)
@@ -710,7 +715,7 @@ def dephasing_time_series(h0, r: IdsReport, v, dist: NoiseDistribution,
     d = code.degeneracy
     pencil = _bound_pencil(h0, r, v, gap_factor, sites)
     gap_rows = _bound_rows(pencil, r, t_grid)
-    fid_rows = _fidelity_rows(r, dist, np.abs(c) ** 2, lam, weights, t_grid)
+    fid_rows = fidelity_bound_check(r, dist, t_grid, state, nodes)
     accs, traces = _mixture(pencil, lam, weights, (code.basis @ psi)[:, None], np.ones(1),
                             t_grid, reader=code.basis @ r.frame)
     times = np.asarray(t_grid, dtype=float)

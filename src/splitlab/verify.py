@@ -17,7 +17,7 @@ import os
 import pickle
 import threading
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -54,48 +54,14 @@ from .operators import (
     random_herm,
     random_projector,
 )
+from .report import LEVELS, verdict
 from .splitting import ids
 from .structure import commuting_model_attack, factor_ground_projector
-
-LEVELS = ("quick", "full")
 
 # Pairs of one subspace shape that check_no_hiding scores in one witness
 # batch: a 5 x 5 batch holds about 12 KiB of intermediates a pair, so a
 # chunk stays near 3 MiB however many pairs a shape draws.
 WITNESS_CHUNK = 256
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """One re-measured bound: the margin actually observed and its limit."""
-
-    name: str
-    passed: bool
-    measured: float
-    bound: float
-    direction: str          # how measured relates to bound when passing
-    reference: str          # which library quantity the check certifies
-    detail: str = ""
-    seconds: float = 0.0    # wall time of the check's whole group, not of this check
-
-    def to_json(self) -> dict:
-        """Report entry: every field but ``seconds``, so reports stay reproducible."""
-        return {k: v for k, v in asdict(self).items() if k != "seconds"}
-
-    def line(self) -> str:
-        tag = "PASS" if self.passed else "FAIL"
-        return (f"[{tag}] {self.name}: measured {self.measured:.6g} "
-                f"{self.direction} bound {self.bound:.6g} ({self.detail})")
-
-
-def verdict(name, measured, bound, direction, reference, detail=""):
-    """Judge ``measured`` against ``bound``; ``direction`` is "<=" or ">="."""
-    measured = float(measured)
-    bound = float(bound)
-    ok = measured <= bound if direction == "<=" else measured >= bound
-    return CheckResult(name=name, passed=bool(ok), measured=measured,
-                       bound=bound, direction=direction, reference=reference,
-                       detail=detail)
 
 
 def _code_from_projector(p: np.ndarray, dims) -> CodeSubspace:
@@ -313,18 +279,19 @@ def check_commuting_attack(level: str) -> list:
         report = commuting_model_attack(model, ground_subspace(model))
         worst = min(worst, report.certified_delta_e)
         if report.branch == "sector":
-            floor = report.details.get("analytic_delta_e", 1.0)
+            floor = report.details["analytic_delta_e"]
             worst_sector = min(worst_sector, max(report.certified_delta_e, floor))
         names.append(f"{name}:{report.branch}")
-    if not np.isfinite(worst_sector):
-        worst_sector = 1.0
+    sector_detail = "sector-branch members of the corpus"
+    if not np.isfinite(worst_sector):   # a branch with no instance certifies nothing
+        worst_sector, sector_detail = 0.0, "no corpus member takes the sector branch"
     return [
         verdict("commuting_attack_floor", worst, 1.0 / 3.0 - 1e-9, ">=",
                 "structure.commuting_model_attack: single-site splitting floor",
                 "; ".join(names)),
         verdict("commuting_attack_sector_floor", worst_sector, 1.0 - 1e-9, ">=",
                 "structure.multi_sector_attack: straddled sector splits by 1",
-                "sector-branch members of the corpus"),
+                sector_detail),
     ]
 
 

@@ -9,9 +9,13 @@ re-runs the same entries and compares bytes, so a change that moves report
 bytes on purpose runs this script, commits the diff and names each moved
 field in CHANGES.md.
 
-The entries: the demo scenarios, a repetition n = 10 attack and a
-repetition n = 8 dephase (the benchmark's scenarios at seed 1, kept here as
-JSON), and ``verify --quick``.
+The entries: the demo scenarios, every directory here that holds a
+``scenario.json``, and ``verify --quick``. The kept scenarios are the
+benchmark's (a repetition n = 10 attack and a repetition n = 8 dephase, at
+seed 1); ``ids``, ``attack`` and ``dephase`` on diagonal models on both
+sides of D = 128 (repetition n = 6 and n = 8, and a 5-site diagonal qutrit
+chain, D = 243); and a ``random_commuting`` attack at D = 64, whose bytes
+are the same at one and at two BLAS threads.
 """
 
 import re
@@ -33,8 +37,7 @@ def _scenario(path: Path) -> list:
 # entry name -> command line, less --out
 RUNS = {
     **{p.stem: _scenario(p) for p in sorted((ROOT / "demos" / "scenarios").glob("*.json"))},
-    **{name: _scenario(HERE / name / "scenario.json")
-       for name in ("attack_repetition_10", "dephase_repetition_8")},
+    **{p.parent.name: _scenario(p) for p in sorted(HERE.glob("*/scenario.json"))},
     "verify_quick": ["verify", "--quick"],
 }
 

@@ -555,9 +555,10 @@ def test_time_series_crosses_every_chunk_as_the_per_time_oracle():
 
 def test_time_series_factors_once_per_chunk_not_per_time(monkeypatch):
     # D = 256, 2000 times: one SVD for |v| and one stacked SVD per chunk of
-    # the bound rows; one eigvalsh for the gaussian quadrature's nodes, one
-    # per block size of h0 for the ground-energy guard, and two stacked ones
-    # per chunk, for the predictions and the simulated states
+    # the bound rows; one eigvalsh for the gaussian quadrature's nodes (read
+    # by the simulation and the fidelity bound, computed once per order and
+    # process), one per block size of h0 for the ground-energy guard, and
+    # two stacked ones per chunk, for the predictions and the simulated states
     model, code = _rep_code(8)
     m = pauli_string_matrix("X") + pauli_string_matrix("Z")
     r = ids(code, m, [3])
@@ -566,6 +567,7 @@ def test_time_series_factors_once_per_chunk_not_per_time(monkeypatch):
     sizes = len(dynamics._BlockPencil(h, m, [3], code.dims, 100.0).blocks)
     chunks = len(dynamics._time_chunks(2000, 256, 256 * 2))
     assert 1 < chunks < 2000
+    dynamics._gauss_rule.cache_clear()
     calls = count_factorizations(monkeypatch)
     rows = dephasing_time_series(h, r, m, NoiseDistribution.gaussian(0.0, 0.1), start,
                                  np.linspace(0.0, 5.0, 2000), 100.0, nodes=4, sites=[3])

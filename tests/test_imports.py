@@ -9,7 +9,9 @@ are placed into a D x D matrix by one route, the
 command line places and measures an ids perturbation on its sites without
 a D x D matrix, the command line imports no embed, the battery's duality
 oracle never reaches the compressed route it certifies, importing the
-command line loads no scipy, an
+command line loads no scipy and no battery, importing the package loads
+none of its modules until a name is read, each exported name is the
+object its home module defines, an
 attack, dephase or verify --quick run loads no numpy.ma, every
 function, class and method of the package is loaded somewhere in the
 sources, demos or benchmark, or is exported, and every parameter of a
@@ -17,8 +19,9 @@ package function or method is read by its body.
 
 An AST scan binds each name an import statement introduces (``import a.b``
 binds ``a``) and looks for a load of that name anywhere in the same file.
-Names listed in the file's ``__all__`` count as read (re-exports), and
-``from __future__`` imports are compiler directives, not names.
+Names listed in the file's ``__all__`` count as read (re-exports) when it is
+a literal list or tuple, and ``from __future__`` imports are compiler
+directives, not names.
 """
 
 import ast
@@ -43,7 +46,11 @@ def unread_imports(source: str) -> list:
             bound += [(node.lineno, a.asname or a.name) for a in node.names]
         elif isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            exported |= {ast.literal_eval(e) for e in node.value.elts}
+            # only a literal list or tuple names its re-exports; a computed
+            # __all__ exempts no import
+            if isinstance(node.value, (ast.List, ast.Tuple)) and all(
+                    isinstance(e, ast.Constant) for e in node.value.elts):
+                exported |= {e.value for e in node.value.elts}
     read = {n.id for n in ast.walk(tree)
             if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
     return [(line, name) for line, name in bound
@@ -54,6 +61,8 @@ def test_scanner_flags_an_unread_import():
     src = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
            "from x import a, b\n__all__ = ['b']\nprint(os.sep, a)\n")
     assert unread_imports(src) == [(3, "np")]
+    computed = "from x import a, b\n__all__ = [*_NAMES, 'b']\nprint(a)\n"
+    assert unread_imports(computed) == [(1, "b")]
 
 
 def test_no_unread_imports():
@@ -411,15 +420,19 @@ def test_cli_imports_no_embed():
     assert "embed" not in imported_names(source) | loaded_names(source)
 
 
+def _fresh(code: str) -> str:
+    """The stdout of ``code`` run in a new interpreter on the package source."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env).stdout.strip()
+
+
 def test_cli_imports_no_scipy():
     # importing scipy.sparse.csgraph alone takes about 0.4 s, more than a
     # whole CLI start-up; the block scan of the eigen wrappers is pure numpy
     code = ("import sys, splitlab.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    assert _fresh(code) == "[]"
 
 
 def test_cli_imports_no_process_pool_or_network():
@@ -427,10 +440,50 @@ def test_cli_imports_no_process_pool_or_network():
     # modules would add its import time to every command's start-up
     code = ("import sys, splitlab.cli; print(sorted(m for m in ('multiprocessing', "
             "'concurrent.futures', 'subprocess', 'socket') if m in sys.modules))")
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    assert _fresh(code) == "[]"
+
+
+# The package's modules, read from its directory; the command line is an
+# entry point, not a home of exported names.
+MODULES = sorted(p.stem for p in (ROOT / "src" / "splitlab").glob("*.py")
+                 if p.stem not in ("__init__", "cli"))
+
+
+def test_importing_the_package_loads_no_module():
+    # every exported name loads its home module when first read, so a
+    # command pays only for the modules its task uses
+    code = ("import sys, splitlab; "
+            "print(sorted(m for m in sys.modules if m.startswith('splitlab.')))")
+    assert _fresh(code) == "[]"
+
+
+def test_cli_imports_no_battery():
+    # the check record lives in splitlab.report; only the verify task
+    # imports the battery, inside its runner
+    assert _fresh("import sys, splitlab.cli; print('splitlab.verify' in sys.modules)") == "False"
+
+
+def test_each_exported_name_is_its_home_modules_object():
+    # each name resolves, in a fresh interpreter, to the object its home
+    # module defines: the table names where the name is defined, not a
+    # module that imports it
+    code = ("import importlib, splitlab\n"
+            "for name in splitlab.__all__[:-1]:\n"
+            "    obj = getattr(splitlab, name)\n"
+            "    home = importlib.import_module('splitlab.' + splitlab._HOME[name])\n"
+            "    if obj is not getattr(home, name) or obj.__module__ != home.__name__:\n"
+            "        print(name)\n"
+            "print(splitlab.__all__[-1], splitlab.__version__)")
+    assert _fresh(code) == "__version__ 0.1.0"
+
+
+def test_each_module_resolves_on_the_package():
+    code = ("import sys, splitlab\n"
+            f"for m in {MODULES!r}:\n"
+            "    assert getattr(splitlab, m) is sys.modules['splitlab.' + m], m\n"
+            "    assert m in dir(splitlab), m\n"
+            "print(sorted(splitlab._EXPORTS))")
+    assert _fresh(code) == repr(MODULES)
 
 
 # Two runs on models at BLOCK_SCAN_MIN_DIM and above (D = 256), where the

@@ -111,6 +111,18 @@ def test_duality_oracle_far_ends_read_the_compressed_extremes(monkeypatch, rng):
 # ---------------------------------------------------------------- lanes
 
 
+def test_sector_floor_fails_when_no_member_takes_the_sector_branch(monkeypatch):
+    # the virtual-pair chains take the multiplicity branch; a corpus of them
+    # alone gives the sector floor no instance, which must not pass
+    monkeypatch.setattr(verify, "_attack_corpus", verify._virtual_chains)
+    floor, sector = verify.check_commuting_attack("quick")
+    assert floor.passed and "sector" not in floor.detail
+    assert sector.name == "commuting_attack_sector_floor"
+    assert not sector.passed
+    assert sector.measured == 0.0
+    assert sector.detail == "no corpus member takes the sector branch"
+
+
 def test_lane_count_does_not_change_results(monkeypatch):
     # every field but the group's own seconds, in the same order
     battery_cpus(monkeypatch, 3)
