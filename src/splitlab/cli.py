@@ -19,7 +19,6 @@ except for the wall_clock_seconds field.
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import os
@@ -27,6 +26,16 @@ import sys
 import time
 from pathlib import Path
 from typing import Callable, NamedTuple
+
+# CPython's own SHA-256, which maps no OpenSSL; hashlib's import loads
+# _hashlib and with it libcrypto, several MB resident for one digest
+try:
+    from _sha2 import sha256            # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256      # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -580,7 +589,7 @@ _TASK_RUNNERS = {
 
 def _digest(scenario: dict) -> str:
     blob = json.dumps(scenario, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return sha256(blob.encode()).hexdigest()
 
 
 def _refuse_out(out_dir: str) -> bool:

@@ -1,5 +1,6 @@
 """Scenario front end: exit codes, artifacts, determinism, mutation catch."""
 
+import hashlib
 import json
 import os
 import re
@@ -782,6 +783,20 @@ def test_demo_scenario_digest_pinned(name, digest):
     path = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / f"{name}.json"
     raw = json.loads(path.read_text())
     assert cli._digest(cli.parse_scenario(raw).canonical) == digest
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("path", sorted(
+    [*(_ROOT / "tests" / "corpus").glob("*/scenario.json"),
+     *(_ROOT / "demos" / "scenarios").glob("*.json")]), ids=lambda p: p.parent.name + "/" + p.name)
+def test_digest_is_hashlib_sha256_of_the_canonical_json(path):
+    # the digest takes the interpreter's built-in SHA-256; hashlib is the
+    # independent route to the same hex
+    canonical = cli.parse_scenario(json.loads(path.read_text())).canonical
+    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode()
+    assert cli._digest(canonical) == hashlib.sha256(blob).hexdigest()
 
 
 @pytest.mark.parametrize("scenario", [

@@ -9,7 +9,8 @@ are placed into a D x D matrix by one route, the
 command line places and measures an ids perturbation on its sites without
 a D x D matrix, the command line imports no embed, the battery's duality
 oracle never reaches the compressed route it certifies, importing the
-command line loads no scipy and no battery, importing the package loads
+command line loads no scipy, no hashlib and no battery, a dephase run loads
+no OpenSSL, importing the package loads
 none of its modules until a name is read, each exported name is the
 object its home module defines, an
 attack, dephase or verify --quick run loads no numpy.ma, every
@@ -420,11 +421,12 @@ def test_cli_imports_no_embed():
     assert "embed" not in imported_names(source) | loaded_names(source)
 
 
-def _fresh(code: str) -> str:
-    """The stdout of ``code`` run in a new interpreter on the package source."""
+def _fresh(code: str, *args: str) -> str:
+    """The stdout of ``code`` run with ``args`` in a new interpreter on the
+    package source."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, env=env).stdout.strip()
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, check=True, env=env).stdout.strip()
 
 
 def test_cli_imports_no_scipy():
@@ -457,6 +459,15 @@ def test_importing_the_package_loads_no_module():
     assert _fresh(code) == "[]"
 
 
+def test_cli_imports_no_hashlib():
+    # the scenario digest comes from the interpreter's built-in SHA-256;
+    # hashlib loads _hashlib, which maps OpenSSL's libcrypto, several MB
+    # resident in every command
+    code = ("import sys, splitlab.cli; "
+            "print(sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules))")
+    assert _fresh(code) == "[]"
+
+
 def test_cli_imports_no_battery():
     # the check record lives in splitlab.report; only the verify task
     # imports the battery, inside its runner
@@ -486,15 +497,15 @@ def test_each_module_resolves_on_the_package():
     assert _fresh(code) == repr(MODULES)
 
 
-# Two runs on models at BLOCK_SCAN_MIN_DIM and above (D = 256), where the
-# eigen wrappers scan the pattern for blocks. The scan keeps its sets in
-# plain Python: the first np.unique of a process imports numpy.ma, a fixed
-# cost inside every timed run.
+# Runs on models at BLOCK_SCAN_MIN_DIM and above (D = 256), where the
+# eigen wrappers scan the pattern for blocks; the script's arguments are the
+# output directory and the tasks to run, and it prints which of the watched
+# modules the runs loaded.
 _RUNS = """
 import json, os, sys
 from pathlib import Path
 from splitlab.cli import main
-tmp = Path(sys.argv[1])
+tmp, tasks = Path(sys.argv[1]), sys.argv[2:]
 attack = {"schema_version": 1, "task": "attack",
           "model": {"fixture": "repetition", "n": 8}, "seed": 1}
 dephase = {"schema_version": 1, "task": "dephase",
@@ -504,18 +515,27 @@ dephase = {"schema_version": 1, "task": "dephase",
                       "t_grid": {"start": 0.0, "stop": 5.0, "num": 2},
                       "nodes": 16, "gap_factor": 1000.0, "epsilon": 0.01}}
 for name, scenario in (("attack", attack), ("dephase", dephase)):
-    path = tmp / f"{name}.json"
-    path.write_text(json.dumps(scenario))
-    assert main(["run", "--scenario", str(path), "--out", str(tmp / name)]) == 0
-# one usable CPU gives the battery one lane, so every check group runs here
-os.sched_setaffinity(0, {next(iter(os.sched_getaffinity(0)))})
-assert main(["verify", "--quick", "--out", str(tmp / "verify")]) == 0
-print("numpy.ma" in sys.modules)
+    if name in tasks:
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["run", "--scenario", str(path), "--out", str(tmp / name)]) == 0
+if "verify" in tasks:
+    # one usable CPU gives the battery one lane, so every check group runs here
+    os.sched_setaffinity(0, {next(iter(os.sched_getaffinity(0)))})
+    assert main(["verify", "--quick", "--out", str(tmp / "verify")]) == 0
+print(sorted(m for m in ("numpy.ma", "hashlib", "_hashlib") if m in sys.modules))
 """
 
 
 def test_cli_runs_import_no_numpy_ma(tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    out = subprocess.run([sys.executable, "-c", _RUNS, str(tmp_path)], capture_output=True,
-                         text=True, check=True, env=env)
-    assert out.stdout.strip().splitlines()[-1] == "False"
+    # the block scan keeps its sets in plain Python: the first np.unique of a
+    # process imports numpy.ma, a fixed cost inside every timed run
+    loaded = _fresh(_RUNS, str(tmp_path), "attack", "dephase", "verify").splitlines()[-1]
+    assert "numpy.ma" not in loaded
+
+
+def test_dephase_run_loads_no_openssl(tmp_path):
+    # only the dephase run is guarded: attack and verify draw from
+    # numpy.random, whose bit_generator imports secrets, which imports hmac,
+    # which imports _hashlib and with it libcrypto
+    assert _fresh(_RUNS, str(tmp_path), "dephase").splitlines()[-1] == "[]"
