@@ -58,8 +58,7 @@ class QuditSystem:
         for d in self.dims:
             total *= d
             if total > MAX_TOTAL_DIM:
-                raise ValueError(f"the total dimension of {len(self.dims)} sites "
-                                 f"exceeds the cap {MAX_TOTAL_DIM}")
+                _over_cap(len(self.dims))
 
     @property
     def n_sites(self) -> int:
@@ -68,6 +67,18 @@ class QuditSystem:
     @property
     def total_dim(self) -> int:
         return total_dim(self.dims)
+
+
+def _over_cap(n_sites: int):
+    """The one refusal of a chain whose total dimension passes MAX_TOTAL_DIM."""
+    raise ValueError(f"the total dimension of {n_sites} sites exceeds the cap {MAX_TOTAL_DIM}")
+
+
+def _qubits(n: int) -> QuditSystem:
+    """A chain of n qubits, its cap checked from n before (2,) * n is built."""
+    if n >= MAX_TOTAL_DIM.bit_length():    # 2**n > MAX_TOTAL_DIM
+        _over_cap(n)
+    return QuditSystem((2,) * n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,7 +321,7 @@ def stabilizer_hamiltonian(n_qubits: int, generators: list[str]) -> LocalModel:
     to exactly 0.
     """
     n = int(n_qubits)
-    system = QuditSystem((2,) * n)
+    system = _qubits(n)
     gens = [g.upper() for g in generators]
     for g in gens:
         if len(g) != n:
@@ -334,7 +345,7 @@ def repetition_model(n: int) -> LocalModel:
     """Ferromagnetic chain with ZZ checks; two-fold degenerate ground space."""
     if n < 2:
         raise ValueError("need at least two qubits")
-    QuditSystem((2,) * n)       # the cap, before n - 1 strings of length n
+    _qubits(n)      # the cap, before n - 1 strings of length n
     gens = ["I" * k + "ZZ" + "I" * (n - k - 2) for k in range(n - 1)]
     return stabilizer_hamiltonian(n, gens)
 

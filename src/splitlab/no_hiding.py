@@ -9,11 +9,12 @@ bound is what makes the two-site attack constructive: the more
 distinguishable side yields a projector whose expectation separates the
 pair by at least 1/3.
 
-The witness is computed for a batch of pairs at once: no_hiding_witness_batch
-takes the pairs' amplitudes with a leading batch axis, scores all three
+One core, _scored, takes a checked stack of pairs, scores all three
 candidates of every pair in one pair_side_norms call (one eigvalsh per side,
 each at that side's own size) and checks every pair's floor in a few stacked
-factorizations; no_hiding_witness is its one-pair call.
+factorizations. no_hiding_witness_batch returns the certified scores of a
+batch as one float array, WITNESS_CHUNK pairs at a time; no_hiding_witness
+builds the record of one pair of Kets from the same core.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .operators import (
     _dims_tuple,
     _kept_rows,
     _require_finite,
-    _unit_ket,
     fidelity,
     helstrom,
     reduced_states,
@@ -43,6 +43,10 @@ SCORE_FLOOR = 2.0 / 3.0
 SCORE_ATOL = 1e-9
 
 ORTHO_ATOL = 1e-10
+
+# Pairs that no_hiding_witness_batch scores at once: at about 12 KiB of
+# intermediates a 5 x 5 pair, a chunk stays near 3 MiB at any batch size.
+WITNESS_CHUNK = 256
 
 # The grid oracle's theta and phi resolution. It is even, so the phi ring
 # is closed under phi + pi and half the sphere covers every pair.
@@ -143,31 +147,15 @@ def _check_pair(b0: Ket, b1: Ket):
     _check_orthogonal(b0.amplitudes, b1.amplitudes)
 
 
-def no_hiding_witness_batch(b0s, b1s, dims) -> list[NoHidingWitness]:
-    """no_hiding_witness of every pair (b0s[i], b1s[i]) of a batch.
+def _scored(b0s: np.ndarray, b1s: np.ndarray, dims):
+    """(scores, candidate ids, chosen kets psi and phi, A and B side norms, D, F)
+    of the pairs (b0s[i], b1s[i]) of a checked (n, D) stack, one entry a pair.
 
-    ``b0s`` and ``b1s`` hold the pairs' amplitudes as rows of an (n, D)
-    array on the two sites ``dims``. Each row is held to Ket's unit norm by
-    Ket's own rule (operators._check_unit, on the whole stack, so a NaN row
-    is refused with Ket's message) and each pair to orthogonality. The three
-    candidates of all n pairs are scored in one pair_side_norms call over
-    (n, 3); each pair keeps its first candidate unless a later one beats it
-    by more than 1e-15. The chosen candidates are held to Ket's unit norm
-    in one more _check_unit call and wrapped as Kets with no norm of their
-    own (_unit_ket). Every pair's floor max(2D, F, 2/3) comes from the
-    A-side reduced states of the n input pairs: D is half the trace norm
-    of each difference, which reduced_states gives bitwise hermitian
-    (_trace_norms), and F one stacked fidelity call.
+    All 3n candidates are scored in one pair_side_norms call; a pair keeps its
+    first candidate unless a later one beats it by more than 1e-15. Each floor
+    max(2D, F, 2/3) is read from the A-side reduced states of the input pairs:
+    D from _trace_norms, F from one stacked fidelity call.
     """
-    dims = _two_sites(dims)
-    b0s, b1s = np.asarray(b0s, dtype=complex), np.asarray(b1s, dtype=complex)
-    if b0s.shape != b1s.shape:
-        raise ValueError(f"pair shapes differ: {b0s.shape} and {b1s.shape}")
-    if b0s.ndim != 2 or b0s.shape[1] != total_dim(dims):
-        raise ValueError(f"batch shape {b0s.shape} does not match dims {dims}")
-    _check_unit(np.stack([b0s, b1s]))
-    _check_orthogonal(b0s, b1s)
-
     v0s, v1s = _candidates(b0s, b1s)
     nas, nbs = pair_side_norms(v0s, v1s, dims)
     totals = nas + nbs
@@ -175,9 +163,7 @@ def no_hiding_witness_batch(b0s, b1s, dims) -> list[NoHidingWitness]:
     cid = np.zeros(len(b0s), dtype=int)
     for k in (1, 2):
         cid[totals[:, k] > totals[rows, cid] + 1e-15] = k
-    scores, na, nb = totals[rows, cid], nas[rows, cid], nbs[rows, cid]
-    chosen = np.stack([v0s[rows, cid], v1s[rows, cid]])
-    _check_unit(chosen)
+    scores = totals[rows, cid]
 
     rho0, rho1 = reduced_states(np.stack([b0s, b1s]), dims, [0])
     dist, fid = 0.5 * _trace_norms(rho0 - rho1), fidelity(rho0, rho1)
@@ -189,19 +175,32 @@ def no_hiding_witness_batch(b0s, b1s, dims) -> list[NoHidingWitness]:
             f"witness score {float(scores[i])} fell below its floor {float(floors[i])}; "
             "this should be impossible"
         )
-    return [
-        NoHidingWitness(
-            psi=_unit_ket(chosen[0, i], dims),
-            phi=_unit_ket(chosen[1, i], dims),
-            score=float(scores[i]),
-            side="A" if na[i] >= nb[i] else "B",
-            candidate_id=int(c),
-            fidelity_f=float(fid[i]),
-            distance_d=float(dist[i]),
-            side_norms=(float(na[i]), float(nb[i])),
-        )
-        for i, c in enumerate(cid)
-    ]
+    pick = (rows, cid)
+    return scores, cid, v0s[pick], v1s[pick], nas[pick], nbs[pick], dist, fid
+
+
+def no_hiding_witness_batch(b0s, b1s, dims) -> np.ndarray:
+    """The no_hiding_witness score of every pair (b0s[i], b1s[i]), one float array.
+
+    ``b0s`` and ``b1s`` hold the pairs as rows of an (n, D) array on the two
+    sites ``dims``. Every row is held to Ket's unit norm by Ket's own rule
+    (operators._check_unit on the whole stack, so a NaN row is refused with
+    Ket's message) and each pair to orthogonality. Each score is certified at
+    or above max(2D, F, 2/3) (_scored), WITNESS_CHUNK pairs at a time.
+    """
+    dims = _two_sites(dims)
+    b0s, b1s = np.asarray(b0s, dtype=complex), np.asarray(b1s, dtype=complex)
+    if b0s.shape != b1s.shape:
+        raise ValueError(f"pair shapes differ: {b0s.shape} and {b1s.shape}")
+    if b0s.ndim != 2 or b0s.shape[1] != total_dim(dims):
+        raise ValueError(f"batch shape {b0s.shape} does not match dims {dims}")
+    _check_unit(np.stack([b0s, b1s]))
+    _check_orthogonal(b0s, b1s)
+    scores = np.empty(len(b0s))
+    for lo in range(0, len(b0s), WITNESS_CHUNK):
+        part = slice(lo, lo + WITNESS_CHUNK)
+        scores[part] = _scored(b0s[part], b1s[part], dims)[0]
+    return scores
 
 
 def no_hiding_witness(b0: Ket, b1: Ket) -> NoHidingWitness:
@@ -210,10 +209,16 @@ def no_hiding_witness(b0: Ket, b1: Ket) -> NoHidingWitness:
     The returned score is guaranteed to be at least max(2D, F) for the
     A-side trace distance D and fidelity F of the input pair, hence at
     least 2/3; the builder checks this and refuses to return otherwise.
-    This is the one-pair call of no_hiding_witness_batch.
+    The pair is scored by _scored, as the batch's pairs are.
     """
     _check_pair(b0, b1)
-    return no_hiding_witness_batch(b0.amplitudes[None], b1.amplitudes[None], b0.dims)[0]
+    dims = _two_sites(b0.dims)
+    score, cid, v0, v1, na, nb, dist, fid = (
+        x[0] for x in _scored(b0.amplitudes[None], b1.amplitudes[None], dims))
+    return NoHidingWitness(
+        psi=Ket(v0, dims), phi=Ket(v1, dims), score=float(score),
+        side="A" if na >= nb else "B", candidate_id=int(cid), fidelity_f=float(fid),
+        distance_d=float(dist), side_norms=(float(na), float(nb)))
 
 
 def two_site_attack(p: Projector) -> AttackReport:

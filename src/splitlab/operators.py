@@ -11,8 +11,9 @@ HermOp, DensityOp and Projector are checked once, when they are built,
 and are frozen after; the one exception is a model's hamiltonian, which is
 hermitian entry by entry by construction and is checked at its terms
 (_exact_herm). Every other container rule has one body, for one item or
-a stack, that refuses a NaN: _check_unit, _density_rules and
-_require_finite, which every checked container passes. Spectral routines
+a stack, that refuses a NaN: _check_unit, which every Ket passes when it
+is built, _density_rules and _require_finite, which every checked
+container passes. Spectral routines
 factor such a container as it is and gate a raw array at each call
 (_raw_gate, which refuses a NaN too); they factor real-valued input
 in real arithmetic, factor a matrix whose nonzero pattern splits into
@@ -170,19 +171,6 @@ class Ket:
 
     def density(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
-
-
-def _unit_ket(v: np.ndarray, dims: tuple[int, ...]) -> Ket:
-    """Ket of a 1-D complex array whose unit norm the caller has checked.
-
-    For no_hiding.no_hiding_witness_batch alone, which holds a whole stack
-    of candidates to Ket's norm in one _check_unit call: ``dims`` is a
-    checked tuple whose product is len(v), and ``v`` is stored as it is.
-    """
-    ket = object.__new__(Ket)
-    ket.amplitudes = v
-    ket.dims = dims
-    return ket
 
 
 def _check_square(m: np.ndarray, dims: tuple[int, ...]):

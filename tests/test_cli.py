@@ -313,6 +313,28 @@ def test_oversized_chains_exit_with_the_cap_in_the_message(tmp_path, capsys):
         assert "16000 sites" in err and "cap 4096" in err
 
 
+@pytest.mark.parametrize("n", [13, 10**13])
+def test_an_oversized_repetition_is_refused_from_its_length(tmp_path, capsys, n):
+    # the cap is read from n itself: no (2,) * n tuple or string of length n
+    # is built, so a length past any memory is refused like the first one
+    # past the cap
+    scn = _write(tmp_path, "s.json", _attack_scenario(n=n))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", scn, "--out", str(out)]) == 4
+    assert not out.exists()
+    assert capsys.readouterr().err == ("unsupported input: ValueError: the total dimension "
+                                       f"of {n} sites exceeds the cap 4096\n")
+
+
+def test_an_oversized_repetition_builds_nothing_of_its_length(tmp_path):
+    # a million sites: one (2,) * n tuple alone would trace 8 MB
+    scn = _write(tmp_path, "s.json", _attack_scenario(n=10**6))
+    code, peak = traced_peak(
+        lambda: cli.main(["run", "--scenario", scn, "--out", str(tmp_path / "out")]))
+    assert code == 4
+    assert peak < 2 ** 20
+
+
 def test_dephase_on_nondegenerate_code_exits_4_before_simulating(tmp_path, monkeypatch,
                                                                  capsys):
     def no_series(*args, **kwargs):
@@ -694,8 +716,6 @@ def test_module_entry_point_runs():
     assert "cannot read scenario" in proc.stderr
 
 
-# sha256 of each demo's canonical scenario; a canonical form that filled in
-# defaults, or stopped expanding t_grid, would change every report's digest
 SCHEMA_DOC = Path(__file__).resolve().parents[1] / "docs" / "scenario_schema.md"
 
 
@@ -769,6 +789,8 @@ def test_schema_doc_tables_are_the_parse_tables():
     assert cli._PARAMS["decompose"] == {}
 
 
+# sha256 of each demo's canonical scenario; a canonical form that filled in
+# defaults, or stopped expanding t_grid, would change every report's digest
 @pytest.mark.parametrize("name, digest", [
     ("four_two_two_detection",
      "8b0610706fb1f1350d7d72cb3ea79d4b356f741ffea43f38d55011e373ebb59b"),

@@ -1,5 +1,6 @@
 """The report corpus: every committed run still writes the same bytes, or,
-for an entry marked GAUGE_FREE, the same gauge-free report fields.
+for an entry marked GAUGE_FREE, the same gauge-free report fields; a value
+one ulp off on the verify --quick path fails the comparison.
 
 A change that moves report bytes on purpose rewrites the corpus with
 ``tests/corpus/regen.py`` and commits the diff.
@@ -7,9 +8,12 @@ A change that moves report bytes on purpose rewrites the corpus with
 
 import json
 
+import numpy as np
 import pytest
 
+from conftest import battery_cpus
 from corpus import regen
+from splitlab import verify
 
 
 @pytest.mark.parametrize("name", sorted(regen.RUNS))
@@ -57,3 +61,18 @@ def test_a_marked_entry_is_compared_on_its_gauge_free_fields():
     assert not agrees_after(lambda r: r.update(scenario_digest="0" * 64))
     # an unmarked entry stays byte for byte
     assert not regen.agrees("attack_random_commuting_6", "report.json", committed + " ", committed)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_a_one_ulp_shift_on_the_verify_path_moves_the_corpus(tmp_path, monkeypatch, cpus):
+    # every witness score one ulp up moves the no_hiding_witness_floor
+    # figure by one ulp, and the verify_quick comparison must see it; a
+    # forked lane inherits the patch
+    batch = verify.no_hiding_witness_batch
+    monkeypatch.setattr(verify, "no_hiding_witness_batch",
+                        lambda *args: np.nextafter(batch(*args), np.inf))
+    battery_cpus(monkeypatch, cpus)
+    code, files = regen.artifacts(regen.RUNS["verify_quick"], tmp_path / "out")
+    assert code == 0
+    committed = (regen.HERE / "verify_quick" / "report.json").read_text()
+    assert not regen.agrees("verify_quick", "report.json", files["report.json"], committed)

@@ -15,8 +15,9 @@ none of its modules until a name is read, each exported name is the
 object its home module defines, an
 attack, dephase or verify --quick run loads no numpy.ma, every
 function, class and method of the package is loaded somewhere in the
-sources, demos or benchmark, or is exported, and every parameter of a
-package function or method is read by its body.
+sources, demos or benchmark, or is exported, every parameter of a
+package function or method is read by its body, and no package container
+but a model's hamiltonian is built through object.__new__, past its checks.
 
 An AST scan binds each name an import statement introduces (``import a.b``
 binds ``a``) and looks for a load of that name anywhere in the same file.
@@ -296,6 +297,49 @@ def test_each_container_rule_lives_in_one_function():
         found = {(path.name, func) for path in sorted(pkg.rglob("*.py"))
                  for _, func in template_sites(path.read_text(), template)}
         assert len(found) == 1, (template, sorted(found))
+
+
+def unchecked_builds(source: str, classes: set) -> list:
+    """(line, innermost enclosing function, class) of every object.__new__(C)
+    call whose argument is a bare name in ``classes``."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            f = getattr(child, "func", None)
+            if (isinstance(child, ast.Call) and isinstance(f, ast.Attribute)
+                    and f.attr == "__new__" and isinstance(f.value, ast.Name)
+                    and f.value.id == "object" and child.args
+                    and isinstance(child.args[0], ast.Name) and child.args[0].id in classes):
+                found.append((child.lineno, func, child.args[0].id))
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_scanner_flags_an_unchecked_build():
+    src = ("def _unit_ket(v):\n    ket = object.__new__(Ket)\n"
+           "def f():\n    return object.__new__(Other), cls.__new__(Ket)\n"
+           "x = object.__new__(HermOp)\n")
+    assert unchecked_builds(src, {"Ket", "HermOp"}) == [(2, "_unit_ket", "Ket"),
+                                                        (5, None, "HermOp")]
+
+
+def test_only_the_exact_hamiltonian_skips_its_containers_checks():
+    # a container built through object.__new__ skips its __post_init__
+    # checks; a model's hamiltonian, exactly hermitian at its terms, is the
+    # one such build
+    pkg = sorted((ROOT / "src" / "splitlab").rglob("*.py"))
+    classes = {n.name for path in pkg for n in ast.walk(ast.parse(path.read_text()))
+               if isinstance(n, ast.ClassDef)}
+    assert {"Ket", "HermOp", "DensityOp", "Projector"} <= classes
+    found = {(path.name, func, cls) for path in pkg
+             for _, func, cls in unchecked_builds(path.read_text(), classes)}
+    assert found == {("operators.py", "_exact_herm", "HermOp")}
 
 
 def whole_max_abs_calls(source: str) -> list:
